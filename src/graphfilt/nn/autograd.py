@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import MissingTape
-from ..sparse import (SparseMatrix, _segment_sums, csr_transpose_permutation,
-                      spmm)
+from ..sparse import (SparseMatrix, _Product, _segment_sums,
+                      csr_transpose_permutation, spmm)
 
 
 class Tensor:
@@ -110,6 +110,9 @@ class Pattern:
     def nnz(self):
         return len(self.col_idx)
 
+    def entry_rows(self):
+        return self.rows
+
     @classmethod
     def from_sparse(cls, S):
         return cls(S.n_rows, S.n_cols, S.row_ptr, S.col_idx)
@@ -118,7 +121,7 @@ class Pattern:
     def from_mask(cls, mask):
         return cls(mask.n, mask.n, mask.row_ptr, mask.col_idx)
 
-    def transpose(self):
+    def transpose_permutation(self):
         if self._t is None:
             t_row_ptr, t_col, perm = csr_transpose_permutation(
                 self.n_rows, self.n_cols, self.row_ptr, self.col_idx)
@@ -430,19 +433,15 @@ def spmm_values(tape, vals, x, pattern):
     x:    (..., n, f).
     """
     vv, xv = _val(vals), _val(x)
-    contrib = vv[..., :, None] * xv[..., pattern.col_idx, :]
-    out = Tensor(_segment_sums(contrib, pattern.row_ptr, axis=-2))
-    t_row_ptr, t_col, perm = pattern.transpose()
+    op = _Product(pattern, vv, per_sample=vv.ndim > 1)
+    out = Tensor(op.apply(xv, 1))
 
     def back():
         if out.grad is None:
             return
         g = out.grad
-        gv = (g[..., pattern.rows, :] * xv[..., pattern.col_idx, :]).sum(axis=-1)
-        _acc(vals, _unbroadcast(gv, vv.shape))
-        vt = vv[..., perm]
-        contrib_t = vt[..., :, None] * g[..., t_col, :]
-        _acc(x, _segment_sums(contrib_t, t_row_ptr, axis=-2))
+        _acc(vals, _unbroadcast(op.values_adjoint(g, xv, 1), vv.shape))
+        _acc(x, op.apply_transposed(g, 1))
 
     tape.record(back)
     return out
@@ -451,21 +450,19 @@ def spmm_values(tape, vals, x, pattern):
 def spmm_pairwise(tape, vals, z, pattern):
     """Per-feature-pair sparse product.
 
-    vals: (nnz, f, g); z: (..., n, f, g); the entry axis sits at -3.
+    vals: (nnz, f, g); z: (..., n, f, g), broadcasting against the
+    values' (f, g); the entry axis sits at -3.
     """
     vv, zv = _val(vals), _val(z)
-    contrib = vv * zv[..., pattern.col_idx, :, :]
-    out = Tensor(_segment_sums(contrib, pattern.row_ptr, axis=-3))
-    t_row_ptr, t_col, perm = pattern.transpose()
+    op = _Product(pattern, vv)
+    out = Tensor(op.apply(zv, 2))
 
     def back():
         if out.grad is None:
             return
         g = out.grad
-        gv = g[..., pattern.rows, :, :] * zv[..., pattern.col_idx, :, :]
-        _acc(vals, _unbroadcast(gv, vv.shape))
-        contrib_t = vv[perm] * g[..., t_col, :, :]
-        _acc(z, _segment_sums(contrib_t, t_row_ptr, axis=-3))
+        _acc(vals, _unbroadcast(op.values_adjoint(g, zv, 2), vv.shape))
+        _acc(z, _unbroadcast(op.apply_transposed(g, 2), zv.shape))
 
     tape.record(back)
     return out
@@ -484,7 +481,7 @@ def edge_score(tape, h, e, pattern, slope):
     pre = own[..., pattern.rows] + other[..., pattern.col_idx]
     factor = np.where(pre > 0, 1.0, slope)
     out = Tensor(pre * factor)
-    t_row_ptr, t_col, perm = pattern.transpose()
+    t_row_ptr, t_col, perm = pattern.transpose_permutation()
 
     def back():
         if out.grad is None:

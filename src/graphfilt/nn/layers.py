@@ -441,9 +441,11 @@ class HybridGcatLayer(GnnLayer):
                  phi0_mode="attention", weighted=False, slope=0.2,
                  use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
-        self.gat = EdgeVaryingGatLayer(f_in, f_out, order, "identity",
+        self.gat = EdgeVaryingGatLayer(f_in, f_out, order,
+                                       nonlinearity="identity",
                                        phi0_mode=phi0_mode,
-                                       weighted=weighted, slope=slope)
+                                       weighted=weighted, slope=slope,
+                                       use_bias=False)
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):

@@ -1,9 +1,19 @@
 """Compressed sparse row matrices and the kernels the filter stack runs on.
 
 The CSR layout is the carrier for shift operators and for every sparse
-parameter matrix in the library. All kernels accumulate row segments in
-CSR entry order (columns ascending within a row), so results are
-bit-reproducible run to run.
+parameter matrix in the library. Every sparse product (``spmv``,
+``spmm`` and the value-operand tape primitives) goes through one kernel,
+``_Product``, which picks one of two paths from the pattern's shape and
+nnz and from whether the values are shared across the batch:
+
+* dense: for small or dense patterns whose values are shared, the dense
+  matrix is built once and the product is a BLAS ``D @ X``;
+* CSR: a gather of the operand rows plus a segment sum per row, for large
+  sparse patterns and for per-sample values. It never builds a dense
+  matrix.
+
+Results are deterministic for a fixed shape and BLAS thread count, and a
+batched ``spmv`` is bitwise equal to a loop of single-vector calls.
 """
 from __future__ import annotations
 
@@ -11,26 +21,38 @@ import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
 
+# The dense path serves patterns whose dense matrix holds at most
+# _DENSE_FILL slots per stored entry, and never more than _DENSE_MAX_ROWS
+# rows, so that a 10k-node graph stays on CSR whatever its density.
+_DENSE_FILL = 16
+_DENSE_MAX_ROWS = 2048
+
 
 def _as_index_array(a):
     return np.asarray(a, dtype=np.int64)
 
 
+def _dense_fits(n_rows, n_cols, nnz):
+    """The dispatch rule: True when shared values take the dense path."""
+    return n_rows <= _DENSE_MAX_ROWS and n_rows * n_cols <= _DENSE_FILL * nnz
+
+
 def _segment_sums(contrib, row_ptr, axis):
     """Sum ``contrib`` over CSR row segments along ``axis``.
 
-    ``np.add.reduceat`` treats an empty segment as a single element and
-    runs the last segment to the end of the array, so we pad with one
-    zero slot and mask empty rows afterwards.
+    ``np.add.reduceat`` reads an empty segment as the single element at
+    its start, so empty rows are zeroed afterwards; a start equal to the
+    axis length is out of range, so only then is one zero slot appended.
     """
     contrib = np.asarray(contrib, dtype=np.float64)
     axis = axis % contrib.ndim
-    n_rows = len(row_ptr) - 1
-    pad_shape = list(contrib.shape)
-    pad_shape[axis] = 1
-    padded = np.concatenate([contrib, np.zeros(pad_shape)], axis=axis)
-    out = np.add.reduceat(padded, row_ptr[:-1], axis=axis)
-    empty = row_ptr[1:] == row_ptr[:-1]
+    starts = row_ptr[:-1]
+    if len(starts) and starts[-1] == contrib.shape[axis]:
+        pad_shape = list(contrib.shape)
+        pad_shape[axis] = 1
+        contrib = np.concatenate([contrib, np.zeros(pad_shape)], axis=axis)
+    out = np.add.reduceat(contrib, starts, axis=axis)
+    empty = row_ptr[1:] == starts
     if empty.any():
         idx = [slice(None)] * out.ndim
         idx[axis] = empty
@@ -38,10 +60,127 @@ def _segment_sums(contrib, row_ptr, axis):
     return out
 
 
-class SparseMatrix:
-    """Real CSR matrix with sorted, unique column indices per row."""
+def _feature_major(X, trailing):
+    """(..., n, *F) with ``trailing`` = len(F) as a contiguous (*F, n, B)
+    stack, B the flattened batch, so one matmul covers every feature slot."""
+    flat = X.reshape((-1,) + X.shape[X.ndim - 1 - trailing:])
+    order = tuple(range(2, trailing + 2)) + (1, 0)
+    return np.ascontiguousarray(flat.transpose(order))
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values")
+
+def _dense_product(D, X, trailing):
+    """Dense path: the product over the node axis of X (..., m, *F), which
+    precedes its ``trailing`` feature axes.
+
+    D is (n, m), one matrix for every feature slot, or (*F, n, m), one
+    matrix per feature slot (broadcasting against F).
+    """
+    if D.ndim == 2 and trailing == 0:
+        # a stack of mat-vecs: bitwise equal to one call per vector
+        return (D @ X[..., None])[..., 0]
+    if D.ndim == 2 and trailing == 1:
+        return D @ X
+    out = D @ _feature_major(X, trailing)                       # (*F, n, B)
+    out = out.transpose((trailing + 1, trailing) + tuple(range(trailing)))
+    return out.reshape(X.shape[:X.ndim - 1 - trailing] + out.shape[1:])
+
+
+def _csr_product(row_ptr, col_idx, values, X, trailing):
+    """CSR path: row i sums values[..., e, *] * X[..., col_idx[e], *] over
+    its stored entries e, in entry order.
+
+    values is (..., nnz, *T) with len(T) = ``trailing``, T broadcasting
+    against the feature axes of X (..., m, *F).
+    """
+    tail = (slice(None),) * trailing
+    contrib = values * X[(Ellipsis, col_idx) + tail]
+    return _segment_sums(contrib, row_ptr, axis=-1 - trailing)
+
+
+class _Product:
+    """Entry values on a CSR pattern as one linear operator, applied
+    through the path ``_dense_fits`` picks.
+
+    ``pattern`` supplies n_rows, n_cols, nnz, row_ptr, col_idx and
+    entry_rows(); transposed CSR products also use
+    transpose_permutation(). ``values`` is (nnz, *T), shared by every
+    batch element, where T is empty (one scalar per entry) or has one axis
+    per operand feature axis (one scalar per entry and feature slot). With
+    ``per_sample`` it is (..., nnz), one scalar per entry and batch
+    element; such values always take the CSR path, because a per-sample
+    dense stack was slower for the one-feature operands of the attention
+    layers' first hop. Operands are (..., n_cols, *F),
+    with ``trailing`` = len(F) feature axes. ``dense`` passes in a dense
+    copy built earlier for the same pattern and values.
+    """
+
+    __slots__ = ("pattern", "values", "carried", "dense")
+
+    def __init__(self, pattern, values, per_sample=False, dense=None):
+        self.pattern = pattern
+        self.values = values
+        # feature axes the values carry after the entry axis
+        self.carried = 0 if per_sample else values.ndim - 1
+        if dense is None and not per_sample and _dense_fits(
+                pattern.n_rows, pattern.n_cols, pattern.nnz):
+            vals = np.moveaxis(values, 0, -1)
+            dense = np.zeros(vals.shape[:-1]
+                             + (pattern.n_rows, pattern.n_cols))
+            dense[..., pattern.entry_rows(), pattern.col_idx] = vals
+        self.dense = dense
+
+    def _aligned(self, trailing):
+        """values with exactly ``trailing`` axes after the entry axis."""
+        v = self.values
+        return v.reshape(v.shape + (1,) * (trailing - self.carried))
+
+    def apply(self, X, trailing):
+        """S X for X of shape (..., n_cols, *F)."""
+        if self.dense is not None:
+            return _dense_product(self.dense, X, trailing)
+        return _csr_product(self.pattern.row_ptr, self.pattern.col_idx,
+                            self._aligned(trailing), X, trailing)
+
+    def apply_transposed(self, G, trailing):
+        """S^T G for G of shape (..., n_rows, *F)."""
+        if self.dense is not None:
+            return _dense_product(self.dense.swapaxes(-1, -2), G, trailing)
+        t_row_ptr, t_col, perm = self.pattern.transpose_permutation()
+        vt = np.take(self._aligned(trailing), perm, axis=-1 - trailing)
+        return _csr_product(t_row_ptr, t_col, vt, G, trailing)
+
+    def values_adjoint(self, G, X, trailing):
+        """Gradient of sum(G * apply(X)) with respect to the values.
+
+        Feature axes the values do not carry are summed; batch axes are
+        summed on the dense path and kept on the CSR path, so callers
+        reduce the result to the values' shape.
+        """
+        rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
+        if self.dense is None:
+            tail = (slice(None),) * trailing
+            gv = G[(Ellipsis, rows) + tail] * X[(Ellipsis, cols) + tail]
+            summed = tuple(range(gv.ndim - trailing + self.carried, gv.ndim))
+            return gv.sum(axis=summed) if summed else gv
+        if self.dense.ndim == 2:
+            # (G X^T) over every batch and feature axis at once
+            axes = [a for a in range(G.ndim) if a != G.ndim - 1 - trailing]
+            return np.tensordot(G, X, axes=(axes, axes))[rows, cols]
+        M = (_feature_major(G, trailing)
+             @ _feature_major(X, trailing).swapaxes(-1, -2))   # (*F, n, m)
+        return np.moveaxis(M[..., rows, cols], -1, 0)
+
+
+class SparseMatrix:
+    """Real CSR matrix with sorted, unique column indices per row.
+
+    ``values`` must not be mutated in place: products cache a dense copy
+    of the matrix on first use, which would go stale. ``with_values`` and
+    ``scale`` return a new matrix instead.
+    """
+
+    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values",
+                 "_dense")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         self.n_rows = int(n_rows)
@@ -49,6 +188,7 @@ class SparseMatrix:
         self.row_ptr = _as_index_array(row_ptr)
         self.col_idx = _as_index_array(col_idx)
         self.values = np.asarray(values, dtype=np.float64)
+        self._dense = None
         self._validate()
 
     def _validate(self):
@@ -63,14 +203,25 @@ class SparseMatrix:
         if len(self.col_idx):
             if self.col_idx.min() < 0 or self.col_idx.max() >= self.n_cols:
                 raise ValueError("column index out of range")
-        for i in range(self.n_rows):
-            seg = self.col_idx[self.row_ptr[i]:self.row_ptr[i + 1]]
-            if len(seg) > 1 and np.any(np.diff(seg) <= 0):
-                raise ValueError(f"columns not strictly increasing in row {i}")
+        # columns must increase at every step that starts no new row
+        starts = self.row_ptr[1:-1]
+        bad = np.diff(self.col_idx) <= 0
+        bad[starts[(starts > 0) & (starts < len(self.col_idx))] - 1] = False
+        if bad.any():
+            i = int(np.searchsorted(self.row_ptr, np.argmax(bad), "right")) - 1
+            raise ValueError(f"columns not strictly increasing in row {i}")
 
     @property
     def nnz(self):
         return len(self.values)
+
+    def _operator(self):
+        """This matrix as a ``_Product``. Only the dense copy is cached: an
+        operator kept here would reference the matrix back, and the cycle
+        would hold both until the garbage collector ran."""
+        op = _Product(self, self.values, dense=self._dense)
+        self._dense = op.dense
+        return op
 
     @property
     def shape(self):
@@ -164,8 +315,7 @@ def spmv(S, x):
     if x.shape[-1] != S.n_cols:
         raise DimensionMismatch(
             f"spmv: matrix has {S.n_cols} columns, vector has {x.shape[-1]}")
-    contrib = S.values * x[..., S.col_idx]
-    return _segment_sums(contrib, S.row_ptr, axis=-1)
+    return S._operator().apply(x, 0)
 
 
 def spmm(S, X):
@@ -177,8 +327,7 @@ def spmm(S, X):
     if X.ndim < 2 or X.shape[-2] != S.n_cols:
         raise DimensionMismatch(
             f"spmm: matrix has {S.n_cols} columns, X has shape {X.shape}")
-    contrib = S.values[:, None] * X[..., S.col_idx, :]
-    return _segment_sums(contrib, S.row_ptr, axis=-2)
+    return S._operator().apply(X, 1)
 
 
 class Permutation:

@@ -1,0 +1,305 @@
+"""The size-dispatched sparse product kernel: both paths against dense
+numpy and scipy oracles, the dispatch rule, and two-layer gradients of
+every family on a graph taking each path."""
+import gc
+
+import numpy as np
+import pytest
+
+from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
+                          EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
+                          HybridLayer, Model, Pattern, PolynomialLayer,
+                          ShiftContext, finite_difference_check, init_params)
+from graphfilt.nn import autograd as ag
+from graphfilt.sparse import (SparseMatrix, _csr_product, _dense_fits,
+                              _dense_product, _Product, _segment_sums, spmm,
+                              spmv)
+
+BATCHES = [(), (3,), (2, 3)]
+
+
+def random_pattern(rng, n_rows, n_cols, density=0.4):
+    """Random CSR pattern whose first and last rows are empty."""
+    keep = rng.random((n_rows, n_cols)) < density
+    keep[[0, -1]] = False
+    keep[n_rows // 2, rng.integers(n_cols)] = True
+    rows, cols = np.nonzero(keep)
+    S = SparseMatrix.from_coo(n_rows, n_cols, rows, cols,
+                              rng.normal(size=len(rows)))
+    return Pattern.from_sparse(S), S
+
+
+def dense_stack(p, values, entry_axis=0):
+    """Dense matrices, entry by entry, for values whose ``entry_axis`` runs
+    over the stored entries; the other axes lead the (n, m) result."""
+    v = np.moveaxis(values, entry_axis, -1)
+    D = np.zeros(v.shape[:-1] + (p.n_rows, p.n_cols))
+    for e, (i, j) in enumerate(zip(p.rows, p.col_idx)):
+        D[..., i, j] = v[..., e]
+    return D
+
+
+def oracle(p, values, X, trailing):
+    """Dense numpy reference of the product with shared values."""
+    D = dense_stack(p, values)
+    if D.ndim == 2:
+        node = X.ndim - 1 - trailing
+        out = np.einsum("ij,...j->...i", D, np.moveaxis(X, node, -1))
+        return np.moveaxis(out, -1, node)
+    return np.einsum("fgij,...jfg->...ifg", D, X)
+
+
+def aligned(values, trailing):
+    return values.reshape(values.shape + (1,) * (trailing + 1 - values.ndim))
+
+
+def close(got, want, tol=1e-12):
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) / scale < tol
+
+
+def csr_only(op):
+    """The same operator forced onto the CSR path."""
+    op.dense = None
+    return op
+
+
+class TestPaths:
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("trailing", [0, 1])
+    @pytest.mark.parametrize("shape", [(7, 7), (5, 9), (9, 4)])
+    def test_shared_values_match_dense_oracle(self, batch, trailing, shape):
+        rng = np.random.default_rng(sum(shape) + trailing + len(batch))
+        p, S = random_pattern(rng, *shape)
+        X = rng.normal(size=batch + (shape[1],) + (4,) * trailing)
+        want = oracle(p, S.values, X, trailing)
+        close(_dense_product(S.to_dense(), X, trailing), want)
+        close(_csr_product(p.row_ptr, p.col_idx, aligned(S.values, trailing),
+                           X, trailing), want)
+
+    @pytest.mark.parametrize("batch", BATCHES[1:])
+    def test_per_sample_values_match_dense_oracle(self, batch):
+        rng = np.random.default_rng(5)
+        p, _ = random_pattern(rng, 6, 8)
+        vals = rng.normal(size=batch + (p.nnz,))
+        X = rng.normal(size=batch + (8, 3))
+        op = _Product(p, vals, per_sample=True)
+        assert op.dense is None
+        close(op.apply(X, 1), dense_stack(p, vals, entry_axis=-1) @ X)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("g_z", [1, 3])
+    def test_pairwise_values_match_dense_oracle(self, batch, g_z):
+        rng = np.random.default_rng(7 + g_z)
+        p, _ = random_pattern(rng, 6, 6)
+        vals = rng.normal(size=(p.nnz, 2, 3))
+        Z = rng.normal(size=batch + (6, 2, g_z))       # broadcast when g_z=1
+        want = oracle(p, vals, np.broadcast_to(Z, batch + (6, 2, 3)), 2)
+        close(_dense_product(dense_stack(p, vals), Z, 2), want)
+        close(_csr_product(p.row_ptr, p.col_idx, vals, Z, 2), want)
+
+    @pytest.mark.parametrize("trailing", [0, 1])
+    def test_paths_match_scipy(self, trailing):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(9)
+        p, S = random_pattern(rng, 8, 11)
+        A = sp.csr_matrix((S.values, S.col_idx, S.row_ptr), shape=S.shape)
+        X = rng.normal(size=(3, 11) + (5,) * trailing)
+        want = np.stack([A @ x for x in X])
+        close(_dense_product(S.to_dense(), X, trailing), want)
+        close(_csr_product(p.row_ptr, p.col_idx, aligned(S.values, trailing),
+                           X, trailing), want)
+
+
+class TestAdjoints:
+    """apply_transposed and values_adjoint, both paths, against dense
+    numpy: <G, S X> differentiated by X and by the values."""
+
+    def _check(self, op, p, vals, X, G, trailing, D):
+        node = G.ndim - 1 - trailing
+        pairs = list(zip(p.rows, p.col_idx))
+        if D.ndim == 2:
+            want_x = np.moveaxis(np.tensordot(D.T, G, axes=([1], [node])),
+                                 0, node)
+            want_v = np.array([
+                np.sum(np.take(G, i, node) * np.take(X, j, node))
+                for i, j in pairs])
+        else:
+            want_x = ag._unbroadcast(np.einsum("fgji,...jfg->...ifg", D, G),
+                                     X.shape)
+            want_v = np.stack([
+                (G[..., i, :, :] * X[..., j, :, :]).reshape(
+                    (-1,) + vals.shape[1:]).sum(axis=0) for i, j in pairs])
+        close(ag._unbroadcast(op.apply_transposed(G, trailing), X.shape),
+              want_x)
+        close(ag._unbroadcast(op.values_adjoint(G, X, trailing), vals.shape),
+              want_v)
+
+    @pytest.mark.parametrize("force_csr", [False, True])
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_scalar_values(self, force_csr, batch):
+        rng = np.random.default_rng(11 + len(batch))
+        p, S = random_pattern(rng, 7, 5)
+        X = rng.normal(size=batch + (5, 3))
+        G = rng.normal(size=batch + (7, 3))
+        op = _Product(p, S.values)
+        assert op.dense is not None
+        if force_csr:
+            csr_only(op)
+        self._check(op, p, S.values, X, G, 1, S.to_dense())
+
+    @pytest.mark.parametrize("force_csr", [False, True])
+    @pytest.mark.parametrize("g_z", [1, 3])
+    def test_pairwise_broadcast_operand(self, force_csr, g_z):
+        rng = np.random.default_rng(13)
+        p, _ = random_pattern(rng, 6, 6)
+        vals = rng.normal(size=(p.nnz, 2, 3))
+        X = rng.normal(size=(4, 6, 2, g_z))
+        G = rng.normal(size=(4, 6, 2, 3))
+        op = _Product(p, vals)
+        if force_csr:
+            csr_only(op)
+        self._check(op, p, vals, X, G, 2, dense_stack(p, vals))
+
+
+class TestDispatch:
+    def test_rule(self):
+        assert _dense_fits(50, 50, 770)            # the desk-scale SBM
+        assert not _dense_fits(10000, 10000, 119000)
+        assert not _dense_fits(3000, 3000, 3000 * 3000)
+        assert not _dense_fits(60, 60, 180)
+
+    def test_large_sparse_matrix_builds_no_dense_copy(self):
+        n = 3000
+        idx = np.arange(n)
+        S = SparseMatrix.from_coo(n, n, idx, (idx + 1) % n, np.ones(n))
+        X = np.random.default_rng(0).normal(size=(2, n, 3))
+        assert np.array_equal(spmm(S, X)[:, :-1], X[:, 1:])
+        assert S._operator().dense is None
+
+    def test_per_sample_values_stay_on_csr(self):
+        p, _ = random_pattern(np.random.default_rng(1), 6, 6)
+        assert _Product(p, np.ones((2, p.nnz)), per_sample=True).dense is None
+        assert _Product(p, np.ones(p.nnz)).dense is not None
+
+    def test_new_values_new_dense_copy(self):
+        rng = np.random.default_rng(2)
+        _, S = random_pattern(rng, 6, 6)
+        X = rng.normal(size=(6, 2))
+        before = spmm(S, X)
+        doubled = S.with_values(2.0 * S.values)
+        assert np.array_equal(spmm(doubled, X), 2.0 * before)
+        assert np.array_equal(spmm(S, X), before)
+        assert doubled._operator().dense is not S._operator().dense
+
+    def test_used_matrix_freed_without_cycle_collection(self):
+        def alive():
+            return sum(isinstance(o, SparseMatrix) for o in gc.get_objects())
+
+        gc.disable()
+        try:
+            before = alive()
+            _, S = random_pattern(np.random.default_rng(4), 6, 6)
+            spmm(S, np.ones((6, 2)))
+            del S
+            assert alive() == before
+        finally:
+            gc.enable()
+
+    def test_batched_spmv_bitwise_on_both_paths(self):
+        rng = np.random.default_rng(3)
+        for n, density in ((6, 0.5), (80, 0.02)):
+            _, S = random_pattern(rng, n, n, density)
+            X = rng.normal(size=(4, n))
+            got = spmv(S, X)
+            for b in range(4):
+                assert np.array_equal(got[b], spmv(S, X[b]))
+
+
+class TestSegmentSums:
+    @pytest.mark.parametrize("row_ptr", [[0, 0, 2, 2, 3], [0, 1, 1, 3, 3],
+                                         [0, 0, 0], [0, 3], [0, 1, 2, 3]])
+    def test_empty_rows_anywhere(self, row_ptr):
+        row_ptr = np.asarray(row_ptr)
+        contrib = np.arange(1.0, 2.0 * row_ptr[-1] + 1).reshape(2, -1)
+        want = np.stack([[contrib[b, a:z].sum() for a, z in
+                          zip(row_ptr[:-1], row_ptr[1:])] for b in range(2)])
+        assert np.array_equal(_segment_sums(contrib, row_ptr, axis=-1), want)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("row_ptr,cols,bad_row", [
+        ([0, 2, 4], [0, 1, 1, 1], 1),
+        ([0, 0, 2, 4], [2, 1, 0, 1], 1),
+        ([0, 1, 3, 3], [2, 0, 0], 1),
+    ])
+    def test_names_first_bad_row(self, row_ptr, cols, bad_row):
+        with pytest.raises(ValueError, match=f"in row {bad_row}$"):
+            SparseMatrix(len(row_ptr) - 1, 3, row_ptr, cols,
+                         np.ones(len(cols)))
+
+    def test_row_boundaries_may_decrease(self):
+        S = SparseMatrix(3, 3, [0, 2, 2, 4], [1, 2, 0, 1], np.ones(4))
+        assert S.nnz == 4
+
+
+def ring_context(n, seed=0):
+    """Ring plus diagonal: S, I+S and every masked pattern stay sparse."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(n)
+    w = rng.uniform(0.2, 0.4, size=n)
+    rows = np.concatenate([idx, (idx + 1) % n, idx])
+    cols = np.concatenate([(idx + 1) % n, idx, idx])
+    vals = np.concatenate([w, w, rng.uniform(0.0, 0.2, size=n)])
+    return ShiftContext(SparseMatrix.from_coo(n, n, rows, cols, vals))
+
+
+def dense_context(n=7, seed=0):
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.uniform(0.5, 1.0, (n, n)) * (rng.random((n, n)) < 0.6), 1)
+    A[np.arange(n - 1), np.arange(1, n)] = 1.0
+    A = A + A.T
+    A = A / np.abs(np.linalg.eigvalsh(A)).max()
+    return ShiftContext(SparseMatrix.from_dense(A))
+
+
+FAMILIES = {
+    "gcnn": lambda f, g, ctx, sel, **kw: PolynomialLayer(f, g, 2, **kw),
+    "edge_varying": lambda f, g, ctx, sel, **kw: EdgeVaryingLayer(
+        f, g, 2, ctx.pattern, **kw),
+    "block_varying": lambda f, g, ctx, sel, **kw: BlockVaryingLayer(
+        f, g, 2, np.arange(ctx.n) % 3, 3, **kw),
+    "hybrid": lambda f, g, ctx, sel, **kw: HybridLayer(
+        f, g, 2, sel, ctx.masked_rows_pattern(sel), **kw),
+    "arma": lambda f, g, ctx, sel, **kw: ArmaLayer(f, g, 2, 1, 2, **kw),
+    "gat": lambda f, g, ctx, sel, **kw: GcatLayer(f, g, 1, include_k0=False,
+                                                  **kw),
+    "gcat": lambda f, g, ctx, sel, **kw: GcatLayer(f, g, 2, **kw),
+    "ev_gat": lambda f, g, ctx, sel, **kw: EdgeVaryingGatLayer(f, g, 2, **kw),
+    "hybrid_gcat": lambda f, g, ctx, sel, **kw: HybridGcatLayer(f, g, 2,
+                                                                **kw),
+}
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_two_layer_gradients(family, graph):
+    """Identity activations keep the central differences off ReLU kinks;
+    what is checked is the adjoint of every product through two layers,
+    including the pairwise products' broadcast operand (F_out > 1)."""
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    sel = np.array([1, 4])
+    patterns = [ctx.S, ctx.pattern, ctx.off_pattern,
+                ctx.masked_rows_pattern(sel)]
+    fits = [_dense_fits(p.n_rows, p.n_cols, p.nnz) for p in patterns]
+    assert all(fits[:3]) if graph == "dense" else not any(fits)
+    build = FAMILIES[family]
+    layers = [build(1, 2, ctx, sel, nonlinearity="identity"),
+              build(2, 3, ctx, sel, nonlinearity="identity")]
+    model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
+    rng = np.random.default_rng(17)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(2, ctx.n, 1))
+    rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
+    assert rep.passed, rep.summary()

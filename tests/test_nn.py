@@ -209,6 +209,11 @@ class TestLayerOracles:
         layer = EdgeVaryingGatLayer(2, 3, 2, phi0_mode="identity")
         assert len(layer.heads) == 2
 
+    def test_hybrid_gcat_inner_chain_is_linear_without_bias(self):
+        layer = HybridGcatLayer(2, 3, 2)
+        assert layer.gat.bias is None
+        assert layer.gat.nonlinearity == "identity"
+
     def test_batched_forward_matches_per_sample(self):
         rng = np.random.default_rng(10)
         ctx = ctx_for()
