@@ -65,8 +65,8 @@ def edge_scores(head, X, support):
 
 def _softmax_on_support(pre, support):
     rows = support.entry_rows()
-    row_max = np.full(support.n, -np.inf)
-    np.maximum.at(row_max, rows, pre)
+    # every support row holds its diagonal, so no segment is empty
+    row_max = np.maximum.reduceat(pre, support.row_ptr[:-1])
     shifted = np.exp(pre - row_max[rows])
     denom = _segment_sums(shifted, support.row_ptr, axis=-1)
     vals = shifted / denom[rows]

@@ -94,3 +94,7 @@ class MissingTape(GraphFiltError):
 
 class ConfigError(GraphFiltError):
     pass
+
+
+class NonFiniteValue(GraphFiltError):
+    """Raised when training meets a non-finite loss or gradient."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polydiv, polyval
 
 from .errors import (DimensionMismatch, RepeatedPoles, SingularDiagonal,
                      SingularSystem, SupportViolation, TooLarge)
@@ -336,24 +337,6 @@ def apply_arma_exact(f, S, X):
     return U
 
 
-def _poly_divide(num, den):
-    """Ascending-coefficient division: num = quot * den + rem,
-    deg(rem) < deg(den)."""
-    num = list(np.asarray(num, dtype=np.float64))
-    den = np.asarray(den, dtype=np.float64)
-    dq = len(num) - len(den)
-    if dq < 0:
-        return np.zeros(0), np.asarray(num)
-    quot = np.zeros(dq + 1)
-    for k in range(dq, -1, -1):
-        c = num[k + len(den) - 1] / den[-1]
-        quot[k] = c
-        for j, dj in enumerate(den):
-            num[k + j] -= c * dj
-    rem = np.asarray(num[:len(den) - 1])
-    return quot, rem
-
-
 def partial_fraction_decompose(f):
     """Direct terms, poles, and residues of the rational response.
 
@@ -366,16 +349,11 @@ def partial_fraction_decompose(f):
                 np.zeros(0, dtype=np.complex128))
     den = np.concatenate([[1.0], f.a])
     poles = poly_roots(den)
-    alphas, rem = _poly_divide(f.b, den)
-    dden = den[1:] * np.arange(1, len(den))
-
-    def _ev(coeffs, z):
-        acc = np.zeros_like(z, dtype=np.complex128)
-        for c in coeffs[::-1]:
-            acc = acc * z + c
-        return acc
-
-    dvals = _ev(dden, poles)
+    alphas, rem = polydiv(f.b, den)
+    if len(f.b) < len(den):
+        alphas = np.zeros(0)
+    dden = polyder(den)
+    dvals = polyval(poles, dden)
     if len(poles) > 1:
         dist = np.abs(poles[:, None] - poles[None, :])
         np.fill_diagonal(dist, np.inf)
@@ -386,8 +364,7 @@ def partial_fraction_decompose(f):
                 np.min(np.abs(dvals)) <= 1e-7 * dscale:
             raise RepeatedPoles(
                 f"poles closer than {POLE_SEPARATION} are unsupported")
-    residues = (_ev(rem, poles) / dvals
-                if len(rem) else np.zeros(len(poles), dtype=np.complex128))
+    residues = polyval(poles, rem) / dvals
     return alphas, poles, residues
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NonFiniteValue
 from ..graphs import select_nodes
 from ..nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                   EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
@@ -151,6 +151,9 @@ def evaluate(model, dataset, split, cfg=None, chunk=1024):
 def train(cfg, dataset):
     """Seeded training; returns (best-validation model, metric records).
 
+    A non-finite batch loss or parameter gradient raises NonFiniteValue
+    naming the epoch, the batch start and, for gradients, the parameter.
+
     The wall-time column is recorded only when cfg.timing is set, so the
     metrics stream stays byte-identical for a fixed (config, seed).
     """
@@ -178,8 +181,15 @@ def train(cfg, dataset):
             mb = mask[sel] if mask is not None else None
             logits, tape = _forward_batch(model, ctx, xb)
             loss, grad = _batch_loss(cfg, logits.value, yb, mb)
+            where = f"epoch {epoch}, batch starting at {start}"
+            if not np.isfinite(loss):
+                raise NonFiniteValue(f"{where}: loss is {loss}")
             model.zero_grad()
             tape.backward(output_grad=grad)
+            for name, t in model.parameters():
+                if t.grad is not None and not np.isfinite(t.grad).all():
+                    raise NonFiniteValue(
+                        f"{where}: gradient of {name} is not finite")
             adam_step(state)
             model.post_update(ctx)
             epoch_loss += loss * len(sel)

@@ -1,9 +1,6 @@
-"""Dense linear algebra for the analysis paths.
-
-Everything here targets symmetric, analysis-scale problems (a few hundred
-nodes at most): the spectral machinery, null-space constructions, and the
-root finding behind partial fraction decompositions.
-"""
+"""Dense linear algebra for the analysis paths: numpy/LAPACK wrappers that
+keep the library's typed errors, ascending eigenvalues, a null-space
+tolerance relative to max|A|, and complex roots."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -13,10 +10,7 @@ import numpy as np
 from .errors import DegreeZero, DimensionMismatch, NoConvergence, NotSymmetric
 
 SYMMETRY_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 NULLSPACE_TOL = 1e-10
-ROOT_TOL = 1e-12
-ROOT_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -27,66 +21,32 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def _offdiag_frobenius(A):
-    off = A - np.diag(np.diag(A))
-    return float(np.linalg.norm(off))
+def _require_finite(A, what):
+    if not np.all(np.isfinite(A)):
+        raise NoConvergence(f"{what} got a non-finite entry")
 
 
 def sym_eig(S):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
-    Sweeps row by row over the upper triangle, zeroing each off-diagonal
-    pair with a Givens rotation, until the off-diagonal Frobenius norm
-    drops below 1e-12 times the Frobenius norm of the input.
+    Raises NotSymmetric when S differs from its transpose by more than
+    1e-12 anywhere.
     """
     S = np.asarray(S, dtype=np.float64)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatch("sym_eig needs a square matrix")
+    _require_finite(S, "sym_eig")
     if S.size and float(np.max(np.abs(S - S.T))) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
-    n = S.shape[0]
-    A = S.copy()
-    V = np.eye(n)
-    target = SYMMETRY_TOL * float(np.linalg.norm(S))
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_frobenius(A) <= target:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    else:
-        raise NoConvergence(
-            f"Jacobi rotations did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-    lam = np.diag(A).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenDecomposition(lam[order], V[:, order])
+    lam, V = np.linalg.eigh(S)
+    return EigenDecomposition(lam, V)
 
 
 def null_space_basis(A, tol=NULLSPACE_TOL):
     """Orthonormal basis of the numerical null space of A.
 
-    Gaussian elimination with column pivoting identifies the pivot
-    columns; the free-column solutions are then orthonormalized by two
-    rounds of modified Gram-Schmidt. Pivots at or below tol * max|A| are
-    treated as zero.
+    The basis is the right singular vectors past the numerical rank, which
+    counts the singular values above tol * max|A|.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
@@ -94,48 +54,14 @@ def null_space_basis(A, tol=NULLSPACE_TOL):
     m, n = A.shape
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if m == 0 or n == 0:
-        return np.eye(n)
-    R = A.copy()
-    scale = float(np.max(np.abs(A)))
+    _require_finite(A, "null_space_basis")
+    scale = float(np.max(np.abs(A), initial=0.0))
     if scale == 0.0:
         return np.eye(n)
-    threshold = tol * scale
-    pivot_cols = []
-    r = 0
-    free = list(range(n))
-    while r < m and free:
-        sub = np.abs(R[r:, free])
-        flat = int(np.argmax(sub))
-        row_off, col_off = divmod(flat, len(free))
-        if sub[row_off, col_off] <= threshold:
-            break
-        col = free[col_off]
-        row = r + row_off
-        if row != r:
-            R[[r, row], :] = R[[row, r], :]
-        piv = R[r, col]
-        R[r, :] /= piv
-        others = np.arange(m) != r
-        R[others, :] -= np.outer(R[others, col], R[r, :])
-        pivot_cols.append(col)
-        free.remove(col)
-        r += 1
-    b = len(free)
-    if b == 0:
-        return np.zeros((n, 0))
-    basis = np.zeros((n, b))
-    for j, fcol in enumerate(sorted(free)):
-        basis[fcol, j] = 1.0
-        for i, pcol in enumerate(pivot_cols):
-            basis[pcol, j] = -R[i, fcol]
-    for _ in range(2):  # MGS twice for orthonormality near 1e-15
-        for j in range(b):
-            for i in range(j):
-                basis[:, j] -= (basis[:, i] @ basis[:, j]) * basis[:, i]
-            nrm = np.linalg.norm(basis[:, j])
-            basis[:, j] /= nrm
-    return basis
+    # a tall A needs only its n x n right factor, never an m x m U
+    _, sigma, Vt = np.linalg.svd(A, full_matrices=m < n)
+    rank = int(np.count_nonzero(sigma > tol * scale))
+    return Vt[rank:].T
 
 
 def khatri_rao(A, B):
@@ -150,33 +76,12 @@ def khatri_rao(A, B):
 
 
 def poly_roots(coeffs):
-    """All complex roots of sum_k coeffs[k] * x^k by Durand-Kerner.
-
-    Starts from the standard (0.4 + 0.9i)^k ring and iterates the
-    simultaneous correction until the largest root update is below 1e-12.
-    """
+    """All complex roots of sum_k coeffs[k] * x^k (companion-matrix
+    eigenvalues), as complex128 even when every root is real."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or len(coeffs) < 2:
         raise DegreeZero("polynomial degree must be at least 1")
     if coeffs[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    monic = (coeffs / coeffs[-1]).astype(np.complex128)
-    deg = len(monic) - 1
-
-    def evaluate(z):
-        acc = np.zeros_like(z)
-        for c in monic[::-1]:
-            acc = acc * z + c
-        return acc
-
-    z = (0.4 + 0.9j) ** np.arange(deg)
-    for _ in range(ROOT_MAX_ITER):
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        denom = np.prod(diff, axis=1)
-        step = evaluate(z) / denom
-        z = z - step
-        if np.max(np.abs(step)) < ROOT_TOL:
-            return z
-    raise NoConvergence(
-        f"Durand-Kerner did not converge in {ROOT_MAX_ITER} iterations")
+    _require_finite(coeffs, "poly_roots")
+    return np.roots(coeffs[::-1]).astype(np.complex128)

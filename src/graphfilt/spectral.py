@@ -8,9 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
-from .errors import (DimensionMismatch, NotSymmetric, PoleAtEigenvalue,
-                     SupportLeak)
+from .errors import DimensionMismatch, PoleAtEigenvalue, SupportLeak
 from .linalg import NULLSPACE_TOL, null_space_basis, poly_roots, sym_eig
 from .sparse import SparseMatrix, support_mask
 
@@ -38,12 +38,10 @@ def igft(V, xt):
 def poly_response(coeffs, lambdas):
     """Pointwise polynomial gain sum_k coeffs[k] lambda^k."""
     lambdas = np.asarray(lambdas, dtype=np.float64)
-    acc = np.zeros_like(lambdas)
-    power = np.ones_like(lambdas)
-    for c in np.atleast_1d(coeffs):
-        acc = acc + c * power
-        power = power * lambdas
-    return acc
+    coeffs = np.atleast_1d(coeffs)
+    if len(coeffs) == 0:
+        return np.zeros_like(lambdas)
+    return polyval(lambdas, coeffs)
 
 
 def arma_response(f, lambdas):
@@ -97,13 +95,6 @@ class SpectralEdgeVaryingFilter:
         object.__setattr__(self, "mus", mus)
 
 
-def _require_symmetric_sparse(S):
-    dense = S.to_dense()
-    if np.max(np.abs(dense - dense.T), initial=0.0) > 1e-12:
-        raise NotSymmetric("spectral operations need a symmetric shift")
-    return dense
-
-
 def support_constraint_matrix(eig, support):
     """Rows of the vectorized eigen-outer-product matrix at the zero
     positions of I+S.
@@ -123,9 +114,11 @@ def support_constraint_matrix(eig, support):
 
 
 def build_basis_kernel(S, tol=NULLSPACE_TOL):
-    """Basis kernel of admissible spectral responses for supp(I+S)."""
-    dense = _require_symmetric_sparse(S)
-    eig = sym_eig(dense)
+    """Basis kernel of admissible spectral responses for supp(I+S).
+
+    A shift that is not symmetric within 1e-12 raises NotSymmetric.
+    """
+    eig = sym_eig(S.to_dense())
     mask = support_mask(S)
     constraint = support_constraint_matrix(eig, mask)
     if constraint.shape[0] == 0:

@@ -119,6 +119,20 @@ class TestNeighborhoodSoftmax:
         again = neighborhood_softmax(shifted, mask).matrix.values
         assert np.max(np.abs(base - again)) < 1e-12
 
+    def test_isolated_nodes_keep_only_their_diagonal(self):
+        # nodes 0, 2 and 5 have no edges, so their support rows hold only
+        # the diagonal; node 5 is also the last row
+        S = build_shift(Graph(6, ((1, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0))),
+                        "none")
+        mask = support_mask(S)
+        rows = mask.entry_rows()
+        for i in (0, 2, 5):
+            assert np.array_equal(mask.col_idx[rows == i], [i])
+        scores = np.random.default_rng(5).normal(size=mask.nnz) * 3.0
+        got = neighborhood_softmax(scores, mask).matrix.values
+        assert np.max(np.abs(got - naive_softmax(scores, mask))) < 1e-13
+        assert np.array_equal(got[np.isin(rows, (0, 2, 5))], np.ones(3))
+
     def test_rejects_nonfinite(self):
         S = small_graph_shift()
         mask = support_mask(S)

@@ -1,11 +1,12 @@
 """Configuration, datasets, training loop, metrics, and CLI."""
+import importlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from graphfilt.errors import ConfigError, ParseError
+from graphfilt.errors import ConfigError, NonFiniteValue, ParseError
 from graphfilt.harness import (ExperimentConfig, build_dataset,
                                build_similarity_graph, dataset_hash,
                                evaluate, export_dataset,
@@ -14,6 +15,9 @@ from graphfilt.harness import (ExperimentConfig, build_dataset,
 from graphfilt.harness.cli import main as cli_main
 from graphfilt.harness.train import MetricsRecord, build_model
 from graphfilt.nn import ShiftContext, init_params
+
+# the package exports the train function under the submodule's name
+train_module = importlib.import_module("graphfilt.harness.train")
 
 
 def sbm_config(**overrides):
@@ -239,6 +243,33 @@ class TestTrainLoop:
         for r in records:
             assert np.isfinite([r.train_loss, r.val_loss, r.val_metric]).all()
             assert 0.0 <= r.val_metric <= 1.0
+
+    def test_nan_signal_raises_naming_epoch_and_batch(self):
+        cfg = sbm_config()
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        train_idx = ds.splits["train"]
+        ds.X[train_idx[5]] = np.nan
+        # the epoch-0 order train() draws from its shuffle stream
+        shuffle_seq = np.random.SeedSequence(cfg.seed).spawn(3)[2]
+        order = np.random.default_rng(shuffle_seq).permutation(
+            len(train_idx))
+        bs = cfg.training.batch_size
+        start = int(np.nonzero(order == 5)[0][0]) // bs * bs
+        with pytest.raises(NonFiniteValue,
+                           match=f"epoch 0, batch starting at {start}: loss"):
+            train(cfg, ds)
+
+    def test_nan_gradient_raises_naming_parameter(self, monkeypatch):
+        def nan_grad(cfg, logits, y, mask):
+            return 1.0, np.full_like(logits, np.nan)
+
+        monkeypatch.setattr(train_module, "_batch_loss", nan_grad)
+        cfg = sbm_config()
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        with pytest.raises(NonFiniteValue,
+                           match="epoch 0, batch starting at 0: gradient "
+                                 "of L0.poly"):
+            train(cfg, ds)
 
     def test_loss_decreases_every_family_smoke(self):
         # separable toy task; first-epoch to last-epoch train loss drop

@@ -1,6 +1,6 @@
 """The size-dispatched sparse product kernel: both paths against dense
 numpy and scipy oracles, the dispatch rule, and two-layer gradients of
-every family on a graph taking each path."""
+every family on a graph taking each path, with and across ReLU kinks."""
 import gc
 
 import numpy as np
@@ -9,7 +9,8 @@ import pytest
 from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
                           EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
                           HybridLayer, Model, Pattern, PolynomialLayer,
-                          ShiftContext, finite_difference_check, init_params)
+                          ShiftContext, cross_entropy,
+                          finite_difference_check, init_params)
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (SparseMatrix, _csr_product, _dense_fits,
                               _dense_product, _Product, _segment_sums, spmm,
@@ -303,3 +304,39 @@ def test_two_layer_gradients(family, graph):
     X0 = rng.normal(size=(2, ctx.n, 1))
     rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
     assert rep.passed, rep.summary()
+
+
+def _relu_two_layer(family, graph, seed):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    sel = np.array([1, 4])
+    build = FAMILIES[family]
+    model = Model([build(1, 2, ctx, sel), build(2, 3, ctx, sel)], ctx.n, 2,
+                  readout_mode="mean_pool")
+    rng = np.random.default_rng(seed)
+    init_params(model, rng, shift=ctx)
+    return model, ctx, rng.normal(size=(2, ctx.n, 1))
+
+
+# the arma and gcat cases put a ReLU kink inside +-h and failed with one
+# fixed step (relative errors 6e-2 and 2e-1)
+@pytest.mark.parametrize("family,graph,seed", [
+    ("gcnn", "csr", 17), ("arma", "csr", 3), ("gcat", "dense", 1)])
+def test_relu_gradients_pass_across_kinks(family, graph, seed):
+    model, ctx, X0 = _relu_two_layer(family, graph, seed)
+    rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
+    assert rep.passed, rep.summary()
+
+
+def test_corrupted_gradient_still_fails():
+    """Shrinking the steps near a kink must not excuse a wrong gradient:
+    a 0.1% error in the analytic gradient fails at every step."""
+    model, ctx, X0 = _relu_two_layer("arma", "csr", 3)
+    labels = np.array([0, 1])
+
+    def skewed(logits):
+        value, grad = cross_entropy(logits, labels)
+        return value, grad * 1.001
+
+    rep = finite_difference_check(model, ctx, X0, loss=skewed)
+    assert not rep.passed
+    assert rep.per_class["readout_w"] > rep.tol

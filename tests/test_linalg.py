@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from graphfilt.errors import DegreeZero, DimensionMismatch, NotSymmetric
+from graphfilt.errors import (DegreeZero, DimensionMismatch, NoConvergence,
+                              NotSymmetric)
 from graphfilt.linalg import (EigenDecomposition, khatri_rao,
                               null_space_basis, poly_roots, sym_eig)
 
@@ -51,6 +52,18 @@ class TestSymEig:
         eig = sym_eig(np.zeros((3, 3)))
         assert np.array_equal(eig.eigenvalues, np.zeros(3))
 
+    def test_symmetry_tolerance_is_1e_12(self):
+        S = random_symmetric(np.random.default_rng(19), 5)
+        S[0, 1] += 1e-13
+        sym_eig(S)
+        S[0, 1] += 1e-11
+        with pytest.raises(NotSymmetric):
+            sym_eig(S)
+
+    def test_nonfinite_input_rejected(self):
+        with pytest.raises(NoConvergence):
+            sym_eig(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+
 
 class TestNullSpace:
     def test_zero_matrix_full_nullity(self):
@@ -79,6 +92,56 @@ class TestNullSpace:
             scale = np.max(np.abs(A))
             assert np.max(np.abs(A @ N)) <= 10 * 1e-10 * scale
             assert np.max(np.abs(N.T @ N - np.eye(N.shape[1]))) < 1e-10
+
+
+class TestNullSpaceMemory:
+    def test_tall_matrix_skips_the_full_left_factor(self, monkeypatch):
+        seen = []
+        svd = np.linalg.svd
+
+        def spy(A, full_matrices=True, **kw):
+            seen.append(full_matrices)
+            return svd(A, full_matrices=full_matrices, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rng = np.random.default_rng(29)
+        assert null_space_basis(rng.normal(size=(40, 5))).shape == (5, 0)
+        assert null_space_basis(rng.normal(size=(5, 40))).shape == (40, 35)
+        assert seen == [False, True]
+
+
+class TestScipyOracle:
+    """scipy.linalg as an independent oracle for the LAPACK wrappers."""
+
+    def test_eigenvalues_match_scipy_eigh(self):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(37)
+        for n in (2, 5, 11, 40):
+            S = random_symmetric(rng, n)
+            ref = sla.eigh(S, eigvals_only=True)
+            assert np.max(np.abs(sym_eig(S).eigenvalues - ref)) < 1e-12
+
+    def test_repeated_eigenvalue_vectors_orthonormal(self):
+        sla = pytest.importorskip("scipy.linalg")
+        A = np.ones((3, 3)) - np.eye(3)
+        eig = sym_eig(A)
+        V = eig.eigenvectors
+        assert np.max(np.abs(V.T @ V - np.eye(3))) < 1e-12
+        assert np.max(np.abs(A @ V - V * eig.eigenvalues)) < 1e-12
+        # the -1 eigenspace has the same projector as scipy's
+        W = sla.eigh(A)[1][:, :2]
+        assert np.max(np.abs(V[:, :2] @ V[:, :2].T - W @ W.T)) < 1e-12
+
+    @pytest.mark.parametrize("m,n,rank,scale", [
+        (6, 8, 4, 1.0), (12, 5, 3, 1.0), (6, 8, 4, 1e6), (12, 5, 3, 1e6)])
+    def test_null_space_matches_scipy(self, m, n, rank, scale):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(43)
+        A = scale * rng.normal(size=(m, rank)) @ rng.normal(size=(rank, n))
+        N = null_space_basis(A)
+        ref = sla.null_space(A)
+        assert N.shape == ref.shape == (n, n - rank)
+        assert np.max(np.abs(N @ N.T - ref @ ref.T)) < 1e-10
 
 
 class TestKhatriRao:
@@ -139,6 +202,19 @@ class TestPolyRoots:
     def test_degree_zero_rejected(self):
         with pytest.raises(DegreeZero):
             poly_roots([2.0])
+
+    def test_real_roots_come_back_complex(self):
+        roots = poly_roots([-1.0, 0.0, 1.0])
+        assert roots.dtype == np.complex128
+        assert np.array_equal(roots.imag, np.zeros(2))
+
+    def test_zero_leading_coefficient_rejected(self):
+        with pytest.raises(ValueError):
+            poly_roots([1.0, 2.0, 0.0])
+
+    def test_nonfinite_coefficients_rejected(self):
+        with pytest.raises(NoConvergence):
+            poly_roots([np.nan, 1.0])
 
 
 def test_eigendecomposition_is_frozen():
