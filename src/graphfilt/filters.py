@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polydiv, polyval
 
 from .errors import (DimensionMismatch, RepeatedPoles, SingularDiagonal,
                      SingularSystem, SupportViolation, TooLarge)
@@ -344,6 +343,8 @@ def partial_fraction_decompose(f):
     Q(l)/P(l) = sum_p residues[p] / (l - poles[p]) + sum_k alphas[k] l^k
     for simple poles. alphas is empty when deg Q < deg P.
     """
+    # imported here: loading numpy.polynomial costs every process ~0.8 MB
+    from numpy.polynomial.polynomial import polyder, polydiv, polyval
     if len(f.a) == 0:
         return (f.b.copy(), np.zeros(0, dtype=np.complex128),
                 np.zeros(0, dtype=np.complex128))

@@ -151,8 +151,9 @@ def evaluate(model, dataset, split, cfg=None, chunk=1024):
 def train(cfg, dataset):
     """Seeded training; returns (best-validation model, metric records).
 
-    A non-finite batch loss or parameter gradient raises NonFiniteValue
-    naming the epoch, the batch start and, for gradients, the parameter.
+    A non-finite batch loss, parameter gradient or validation loss raises
+    NonFiniteValue naming the epoch, plus the batch start and the
+    parameter where they apply.
 
     The wall-time column is recorded only when cfg.timing is set, so the
     metrics stream stays byte-identical for a fixed (config, seed).
@@ -195,6 +196,9 @@ def train(cfg, dataset):
             epoch_loss += loss * len(sel)
             seen += len(sel)
         val_loss, val_metric = evaluate(model, dataset, "val", cfg)
+        if not np.isfinite(val_loss):
+            raise NonFiniteValue(
+                f"epoch {epoch}: validation loss is {val_loss}")
         seconds = time.perf_counter() - t0 if cfg.timing else 0.0
         records.append(MetricsRecord(epoch, epoch_loss / max(seen, 1),
                                      val_loss, val_metric, seconds))

@@ -58,8 +58,9 @@ def null_space_basis(A, tol=NULLSPACE_TOL):
     scale = float(np.max(np.abs(A), initial=0.0))
     if scale == 0.0:
         return np.eye(n)
-    # a tall A needs only its n x n right factor, never an m x m U
-    _, sigma, Vt = np.linalg.svd(A, full_matrices=m < n)
+    # a tall A = QR has the singular values and right vectors of its n x n R
+    R = np.linalg.qr(A, mode="r") if m > n else A
+    _, sigma, Vt = np.linalg.svd(R, full_matrices=m < n)
     rank = int(np.count_nonzero(sigma > tol * scale))
     return Vt[rank:].T
 

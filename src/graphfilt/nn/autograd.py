@@ -248,6 +248,24 @@ def reshape(tape, a, shape):
     return out
 
 
+def concat(tape, parts, axis):
+    """Join operands along an axis; a single part is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    vals = [_val(p) for p in parts]
+    out = Tensor(np.concatenate(vals, axis=axis))
+    cuts = np.cumsum([v.shape[axis] for v in vals[:-1]])
+
+    def back():
+        if out.grad is None:
+            return
+        for p, g in zip(parts, np.split(out.grad, cuts, axis=axis)):
+            _acc(p, g)
+
+    tape.record(back)
+    return out
+
+
 def expand_last(tape, a):
     """Append a trailing unit axis (view used to broadcast feature pairs)."""
     av = _val(a)

@@ -46,8 +46,9 @@ class ShiftContext:
         return Pattern(self.n, self.n, np.cumsum(row_ptr), cols)
 
 
-def _glorot_limit(fan_in, fan_out):
-    return np.sqrt(6.0 / (fan_in + fan_out))
+def _mix(tape, Zs, As):
+    """sum_k Z_k A_k as one product of the stacked hops and matrices."""
+    return ag.matmul(tape, ag.concat(tape, Zs, -1), ag.concat(tape, As, 0))
 
 
 class AttentionParams:
@@ -62,6 +63,13 @@ class AttentionParams:
     def params(self):
         out = [] if self.tied else [("att_B", self.B)]
         return out + [("att_e", self.e)]
+
+    def shift_values(self, tape, ctx, X, weighted):
+        """Row-stochastic shift values on supp(I+S) scored from X."""
+        H = ag.matmul(tape, X, self.B)
+        scores = ag.edge_score(tape, H, self.e, ctx.pattern, self.slope)
+        weights = ctx.weighted_vals if weighted else None
+        return ag.support_softmax(tape, scores, ctx.pattern, weights=weights)
 
 
 class GnnLayer:
@@ -123,18 +131,16 @@ class GnnLayer:
             "use_bias": self.bias is not None,
         }
 
-    def _make_mixing(self, count):
-        return [Tensor(np.zeros((self.f_in, self.f_out)), name="mixing")
+    def _make_mixing(self, count, name="mixing"):
+        return [Tensor(np.zeros((self.f_in, self.f_out)), name=name)
                 for _ in range(count)]
 
     def _mix_chain(self, tape, ctx, X, matrices):
         """sum_k S^k X A_k for the fixed graph shift."""
-        acc = ag.matmul(tape, X, matrices[0])
-        Z = X
-        for A in matrices[1:]:
-            Z = ag.spmm_const(tape, ctx.S, Z, ctx.S_t)
-            acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
-        return acc
+        Zs = [X]
+        for _ in matrices[1:]:
+            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1], ctx.S_t))
+        return _mix(tape, Zs, matrices)
 
 
 class PolynomialLayer(GnnLayer):
@@ -145,9 +151,7 @@ class PolynomialLayer(GnnLayer):
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
-        self.mixing = self._make_mixing(order + 1)
-        for t in self.mixing:
-            t.name = "poly"
+        self.mixing = self._make_mixing(order + 1, "poly")
 
     def params(self):
         return [("poly", t) for t in self.mixing]
@@ -173,11 +177,11 @@ class BlockVaryingLayer(GnnLayer):
         return [("block", t) for t in self.coeffs]
 
     def forward(self, tape, ctx, X):
-        acc = ag.block_mix(tape, X, self.coeffs[0], self.block_of_node)
-        Z = X
-        for A in self.coeffs[1:]:
-            Z = ag.spmm_const(tape, ctx.S, Z, ctx.S_t)
-            acc = ag.add(tape, acc, ag.block_mix(tape, Z, A, self.block_of_node))
+        Zs = [X]
+        for _ in self.coeffs[1:]:
+            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1], ctx.S_t))
+        acc = ag.block_mix(tape, ag.concat(tape, Zs, -1),
+                           ag.concat(tape, self.coeffs, 1), self.block_of_node)
         return self._finish(tape, acc)
 
     def describe(self):
@@ -212,13 +216,10 @@ class EdgeVaryingLayer(GnnLayer):
         return named
 
     def forward(self, tape, ctx, X):
-        phi0col = ag.reshape(tape, self.phi0, (ctx.n, 1))
-        Z = ag.mul(tape, phi0col, X)
-        acc = ag.matmul(tape, Z, self.mixing[0])
-        for vals, A in zip(self.phi, self.mixing[1:]):
-            Z = ag.spmm_values(tape, vals, Z, self.pattern)
-            acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
-        return self._finish(tape, acc)
+        Zs = [ag.mul(tape, ag.reshape(tape, self.phi0, (ctx.n, 1)), X)]
+        for vals in self.phi:
+            Zs.append(ag.spmm_values(tape, vals, Zs[-1], self.pattern))
+        return self._finish(tape, _mix(tape, Zs, self.mixing))
 
 
 class HybridLayer(GnnLayer):
@@ -276,9 +277,7 @@ class ArmaLayer(GnnLayer):
         self.jacobi_order = int(jacobi_order)
         self.beta = Tensor(np.zeros((n_poles, f_in, f_out)), name="arma_beta")
         self.gamma = Tensor(np.zeros((n_poles, f_in, f_out)), name="arma_gamma")
-        self.mixing = self._make_mixing(order + 1)
-        for t in self.mixing:
-            t.name = "arma_alpha"
+        self.mixing = self._make_mixing(order + 1, "arma_alpha")
 
     def params(self):
         return ([("arma_beta", self.beta), ("arma_gamma", self.gamma)]
@@ -347,26 +346,13 @@ class GcatLayer(GnnLayer):
     def params(self):
         return self.head.params() + [("mixing", t) for t in self.mixing]
 
-    def shift_values(self, tape, ctx, X):
-        H = ag.matmul(tape, X, self.head.B)
-        scores = ag.edge_score(tape, H, self.head.e, ctx.pattern,
-                               self.head.slope)
-        weights = ctx.weighted_vals if self.weighted else None
-        return ag.support_softmax(tape, scores, ctx.pattern, weights=weights)
-
     def forward(self, tape, ctx, X):
-        vals = self.shift_values(tape, ctx, X)
-        mats = list(self.mixing)
-        if self.include_k0:
-            acc = ag.matmul(tape, X, mats.pop(0))
-        else:
-            acc = None
-        Z = X
-        for A in mats:
-            Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
-            term = ag.matmul(tape, Z, A)
-            acc = term if acc is None else ag.add(tape, acc, term)
-        return self._finish(tape, acc)
+        vals = self.head.shift_values(tape, ctx, X, self.weighted)
+        Zs = [X]
+        for _ in range(self.order):
+            Zs.append(ag.spmm_values(tape, vals, Zs[-1], ctx.pattern))
+        hops = Zs if self.include_k0 else Zs[1:]
+        return self._finish(tape, _mix(tape, hops, self.mixing))
 
     def describe(self):
         d = super().describe()
@@ -404,25 +390,13 @@ class EdgeVaryingGatLayer(GnnLayer):
             named += h.params()
         return named + [("mixing", t) for t in self.mixing]
 
-    def _head_values(self, tape, ctx, X, head):
-        H = ag.matmul(tape, X, head.B)
-        scores = ag.edge_score(tape, H, head.e, ctx.pattern, head.slope)
-        weights = ctx.weighted_vals if self.weighted else None
-        return ag.support_softmax(tape, scores, ctx.pattern, weights=weights)
-
     def forward(self, tape, ctx, X):
-        heads = list(self.heads)
-        if self.phi0_mode == "attention":
-            vals0 = self._head_values(tape, ctx, X, heads.pop(0))
-            Z = ag.spmm_values(tape, vals0, X, ctx.pattern)
-        else:
-            Z = X
-        acc = ag.matmul(tape, Z, self.mixing[0])
-        for head, A in zip(heads, self.mixing[1:]):
-            vals = self._head_values(tape, ctx, X, head)
-            Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
-            acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
-        return self._finish(tape, acc)
+        Zs = [X]
+        for head in self.heads:
+            vals = head.shift_values(tape, ctx, X, self.weighted)
+            Zs.append(ag.spmm_values(tape, vals, Zs[-1], ctx.pattern))
+        hops = Zs[1:] if self.phi0_mode == "attention" else Zs
+        return self._finish(tape, _mix(tape, hops, self.mixing))
 
     def describe(self):
         d = super().describe()

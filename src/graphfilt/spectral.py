@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import DimensionMismatch, PoleAtEigenvalue, SupportLeak
 from .linalg import NULLSPACE_TOL, null_space_basis, poly_roots, sym_eig
@@ -41,6 +40,8 @@ def poly_response(coeffs, lambdas):
     coeffs = np.atleast_1d(coeffs)
     if len(coeffs) == 0:
         return np.zeros_like(lambdas)
+    # imported here: loading numpy.polynomial costs every process ~0.8 MB
+    from numpy.polynomial.polynomial import polyval
     return polyval(lambdas, coeffs)
 
 

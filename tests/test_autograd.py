@@ -78,6 +78,20 @@ class TestElementwise:
         b = Tensor(rng.normal(size=(4, 2)))
         check_primitive(lambda t: ag.expand_last(t, b), [b])
 
+    def test_concat_with_a_repeated_part(self):
+        rng = np.random.default_rng(11)
+        a = Tensor(rng.normal(size=(2, 3, 2)))
+        b = Tensor(rng.normal(size=(2, 3, 1)))
+        check_primitive(lambda t: ag.concat(t, [a, b, a], -1), [a, b])
+        c = Tensor(rng.normal(size=(1, 3, 2)))
+        d = Tensor(rng.normal(size=(2, 3, 2)))
+        check_primitive(
+            lambda t: ag.mul(t, ag.concat(t, [d, c], 0), 1.5), [d, c])
+
+    def test_concat_of_one_part_is_that_part(self):
+        a = Tensor(np.ones((2, 2)))
+        assert ag.concat(Tape(), [a], -1) is a
+
 
 class TestMatmul:
     def test_batched_times_matrix(self):

@@ -1,7 +1,12 @@
 """Linear filter families against dense oracles."""
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import graphfilt
 from graphfilt.errors import (RepeatedPoles, SingularDiagonal,
                               SupportViolation, TooLarge)
 from graphfilt.filters import (ArmaJacobiFilter, ArmaRational,
@@ -460,3 +465,14 @@ class TestParamCount:
     def test_missing_dims_rejected(self):
         with pytest.raises(ValueError):
             param_count("arma", P=2)
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    """numpy.polynomial is loaded only by the functions that use it."""
+    src = os.path.dirname(os.path.dirname(graphfilt.__file__))
+    code = ("import sys, graphfilt, graphfilt.harness; "
+            "print('numpy.polynomial' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

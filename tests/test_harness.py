@@ -259,6 +259,14 @@ class TestTrainLoop:
                            match=f"epoch 0, batch starting at {start}: loss"):
             train(cfg, ds)
 
+    def test_nan_validation_signal_raises_naming_epoch(self):
+        cfg = sbm_config()
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        ds.X[ds.splits["val"][3]] = np.nan
+        with pytest.raises(NonFiniteValue,
+                           match="^epoch 0: validation loss is nan$"):
+            train(cfg, ds)
+
     def test_nan_gradient_raises_naming_parameter(self, monkeypatch):
         def nan_grad(cfg, logits, y, mask):
             return 1.0, np.full_like(logits, np.nan)

@@ -109,6 +109,22 @@ class TestNullSpaceMemory:
         assert null_space_basis(rng.normal(size=(5, 40))).shape == (40, 35)
         assert seen == [False, True]
 
+    def test_tall_matrix_svd_sees_only_the_square_factor(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(A, *args, **kw):
+            shapes.append(A.shape)
+            return svd(A, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        rng = np.random.default_rng(31)
+        A = rng.normal(size=(200, 3)) @ rng.normal(size=(3, 7))
+        N = null_space_basis(A)
+        assert shapes == [(7, 7)]
+        assert N.shape == (7, 4)
+        assert np.max(np.abs(A @ N)) <= 1e-9 * np.max(np.abs(A))
+
 
 class TestScipyOracle:
     """scipy.linalg as an independent oracle for the LAPACK wrappers."""

@@ -12,14 +12,16 @@ from graphfilt.graphs import Graph, build_shift
 from graphfilt.nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                           EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                           HybridGcatLayer, HybridLayer, Model,
-                          PolynomialLayer, ShiftContext, Tensor,
+                          PolynomialLayer, ShiftContext, Tape, Tensor,
                           adam_step, cross_entropy, finite_difference_check,
                           forward, init_params, leaky_relu, load_model,
                           log_sum_exp, quadratic, relu, save_model,
                           smooth_l1, softmax_rows, tie_attention_to_mixing,
                           untie_attention)
+from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (Permutation, SparseMatrix, permute_shift,
                               permute_signal)
+from test_kernel import FAMILIES, dense_context, ring_context
 
 
 def ctx_for(n=6, seed=0, p=0.55):
@@ -547,3 +549,125 @@ class TestForwardApi:
         logits, tape = forward(model, ctx.S, np.zeros((6, 1)))
         assert logits.value.shape == (2,)
         assert tape.output is logits
+
+
+# -- stacked-hop mixing against the per-hop sum it replaced -----------------
+
+def per_hop_chain(tape, ctx, X, matrices):
+    """sum_k S^k X A_k as one matmul and one add per hop."""
+    acc = ag.matmul(tape, X, matrices[0])
+    Z = X
+    for A in matrices[1:]:
+        Z = ag.spmm_const(tape, ctx.S, Z, ctx.S_t)
+        acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
+    return acc
+
+
+def per_hop_ev_gat(layer, tape, ctx, X):
+    heads = list(layer.heads)
+    if layer.phi0_mode == "attention":
+        vals0 = heads.pop(0).shift_values(tape, ctx, X, layer.weighted)
+        Z = ag.spmm_values(tape, vals0, X, ctx.pattern)
+    else:
+        Z = X
+    acc = ag.matmul(tape, Z, layer.mixing[0])
+    for head, A in zip(heads, layer.mixing[1:]):
+        vals = head.shift_values(tape, ctx, X, layer.weighted)
+        Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
+        acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
+    return acc
+
+
+def per_hop_forward(layer, tape, ctx, X, monkeypatch):
+    """The layer forward as it was before the hops were stacked."""
+    if isinstance(layer, (HybridLayer, ArmaLayer)):
+        # only their convolutional chain changed
+        monkeypatch.setattr(layer, "_mix_chain", per_hop_chain)
+        return layer.forward(tape, ctx, X)
+    if isinstance(layer, PolynomialLayer):
+        acc = per_hop_chain(tape, ctx, X, layer.mixing)
+    elif isinstance(layer, BlockVaryingLayer):
+        acc = ag.block_mix(tape, X, layer.coeffs[0], layer.block_of_node)
+        Z = X
+        for A in layer.coeffs[1:]:
+            Z = ag.spmm_const(tape, ctx.S, Z, ctx.S_t)
+            acc = ag.add(tape, acc,
+                         ag.block_mix(tape, Z, A, layer.block_of_node))
+    elif isinstance(layer, EdgeVaryingLayer):
+        Z = ag.mul(tape, ag.reshape(tape, layer.phi0, (ctx.n, 1)), X)
+        acc = ag.matmul(tape, Z, layer.mixing[0])
+        for vals, A in zip(layer.phi, layer.mixing[1:]):
+            Z = ag.spmm_values(tape, vals, Z, layer.pattern)
+            acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
+    elif isinstance(layer, GcatLayer):
+        vals = layer.head.shift_values(tape, ctx, X, layer.weighted)
+        mats = list(layer.mixing)
+        acc = ag.matmul(tape, X, mats.pop(0)) if layer.include_k0 else None
+        Z = X
+        for A in mats:
+            Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
+            term = ag.matmul(tape, Z, A)
+            acc = term if acc is None else ag.add(tape, acc, term)
+    elif isinstance(layer, EdgeVaryingGatLayer):
+        acc = per_hop_ev_gat(layer, tape, ctx, X)
+    elif isinstance(layer, HybridGcatLayer):
+        acc = ag.add(tape, per_hop_chain(tape, ctx, X, layer.mixing),
+                     per_hop_ev_gat(layer.gat, tape, ctx, X))
+    return layer._finish(tape, acc)
+
+
+def _run_layer(layer, forward_fn, X0, weights):
+    model = Model([layer], X0.shape[-2], 2)
+    model.zero_grad()
+    X = Tensor(X0)
+    tape = Tape()
+    out = forward_fn(tape, X)
+    tape.backward(out, weights)
+    return out.value, [t.grad for _, t in model.parameters()[:-2]], X.grad
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("f_in", [1, 3])
+@pytest.mark.parametrize("family,tied", (
+    [(f, False) for f in sorted(FAMILIES)]
+    + [(f, True) for f in ("gat", "gcat", "ev_gat", "hybrid_gcat")]))
+def test_stacked_mixing_matches_per_hop_sum(family, tied, f_in, graph,
+                                            monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    sel = np.array([1, 4])
+    layer = FAMILIES[family](f_in, 2, ctx, sel)
+    if tied:
+        tie_attention_to_mixing(layer)
+    rng = np.random.default_rng(29)
+    init_params(Model([layer], ctx.n, 2), rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, 2))
+
+    out, grads, x_grad = _run_layer(
+        layer, lambda tape, X: layer.forward(tape, ctx, X), X0, weights)
+    ref_out, ref_grads, ref_x_grad = _run_layer(
+        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X,
+                                               monkeypatch), X0, weights)
+    assert _rel(out, ref_out) <= 1e-12
+    assert _rel(x_grad, ref_x_grad) <= 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert _rel(g, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_two_layer_gradients_with_several_input_features(family):
+    ctx = dense_context()
+    sel = np.array([1, 4])
+    build = FAMILIES[family]
+    layers = [build(3, 2, ctx, sel, nonlinearity="identity"),
+              build(2, 3, ctx, sel, nonlinearity="identity")]
+    model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
+    rng = np.random.default_rng(23)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(2, ctx.n, 3))
+    rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
+    assert rep.passed, rep.summary()
