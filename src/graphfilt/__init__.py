@@ -10,14 +10,14 @@ from . import attention, errors, filters, graphs, harness, linalg, nn, \
 from .errors import GraphFiltError
 from .graphs import Graph, build_shift, diffusion_centrality, is_connected, \
     sbm_generate, select_nodes
-from .sparse import Permutation, SparseMatrix, SupportMask, \
+from .sparse import Pattern, Permutation, SparseMatrix, \
     permute_shift, permute_signal, power_iteration_lambda_max, spmm, spmv, \
     support_mask
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "GraphFiltError", "Permutation", "SparseMatrix", "SupportMask",
+    "Graph", "GraphFiltError", "Pattern", "Permutation", "SparseMatrix",
     "attention", "build_shift", "diffusion_centrality", "errors", "filters",
     "graphs", "harness", "is_connected", "linalg", "nn", "permute_shift",
     "permute_signal", "power_iteration_lambda_max", "sbm_generate",

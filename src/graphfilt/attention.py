@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .sparse import SparseMatrix, SupportMask, _segment_sums, support_mask
+from .sparse import Pattern, SparseMatrix, _segment_sums, support_mask
 
 LEAKY_SLOPE_DEFAULT = 0.2
 
@@ -38,7 +38,7 @@ class AttentionShift:
     """Row-stochastic shift on supp(I+S)."""
 
     matrix: SparseMatrix
-    support: SupportMask
+    support: Pattern
 
 
 def _leaky(x, slope):
@@ -50,8 +50,9 @@ def edge_scores(head, X, support):
 
     Scores are aligned with the support's CSR entry order.
     """
+    support.require_diagonal()
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != support.n:
+    if X.ndim != 2 or X.shape[0] != support.n_rows:
         raise DimensionMismatch("X must be N x F_in")
     if X.shape[1] != head.B.shape[0]:
         raise DimensionMismatch("feature count does not match the head")
@@ -75,6 +76,7 @@ def _softmax_on_support(pre, support):
 
 def neighborhood_softmax(scores, support):
     """Per-row soft maximum with max subtraction for stability."""
+    support.require_diagonal()
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (support.nnz,):
         raise DimensionMismatch("one score per supported pair required")

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import (DimensionMismatch, RepeatedPoles, SingularDiagonal,
                      SingularSystem, SupportViolation, TooLarge)
 from .linalg import poly_roots
-from .sparse import SparseMatrix, SupportMask, spmm, spmv
+from .sparse import Pattern, spmm, spmv
 
 EPS_SING = 1e-9
 ARMA_EXACT_MAX_N = 500
@@ -48,11 +48,12 @@ class EdgeVaryingFilter:
 
     phi0: np.ndarray
     phis: tuple
-    support: SupportMask
+    support: Pattern
 
     def __post_init__(self):
+        self.support.require_diagonal()
         phi0 = np.asarray(self.phi0, dtype=np.float64)
-        if phi0.shape != (self.support.n,):
+        if phi0.shape != (self.support.n_rows,):
             raise DimensionMismatch("phi0 must have one entry per node")
         for k, phi in enumerate(self.phis):
             if not self.support.contains(phi):
@@ -118,25 +119,27 @@ class HybridFilter:
 
     def validate_against(self, S):
         """Mask checks: rows confined to the important set, order-0 factor
-        diagonal, higher factors on the stored off-diagonal pattern of S."""
-        imp = set(self.important.tolist())
+        diagonal, higher factors on the stored off-diagonal pattern of S.
+        The first offending entry in CSR order is named."""
         phi0 = self.masked_phis[0]
         rows0 = phi0.entry_rows()
         if np.any(rows0 != phi0.col_idx):
             raise SupportViolation("order-0 hybrid factor must be diagonal")
-        if not all(int(r) in imp for r in rows0):
+        if not np.all(np.isin(rows0, self.important)):
             raise SupportViolation("order-0 factor outside the important set")
-        s_keys = set((int(r), int(c)) for r, c
-                     in zip(S.entry_rows(), S.col_idx) if r != c)
         for k, phi in enumerate(self.masked_phis[1:], start=1):
-            rows = phi.entry_rows()
-            for r, c in zip(rows.tolist(), phi.col_idx.tolist()):
-                if r not in imp:
-                    raise SupportViolation(
-                        f"factor {k} has a row outside the important set")
-                if (r, c) not in s_keys:
-                    raise SupportViolation(
-                        f"factor {k} entry ({r},{c}) off the graph support")
+            rows, cols = phi.entry_rows(), phi.col_idx
+            inside = np.isin(rows, self.important)
+            on_graph = (S.pattern.positions(phi.pattern) >= 0) & (rows != cols)
+            bad = np.flatnonzero(~(inside & on_graph))
+            if len(bad) == 0:
+                continue
+            e = bad[0]
+            if not inside[e]:
+                raise SupportViolation(
+                    f"factor {k} has a row outside the important set")
+            raise SupportViolation(f"factor {k} entry ({rows[e]},{cols[e]}) "
+                                   "off the graph support")
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def apply_edge_varying(f, X):
     """Running-product form: Z_0 = diag(phi0) X, Z_k = Phi_k Z_{k-1},
     output sum_k Z_k."""
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != f.support.n:
+    if X.shape[0] != f.support.n_rows:
         raise DimensionMismatch("signal length does not match the filter")
     Z = f.phi0[:, None] * X if X.ndim > 1 else f.phi0 * X
     acc = Z
@@ -263,8 +266,7 @@ def jacobi_shift(S, gamma):
     rows = S.entry_rows()
     off = rows != S.col_idx
     vals = -S.values[off] / (d[rows[off]] - gamma)
-    return SparseMatrix.from_coo(S.n_rows, S.n_cols,
-                                 rows[off], S.col_idx[off], vals)
+    return S.pattern.select(off).matrix(vals)
 
 
 def apply_single_pole_jacobi(S, beta, gamma, k_jacobi, x):

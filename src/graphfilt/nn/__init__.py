@@ -1,5 +1,5 @@
 """Differentiable layers, gradient engine, optimizer, and validation."""
-from .autograd import Pattern, Tape, Tensor, backward
+from .autograd import Tape, Tensor, backward
 from .functional import (cross_entropy, leaky_relu, log_sum_exp, quadratic,
                          relu, smooth_l1, softmax_rows)
 from .gradcheck import GradCheckReport, finite_difference_check
@@ -15,7 +15,7 @@ from .serialize import load_model, save_model, shift_operator_hash
 __all__ = [
     "AdamState", "ArmaLayer", "AttentionParams", "BlockVaryingLayer",
     "EdgeVaryingGatLayer", "EdgeVaryingLayer", "GcatLayer", "GnnLayer",
-    "GradCheckReport", "HybridGcatLayer", "HybridLayer", "Model", "Pattern",
+    "GradCheckReport", "HybridGcatLayer", "HybridLayer", "Model",
     "PolynomialLayer", "ShiftContext", "Tape", "Tensor", "adam_step",
     "backward", "cross_entropy", "finite_difference_check", "forward",
     "init_params", "leaky_relu", "load_model", "log_sum_exp", "quadratic",

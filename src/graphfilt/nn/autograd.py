@@ -15,8 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import MissingTape
-from ..sparse import (SparseMatrix, _Product, _segment_sums,
-                      csr_transpose_permutation, spmm)
+from ..sparse import _Product, _segment_sums, spmm
 
 
 class Tensor:
@@ -90,47 +89,6 @@ def _unbroadcast(g, shape):
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-class Pattern:
-    """CSR pattern shared by sparse primitives, with a cached transpose."""
-
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "rows", "_t")
-
-    def __init__(self, n_rows, n_cols, row_ptr, col_idx):
-        self.n_rows = int(n_rows)
-        self.n_cols = int(n_cols)
-        self.row_ptr = np.asarray(row_ptr, dtype=np.int64)
-        self.col_idx = np.asarray(col_idx, dtype=np.int64)
-        self.rows = np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                              np.diff(self.row_ptr))
-        self._t = None
-
-    @property
-    def nnz(self):
-        return len(self.col_idx)
-
-    def entry_rows(self):
-        return self.rows
-
-    @classmethod
-    def from_sparse(cls, S):
-        return cls(S.n_rows, S.n_cols, S.row_ptr, S.col_idx)
-
-    @classmethod
-    def from_mask(cls, mask):
-        return cls(mask.n, mask.n, mask.row_ptr, mask.col_idx)
-
-    def transpose_permutation(self):
-        if self._t is None:
-            t_row_ptr, t_col, perm = csr_transpose_permutation(
-                self.n_rows, self.n_cols, self.row_ptr, self.col_idx)
-            self._t = (t_row_ptr, t_col, perm)
-        return self._t
-
-    def matrix(self, values):
-        return SparseMatrix(self.n_rows, self.n_cols, self.row_ptr,
-                            self.col_idx, values)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +379,7 @@ def jacobi_shift_values(tape, gamma, s_off, d_off_rows):
 
 
 # ---------------------------------------------------------------------------
-# sparse primitives
+# sparse primitives; a ``pattern`` argument is a ``sparse.Pattern``
 
 
 def spmm_const(tape, S, x, S_transpose=None):
@@ -496,17 +454,17 @@ def edge_score(tape, h, e, pattern, slope):
     f_out = hv.shape[-1]
     own = hv @ ev[:f_out]
     other = hv @ ev[f_out:]
-    pre = own[..., pattern.rows] + other[..., pattern.col_idx]
+    pre = own[..., pattern.entry_rows()] + other[..., pattern.col_idx]
     factor = np.where(pre > 0, 1.0, slope)
     out = Tensor(pre * factor)
-    t_row_ptr, t_col, perm = pattern.transpose_permutation()
+    T, perm = pattern.transpose_permutation()
 
     def back():
         if out.grad is None:
             return
         dpre = out.grad * factor
         d_own = _segment_sums(dpre, pattern.row_ptr, axis=-1)
-        d_other = _segment_sums(dpre[..., perm], t_row_ptr, axis=-1)
+        d_other = _segment_sums(dpre[..., perm], T.row_ptr, axis=-1)
         _acc(h, d_own[..., None] * ev[:f_out] + d_other[..., None] * ev[f_out:])
         hb = hv.reshape(-1, hv.shape[-2], hv.shape[-1])
         de_left = np.einsum("bn,bnf->f", d_own.reshape(-1, hv.shape[-2]), hb)
@@ -521,11 +479,12 @@ def support_softmax(tape, scores, pattern, weights=None):
     """Row-segment soft maximum with max subtraction; optional constant
     per-entry weights multiply the scores first."""
     sv = _val(scores)
+    rows = pattern.entry_rows()
     z = sv * weights if weights is not None else sv
     row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
-    shifted = np.exp(z - row_max[..., pattern.rows])
+    shifted = np.exp(z - row_max[..., rows])
     denom = _segment_sums(shifted, pattern.row_ptr, axis=-1)
-    vals = shifted / denom[..., pattern.rows]
+    vals = shifted / denom[..., rows]
     out = Tensor(vals)
 
     def back():
@@ -533,7 +492,7 @@ def support_softmax(tape, scores, pattern, weights=None):
             return
         g = out.grad
         sdot = _segment_sums(g * vals, pattern.row_ptr, axis=-1)
-        dz = vals * (g - sdot[..., pattern.rows])
+        dz = vals * (g - sdot[..., rows])
         if weights is not None:
             dz = dz * weights
         _acc(scores, dz)

@@ -13,37 +13,30 @@ import numpy as np
 
 from ..errors import IncompatibleDims, SingularDiagonal
 from ..filters import EPS_SING
-from ..sparse import SparseMatrix, support_mask
+from ..sparse import support_mask
 from . import autograd as ag
-from .autograd import Pattern, Tape, Tensor
+from .autograd import Tape, Tensor
 
 
 class ShiftContext:
-    """Shift operator with the derived structures layers keep reusing."""
+    """Shift operator with the derived structures layers keep reusing:
+    the pattern of supp(I+S) and the off-diagonal part of S."""
 
     def __init__(self, S):
         self.S = S
         self.S_t = S.transpose()
         self.n = S.n_rows
-        self.mask = support_mask(S)
-        self.pattern = Pattern.from_mask(self.mask)
+        self.pattern = support_mask(S)
         self.diag = S.diagonal()
-        rows = S.entry_rows()
-        off = rows != S.col_idx
-        off_sparse = SparseMatrix.from_coo(
-            S.n_rows, S.n_cols, rows[off], S.col_idx[off], S.values[off])
-        self.off_pattern = Pattern.from_sparse(off_sparse)
-        self.off_values = off_sparse.values
-        self.weighted_vals = self.mask.aligned_values(S, diag_fill_zero=1.0)
+        off = S.entry_rows() != S.col_idx
+        self.off_pattern = S.pattern.select(off)
+        self.off_values = S.values[off]
+        self.weighted_vals = self.pattern.aligned_values(S, diag_fill_zero=1.0)
 
     def masked_rows_pattern(self, important):
         """Off-diagonal pattern of S restricted to the given rows."""
-        keep = np.isin(self.off_pattern.rows, important)
-        rows = self.off_pattern.rows[keep]
-        cols = self.off_pattern.col_idx[keep]
-        row_ptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        return Pattern(self.n, self.n, np.cumsum(row_ptr), cols)
+        off = self.off_pattern
+        return off.select(np.isin(off.entry_rows(), important))
 
 
 def _mix(tape, Zs, As):
@@ -283,12 +276,19 @@ class ArmaLayer(GnnLayer):
         return ([("arma_beta", self.beta), ("arma_gamma", self.gamma)]
                 + [("arma_alpha", t) for t in self.mixing])
 
+    def _nearest_diagonal(self, ctx):
+        """For each gamma entry in flat order: the index of the diagonal
+        entry of S nearest to it (the first on ties) and their distance."""
+        flat = self.gamma.value.reshape(-1)
+        gaps = np.abs(ctx.diag[:, None] - flat[None, :])
+        j = np.argmin(gaps, axis=0)
+        return j, gaps[j, np.arange(len(flat))]
+
     def _check_guard(self, ctx):
-        d = ctx.diag
-        gaps = np.abs(d[:, None] - self.gamma.value.reshape(-1)[None, :])
-        bad = np.nonzero(np.min(gaps, axis=1) <= EPS_SING)[0]
+        j, gap = self._nearest_diagonal(ctx)
+        bad = j[gap <= EPS_SING]
         if len(bad):
-            raise SingularDiagonal(int(bad[0]))
+            raise SingularDiagonal(int(bad.min()))
 
     def forward(self, tape, ctx, X):
         self._check_guard(ctx)
@@ -302,7 +302,7 @@ class ArmaLayer(GnnLayer):
             c = ag.mul(tape, ag.mul(tape, beta_p, Xp), rec)
             rvals = ag.jacobi_shift_values(
                 tape, gamma_p, ctx.off_values,
-                ctx.diag[ctx.off_pattern.rows])
+                ctx.diag[ctx.off_pattern.entry_rows()])
             U = Xp
             for _ in range(self.jacobi_order):
                 U = ag.add(tape, c,
@@ -312,13 +312,11 @@ class ArmaLayer(GnnLayer):
 
     def post_update(self, ctx):
         """Project gamma entries off the diagonal singularity guard."""
-        d = ctx.diag
+        j, gap = self._nearest_diagonal(ctx)
+        hit = gap <= EPS_SING
+        near = ctx.diag[j[hit]]
         flat = self.gamma.value.reshape(-1)
-        for i, g in enumerate(flat):
-            gaps = np.abs(d - g)
-            j = int(np.argmin(gaps))
-            if gaps[j] <= EPS_SING:
-                flat[i] = d[j] + 1e-6 if g >= d[j] else d[j] - 1e-6
+        flat[hit] = np.where(flat[hit] >= near, near + 1e-6, near - 1e-6)
 
     def describe(self):
         d = super().describe()

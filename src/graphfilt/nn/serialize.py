@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from ..errors import ConfigError
-from .autograd import Pattern
+from ..sparse import Pattern
 from .layers import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
                      EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
                      HybridLayer, Model, PolynomialLayer,
@@ -48,9 +48,18 @@ def _pattern_payload(p):
             "col_idx": p.col_idx.tolist()}
 
 
-def _pattern_from(payload):
-    return Pattern(payload["n"], payload["n"], payload["row_ptr"],
-                   payload["col_idx"])
+def _pattern_from(d, key, where, n_nodes):
+    """The validated pattern stored under ``key`` of a layer record."""
+    payload = d[key]
+    try:
+        p = Pattern(payload["n"], payload["n"], payload["row_ptr"],
+                    payload["col_idx"])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: invalid {key}: {exc}") from exc
+    if p.n_rows != n_nodes:
+        raise ConfigError(f"{where}: {key} has {p.n_rows} nodes, "
+                          f"the model has {n_nodes}")
+    return p
 
 
 def _layer_payload(layer):
@@ -62,7 +71,7 @@ def _layer_payload(layer):
     return d
 
 
-def _layer_from(d):
+def _layer_from(d, where, n_nodes):
     kind = d["kind"]
     args = (d["f_in"], d["f_out"], d["order"])
     nl = d["nonlinearity"]
@@ -74,12 +83,14 @@ def _layer_from(d):
                                  n_blocks=d["n_blocks"], nonlinearity=nl,
                                  use_bias=bias)
     if kind == "edge_varying":
-        return EdgeVaryingLayer(*args, pattern=_pattern_from(d["pattern"]),
-                                nonlinearity=nl, use_bias=bias)
+        return EdgeVaryingLayer(
+            *args, pattern=_pattern_from(d, "pattern", where, n_nodes),
+            nonlinearity=nl, use_bias=bias)
     if kind == "hybrid":
+        masked = _pattern_from(d, "masked_pattern", where, n_nodes)
         return HybridLayer(*args, important=d["important"],
-                           masked_pattern=_pattern_from(d["masked_pattern"]),
-                           nonlinearity=nl, use_bias=bias)
+                           masked_pattern=masked, nonlinearity=nl,
+                           use_bias=bias)
     if kind == "arma":
         return ArmaLayer(d["f_in"], d["f_out"], d["n_poles"], d["order"],
                          d["jacobi_order"], nonlinearity=nl, use_bias=bias)
@@ -138,7 +149,8 @@ def load_model(path, shift=None):
         if shift_operator_hash(shift) != doc["shift_hash"]:
             raise ConfigError("model was saved against a different shift")
     arch = doc["architecture"]
-    layers = [_layer_from(d) for d in arch["layers"]]
+    layers = [_layer_from(d, f"layer {i} ({d['kind']})", arch["n_nodes"])
+              for i, d in enumerate(arch["layers"])]
     model = Model(layers, arch["n_nodes"], arch["n_outputs"],
                   output=arch["output"], readout_mode=arch["readout_mode"])
     stored = doc["parameters"]

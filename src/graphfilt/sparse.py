@@ -1,7 +1,8 @@
 """Compressed sparse row matrices and the kernels the filter stack runs on.
 
-The CSR layout is the carrier for shift operators and for every sparse
-parameter matrix in the library. Every sparse product (``spmv``,
+One immutable CSR layout, ``Pattern``, carries shift operators and every
+sparse parameter matrix in the library; a ``SparseMatrix`` is values on
+a pattern. Every sparse product (``spmv``,
 ``spmm`` and the value-operand tape primitives) goes through one kernel,
 ``_Product``, which picks one of two paths from the pattern's shape and
 nnz and from whether the values are shared across the batch:
@@ -101,33 +102,30 @@ class _Product:
     """Entry values on a CSR pattern as one linear operator, applied
     through the path ``_dense_fits`` picks.
 
-    ``pattern`` supplies n_rows, n_cols, nnz, row_ptr, col_idx and
-    entry_rows(); transposed CSR products also use
-    transpose_permutation(). ``values`` is (nnz, *T), shared by every
+    ``pattern`` is a ``Pattern``. ``values`` is (nnz, *T), shared by every
     batch element, where T is empty (one scalar per entry) or has one axis
     per operand feature axis (one scalar per entry and feature slot). With
     ``per_sample`` it is (..., nnz), one scalar per entry and batch
     element; such values always take the CSR path, because a per-sample
     dense stack was slower for the one-feature operands of the attention
     layers' first hop. Operands are (..., n_cols, *F),
-    with ``trailing`` = len(F) feature axes. ``dense`` passes in a dense
-    copy built earlier for the same pattern and values.
+    with ``trailing`` = len(F) feature axes.
     """
 
     __slots__ = ("pattern", "values", "carried", "dense")
 
-    def __init__(self, pattern, values, per_sample=False, dense=None):
+    def __init__(self, pattern, values, per_sample=False):
         self.pattern = pattern
         self.values = values
         # feature axes the values carry after the entry axis
         self.carried = 0 if per_sample else values.ndim - 1
-        if dense is None and not per_sample and _dense_fits(
+        self.dense = None
+        if not per_sample and _dense_fits(
                 pattern.n_rows, pattern.n_cols, pattern.nnz):
             vals = np.moveaxis(values, 0, -1)
-            dense = np.zeros(vals.shape[:-1]
-                             + (pattern.n_rows, pattern.n_cols))
-            dense[..., pattern.entry_rows(), pattern.col_idx] = vals
-        self.dense = dense
+            self.dense = np.zeros(vals.shape[:-1]
+                                  + (pattern.n_rows, pattern.n_cols))
+            self.dense[..., pattern.entry_rows(), pattern.col_idx] = vals
 
     def _aligned(self, trailing):
         """values with exactly ``trailing`` axes after the entry axis."""
@@ -145,9 +143,9 @@ class _Product:
         """S^T G for G of shape (..., n_rows, *F)."""
         if self.dense is not None:
             return _dense_product(self.dense.swapaxes(-1, -2), G, trailing)
-        t_row_ptr, t_col, perm = self.pattern.transpose_permutation()
+        T, perm = self.pattern.transpose_permutation()
         vt = np.take(self._aligned(trailing), perm, axis=-1 - trailing)
-        return _csr_product(t_row_ptr, t_col, vt, G, trailing)
+        return _csr_product(T.row_ptr, T.col_idx, vt, G, trailing)
 
     def values_adjoint(self, G, X, trailing):
         """Gradient of sum(G * apply(X)) with respect to the values.
@@ -171,66 +169,193 @@ class _Product:
         return np.moveaxis(M[..., rows, cols], -1, 0)
 
 
-class SparseMatrix:
-    """Real CSR matrix with sorted, unique column indices per row.
+def _row_ptr(sorted_rows, n_rows):
+    """CSR row pointers of entries whose row indices are sorted."""
+    return np.searchsorted(sorted_rows, np.arange(n_rows + 1))
 
-    ``values`` must not be mutated in place: products cache a dense copy
-    of the matrix on first use, which would go stale. ``with_values`` and
-    ``scale`` return a new matrix instead.
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+class Pattern:
+    """Immutable CSR sparsity pattern: sorted, unique columns per row.
+
+    Shift operators, parameter matrices on supp(I+S) and the sparse tape
+    primitives' operands share this type. It is validated once, when
+    built; entry rows, the transpose and the diagonal positions are
+    cached on first use, so the index arrays must not be mutated.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "values",
-                 "_dense")
+    __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "_rows", "_t",
+                 "_diag")
 
-    def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
+    def __init__(self, n_rows, n_cols, row_ptr, col_idx):
+        self._set(n_rows, n_cols, row_ptr, col_idx)
+        self._validate()
+
+    @classmethod
+    def _derived(cls, n_rows, n_cols, row_ptr, col_idx):
+        """Build without the O(nnz) checks, for a layout derived from a
+        valid pattern."""
+        p = cls.__new__(cls)
+        p._set(n_rows, n_cols, row_ptr, col_idx)
+        return p
+
+    def _set(self, n_rows, n_cols, row_ptr, col_idx):
         self.n_rows = int(n_rows)
         self.n_cols = int(n_cols)
         self.row_ptr = _as_index_array(row_ptr)
         self.col_idx = _as_index_array(col_idx)
-        self.values = np.asarray(values, dtype=np.float64)
-        self._dense = None
-        self._validate()
+        self._rows = self._t = self._diag = None
 
     def _validate(self):
+        if self.n_rows < 0 or self.n_cols < 0:
+            raise ValueError("pattern dimensions must be non-negative")
         if self.row_ptr.shape != (self.n_rows + 1,):
             raise ValueError("row_ptr must have length n_rows+1")
-        if self.row_ptr[0] != 0 or self.row_ptr[-1] != len(self.values):
+        if self.col_idx.ndim != 1:
+            raise ValueError("col_idx must be one-dimensional")
+        if self.row_ptr[0] != 0 or self.row_ptr[-1] != self.nnz:
             raise ValueError("row_ptr must start at 0 and end at nnz")
         if np.any(np.diff(self.row_ptr) < 0):
             raise ValueError("row_ptr must be non-decreasing")
-        if len(self.col_idx) != len(self.values):
-            raise ValueError("col_idx and values must have equal length")
-        if len(self.col_idx):
+        if self.nnz:
             if self.col_idx.min() < 0 or self.col_idx.max() >= self.n_cols:
                 raise ValueError("column index out of range")
         # columns must increase at every step that starts no new row
         starts = self.row_ptr[1:-1]
         bad = np.diff(self.col_idx) <= 0
-        bad[starts[(starts > 0) & (starts < len(self.col_idx))] - 1] = False
+        bad[starts[(starts > 0) & (starts < self.nnz)] - 1] = False
         if bad.any():
             i = int(np.searchsorted(self.row_ptr, np.argmax(bad), "right")) - 1
             raise ValueError(f"columns not strictly increasing in row {i}")
 
     @property
     def nnz(self):
-        return len(self.values)
-
-    def _operator(self):
-        """This matrix as a ``_Product``. Only the dense copy is cached: an
-        operator kept here would reference the matrix back, and the cycle
-        would hold both until the garbage collector ran."""
-        op = _Product(self, self.values, dense=self._dense)
-        self._dense = op.dense
-        return op
+        return len(self.col_idx)
 
     @property
     def shape(self):
         return (self.n_rows, self.n_cols)
 
     def entry_rows(self):
+        """Row index of each stored entry, aligned with col_idx."""
+        if self._rows is None:
+            self._rows = _frozen(np.repeat(
+                np.arange(self.n_rows, dtype=np.int64), np.diff(self.row_ptr)))
+        return self._rows
+
+    def transpose_permutation(self):
+        """(T, perm): the transposed pattern and, per entry of T, the
+        position of that entry here. A stable sort by column keeps each
+        column's rows ascending, so T is valid CSR."""
+        if self._t is None:
+            perm = _frozen(np.argsort(self.col_idx, kind="stable"))
+            T = Pattern._derived(self.n_cols, self.n_rows,
+                                 _row_ptr(self.col_idx[perm], self.n_cols),
+                                 self.entry_rows()[perm])
+            self._t = (T, perm)
+        return self._t
+
+    def diag_positions(self):
+        """CSR positions of the (i, i) entries, in row order."""
+        if self._diag is None:
+            self._diag = _frozen(
+                np.flatnonzero(self.entry_rows() == self.col_idx))
+        return self._diag
+
+    def require_diagonal(self):
+        """Raise ValueError unless this is a square pattern holding every
+        diagonal slot, as supp(I+S) does."""
+        if (self.n_rows != self.n_cols
+                or len(self.diag_positions()) != self.n_rows):
+            raise ValueError("support mask must contain the full diagonal")
+
+    def matrix(self, values):
+        """A SparseMatrix with the given entry values on this pattern."""
+        S = SparseMatrix.__new__(SparseMatrix)
+        S._set(self, values)
+        return S
+
+    def select(self, keep):
+        """Sub-pattern of the entries where the boolean ``keep`` holds."""
+        return Pattern._derived(
+            self.n_rows, self.n_cols,
+            _row_ptr(self.entry_rows()[keep], self.n_rows), self.col_idx[keep])
+
+    def positions(self, other):
+        """Position here of each entry of the same-shaped pattern
+        ``other``, or -1 where this pattern does not store it."""
+        if other.shape != self.shape:
+            raise DimensionMismatch(
+                f"pattern is {self.n_rows}x{self.n_cols}, "
+                f"other is {other.n_rows}x{other.n_cols}")
+        mine = self.entry_rows() * self.n_cols + self.col_idx
+        theirs = other.entry_rows() * self.n_cols + other.col_idx
+        pos = np.searchsorted(mine, theirs)
+        hit = pos < self.nnz
+        hit[hit] = mine[pos[hit]] == theirs[hit]
+        return np.where(hit, pos, -1)
+
+    def contains(self, S):
+        """True when every stored entry of S sits on this pattern."""
+        return S.shape == self.shape and bool(
+            np.all(self.positions(S.pattern) >= 0))
+
+    def aligned_values(self, S, diag_fill_zero=None):
+        """Values of S read at each position here (zero where S is absent).
+
+        diag_fill_zero, when given, replaces exact-zero diagonal reads;
+        the weighted soft maximum uses 1.0 there.
+        """
+        pos = self.positions(S.pattern)
+        hit = pos >= 0
+        out = np.zeros(self.nnz)
+        out[pos[hit]] = S.values[hit]
+        if diag_fill_zero is not None:
+            diag = self.diag_positions()
+            out[diag[out[diag] == 0.0]] = diag_fill_zero
+        return out
+
+class SparseMatrix:
+    """Real CSR matrix: one value per stored entry of a ``Pattern``.
+
+    ``values`` must not be mutated in place: products cache a dense copy
+    of the matrix on first use, which would go stale. ``with_values`` and
+    ``scale`` return a new matrix on the same pattern instead.
+    """
+
+    __slots__ = ("pattern", "values", "_op")
+
+    def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
+        self._set(Pattern(n_rows, n_cols, row_ptr, col_idx), values)
+
+    def _set(self, pattern, values):
+        self.pattern = pattern
+        self.values = np.asarray(values, dtype=np.float64)
+        self._op = None
+        if len(self.values) != pattern.nnz:
+            raise ValueError("col_idx and values must have equal length")
+
+    # the layout is read through the pattern
+    n_rows = property(lambda self: self.pattern.n_rows)
+    n_cols = property(lambda self: self.pattern.n_cols)
+    row_ptr = property(lambda self: self.pattern.row_ptr)
+    col_idx = property(lambda self: self.pattern.col_idx)
+    nnz = property(lambda self: self.pattern.nnz)
+    shape = property(lambda self: self.pattern.shape)
+
+    def entry_rows(self):
         """Row index of each stored entry, aligned with col_idx/values."""
-        return np.repeat(np.arange(self.n_rows, dtype=np.int64),
-                         np.diff(self.row_ptr))
+        return self.pattern.entry_rows()
+
+    def _operator(self):
+        """This matrix as a ``_Product``, kept with its dense copy."""
+        if self._op is None:
+            self._op = _Product(self.pattern, self.values)
+        return self._op
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
@@ -247,10 +372,7 @@ class SparseMatrix:
             merged = np.zeros(group[-1] + 1)
             np.add.at(merged, group, vals)
             rows, cols, vals = rows[keep], cols[keep], merged
-        row_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(row_ptr, rows + 1, 1)
-        row_ptr = np.cumsum(row_ptr)
-        return cls(n_rows, n_cols, row_ptr, cols, vals)
+        return cls(n_rows, n_cols, _row_ptr(rows, n_rows), cols, vals)
 
     @classmethod
     def from_dense(cls, dense, tol=0.0):
@@ -271,42 +393,23 @@ class SparseMatrix:
 
     def diagonal(self):
         d = np.zeros(min(self.n_rows, self.n_cols))
-        rows = self.entry_rows()
-        on_diag = rows == self.col_idx
-        d[rows[on_diag]] = self.values[on_diag]
+        diag = self.pattern.diag_positions()
+        d[self.col_idx[diag]] = self.values[diag]
         return d
 
     def transpose(self):
-        t_row_ptr, t_col, perm = csr_transpose_permutation(
-            self.n_rows, self.n_cols, self.row_ptr, self.col_idx)
-        return SparseMatrix(self.n_cols, self.n_rows, t_row_ptr, t_col,
-                            self.values[perm])
+        T, perm = self.pattern.transpose_permutation()
+        return T.matrix(self.values[perm])
 
     def with_values(self, values):
         """Same pattern, new values."""
-        return SparseMatrix(self.n_rows, self.n_cols,
-                            self.row_ptr, self.col_idx, values)
+        return self.pattern.matrix(values)
 
     def scale(self, factor):
         return self.with_values(self.values * float(factor))
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
-
-
-def csr_transpose_permutation(n_rows, n_cols, row_ptr, col_idx):
-    """Transpose pattern plus the entry permutation old->transposed order.
-
-    Stable sort by column keeps rows ascending within each column, so the
-    transposed pattern is valid CSR.
-    """
-    perm = np.argsort(col_idx, kind="stable")
-    rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(row_ptr))
-    t_col = rows[perm]
-    t_row_ptr = np.zeros(n_cols + 1, dtype=np.int64)
-    np.add.at(t_row_ptr, col_idx[perm] + 1, 1)
-    t_row_ptr = np.cumsum(t_row_ptr)
-    return t_row_ptr, t_col, perm
 
 
 def spmv(S, x):
@@ -416,88 +519,11 @@ def power_iteration_lambda_max(S, tol=1e-10, max_iter=10000):
         f"power iteration did not converge in {max_iter} iterations")
 
 
-class SupportMask:
-    """Sparsity pattern of I_N + S, always containing every diagonal slot.
-
-    Edge-varying parameter matrices and attention shifts live on this
-    pattern; entries are addressed by their CSR position.
-    """
-
-    __slots__ = ("n", "row_ptr", "col_idx", "_rows", "_t_cache")
-
-    def __init__(self, n, row_ptr, col_idx):
-        self.n = int(n)
-        self.row_ptr = _as_index_array(row_ptr)
-        self.col_idx = _as_index_array(col_idx)
-        self._rows = None
-        self._t_cache = None
-        diag_ok = np.zeros(self.n, dtype=bool)
-        on_diag = self.entry_rows() == self.col_idx
-        diag_ok[self.entry_rows()[on_diag]] = True
-        if not diag_ok.all():
-            raise ValueError("support mask must contain the full diagonal")
-
-    @property
-    def nnz(self):
-        return len(self.col_idx)
-
-    def entry_rows(self):
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.n, dtype=np.int64),
-                                   np.diff(self.row_ptr))
-        return self._rows
-
-    def transpose_permutation(self):
-        if self._t_cache is None:
-            self._t_cache = csr_transpose_permutation(
-                self.n, self.n, self.row_ptr, self.col_idx)
-        return self._t_cache
-
-    def matrix(self, values):
-        return SparseMatrix(self.n, self.n, self.row_ptr, self.col_idx, values)
-
-    def diag_positions(self):
-        """CSR positions of the (i, i) entries, in row order."""
-        return np.nonzero(self.entry_rows() == self.col_idx)[0]
-
-    def contains(self, S):
-        """True when every stored entry of S sits on this pattern."""
-        if S.n_rows != self.n or S.n_cols != self.n:
-            return False
-        if S.nnz == 0:
-            return True
-        mine = self.entry_rows() * self.n + self.col_idx
-        theirs = S.entry_rows() * self.n + S.col_idx
-        pos = np.minimum(np.searchsorted(mine, theirs), self.nnz - 1)
-        return bool(np.all(mine[pos] == theirs))
-
-    def aligned_values(self, S, diag_fill_zero=None):
-        """Values of S read at each mask position (zero where S is absent).
-
-        diag_fill_zero, when given, replaces exact-zero diagonal reads;
-        the weighted soft maximum uses 1.0 there.
-        """
-        keys_s = S.entry_rows() * S.n_cols + S.col_idx
-        rows = self.entry_rows()
-        keys_m = rows * self.n + self.col_idx
-        pos = np.searchsorted(keys_s, keys_m)
-        pos_c = np.minimum(pos, max(len(keys_s) - 1, 0))
-        out = np.zeros(self.nnz)
-        if len(keys_s):
-            hit = keys_s[pos_c] == keys_m
-            out[hit] = S.values[pos_c[hit]]
-        if diag_fill_zero is not None:
-            fill = (rows == self.col_idx) & (out == 0.0)
-            out[fill] = diag_fill_zero
-        return out
-
-
 def support_mask(S):
     """Pattern of I_N + S for a square shift operator."""
     if S.n_rows != S.n_cols:
         raise DimensionMismatch("support mask needs a square matrix")
     n = S.n_rows
-    rows = np.concatenate([S.entry_rows(), np.arange(n, dtype=np.int64)])
-    cols = np.concatenate([S.col_idx, np.arange(n, dtype=np.int64)])
-    merged = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
-    return SupportMask(n, merged.row_ptr, merged.col_idx)
+    keys = np.union1d(S.entry_rows() * n + S.col_idx,
+                      np.arange(n, dtype=np.int64) * (n + 1))
+    return Pattern._derived(n, n, _row_ptr(keys // n, n), keys % n)

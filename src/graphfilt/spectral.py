@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, PoleAtEigenvalue, SupportLeak
 from .linalg import NULLSPACE_TOL, null_space_basis, poly_roots, sym_eig
-from .sparse import SparseMatrix, support_mask
+from .sparse import support_mask
 
 OFF_SUPPORT_LEAK = 1e-6
 
@@ -105,12 +105,9 @@ def support_constraint_matrix(eig, support):
     ``row @ lambda == (V diag(lambda) V^T)[i, j]`` hold identically.
     """
     V = eig.eigenvectors
-    n = V.shape[0]
-    keys = support.entry_rows() * n + support.col_idx
-    all_keys = np.arange(n * n, dtype=np.int64)
-    zero_keys = np.setdiff1d(all_keys, keys, assume_unique=True)
-    rows_i = zero_keys // n
-    cols_j = zero_keys % n
+    zero = np.ones((V.shape[0], V.shape[0]), dtype=bool)
+    zero[support.entry_rows(), support.col_idx] = False
+    rows_i, cols_j = np.nonzero(zero)
     return V[rows_i, :] * V[cols_j, :]
 
 
@@ -153,12 +150,10 @@ def reconstruct_phi(kernel, mu):
     lam = kernel.basis @ mu
     phi = (V * lam[None, :]) @ V.T
     mask = kernel.support
-    keep = np.zeros(phi.shape, dtype=bool)
-    keep[mask.entry_rows(), mask.col_idx] = True
-    residual = float(np.max(np.abs(phi[~keep]), initial=0.0))
+    values = phi[mask.entry_rows(), mask.col_idx]
+    phi[mask.entry_rows(), mask.col_idx] = 0.0
+    residual = float(np.max(np.abs(phi), initial=0.0))
     if residual > OFF_SUPPORT_LEAK:
         raise SupportLeak(
             f"off-support magnitude {residual:.3e} exceeds {OFF_SUPPORT_LEAK}")
-    values = phi[mask.entry_rows(), mask.col_idx]
-    sparse = SparseMatrix(mask.n, mask.n, mask.row_ptr, mask.col_idx, values)
-    return sparse, residual
+    return mask.matrix(values), residual

@@ -34,7 +34,7 @@ def naive_softmax(scores, mask, weights=None):
     rows = mask.entry_rows()
     z = scores * (weights if weights is not None else 1.0)
     out = np.zeros_like(z)
-    for i in range(mask.n):
+    for i in range(mask.n_rows):
         seg = rows == i
         e = np.exp(z[seg])
         out[seg] = e / e.sum()
@@ -233,3 +233,13 @@ class TestEdgeVaryingGatShifts:
         for head, s in zip(heads, shifts):
             want = naive_softmax(naive_scores(head, X, mask), mask)
             assert np.max(np.abs(s.matrix.values - want)) < 1e-13
+
+
+def test_support_without_diagonal_rejected():
+    S = small_graph_shift()
+    head = AttentionHead(np.eye(2), np.ones(4))
+    X = np.ones((4, 2))
+    with pytest.raises(ValueError, match="full diagonal"):
+        edge_scores(head, X, S.pattern)
+    with pytest.raises(ValueError, match="full diagonal"):
+        neighborhood_softmax(np.zeros(S.nnz), S.pattern)

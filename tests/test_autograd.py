@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from graphfilt.errors import MissingTape
-from graphfilt.nn import Pattern, Tape, Tensor, backward
+from graphfilt.nn import Tape, Tensor, backward
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import SparseMatrix
 
@@ -48,7 +48,7 @@ def ring_pattern(n):
         dense[i, (i + 1) % n] = 1.0
         dense[i, i] = 1.0
     S = SparseMatrix.from_dense(dense)
-    return Pattern.from_sparse(S)
+    return S.pattern
 
 
 class TestElementwise:

@@ -133,6 +133,11 @@ class TestApplyEdgeVarying:
         with pytest.raises(SupportViolation):
             EdgeVaryingFilter(np.ones(4), (offender,), mask)
 
+    def test_support_without_diagonal_rejected(self):
+        S = k3_shift()
+        with pytest.raises(ValueError, match="full diagonal"):
+            EdgeVaryingFilter(np.ones(3), (), S.pattern)
+
 
 class TestApplyBlockVarying:
     def test_single_block_is_polynomial(self):
@@ -237,6 +242,40 @@ class TestApplyHybrid:
             apply_hybrid(HybridFilter(f.important, tuple(bad),
                                       f.global_coeffs), S,
                          np.zeros((6, 1)))
+
+    @staticmethod
+    def _reject(S, f, phis, message):
+        with pytest.raises(SupportViolation, match=message):
+            apply_hybrid(HybridFilter(f.important, phis, f.global_coeffs),
+                         S, np.zeros((6, 1)))
+
+    def test_order_zero_not_diagonal_rejected(self):
+        rng = np.random.default_rng(11)
+        S, f = hybrid_fixture(rng, 6, [1, 3], 1)
+        phi0 = SparseMatrix.from_coo(6, 6, [1, 3], [1, 1], [1.0, 1.0])
+        self._reject(S, f, (phi0,) + f.masked_phis[1:],
+                     "^order-0 hybrid factor must be diagonal$")
+
+    def test_order_zero_outside_important_rejected(self):
+        rng = np.random.default_rng(12)
+        S, f = hybrid_fixture(rng, 6, [1, 3], 1)
+        phi0 = SparseMatrix.from_coo(6, 6, [1, 2], [1, 2], [1.0, 1.0])
+        self._reject(S, f, (phi0,) + f.masked_phis[1:],
+                     "^order-0 factor outside the important set$")
+
+    def test_first_entry_off_graph_support_named(self):
+        rng = np.random.default_rng(13)
+        S, f = hybrid_fixture(rng, 6, [1, 3], 2)
+        dense = S.to_dense()
+        gap = int(np.flatnonzero(dense[3] == 0)[-1])
+        # (1,1) is diagonal, so off the stored off-diagonal pattern; the
+        # later (3,gap) and row-5 entries are bad too but come after it
+        bad = SparseMatrix.from_coo(6, 6, [1, 3, 5], [1, gap, 0], np.ones(3))
+        self._reject(S, f, f.masked_phis[:2] + (bad,),
+                     r"^factor 2 entry \(1,1\) off the graph support$")
+        bad = SparseMatrix.from_coo(6, 6, [3, 5], [gap, 0], np.ones(2))
+        self._reject(S, f, f.masked_phis[:2] + (bad,),
+                     rf"^factor 2 entry \(3,{gap}\) off the graph support$")
 
 
 class TestJacobiShift:

@@ -8,9 +8,9 @@ import pytest
 
 from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
                           EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
-                          HybridLayer, Model, Pattern, PolynomialLayer,
-                          ShiftContext, cross_entropy,
-                          finite_difference_check, init_params)
+                          HybridLayer, Model, PolynomialLayer, ShiftContext,
+                          cross_entropy, finite_difference_check,
+                          init_params)
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (SparseMatrix, _csr_product, _dense_fits,
                               _dense_product, _Product, _segment_sums, spmm,
@@ -27,7 +27,7 @@ def random_pattern(rng, n_rows, n_cols, density=0.4):
     rows, cols = np.nonzero(keep)
     S = SparseMatrix.from_coo(n_rows, n_cols, rows, cols,
                               rng.normal(size=len(rows)))
-    return Pattern.from_sparse(S), S
+    return S.pattern, S
 
 
 def dense_stack(p, values, entry_axis=0):
@@ -35,7 +35,7 @@ def dense_stack(p, values, entry_axis=0):
     over the stored entries; the other axes lead the (n, m) result."""
     v = np.moveaxis(values, entry_axis, -1)
     D = np.zeros(v.shape[:-1] + (p.n_rows, p.n_cols))
-    for e, (i, j) in enumerate(zip(p.rows, p.col_idx)):
+    for e, (i, j) in enumerate(zip(p.entry_rows(), p.col_idx)):
         D[..., i, j] = v[..., e]
     return D
 
@@ -119,7 +119,7 @@ class TestAdjoints:
 
     def _check(self, op, p, vals, X, G, trailing, D):
         node = G.ndim - 1 - trailing
-        pairs = list(zip(p.rows, p.col_idx))
+        pairs = list(zip(p.entry_rows(), p.col_idx))
         if D.ndim == 2:
             want_x = np.moveaxis(np.tensordot(D.T, G, axes=([1], [node])),
                                  0, node)

@@ -5,7 +5,7 @@ import pytest
 from graphfilt.attention import AttentionHead, gcat_shift
 from graphfilt.errors import (ConfigError, IncompatibleDims, LabelOutOfRange,
                               ShapeMismatch, SingularDiagonal)
-from graphfilt.filters import (apply_hybrid, apply_polynomial,
+from graphfilt.filters import (EPS_SING, apply_hybrid, apply_polynomial,
                                apply_single_pole_jacobi, HybridFilter,
                                PolynomialFilter)
 from graphfilt.graphs import Graph, build_shift
@@ -22,6 +22,17 @@ from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (Permutation, SparseMatrix, permute_shift,
                               permute_signal)
 from test_kernel import FAMILIES, dense_context, ring_context
+
+
+def loop_post_update(gamma, d):
+    """Reference for ArmaLayer.post_update: the per-entry loop it replaced."""
+    flat = gamma.reshape(-1).copy()
+    for i, g in enumerate(flat):
+        gaps = np.abs(d - g)
+        j = int(np.argmin(gaps))
+        if gaps[j] <= EPS_SING:
+            flat[i] = d[j] + 1e-6 if g >= d[j] else d[j] - 1e-6
+    return flat.reshape(gamma.shape)
 
 
 def ctx_for(n=6, seed=0, p=0.55):
@@ -98,7 +109,7 @@ class TestLayerOracles:
         running = np.diag(layer.phi0.value) @ X
         want = running @ layer.mixing[0].value
         for vals, A in zip(layer.phi, layer.mixing[1:]):
-            phi = ctx.mask.matrix(vals.value).to_dense()
+            phi = ctx.pattern.matrix(vals.value).to_dense()
             running = phi @ running
             want = want + running @ A.value
         assert np.max(np.abs(Z.value - want)) < 1e-12
@@ -143,7 +154,7 @@ class TestLayerOracles:
                 phis = [SparseMatrix.from_coo(
                     6, 6, important, important, layer.phi0.value[:, f, g])]
                 phis.append(SparseMatrix.from_coo(
-                    6, 6, pattern.rows, pattern.col_idx,
+                    6, 6, pattern.entry_rows(), pattern.col_idx,
                     layer.phi[0].value[:, f, g]))
                 scalar = HybridFilter(important, tuple(phis),
                                       [layer.mixing[0].value[f, g],
@@ -162,7 +173,7 @@ class TestLayerOracles:
         X = rng.normal(size=(6, 2))
         Z, _ = Model([layer], 6, 1).features(ctx, X)
         head = AttentionHead(layer.head.B.value, layer.head.e.value)
-        phi = gcat_shift(head, X, ctx.mask).matrix.to_dense()
+        phi = gcat_shift(head, X, ctx.pattern).matrix.to_dense()
         want = X @ layer.mixing[0].value
         power = np.eye(6)
         for k in (1, 2):
@@ -180,7 +191,7 @@ class TestLayerOracles:
         X = rng.normal(size=(6, 2))
         Z, _ = Model([layer], 6, 1).features(ctx, X)
         head = AttentionHead(layer.head.B.value, layer.head.e.value)
-        phi = gcat_shift(head, X, ctx.mask).matrix.to_dense()
+        phi = gcat_shift(head, X, ctx.pattern).matrix.to_dense()
         want = phi @ X @ layer.mixing[0].value
         want = np.where(want > 0, want, 0.0)
         assert np.max(np.abs(Z.value - want)) < 1e-12
@@ -361,6 +372,33 @@ class TestInit:
                       - layer.gamma.value.reshape(-1)[None, :])
         assert gaps.min() > 1e-9
 
+    def test_gamma_projection_matches_per_entry_loop(self):
+        rng = np.random.default_rng(23)
+        d = rng.normal(size=6)
+        d[4] = d[1]  # a tie: the first nearest entry wins
+        dense = np.diag(d) + ctx_for().S.to_dense()
+        ctx = ShiftContext(SparseMatrix.from_dense(dense))
+        offsets = [0.0, 1e-10, -1e-10, 5e-10, 1e-9, -1e-9, 2e-9, 0.1]
+        for _ in range(200):
+            gamma = (rng.choice(d, size=(2, 1, 16))
+                     + rng.choice(offsets, size=(2, 1, 16)))
+            layer = ArmaLayer(1, 16, 2, 1, 1)
+            layer.gamma.value = gamma.copy()
+            layer.post_update(ctx)
+            assert np.array_equal(layer.gamma.value,
+                                  loop_post_update(gamma, ctx.diag))
+
+    def test_guard_names_nearest_diagonal_entry(self):
+        d = np.array([0.0, 0.5, 1.0, 1.5])
+        ctx = ShiftContext(SparseMatrix.from_dense(np.diag(d)))
+        layer = ArmaLayer(1, 2, 1, 1, 1)
+        layer.gamma.value = np.array([[[3.0, 1.5 + 1e-10]]])
+        with pytest.raises(SingularDiagonal) as err:
+            layer._check_guard(ctx)
+        assert err.value.node == 3
+        layer.post_update(ctx)
+        layer._check_guard(ctx)
+
     def test_forward_with_guard_violation_raises(self):
         ctx = ctx_for()
         layer = ArmaLayer(1, 2, 1, 1, 1, use_bias=False)
@@ -539,6 +577,61 @@ class TestSerialization:
             pytest.skip("draws coincided")
         with pytest.raises(ConfigError):
             load_model(path, shift=other.S)
+
+
+class TestLoadValidatesPatterns:
+    """A model file's embedded patterns are checked when it is loaded."""
+
+    @staticmethod
+    def _saved(tmp_path):
+        import json
+        ctx = ctx_for()
+        sel = np.array([0, 2])
+        layers = [EdgeVaryingLayer(1, 2, 1, ctx.pattern),
+                  HybridLayer(2, 2, 1, sel, ctx.masked_rows_pattern(sel))]
+        model = Model(layers, 6, 2, readout_mode="mean_pool")
+        init_params(model, np.random.default_rng(3), shift=ctx)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def _swap_columns(p):
+        r = int(np.flatnonzero(np.diff(p["row_ptr"]) >= 2)[0])
+        a = p["row_ptr"][r]
+        p["col_idx"][a], p["col_idx"][a + 1] = \
+            p["col_idx"][a + 1], p["col_idx"][a]
+
+    @staticmethod
+    def _column_999(p):
+        p["col_idx"][0] = 999
+
+    @staticmethod
+    def _decreasing_row_ptr(p):
+        p["row_ptr"][2] = p["row_ptr"][3] + 1
+
+    @pytest.mark.parametrize("layer,key,corrupt", [
+        (0, "pattern", "_swap_columns"),
+        (0, "pattern", "_column_999"),
+        (0, "pattern", "_decreasing_row_ptr"),
+        (1, "masked_pattern", "_column_999"),
+    ])
+    def test_corrupt_pattern_raises_config_error(self, tmp_path, layer, key,
+                                                 corrupt):
+        import json
+        path, doc = self._saved(tmp_path)
+        getattr(self, corrupt)(doc["architecture"]["layers"][layer][key])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"^layer {layer} .*{key}"):
+            load_model(path)
+
+    def test_pattern_size_must_match_the_model(self, tmp_path):
+        import json
+        path, doc = self._saved(tmp_path)
+        doc["architecture"]["n_nodes"] = 7
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="6 nodes, the model has 7"):
+            load_model(path)
 
 
 class TestForwardApi:

@@ -3,9 +3,10 @@ import numpy as np
 import pytest
 
 from graphfilt.errors import DimensionMismatch, NoConvergence
-from graphfilt.sparse import (Permutation, SparseMatrix, permute_shift,
-                              permute_signal, power_iteration_lambda_max,
-                              spmm, spmv, support_mask)
+from graphfilt.sparse import (Pattern, Permutation, SparseMatrix,
+                              permute_shift, permute_signal,
+                              power_iteration_lambda_max, spmm, spmv,
+                              support_mask)
 
 
 def random_sparse(rng, n, density=0.4):
@@ -193,3 +194,53 @@ class TestSupportMask:
         vals = mask.aligned_values(S, diag_fill_zero=1.0)
         M = mask.matrix(vals).to_dense()
         assert np.array_equal(M, S.to_dense() + np.eye(3))
+
+    def test_aligned_values_rejects_another_shape(self):
+        mask = support_mask(k3_adjacency())
+        S4 = SparseMatrix.from_dense(np.ones((4, 4)))
+        assert not mask.contains(S4)
+        with pytest.raises(DimensionMismatch):
+            mask.aligned_values(S4)
+
+    def test_full_diagonal_required(self):
+        support_mask(k3_adjacency()).require_diagonal()
+        for p in (k3_adjacency().pattern,
+                  Pattern(2, 3, [0, 1, 2], [0, 1])):
+            with pytest.raises(ValueError, match="full diagonal"):
+                p.require_diagonal()
+
+
+class TestPattern:
+    def test_derived_layouts_skip_the_checks(self, monkeypatch):
+        S = k3_adjacency()
+        mask = support_mask(S)
+
+        def refuse(self):
+            raise AssertionError("pattern validated again")
+
+        monkeypatch.setattr(Pattern, "_validate", refuse)
+        S.with_values(S.values * 2)
+        S.scale(3.0)
+        S.transpose()
+        mask.matrix(np.ones(mask.nnz))
+        mask.select(mask.entry_rows() != mask.col_idx)
+        with pytest.raises(AssertionError):
+            SparseMatrix(2, 2, [0, 1, 2], [1, 0], [5.0, 7.0])
+
+    def test_select_keeps_entries_in_csr_order(self):
+        rng = np.random.default_rng(4)
+        S, dense = random_sparse(rng, 7)
+        keep = rng.random(S.nnz) < 0.5
+        sub = S.pattern.select(keep).matrix(S.values[keep])
+        rows, cols = S.entry_rows()[keep], S.col_idx[keep]
+        want = SparseMatrix.from_coo(7, 7, rows, cols, S.values[keep])
+        assert np.array_equal(sub.row_ptr, want.row_ptr)
+        assert np.array_equal(sub.col_idx, want.col_idx)
+        assert np.array_equal(sub.values, want.values)
+
+    def test_cached_index_arrays_are_read_only(self):
+        p = k3_adjacency().pattern
+        for a in (p.entry_rows(), p.diag_positions(),
+                  p.transpose_permutation()[1]):
+            with pytest.raises(ValueError):
+                a[0] = 1
