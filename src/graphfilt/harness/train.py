@@ -12,7 +12,7 @@ from ..nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                   EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                   HybridGcatLayer, HybridLayer, Model, PolynomialLayer,
                   ShiftContext, adam_step, cross_entropy, init_params,
-                  smooth_l1, softmax_rows, tie_attention_to_mixing)
+                  smooth_l1, tie_attention_to_mixing)
 from .data import build_dataset
 
 
@@ -217,10 +217,3 @@ def run_experiment(cfg):
     test_loss, test_metric = evaluate(model, dataset, "test", cfg)
     return model, records, dataset, {"test_loss": test_loss,
                                      "test_metric": test_metric}
-
-
-def predict_classes(model, dataset, split):
-    ctx = ShiftContext(dataset.S)
-    X = dataset.split_arrays(split)[0]
-    logits, _ = _forward_batch(model, ctx, X)
-    return np.argmax(softmax_rows(logits.value), axis=-1)

@@ -215,9 +215,42 @@ class EdgeVaryingLayer(GnnLayer):
         return self._finish(tape, _mix(tape, Zs, self.mixing))
 
 
+def _check_hybrid_structure(important, masked):
+    """Raise IncompatibleDims unless ``important`` is a 1-D list of unique
+    nodes of the square ``masked`` and every masked row is important."""
+    n = masked.n_rows
+    if masked.n_cols != n:
+        raise IncompatibleDims(
+            f"masked pattern is {n}x{masked.n_cols}, not square")
+    if important.ndim != 1:
+        raise IncompatibleDims("important nodes must be a 1-D list")
+    if len(important) and (important.min() < 0 or important.max() >= n):
+        raise IncompatibleDims(f"important nodes must lie in [0, {n})")
+    is_important = np.zeros(n, dtype=bool)
+    is_important[important] = True
+    if np.count_nonzero(is_important) != len(important):
+        raise IncompatibleDims("important nodes must be unique")
+    outside = ~is_important[masked.entry_rows()]
+    if outside.any():
+        node = masked.entry_rows()[np.argmax(outside)]
+        raise IncompatibleDims(
+            f"masked pattern has entries in row {node}, "
+            "which is not an important node")
+
+
 class HybridLayer(GnnLayer):
     """Edge-varying factors on an important node set plus a global
-    convolutional chain, each feature pair owning its scalars."""
+    convolutional chain, each feature pair owning its scalars.
+
+    The edge-varying chain Z_0 = diag(phi0) X, Z_k = Phi_k Z_{k-1} is
+    nonzero only on the I important rows, because phi0 and every masked
+    Phi_k have rows only there. So it runs on (B, I, F_in, F_out) tensors
+    over a local I x I pattern: the masked entries whose column is also
+    important. A masked entry whose column is not important always
+    multiplies a zero row of Z_{k-1}, so the local chain is exact, and
+    the entry's gradient is exactly zero: ADAM never moves it. That is a
+    property of the paper's hybrid construction, not of the local chain.
+    """
 
     kind = "hybrid"
 
@@ -226,6 +259,10 @@ class HybridLayer(GnnLayer):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         self.important = np.asarray(important, dtype=np.int64)
         self.masked_pattern = masked_pattern
+        _check_hybrid_structure(self.important, masked_pattern)
+        # the masked entries whose column is important, as an I x I pattern
+        self._local, self._local_pos = masked_pattern.submatrix(
+            self.important)
         n_imp = len(self.important)
         self.phi0 = Tensor(np.zeros((n_imp, f_in, f_out)), name="hybrid_phi0")
         self.phi = [Tensor(np.zeros((masked_pattern.nnz, f_in, f_out)),
@@ -241,14 +278,14 @@ class HybridLayer(GnnLayer):
     def forward(self, tape, ctx, X):
         conv = self._mix_chain(tape, ctx, X, self.mixing)
         Xi = ag.gather_rows(tape, X, self.important)
-        Xp = ag.expand_last(tape, Xi)
-        Z = ag.mul(tape, self.phi0, Xp)
-        Z = ag.scatter_rows(tape, Z, self.important, ctx.n, trailing=2)
+        Z = ag.mul(tape, self.phi0, ag.expand_last(tape, Xi))
         acc = Z
         for vals in self.phi:
-            Z = ag.spmm_pairwise(tape, vals, Z, self.masked_pattern)
+            local = ag.take_index(tape, vals, self._local_pos)
+            Z = ag.spmm_pairwise(tape, local, Z, self._local)
             acc = ag.add(tape, acc, Z)
-        ev = ag.sum_axis(tape, acc, axis=-2)
+        ev = ag.scatter_rows(tape, ag.sum_axis(tape, acc, axis=-2),
+                             self.important, ctx.n)
         return self._finish(tape, ag.add(tape, conv, ev))
 
     def describe(self):

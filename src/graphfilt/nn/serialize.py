@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, IncompatibleDims
 from ..sparse import Pattern
 from .layers import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
                      EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
@@ -148,19 +148,35 @@ def load_model(path, shift=None):
     if shift is not None and doc.get("shift_hash") is not None:
         if shift_operator_hash(shift) != doc["shift_hash"]:
             raise ConfigError("model was saved against a different shift")
-    arch = doc["architecture"]
-    layers = [_layer_from(d, f"layer {i} ({d['kind']})", arch["n_nodes"])
-              for i, d in enumerate(arch["layers"])]
-    model = Model(layers, arch["n_nodes"], arch["n_outputs"],
-                  output=arch["output"], readout_mode=arch["readout_mode"])
-    stored = doc["parameters"]
+    try:
+        arch = doc["architecture"]
+        n_nodes, records = arch["n_nodes"], arch["layers"]
+        head = dict(n_outputs=arch["n_outputs"], output=arch["output"],
+                    readout_mode=arch["readout_mode"])
+    except KeyError as exc:
+        raise ConfigError(f"architecture: missing field {exc}") from None
+    layers = []
+    for i, d in enumerate(records):
+        where = f"layer {i} ({d.get('kind')})"
+        try:
+            layers.append(_layer_from(d, where, n_nodes))
+        except KeyError as exc:
+            raise ConfigError(f"{where}: missing field {exc}") from None
+        except IncompatibleDims as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    model = Model(layers, n_nodes, **head)
     live = model.parameters()
-    if len(stored) != len(live):
-        raise ConfigError("parameter list length mismatch")
-    for rec, (name, t) in zip(stored, live):
-        if rec["name"] != name or tuple(rec["shape"]) != t.value.shape:
-            raise ConfigError(
-                f"parameter mismatch: file has {rec['name']}{rec['shape']}, "
-                f"model expects {name}{list(t.value.shape)}")
-        t.value = _decode(rec["data"], rec["shape"])
+    try:
+        stored = doc["parameters"]
+        if len(stored) != len(live):
+            raise ConfigError("parameter list length mismatch")
+        for rec, (name, t) in zip(stored, live):
+            if rec["name"] != name or tuple(rec["shape"]) != t.value.shape:
+                raise ConfigError(
+                    f"parameter mismatch: file has {rec['name']}"
+                    f"{rec['shape']}, model expects {name}"
+                    f"{list(t.value.shape)}")
+            t.value = _decode(rec["data"], rec["shape"])
+    except KeyError as exc:
+        raise ConfigError(f"parameters: missing field {exc}") from None
     return model

@@ -18,6 +18,8 @@ batched ``spmv`` is bitwise equal to a loop of single-vector calls.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionMismatch, NoConvergence
@@ -64,7 +66,9 @@ def _segment_sums(contrib, row_ptr, axis):
 def _feature_major(X, trailing):
     """(..., n, *F) with ``trailing`` = len(F) as a contiguous (*F, n, B)
     stack, B the flattened batch, so one matmul covers every feature slot."""
-    flat = X.reshape((-1,) + X.shape[X.ndim - 1 - trailing:])
+    lead = X.ndim - 1 - trailing
+    # an explicit batch size, which -1 cannot infer when n = 0
+    flat = X.reshape((math.prod(X.shape[:lead]),) + X.shape[lead:])
     order = tuple(range(2, trailing + 2)) + (1, 0)
     return np.ascontiguousarray(flat.transpose(order))
 
@@ -284,6 +288,19 @@ class Pattern:
         return Pattern._derived(
             self.n_rows, self.n_cols,
             _row_ptr(self.entry_rows()[keep], self.n_rows), self.col_idx[keep])
+
+    def submatrix(self, nodes):
+        """(P, pos) for unique indices ``nodes``: P is the square pattern
+        of the entries whose row and column both lie in ``nodes``, each
+        renumbered by its position in ``nodes``, and pos[e] is the
+        position here of P's entry e."""
+        local = np.full(max(self.shape), -1, dtype=np.int64)
+        local[nodes] = np.arange(len(nodes))
+        rows, cols = local[self.entry_rows()], local[self.col_idx]
+        keep = np.flatnonzero((rows >= 0) & (cols >= 0))
+        pos = keep[np.lexsort((cols[keep], rows[keep]))]
+        k = len(nodes)
+        return Pattern._derived(k, k, _row_ptr(rows[pos], k), cols[pos]), pos
 
     def positions(self, other):
         """Position here of each entry of the same-shaped pattern

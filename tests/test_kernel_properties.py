@@ -2,7 +2,8 @@
 type: on any pattern, batch shape and feature count, both paths equal the
 dense product, and the operator's adjoints satisfy <G, S X> = <S^T G, X>;
 any valid CSR layout is accepted, each single corruption of one is
-rejected, and the cached transpose matches scipy."""
+rejected, the cached transpose matches scipy, and a submatrix is the
+dense block it names."""
 import numpy as np
 import pytest
 
@@ -150,3 +151,19 @@ def test_derived_matrices_reuse_the_pattern(case):
     St = S.transpose()
     assert St.pattern is S.transpose().pattern
     assert np.array_equal(St.to_dense(), dense.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts, st.data())
+def test_submatrix_is_the_dense_block(case, data):
+    """P, pos = p.submatrix(nodes) is a valid CSR pattern holding exactly
+    the block dense[nodes][:, nodes], for nodes in any order."""
+    n, _, row_ptr, cols = random_csr(dict(case, n_cols=case["n_rows"]))
+    p = Pattern(n, n, row_ptr, cols)
+    nodes = np.array(data.draw(st.permutations(range(n))), dtype=np.int64)
+    nodes = nodes[:data.draw(st.integers(0, n))]
+    P, pos = p.submatrix(nodes)
+    Pattern(P.n_rows, P.n_cols, P.row_ptr, P.col_idx)   # validates
+    ids = np.arange(1.0, p.nnz + 1)
+    want = p.matrix(ids).to_dense()[np.ix_(nodes, nodes)]
+    assert np.array_equal(P.matrix(ids[pos]).to_dense(), want)

@@ -671,13 +671,30 @@ def per_hop_ev_gat(layer, tape, ctx, X):
     return acc
 
 
+def full_row_hybrid(layer, tape, ctx, X):
+    """The hybrid edge-varying chain on (B, N, F_in, F_out) tensors over
+    all N rows, as it ran before it was confined to the important block."""
+    Xi = ag.gather_rows(tape, X, layer.important)
+    Z = ag.mul(tape, layer.phi0, ag.expand_last(tape, Xi))
+    Z = ag.scatter_rows(tape, Z, layer.important, ctx.n, trailing=2)
+    acc = Z
+    for vals in layer.phi:
+        Z = ag.spmm_pairwise(tape, vals, Z, layer.masked_pattern)
+        acc = ag.add(tape, acc, Z)
+    return ag.sum_axis(tape, acc, axis=-2)
+
+
 def per_hop_forward(layer, tape, ctx, X, monkeypatch):
-    """The layer forward as it was before the hops were stacked."""
-    if isinstance(layer, (HybridLayer, ArmaLayer)):
-        # only their convolutional chain changed
+    """The layer forward as it was before the hops were stacked (and,
+    for hybrid, before its chain ran on the important block only)."""
+    if isinstance(layer, ArmaLayer):
+        # only its convolutional chain changed
         monkeypatch.setattr(layer, "_mix_chain", per_hop_chain)
         return layer.forward(tape, ctx, X)
-    if isinstance(layer, PolynomialLayer):
+    if isinstance(layer, HybridLayer):
+        acc = ag.add(tape, per_hop_chain(tape, ctx, X, layer.mixing),
+                     full_row_hybrid(layer, tape, ctx, X))
+    elif isinstance(layer, PolynomialLayer):
         acc = per_hop_chain(tape, ctx, X, layer.mixing)
     elif isinstance(layer, BlockVaryingLayer):
         acc = ag.block_mix(tape, X, layer.coeffs[0], layer.block_of_node)
@@ -764,3 +781,146 @@ def test_two_layer_gradients_with_several_input_features(family):
     X0 = rng.normal(size=(2, ctx.n, 3))
     rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
     assert rep.passed, rep.summary()
+
+
+# -- hybrid: the local chain against the full-row chain --------------------
+
+HYBRID_SELECTIONS = {
+    "pair": [1, 4],
+    "unsorted": [5, 1, 3],
+    "one_node": [3],          # its local pattern is empty
+    "every_node": None,
+    "no_node": [],
+}
+
+
+def _selection(name, n):
+    picked = HYBRID_SELECTIONS[name]
+    return np.arange(n) if picked is None else np.array(picked, dtype=np.int64)
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("f_in", [1, 3])
+@pytest.mark.parametrize("selection", sorted(HYBRID_SELECTIONS))
+def test_hybrid_local_chain_matches_full_row_chain(selection, f_in, graph):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    sel = _selection(selection, ctx.n)
+    layer = HybridLayer(f_in, 2, 2, sel, ctx.masked_rows_pattern(sel))
+    rng = np.random.default_rng(31)
+    init_params(Model([layer], ctx.n, 2), rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, 2))
+
+    out, grads, x_grad = _run_layer(
+        layer, lambda tape, X: layer.forward(tape, ctx, X), X0, weights)
+    ref_out, ref_grads, ref_x_grad = _run_layer(
+        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X, None),
+        X0, weights)
+    assert _rel(out, ref_out) <= 1e-12
+    assert _rel(x_grad, ref_x_grad) <= 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert g.shape == ref.shape
+        assert ref.size == 0 or _rel(g, ref) <= 1e-12
+    outside = ~np.isin(layer.masked_pattern.col_idx, sel)
+    for t in layer.phi:
+        assert np.all(t.grad[outside] == 0.0)
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("selection", sorted(HYBRID_SELECTIONS))
+def test_hybrid_local_pattern_is_the_important_block(selection, graph):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    sel = _selection(selection, ctx.n)
+    masked = ctx.masked_rows_pattern(sel)
+    layer = HybridLayer(1, 1, 1, sel, masked)
+    vals = np.arange(1.0, masked.nnz + 1.0)
+    want = masked.matrix(vals).to_dense()[np.ix_(sel, sel)]
+    got = layer._local.matrix(vals[layer._local_pos]).to_dense()
+    assert np.array_equal(got, want)
+
+
+class TestHybridValidatesStructure:
+    @staticmethod
+    def _build(important, masked=None):
+        ctx = ctx_for()
+        if masked is None:
+            masked = ctx.masked_rows_pattern(np.array([1, 4]))
+        return HybridLayer(1, 2, 1, important, masked)
+
+    @pytest.mark.parametrize("important,message", [
+        ([[1, 4]], "1-D"),
+        ([1, 4, 4], "unique"),
+        ([1, 4, 99], r"\[0, 6\)"),
+        ([-1, 1, 4], r"\[0, 6\)"),
+        ([1, 2], "row 4, which is not an important node"),
+    ])
+    def test_rejects_bad_important_list(self, important, message):
+        with pytest.raises(IncompatibleDims, match=message):
+            self._build(important)
+
+    def test_rejects_non_square_masked_pattern(self):
+        from graphfilt.sparse import Pattern
+        with pytest.raises(IncompatibleDims, match="6x7, not square"):
+            self._build([1], Pattern(6, 7, [0, 0, 1, 1, 1, 1, 1], [6]))
+
+    def test_important_nodes_without_masked_entries_are_allowed(self):
+        layer = self._build([0, 1, 4])
+        assert layer.filter_param_count() == (
+            3 * 1 * 2 + layer.masked_pattern.nnz * 1 * 2 + 2 * 1 * 2)
+
+
+class TestLoadChecksFields:
+    """Model files with missing fields or a hybrid structure that does not
+    fit raise ConfigError naming where the fault is."""
+
+    _saved = staticmethod(TestLoadValidatesPatterns._saved)
+
+    def _load(self, tmp_path, doc):
+        import json
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(doc))
+        return load_model(path)
+
+    @pytest.mark.parametrize("important,message", [
+        ([0, 99], r"\[0, 6\)"),
+        ([0, 3], "row 2, which is not an important node"),
+        ([0, 0], "unique"),
+    ])
+    def test_hybrid_important_list_checked(self, tmp_path, important,
+                                           message):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][1]["important"] = important
+        with pytest.raises(ConfigError,
+                           match=rf"^layer 1 \(hybrid\): .*{message}"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("layer,key", [
+        (0, "order"), (0, "kind"), (1, "important"), (1, "masked_pattern"),
+        (1, "nonlinearity"),
+    ])
+    def test_layer_missing_field_named(self, tmp_path, layer, key):
+        _, doc = self._saved(tmp_path)
+        del doc["architecture"]["layers"][layer][key]
+        with pytest.raises(ConfigError,
+                           match=rf"^layer {layer} .*missing field '{key}'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("key", ["n_nodes", "n_outputs", "output",
+                                     "readout_mode", "layers"])
+    def test_architecture_missing_field_named(self, tmp_path, key):
+        _, doc = self._saved(tmp_path)
+        del doc["architecture"][key]
+        with pytest.raises(ConfigError,
+                           match=f"^architecture: missing field '{key}'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("key", ["name", "shape", "data", None])
+    def test_parameter_missing_field_named(self, tmp_path, key):
+        _, doc = self._saved(tmp_path)
+        if key is None:
+            del doc["parameters"]
+        else:
+            del doc["parameters"][1][key]
+        with pytest.raises(ConfigError, match=(
+                f"^parameters: missing field '{key or 'parameters'}'")):
+            self._load(tmp_path, doc)
