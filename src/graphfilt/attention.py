@@ -1,8 +1,9 @@
 """Attention-parameterized shift operators.
 
-A scoring head turns node features into one score per supported (i, j)
-pair (diagonal included); a per-neighborhood soft maximum then yields a
-row-stochastic shift matrix on supp(I+S).
+A scoring head (B, e) turns node features X into one score per supported
+(i, j) pair (diagonal included) through the F_in x 2 score matrix
+W = B E^T, E = e as (2, F_out); a per-neighborhood soft maximum then
+yields a row-stochastic shift matrix on supp(I+S).
 """
 from __future__ import annotations
 
@@ -41,8 +42,69 @@ class AttentionShift:
     support: Pattern
 
 
-def _leaky(x, slope):
-    return np.where(x > 0, x, slope * x)
+# Private numpy helpers shared with the tape primitives of nn.autograd
+# (edge_score, support_softmax, attention_shift, activation), so that each
+# piece of the attention math has one home.
+
+
+def _leaky_factor(x, slope):
+    """LeakyReLU slope per element: 1 where x > 0, else ``slope``.
+
+    Branch-free; bitwise equal to np.where(x > 0, 1.0, slope), which
+    costs several times as much.
+    """
+    pos = x > 0
+    return pos * 1.0 + ~pos * slope
+
+
+def _score_matrix(B, e):
+    """W = B E^T (F_in x 2), with E = e as (2, F_out): X W holds each
+    node's own and neighbor score projections without forming X B."""
+    return B @ e.reshape(2, -1).T
+
+
+def _edge_scores(proj, pattern, slope):
+    """(scores, factor): LeakyReLU(own_i + other_j) per stored (i, j) of
+    ``pattern``, in CSR entry order, and its slope factor, from the
+    projections proj (..., n, 2) = [own, other]."""
+    pre = (proj[..., 0][..., pattern.entry_rows()]
+           + proj[..., 1][..., pattern.col_idx])
+    factor = _leaky_factor(pre, slope)
+    return pre * factor, factor
+
+
+def _edge_scores_adjoint(dpre, pattern):
+    """D (..., n, 2): the adjoint of the projections given the adjoint of
+    the pre-activation scores, summed over each node's own row (own) and
+    over its column (other)."""
+    T, perm = pattern.transpose_permutation()
+    d_own = _segment_sums(dpre, pattern.row_ptr, axis=-1)
+    d_other = _segment_sums(dpre[..., perm], T.row_ptr, axis=-1)
+    return np.stack([d_own, d_other], axis=-1)
+
+
+def _projection_adjoint(D, x, W):
+    """(dx, dW) of proj = x W, for x (..., n, f), W (f, 2) and the
+    adjoint D of proj; every batch axis is summed into dW."""
+    dW = x.reshape(-1, x.shape[-1]).T @ D.reshape(-1, D.shape[-1])
+    return D @ W.T, dW
+
+
+def _row_softmax(z, pattern):
+    """Soft maximum over each row's stored entries, with max subtraction.
+    Every row must hold an entry, as supp(I+S) holds its diagonal."""
+    rows = pattern.entry_rows()
+    row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
+    shifted = np.exp(z - row_max[..., rows])
+    denom = _segment_sums(shifted, pattern.row_ptr, axis=-1)
+    return shifted / denom[..., rows]
+
+
+def _row_softmax_adjoint(g, vals, pattern):
+    """Adjoint of the scores given g, the adjoint of the soft maximum's
+    output ``vals``."""
+    sdot = _segment_sums(g * vals, pattern.row_ptr, axis=-1)
+    return vals * (g - sdot[..., pattern.entry_rows()])
 
 
 def edge_scores(head, X, support):
@@ -56,22 +118,12 @@ def edge_scores(head, X, support):
         raise DimensionMismatch("X must be N x F_in")
     if X.shape[1] != head.B.shape[0]:
         raise DimensionMismatch("feature count does not match the head")
-    H = X @ head.B
-    f_out = head.B.shape[1]
-    own = H @ head.e[:f_out]
-    other = H @ head.e[f_out:]
-    pre = own[support.entry_rows()] + other[support.col_idx]
-    return _leaky(pre, head.leaky_slope)
+    proj = X @ _score_matrix(head.B, head.e)
+    return _edge_scores(proj, support, head.leaky_slope)[0]
 
 
 def _softmax_on_support(pre, support):
-    rows = support.entry_rows()
-    # every support row holds its diagonal, so no segment is empty
-    row_max = np.maximum.reduceat(pre, support.row_ptr[:-1])
-    shifted = np.exp(pre - row_max[rows])
-    denom = _segment_sums(shifted, support.row_ptr, axis=-1)
-    vals = shifted / denom[rows]
-    return AttentionShift(support.matrix(vals), support)
+    return AttentionShift(support.matrix(_row_softmax(pre, support)), support)
 
 
 def neighborhood_softmax(scores, support):

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..attention import (_edge_scores, _edge_scores_adjoint, _leaky_factor,
+                         _projection_adjoint, _row_softmax,
+                         _row_softmax_adjoint, _score_matrix)
 from ..errors import MissingTape
-from ..sparse import _Product, _segment_sums, spmm
+from ..sparse import _Product, spmm
 
 
 class Tensor:
@@ -317,7 +320,7 @@ def activation(tape, a, kind, slope=0.2):
         factor = (av > 0).astype(np.float64)
         out = Tensor(av * factor)
     elif kind == "leaky_relu":
-        factor = np.where(av > 0, 1.0, slope)
+        factor = _leaky_factor(av, slope)
         out = Tensor(av * factor)
     else:
         raise ValueError(f"unknown nonlinearity {kind!r}")
@@ -445,31 +448,23 @@ def spmm_pairwise(tape, vals, z, pattern):
 
 
 # ---------------------------------------------------------------------------
-# attention primitives
+# attention primitives; ``pattern`` is supp(I+S), so no row is empty
 
 
 def edge_score(tape, h, e, pattern, slope):
     """LeakyReLU(e_left . h_i + e_right . h_j) per stored (i, j)."""
     hv, ev = _val(h), _val(e)
-    f_out = hv.shape[-1]
-    own = hv @ ev[:f_out]
-    other = hv @ ev[f_out:]
-    pre = own[..., pattern.entry_rows()] + other[..., pattern.col_idx]
-    factor = np.where(pre > 0, 1.0, slope)
-    out = Tensor(pre * factor)
-    T, perm = pattern.transpose_permutation()
+    E = ev.reshape(2, -1)
+    scores, factor = _edge_scores(hv @ E.T, pattern, slope)
+    out = Tensor(scores)
 
     def back():
         if out.grad is None:
             return
-        dpre = out.grad * factor
-        d_own = _segment_sums(dpre, pattern.row_ptr, axis=-1)
-        d_other = _segment_sums(dpre[..., perm], T.row_ptr, axis=-1)
-        _acc(h, d_own[..., None] * ev[:f_out] + d_other[..., None] * ev[f_out:])
-        hb = hv.reshape(-1, hv.shape[-2], hv.shape[-1])
-        de_left = np.einsum("bn,bnf->f", d_own.reshape(-1, hv.shape[-2]), hb)
-        de_right = np.einsum("bn,bnf->f", d_other.reshape(-1, hv.shape[-2]), hb)
-        _acc(e, np.concatenate([de_left, de_right]))
+        D = _edge_scores_adjoint(out.grad * factor, pattern)
+        dh, dEt = _projection_adjoint(D, hv, E.T)
+        _acc(h, dh)
+        _acc(e, dEt.T.ravel())
 
     tape.record(back)
     return out
@@ -479,23 +474,48 @@ def support_softmax(tape, scores, pattern, weights=None):
     """Row-segment soft maximum with max subtraction; optional constant
     per-entry weights multiply the scores first."""
     sv = _val(scores)
-    rows = pattern.entry_rows()
-    z = sv * weights if weights is not None else sv
-    row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
-    shifted = np.exp(z - row_max[..., rows])
-    denom = _segment_sums(shifted, pattern.row_ptr, axis=-1)
-    vals = shifted / denom[..., rows]
+    vals = _row_softmax(sv * weights if weights is not None else sv, pattern)
     out = Tensor(vals)
 
     def back():
         if out.grad is None:
             return
-        g = out.grad
-        sdot = _segment_sums(g * vals, pattern.row_ptr, axis=-1)
-        dz = vals * (g - sdot[..., rows])
+        dz = _row_softmax_adjoint(out.grad, vals, pattern)
+        _acc(scores, dz * weights if weights is not None else dz)
+
+    tape.record(back)
+    return out
+
+
+def attention_shift(tape, x, b, e, pattern, slope, weights=None):
+    """Row-stochastic attention values on ``pattern`` scored from x, in
+    one record: support_softmax(edge_score(x @ b, e), weights) without
+    forming x @ b.
+
+    x: (..., n, f_in); b: (f_in, f_out); e: (2 f_out,). The scores read
+    x @ W with the (f_in, 2) score matrix W = b E^T, E = e as (2, f_out).
+    The backward is analytic: with D (..., n, 2) the adjoint of x @ W,
+    dx = D W^T, dW = x^T D, db = dW E and de = (dW^T b) flattened.
+    """
+    xv, bv, ev = _val(x), _val(b), _val(e)
+    E = ev.reshape(2, -1)
+    W = _score_matrix(bv, ev)
+    scores, factor = _edge_scores(xv @ W, pattern, slope)
+    vals = _row_softmax(scores * weights if weights is not None else scores,
+                        pattern)
+    out = Tensor(vals)
+
+    def back():
+        if out.grad is None:
+            return
+        dz = _row_softmax_adjoint(out.grad, vals, pattern)
         if weights is not None:
             dz = dz * weights
-        _acc(scores, dz)
+        D = _edge_scores_adjoint(dz * factor, pattern)
+        dx, dW = _projection_adjoint(D, xv, W)
+        _acc(x, dx)
+        _acc(b, dW @ E)
+        _acc(e, (dW.T @ bv).ravel())
 
     tape.record(back)
     return out

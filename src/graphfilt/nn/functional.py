@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..attention import _leaky_factor
 from ..errors import LabelOutOfRange
 
 
@@ -17,7 +18,7 @@ def relu(x):
 
 def leaky_relu(x, slope=0.2):
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x, slope * x)
+    return x * _leaky_factor(x, slope)
 
 
 def log_sum_exp(x, axis=-1):

@@ -58,11 +58,11 @@ class AttentionParams:
         return out + [("att_e", self.e)]
 
     def shift_values(self, tape, ctx, X, weighted):
-        """Row-stochastic shift values on supp(I+S) scored from X."""
-        H = ag.matmul(tape, X, self.B)
-        scores = ag.edge_score(tape, H, self.e, ctx.pattern, self.slope)
+        """Row-stochastic shift values on supp(I+S) scored from X; B
+        serves only the scores, through the score matrix B E^T."""
         weights = ctx.weighted_vals if weighted else None
-        return ag.support_softmax(tape, scores, ctx.pattern, weights=weights)
+        return ag.attention_shift(tape, X, self.B, self.e, ctx.pattern,
+                                  self.slope, weights=weights)
 
 
 class GnnLayer:

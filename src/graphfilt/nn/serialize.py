@@ -62,6 +62,25 @@ def _pattern_from(d, key, where, n_nodes):
     return p
 
 
+def _integer(d, key, where):
+    """The non-negative integer under ``key``, or ConfigError naming it."""
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{where}: field '{key}' must be a non-negative "
+                          f"integer, not {value!r}")
+    return value
+
+
+def _integers(d, key, where):
+    """The list of integers under ``key``, or ConfigError naming it."""
+    value = d[key]
+    if not isinstance(value, list) or any(
+            isinstance(v, bool) or not isinstance(v, int) for v in value):
+        raise ConfigError(
+            f"{where}: field '{key}' must be a list of integers")
+    return value
+
+
 def _layer_payload(layer):
     d = layer.describe()
     if isinstance(layer, EdgeVaryingLayer):
@@ -73,27 +92,30 @@ def _layer_payload(layer):
 
 def _layer_from(d, where, n_nodes):
     kind = d["kind"]
-    args = (d["f_in"], d["f_out"], d["order"])
+    args = tuple(_integer(d, key, where) for key in ("f_in", "f_out", "order"))
     nl = d["nonlinearity"]
     bias = d.get("use_bias", True)
     if kind == "polynomial":
         return PolynomialLayer(*args, nonlinearity=nl, use_bias=bias)
     if kind == "block_varying":
-        return BlockVaryingLayer(*args, block_of_node=d["block_of_node"],
-                                 n_blocks=d["n_blocks"], nonlinearity=nl,
-                                 use_bias=bias)
+        return BlockVaryingLayer(
+            *args, block_of_node=_integers(d, "block_of_node", where),
+            n_blocks=_integer(d, "n_blocks", where), nonlinearity=nl,
+            use_bias=bias)
     if kind == "edge_varying":
         return EdgeVaryingLayer(
             *args, pattern=_pattern_from(d, "pattern", where, n_nodes),
             nonlinearity=nl, use_bias=bias)
     if kind == "hybrid":
         masked = _pattern_from(d, "masked_pattern", where, n_nodes)
-        return HybridLayer(*args, important=d["important"],
+        return HybridLayer(*args, important=_integers(d, "important", where),
                            masked_pattern=masked, nonlinearity=nl,
                            use_bias=bias)
     if kind == "arma":
-        return ArmaLayer(d["f_in"], d["f_out"], d["n_poles"], d["order"],
-                         d["jacobi_order"], nonlinearity=nl, use_bias=bias)
+        f_in, f_out, order = args
+        return ArmaLayer(f_in, f_out, _integer(d, "n_poles", where), order,
+                         _integer(d, "jacobi_order", where), nonlinearity=nl,
+                         use_bias=bias)
     if kind == "gcat":
         layer = GcatLayer(*args, nonlinearity=nl, use_bias=bias,
                           include_k0=d["include_k0"], weighted=d["weighted"])
@@ -150,13 +172,22 @@ def load_model(path, shift=None):
             raise ConfigError("model was saved against a different shift")
     try:
         arch = doc["architecture"]
-        n_nodes, records = arch["n_nodes"], arch["layers"]
-        head = dict(n_outputs=arch["n_outputs"], output=arch["output"],
-                    readout_mode=arch["readout_mode"])
+        if not isinstance(arch, dict):
+            raise ConfigError("architecture must be an object")
+        n_nodes = _integer(arch, "n_nodes", "architecture")
+        records = arch["layers"]
+        if not isinstance(records, list):
+            raise ConfigError("architecture: field 'layers' must be a list")
+        head = dict(n_outputs=_integer(arch, "n_outputs", "architecture"),
+                    output=arch["output"], readout_mode=arch["readout_mode"])
     except KeyError as exc:
         raise ConfigError(f"architecture: missing field {exc}") from None
     layers = []
     for i, d in enumerate(records):
+        if not isinstance(d, dict):
+            raise ConfigError(
+                f"layer {i}: record must be an object, not "
+                f"{type(d).__name__}")
         where = f"layer {i} ({d.get('kind')})"
         try:
             layers.append(_layer_from(d, where, n_nodes))

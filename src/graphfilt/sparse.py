@@ -4,14 +4,18 @@ One immutable CSR layout, ``Pattern``, carries shift operators and every
 sparse parameter matrix in the library; a ``SparseMatrix`` is values on
 a pattern. Every sparse product (``spmv``,
 ``spmm`` and the value-operand tape primitives) goes through one kernel,
-``_Product``, which picks one of two paths from the pattern's shape and
+``_Product``, which picks one of three paths from the pattern's shape and
 nnz and from whether the values are shared across the batch:
 
 * dense: for small or dense patterns whose values are shared, the dense
   matrix is built once and the product is a BLAS ``D @ X``;
 * CSR: a gather of the operand rows plus a segment sum per row, for large
-  sparse patterns and for per-sample values. It never builds a dense
-  matrix.
+  sparse patterns whose values are shared. It never builds a dense
+  matrix;
+* feature-major CSR: for per-sample values, the same gather and segment
+  sum on the operand laid out as (*F, batch, n), so that the gather,
+  the transpose permutation and the segment sums all run over the last,
+  contiguous axis.
 
 Results are deterministic for a fixed shape and BLAS thread count, and a
 batched ``spmv`` is bitwise equal to a loop of single-vector calls.
@@ -73,6 +77,20 @@ def _feature_major(X, trailing):
     return np.ascontiguousarray(flat.transpose(order))
 
 
+def _node_last(X, trailing):
+    """(..., n, *F) with ``trailing`` = len(F) as a contiguous
+    (*F, ..., n) array: the node axis last, the feature axes first."""
+    node = X.ndim - 1 - trailing
+    order = tuple(range(node + 1, X.ndim)) + tuple(range(node)) + (node,)
+    return np.ascontiguousarray(X.transpose(order))
+
+
+def _node_back(Y, trailing):
+    """The (..., n, *F) view of a (*F, ..., n) array; undoes _node_last."""
+    return Y.transpose(tuple(range(trailing, Y.ndim))
+                       + tuple(range(trailing)))
+
+
 def _dense_product(D, X, trailing):
     """Dense path: the product over the node axis of X (..., m, *F), which
     precedes its ``trailing`` feature axes.
@@ -103,24 +121,28 @@ def _csr_product(row_ptr, col_idx, values, X, trailing):
 
 
 class _Product:
-    """Entry values on a CSR pattern as one linear operator, applied
-    through the path ``_dense_fits`` picks.
+    """Entry values on a CSR pattern as one linear operator.
 
     ``pattern`` is a ``Pattern``. ``values`` is (nnz, *T), shared by every
     batch element, where T is empty (one scalar per entry) or has one axis
-    per operand feature axis (one scalar per entry and feature slot). With
-    ``per_sample`` it is (..., nnz), one scalar per entry and batch
-    element; such values always take the CSR path, because a per-sample
-    dense stack was slower for the one-feature operands of the attention
-    layers' first hop. Operands are (..., n_cols, *F),
+    per operand feature axis (one scalar per entry and feature slot);
+    shared values take the dense or the CSR path, as ``_dense_fits``
+    picks. With ``per_sample`` it is (..., nnz), one scalar per entry and
+    batch element, the batch axes matching the operand's; such values
+    always take the feature-major CSR path: each product moves the
+    operand to (*F, ..., n), runs the gather and the segment sums over
+    its last axis and returns a (..., n, *F) view of the result. A
+    per-sample dense stack was slower for the one-feature operands of
+    the attention layers' first hop. Operands are (..., n_cols, *F),
     with ``trailing`` = len(F) feature axes.
     """
 
-    __slots__ = ("pattern", "values", "carried", "dense")
+    __slots__ = ("pattern", "values", "per_sample", "carried", "dense")
 
     def __init__(self, pattern, values, per_sample=False):
         self.pattern = pattern
         self.values = values
+        self.per_sample = per_sample
         # feature axes the values carry after the entry axis
         self.carried = 0 if per_sample else values.ndim - 1
         self.dense = None
@@ -138,16 +160,25 @@ class _Product:
 
     def apply(self, X, trailing):
         """S X for X of shape (..., n_cols, *F)."""
+        p = self.pattern
         if self.dense is not None:
             return _dense_product(self.dense, X, trailing)
-        return _csr_product(self.pattern.row_ptr, self.pattern.col_idx,
-                            self._aligned(trailing), X, trailing)
+        if self.per_sample:
+            return _node_back(_csr_product(
+                p.row_ptr, p.col_idx, self.values, _node_last(X, trailing),
+                0), trailing)
+        return _csr_product(p.row_ptr, p.col_idx, self._aligned(trailing),
+                            X, trailing)
 
     def apply_transposed(self, G, trailing):
         """S^T G for G of shape (..., n_rows, *F)."""
         if self.dense is not None:
             return _dense_product(self.dense.swapaxes(-1, -2), G, trailing)
         T, perm = self.pattern.transpose_permutation()
+        if self.per_sample:
+            return _node_back(_csr_product(
+                T.row_ptr, T.col_idx, self.values[..., perm],
+                _node_last(G, trailing), 0), trailing)
         vt = np.take(self._aligned(trailing), perm, axis=-1 - trailing)
         return _csr_product(T.row_ptr, T.col_idx, vt, G, trailing)
 
@@ -155,10 +186,14 @@ class _Product:
         """Gradient of sum(G * apply(X)) with respect to the values.
 
         Feature axes the values do not carry are summed; batch axes are
-        summed on the dense path and kept on the CSR path, so callers
+        summed on the dense path and kept on the CSR paths, so callers
         reduce the result to the values' shape.
         """
         rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
+        if self.per_sample:
+            gv = _node_last(G, trailing)[..., rows]
+            gv *= _node_last(X, trailing)[..., cols]
+            return gv.sum(axis=tuple(range(trailing)))
         if self.dense is None:
             tail = (slice(None),) * trailing
             gv = G[(Ellipsis, rows) + tail] * X[(Ellipsis, cols) + tail]

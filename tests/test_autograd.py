@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from graphfilt.attention import _leaky_factor
 from graphfilt.errors import MissingTape
-from graphfilt.nn import Tape, Tensor, backward
+from graphfilt.nn import Tape, Tensor, backward, leaky_relu
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import SparseMatrix
 
@@ -198,6 +199,19 @@ class TestAttentionPrimitives:
         check_primitive(
             lambda t: ag.support_softmax(t, s, pat, weights=w), [s])
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_attention_shift(self, batch, weighted):
+        rng = np.random.default_rng(18 + len(batch))
+        pat = ring_pattern(5)
+        x = Tensor(rng.normal(size=batch + (5, 3)))
+        b = Tensor(rng.normal(size=(3, 2)))
+        e = Tensor(rng.normal(size=(4,)))
+        w = rng.uniform(0.5, 2.0, size=pat.nnz) if weighted else None
+        check_primitive(
+            lambda t: ag.attention_shift(t, x, b, e, pat, 0.2, weights=w),
+            [x, b, e], tol=1e-5)
+
 
 class TestActivation:
     def test_relu_subgradient_zero_at_zero(self):
@@ -214,6 +228,22 @@ class TestActivation:
         a = Tensor(np.array([-2.0, 3.0]))
         out = ag.activation(tape, a, "leaky_relu", slope=0.1)
         assert np.allclose(out.value, [-0.2, 3.0])
+
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.5])
+    def test_leaky_branch_free_is_bitwise_the_where_form(self, slope):
+        rng = np.random.default_rng(19)
+        x = np.concatenate([[0.0, -0.0], rng.normal(size=200)])
+        where_factor = np.where(x > 0, 1.0, slope)
+        factor = _leaky_factor(x, slope)
+        assert factor.tobytes() == where_factor.tobytes()
+        tape = Tape()
+        a = Tensor(x)
+        out = ag.activation(tape, a, "leaky_relu", slope=slope)
+        assert out.value.tobytes() == (x * where_factor).tobytes()
+        assert out.value.tobytes() == np.where(x > 0, x, slope * x).tobytes()
+        tape.backward(out, np.ones_like(x))
+        assert a.grad.tobytes() == where_factor.tobytes()
+        assert leaky_relu(x, slope).tobytes() == out.value.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -164,6 +164,44 @@ class TestAdjoints:
         self._check(op, p, vals, X, G, 2, dense_stack(p, vals))
 
 
+class TestFeatureMajorPerSample:
+    """Per-sample values: the product, its transpose and the values
+    adjoint against dense numpy and scipy, on patterns whose first and
+    last rows are empty."""
+
+    @staticmethod
+    def _case(batch, F):
+        rng = np.random.default_rng(41 + F + len(batch))
+        p, _ = random_pattern(rng, 7, 9)
+        vals = rng.normal(size=batch + (p.nnz,))
+        X = rng.normal(size=batch + (9, F))
+        G = rng.normal(size=batch + (7, F))
+        return p, vals, X, G, _Product(p, vals, per_sample=True)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("F", [1, 4, 16])
+    def test_matches_dense_oracle(self, batch, F):
+        p, vals, X, G, op = self._case(batch, F)
+        assert op.dense is None
+        D = dense_stack(p, vals, entry_axis=-1)
+        close(op.apply(X, 1), D @ X)
+        close(op.apply_transposed(G, 1), D.swapaxes(-1, -2) @ G)
+        want_v = np.stack([(G[..., i, :] * X[..., j, :]).sum(axis=-1)
+                           for i, j in zip(p.entry_rows(), p.col_idx)], -1)
+        close(op.values_adjoint(G, X, 1), want_v)
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("F", [1, 4, 16])
+    def test_matches_scipy(self, batch, F):
+        sp = pytest.importorskip("scipy.sparse")
+        p, vals, X, G, op = self._case(batch, F)
+        got, got_t = op.apply(X, 1), op.apply_transposed(G, 1)
+        for b in np.ndindex(batch):
+            A = sp.csr_matrix((vals[b], p.col_idx, p.row_ptr), shape=p.shape)
+            close(got[b], A @ X[b])
+            close(got_t[b], A.T @ G[b])
+
+
 class TestDispatch:
     def test_rule(self):
         assert _dense_fits(50, 50, 770)            # the desk-scale SBM

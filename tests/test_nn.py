@@ -9,7 +9,8 @@ from graphfilt.filters import (EPS_SING, apply_hybrid, apply_polynomial,
                                apply_single_pole_jacobi, HybridFilter,
                                PolynomialFilter)
 from graphfilt.graphs import Graph, build_shift
-from graphfilt.nn import (AdamState, ArmaLayer, BlockVaryingLayer,
+from graphfilt.nn import (AdamState, ArmaLayer, AttentionParams,
+                          BlockVaryingLayer,
                           EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                           HybridGcatLayer, HybridLayer, Model,
                           PolynomialLayer, ShiftContext, Tape, Tensor,
@@ -783,6 +784,54 @@ def test_two_layer_gradients_with_several_input_features(family):
     assert rep.passed, rep.summary()
 
 
+# -- attention: the fused shift against the three-record chain -------------
+
+def three_record_shift_values(head, tape, ctx, X, weighted):
+    """AttentionParams.shift_values as it was before the fused primitive:
+    H = X B, the edge scores of H and the soft maximum, one record each."""
+    H = ag.matmul(tape, X, head.B)
+    scores = ag.edge_score(tape, H, head.e, ctx.pattern, head.slope)
+    weights = ctx.weighted_vals if weighted else None
+    return ag.support_softmax(tape, scores, ctx.pattern, weights=weights)
+
+
+ATTENTION_CASES = (
+    [(f, {}) for f in ("gat", "gcat")]
+    + [(f, {"phi0_mode": m}) for f in ("ev_gat", "hybrid_gcat")
+       for m in ("attention", "identity")])
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("f_in", [1, 3, 16])
+@pytest.mark.parametrize("family,kw", ATTENTION_CASES)
+def test_fused_attention_shift_matches_three_record_chain(
+        family, kw, f_in, weighted, tied, graph, monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    layer = FAMILIES[family](f_in, 2, ctx, None, weighted=weighted, **kw)
+    if tied:
+        tie_attention_to_mixing(layer)
+    rng = np.random.default_rng(37)
+    init_params(Model([layer], ctx.n, 2), rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, 2))
+
+    def run():
+        return _run_layer(layer, lambda tape, X: layer.forward(tape, ctx, X),
+                          X0, weights)
+
+    out, grads, x_grad = run()
+    with monkeypatch.context() as m:
+        m.setattr(AttentionParams, "shift_values", three_record_shift_values)
+        ref_out, ref_grads, ref_x_grad = run()
+    assert _rel(out, ref_out) <= 1e-12
+    assert _rel(x_grad, ref_x_grad) <= 1e-12
+    assert len(grads) == len(ref_grads)
+    for g, ref in zip(grads, ref_grads):
+        assert _rel(g, ref) <= 1e-12
+
+
 # -- hybrid: the local chain against the full-row chain --------------------
 
 HYBRID_SELECTIONS = {
@@ -912,6 +961,40 @@ class TestLoadChecksFields:
         del doc["architecture"][key]
         with pytest.raises(ConfigError,
                            match=f"^architecture: missing field '{key}'"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("layer,key,value,message", [
+        (0, "order", "1", "field 'order' must be a non-negative integer"),
+        (0, "f_in", 1.5, "field 'f_in' must be a non-negative integer"),
+        (0, "f_out", True, "field 'f_out' must be a non-negative integer"),
+        (0, "order", -1, "field 'order' must be a non-negative integer"),
+        (1, "important", "ab", "field 'important' must be a list of integers"),
+        (1, "important", [0, "2"],
+         "field 'important' must be a list of integers"),
+    ])
+    def test_layer_field_of_wrong_type_named(self, tmp_path, layer, key,
+                                             value, message):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][layer][key] = value
+        with pytest.raises(ConfigError, match=rf"^layer {layer} .*{message}"):
+            self._load(tmp_path, doc)
+
+    def test_layer_record_that_is_not_an_object(self, tmp_path):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][1] = ["hybrid"]
+        with pytest.raises(ConfigError, match=(
+                "^layer 1: record must be an object, not list")):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("layers", 5, "field 'layers' must be a list"),
+        ("n_nodes", "6", "field 'n_nodes' must be a non-negative integer"),
+    ])
+    def test_architecture_field_of_wrong_type_named(self, tmp_path, key,
+                                                    value, message):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"][key] = value
+        with pytest.raises(ConfigError, match=f"^architecture: {message}"):
             self._load(tmp_path, doc)
 
     @pytest.mark.parametrize("key", ["name", "shape", "data", None])
