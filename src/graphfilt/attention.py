@@ -83,11 +83,10 @@ def _edge_scores_adjoint(dpre, pattern):
     return np.stack([d_own, d_other], axis=-1)
 
 
-def _projection_adjoint(D, x, W):
-    """(dx, dW) of proj = x W, for x (..., n, f), W (f, 2) and the
-    adjoint D of proj; every batch axis is summed into dW."""
-    dW = x.reshape(-1, x.shape[-1]).T @ D.reshape(-1, D.shape[-1])
-    return D @ W.T, dW
+def _projection_weight_adjoint(D, x):
+    """dW of proj = x W, for x (..., n, f) and the adjoint D of proj;
+    every batch axis is summed. (The x adjoint is D W^T.)"""
+    return x.reshape(-1, x.shape[-1]).T @ D.reshape(-1, D.shape[-1])
 
 
 def _row_softmax(z, pattern):

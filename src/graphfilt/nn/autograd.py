@@ -5,8 +5,14 @@ closure on the tape; running the tape backwards accumulates adjoints into
 ``Tensor.grad`` slots. Conventions:
 
 * arrays are float64; leading axes are batch axes and broadcast freely,
-* primitives accept a ``Tensor`` or a plain array for every operand and
-  only Tensors receive gradients,
+* primitives accept a ``Tensor`` or a constant for every operand; a
+  constant is a plain array or a ``Constant``,
+* only Tensors receive gradients, and only Tensors cost adjoint work: a
+  backward computes an operand's adjoint only when that operand is a
+  Tensor, and a primitive whose operands are all constants records
+  nothing and returns a ``Constant``. So a model's data input, passed as
+  an array, and everything computed from it alone take no backward work;
+  pass the input as a Tensor to get its gradient,
 * sparse structure never densifies: parameters attached to a sparsity
   pattern get gradients only on their stored entries.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..attention import (_edge_scores, _edge_scores_adjoint, _leaky_factor,
-                         _projection_adjoint, _row_softmax,
+                         _projection_weight_adjoint, _row_softmax,
                          _row_softmax_adjoint, _score_matrix)
 from ..errors import MissingTape
 from ..sparse import _Product, spmm
@@ -46,6 +52,18 @@ class Tensor:
         return f"Tensor({self.name or 'anon'}, shape={self.value.shape})"
 
 
+class Constant:
+    """Result of a primitive whose operands are all constants: the value
+    with no gradient slot, so no adjoint is ever computed for it. It keeps
+    ``.value`` so that code reading primitive results, such as the
+    benchmark's tracer, reads Tensors and Constants alike."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=np.float64)
+
+
 class Tape:
     """Execution record of one forward pass."""
 
@@ -74,12 +92,37 @@ def backward(tape, loss_grad):
 
 
 def _val(x):
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    if isinstance(x, (Tensor, Constant)):
+        return x.value
+    return np.asarray(x, dtype=np.float64)
 
 
-def _acc(x, g):
+def _acc(x, adjoint):
+    """Add adjoint() into x.grad. The adjoint is computed only when x is a
+    Tensor: a constant operand costs no backward work."""
     if isinstance(x, Tensor):
+        g = adjoint()
         x.grad = g if x.grad is None else x.grad + g
+
+
+def _result(tape, value, operands, back):
+    """A primitive's output. With a Tensor among the operands it is a
+    Tensor, and the tape records a call of back(output adjoint) for when
+    an adjoint reaches it; otherwise it is a Constant and nothing is
+    recorded."""
+    for x in operands:
+        if isinstance(x, Tensor):
+            break
+    else:
+        return Constant(value)
+    out = Tensor(value)
+
+    def replay():
+        if out.grad is not None:
+            back(out.grad)
+
+    tape.record(replay)
+    return out
 
 
 def _unbroadcast(g, shape):
@@ -100,113 +143,73 @@ def _unbroadcast(g, shape):
 
 def add(tape, a, b):
     av, bv = _val(a), _val(b)
-    out = Tensor(av + bv)
 
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, _unbroadcast(out.grad, av.shape))
-        _acc(b, _unbroadcast(out.grad, bv.shape))
+    def back(g):
+        _acc(a, lambda: _unbroadcast(g, av.shape))
+        _acc(b, lambda: _unbroadcast(g, bv.shape))
 
-    tape.record(back)
-    return out
+    return _result(tape, av + bv, (a, b), back)
 
 
 def sub(tape, a, b):
     av, bv = _val(a), _val(b)
-    out = Tensor(av - bv)
 
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, _unbroadcast(out.grad, av.shape))
-        _acc(b, _unbroadcast(-out.grad, bv.shape))
+    def back(g):
+        _acc(a, lambda: _unbroadcast(g, av.shape))
+        _acc(b, lambda: _unbroadcast(-g, bv.shape))
 
-    tape.record(back)
-    return out
+    return _result(tape, av - bv, (a, b), back)
 
 
 def mul(tape, a, b):
     av, bv = _val(a), _val(b)
-    out = Tensor(av * bv)
 
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, _unbroadcast(out.grad * bv, av.shape))
-        _acc(b, _unbroadcast(out.grad * av, bv.shape))
+    def back(g):
+        _acc(a, lambda: _unbroadcast(g * bv, av.shape))
+        _acc(b, lambda: _unbroadcast(g * av, bv.shape))
 
-    tape.record(back)
-    return out
+    return _result(tape, av * bv, (a, b), back)
 
 
 def scale(tape, a, factor):
     av = _val(a)
-    out = Tensor(av * float(factor))
-
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, out.grad * float(factor))
-
-    tape.record(back)
-    return out
+    factor = float(factor)
+    return _result(tape, av * factor, (a,),
+                   lambda g: _acc(a, lambda: g * factor))
 
 
 def reciprocal(tape, a):
-    av = _val(a)
-    inv = 1.0 / av
-    out = Tensor(inv)
-
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, -out.grad * inv * inv)
-
-    tape.record(back)
-    return out
+    inv = 1.0 / _val(a)
+    return _result(tape, inv, (a,), lambda g: _acc(a, lambda: -g * inv * inv))
 
 
 def matmul(tape, a, b):
     """a @ b with a of shape (..., f) or (..., n, f) and b (f, g) or (f,)."""
     av, bv = _val(a), _val(b)
-    out = Tensor(av @ bv)
 
-    def back():
-        if out.grad is None:
-            return
-        g = out.grad
+    def back(g):
         if bv.ndim == 1 and av.ndim == 1:
-            _acc(a, g * bv)
-            _acc(b, g * av)
+            _acc(a, lambda: g * bv)
+            _acc(b, lambda: g * av)
         elif bv.ndim == 1:
-            _acc(a, g[..., None] * bv)
-            _acc(b, g.reshape(-1) @ av.reshape(-1, av.shape[-1]))
+            _acc(a, lambda: g[..., None] * bv)
+            _acc(b, lambda: g.reshape(-1) @ av.reshape(-1, av.shape[-1]))
         elif av.ndim == 1:
-            _acc(a, g @ bv.T)
-            _acc(b, np.outer(av, g))
+            _acc(a, lambda: g @ bv.T)
+            _acc(b, lambda: np.outer(av, g))
         else:
-            _acc(a, g @ bv.T)
+            _acc(a, lambda: g @ bv.T)
             # sum every leading batch axis into the (f, g) adjoint
-            af = av.reshape(-1, av.shape[-1])
-            gf = g.reshape(-1, g.shape[-1])
-            _acc(b, af.T @ gf)
+            _acc(b, lambda: av.reshape(-1, av.shape[-1]).T
+                 @ g.reshape(-1, g.shape[-1]))
 
-    tape.record(back)
-    return out
+    return _result(tape, av @ bv, (a, b), back)
 
 
 def reshape(tape, a, shape):
     av = _val(a)
-    out = Tensor(av.reshape(shape))
-
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, out.grad.reshape(av.shape))
-
-    tape.record(back)
-    return out
+    return _result(tape, av.reshape(shape), (a,),
+                   lambda g: _acc(a, lambda: g.reshape(av.shape)))
 
 
 def concat(tape, parts, axis):
@@ -214,76 +217,51 @@ def concat(tape, parts, axis):
     if len(parts) == 1:
         return parts[0]
     vals = [_val(p) for p in parts]
-    out = Tensor(np.concatenate(vals, axis=axis))
     cuts = np.cumsum([v.shape[axis] for v in vals[:-1]])
 
-    def back():
-        if out.grad is None:
-            return
-        for p, g in zip(parts, np.split(out.grad, cuts, axis=axis)):
-            _acc(p, g)
+    def back(g):
+        for p, piece in zip(parts, np.split(g, cuts, axis=axis)):
+            _acc(p, lambda: piece)
 
-    tape.record(back)
-    return out
+    return _result(tape, np.concatenate(vals, axis=axis), parts, back)
 
 
 def expand_last(tape, a):
     """Append a trailing unit axis (view used to broadcast feature pairs)."""
-    av = _val(a)
-    out = Tensor(av[..., None])
-
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, out.grad[..., 0])
-
-    tape.record(back)
-    return out
+    return _result(tape, _val(a)[..., None], (a,),
+                   lambda g: _acc(a, lambda: g[..., 0]))
 
 
 def sum_axis(tape, a, axis):
     av = _val(a)
-    out = Tensor(av.sum(axis=axis))
 
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, np.broadcast_to(np.expand_dims(out.grad, axis), av.shape).copy())
+    def back(g):
+        _acc(a, lambda: np.broadcast_to(np.expand_dims(g, axis),
+                                        av.shape).copy())
 
-    tape.record(back)
+    return _result(tape, av.sum(axis=axis), (a,), back)
+
+
+def _placed(shape, index, values):
+    """Zeros of ``shape`` with ``values`` written at ``index``."""
+    out = np.zeros(shape)
+    out[index] = values
     return out
 
 
 def take_index(tape, a, index):
     """Select a leading-axis slice a[index] of a parameter tensor."""
     av = _val(a)
-    out = Tensor(av[index])
-
-    def back():
-        if out.grad is None:
-            return
-        g = np.zeros_like(av)
-        g[index] = out.grad
-        _acc(a, g)
-
-    tape.record(back)
-    return out
+    return _result(tape, av[index], (a,),
+                   lambda g: _acc(a, lambda: _placed(av.shape, index, g)))
 
 
 def gather_rows(tape, a, idx):
     """a[..., idx, :] for unique row indices."""
     av = _val(a)
-    out = Tensor(av[..., idx, :])
-
-    def back():
-        if out.grad is None:
-            return
-        g = np.zeros_like(av)
-        g[..., idx, :] = out.grad
-        _acc(a, g)
-
-    tape.record(back)
-    return out
+    rows = (..., idx, slice(None))
+    return _result(tape, av[rows], (a,),
+                   lambda g: _acc(a, lambda: _placed(av.shape, rows, g)))
 
 
 def scatter_rows(tape, a, idx, n_rows, trailing=1):
@@ -296,42 +274,27 @@ def scatter_rows(tape, a, idx, n_rows, trailing=1):
     axis = av.ndim - 1 - trailing
     shape = list(av.shape)
     shape[axis] = n_rows
-    buf = np.zeros(shape)
     sl = [slice(None)] * av.ndim
     sl[axis] = idx
-    buf[tuple(sl)] = av
-    out = Tensor(buf)
-
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, out.grad[tuple(sl)])
-
-    tape.record(back)
-    return out
+    sl = tuple(sl)
+    return _result(tape, _placed(shape, sl, av), (a,),
+                   lambda g: _acc(a, lambda: g[sl]))
 
 
 def activation(tape, a, kind, slope=0.2):
-    av = _val(a)
+    """Pointwise nonlinearity; "identity" returns ``a`` itself and records
+    nothing."""
     if kind == "identity":
-        factor = np.ones_like(av)
-        out = Tensor(av.copy())
-    elif kind == "relu":
+        return a
+    av = _val(a)
+    if kind == "relu":
         factor = (av > 0).astype(np.float64)
-        out = Tensor(av * factor)
     elif kind == "leaky_relu":
         factor = _leaky_factor(av, slope)
-        out = Tensor(av * factor)
     else:
         raise ValueError(f"unknown nonlinearity {kind!r}")
-
-    def back():
-        if out.grad is None:
-            return
-        _acc(a, out.grad * factor)
-
-    tape.record(back)
-    return out
+    return _result(tape, av * factor, (a,),
+                   lambda g: _acc(a, lambda: g * factor))
 
 
 def block_mix(tape, x, a, block_of_node):
@@ -341,22 +304,21 @@ def block_mix(tape, x, a, block_of_node):
     """
     xv, av = _val(x), _val(a)
     a_exp = av[block_of_node]
-    out = Tensor(np.einsum("...nf,nfg->...ng", xv, a_exp))
 
-    def back():
-        if out.grad is None:
-            return
-        g = out.grad
-        _acc(x, np.einsum("...ng,nfg->...nf", g, a_exp))
+    def a_adjoint(g):
         xb = xv.reshape(-1, xv.shape[-2], xv.shape[-1])
         gb = g.reshape(-1, g.shape[-2], g.shape[-1])
         contrib = np.einsum("bnf,bng->nfg", xb, gb)
         da = np.zeros_like(av)
         np.add.at(da, block_of_node, contrib)
-        _acc(a, da)
+        return da
 
-    tape.record(back)
-    return out
+    def back(g):
+        _acc(x, lambda: np.einsum("...ng,nfg->...nf", g, a_exp))
+        _acc(a, lambda: a_adjoint(g))
+
+    return _result(tape, np.einsum("...nf,nfg->...ng", xv, a_exp), (x, a),
+                   back)
 
 
 def jacobi_shift_values(tape, gamma, s_off, d_off_rows):
@@ -366,19 +328,15 @@ def jacobi_shift_values(tape, gamma, s_off, d_off_rows):
     the stored off-diagonal values and the diagonal of their rows. The
     gamma adjoint is the analytic -(D - gamma I)^{-2}(S - D) contraction.
     """
-    gv = np.atleast_2d(_val(gamma))
+    gv = _val(gamma)
     s = s_off[:, None, None]
-    denom = d_off_rows[:, None, None] - gv
-    out = Tensor(-s / denom)
+    denom = d_off_rows[:, None, None] - np.atleast_2d(gv)
 
-    def back():
-        if out.grad is None:
-            return
-        dgam = (out.grad * (-s / (denom * denom))).sum(axis=0)
-        _acc(gamma, _unbroadcast(dgam, _val(gamma).shape))
+    def back(g):
+        _acc(gamma, lambda: _unbroadcast(
+            (g * (-s / (denom * denom))).sum(axis=0), gv.shape))
 
-    tape.record(back)
-    return out
+    return _result(tape, -s / denom, (gamma,), back)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +351,12 @@ def spmm_const(tape, S, x, S_transpose=None):
     xv = _val(x)
     if xv.ndim < 2:
         raise ValueError("spmm_const expects (..., n, f) input")
-    out = Tensor(spmm(S, xv))
-    St = S_transpose if S_transpose is not None else S.transpose()
 
-    def back():
-        if out.grad is None:
-            return
-        _acc(x, spmm(St, out.grad))
+    def back(g):
+        _acc(x, lambda: spmm(
+            S_transpose if S_transpose is not None else S.transpose(), g))
 
-    tape.record(back)
-    return out
+    return _result(tape, spmm(S, xv), (x,), back)
 
 
 def spmm_values(tape, vals, x, pattern):
@@ -413,17 +367,13 @@ def spmm_values(tape, vals, x, pattern):
     """
     vv, xv = _val(vals), _val(x)
     op = _Product(pattern, vv, per_sample=vv.ndim > 1)
-    out = Tensor(op.apply(xv, 1))
 
-    def back():
-        if out.grad is None:
-            return
-        g = out.grad
-        _acc(vals, _unbroadcast(op.values_adjoint(g, xv, 1), vv.shape))
-        _acc(x, op.apply_transposed(g, 1))
+    def back(g):
+        _acc(vals, lambda: _unbroadcast(op.values_adjoint(g, xv, 1),
+                                        vv.shape))
+        _acc(x, lambda: op.apply_transposed(g, 1))
 
-    tape.record(back)
-    return out
+    return _result(tape, op.apply(xv, 1), (vals, x), back)
 
 
 def spmm_pairwise(tape, vals, z, pattern):
@@ -434,17 +384,13 @@ def spmm_pairwise(tape, vals, z, pattern):
     """
     vv, zv = _val(vals), _val(z)
     op = _Product(pattern, vv)
-    out = Tensor(op.apply(zv, 2))
 
-    def back():
-        if out.grad is None:
-            return
-        g = out.grad
-        _acc(vals, _unbroadcast(op.values_adjoint(g, zv, 2), vv.shape))
-        _acc(z, _unbroadcast(op.apply_transposed(g, 2), zv.shape))
+    def back(g):
+        _acc(vals, lambda: _unbroadcast(op.values_adjoint(g, zv, 2),
+                                        vv.shape))
+        _acc(z, lambda: _unbroadcast(op.apply_transposed(g, 2), zv.shape))
 
-    tape.record(back)
-    return out
+    return _result(tape, op.apply(zv, 2), (vals, z), back)
 
 
 # ---------------------------------------------------------------------------
@@ -456,18 +402,13 @@ def edge_score(tape, h, e, pattern, slope):
     hv, ev = _val(h), _val(e)
     E = ev.reshape(2, -1)
     scores, factor = _edge_scores(hv @ E.T, pattern, slope)
-    out = Tensor(scores)
 
-    def back():
-        if out.grad is None:
-            return
-        D = _edge_scores_adjoint(out.grad * factor, pattern)
-        dh, dEt = _projection_adjoint(D, hv, E.T)
-        _acc(h, dh)
-        _acc(e, dEt.T.ravel())
+    def back(g):
+        D = _edge_scores_adjoint(g * factor, pattern)
+        _acc(h, lambda: D @ E)
+        _acc(e, lambda: _projection_weight_adjoint(D, hv).T.ravel())
 
-    tape.record(back)
-    return out
+    return _result(tape, scores, (h, e), back)
 
 
 def support_softmax(tape, scores, pattern, weights=None):
@@ -475,16 +416,13 @@ def support_softmax(tape, scores, pattern, weights=None):
     per-entry weights multiply the scores first."""
     sv = _val(scores)
     vals = _row_softmax(sv * weights if weights is not None else sv, pattern)
-    out = Tensor(vals)
 
-    def back():
-        if out.grad is None:
-            return
-        dz = _row_softmax_adjoint(out.grad, vals, pattern)
-        _acc(scores, dz * weights if weights is not None else dz)
+    def adjoint(g):
+        dz = _row_softmax_adjoint(g, vals, pattern)
+        return dz * weights if weights is not None else dz
 
-    tape.record(back)
-    return out
+    return _result(tape, vals, (scores,),
+                   lambda g: _acc(scores, lambda: adjoint(g)))
 
 
 def attention_shift(tape, x, b, e, pattern, slope, weights=None):
@@ -503,19 +441,15 @@ def attention_shift(tape, x, b, e, pattern, slope, weights=None):
     scores, factor = _edge_scores(xv @ W, pattern, slope)
     vals = _row_softmax(scores * weights if weights is not None else scores,
                         pattern)
-    out = Tensor(vals)
 
-    def back():
-        if out.grad is None:
-            return
-        dz = _row_softmax_adjoint(out.grad, vals, pattern)
+    def back(g):
+        dz = _row_softmax_adjoint(g, vals, pattern)
         if weights is not None:
             dz = dz * weights
         D = _edge_scores_adjoint(dz * factor, pattern)
-        dx, dW = _projection_adjoint(D, xv, W)
-        _acc(x, dx)
-        _acc(b, dW @ E)
-        _acc(e, (dW.T @ bv).ravel())
+        _acc(x, lambda: D @ W.T)
+        dW = _projection_weight_adjoint(D, xv)
+        _acc(b, lambda: dW @ E)
+        _acc(e, lambda: (dW.T @ bv).ravel())
 
-    tape.record(back)
-    return out
+    return _result(tape, vals, (x, b, e), back)

@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import IncompatibleDims, SingularDiagonal
+from ..errors import ConfigError, IncompatibleDims, SingularDiagonal
 from ..filters import EPS_SING
 from ..sparse import support_mask
 from . import autograd as ag
 from .autograd import Tape, Tensor
+
+
+def _check_choice(field, value, choices):
+    """Raise ConfigError naming ``field`` unless value is one of choices."""
+    if value not in choices:
+        raise ConfigError(f"field '{field}' must be one of "
+                          f"{', '.join(map(repr, choices))}, not {value!r}")
 
 
 class ShiftContext:
@@ -78,6 +85,8 @@ class GnnLayer:
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  use_bias=True):
+        _check_choice("nonlinearity", nonlinearity,
+                      ("identity", "relu", "leaky_relu"))
         self.f_in = f_in
         self.f_out = f_out
         self.order = order
@@ -163,6 +172,11 @@ class BlockVaryingLayer(GnnLayer):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         self.block_of_node = np.asarray(block_of_node, dtype=np.int64)
         self.n_blocks = int(n_blocks)
+        if self.block_of_node.ndim != 1 or np.any(
+                (self.block_of_node < 0) | (self.block_of_node >= n_blocks)):
+            raise IncompatibleDims(
+                f"block_of_node must be a 1-D list of blocks in "
+                f"[0, {self.n_blocks})")
         self.coeffs = [Tensor(np.zeros((n_blocks, f_in, f_out)), name="block")
                        for _ in range(order + 1)]
 
@@ -410,8 +424,7 @@ class EdgeVaryingGatLayer(GnnLayer):
                  phi0_mode="attention", weighted=False, slope=0.2,
                  use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
-        if phi0_mode not in ("attention", "identity"):
-            raise ValueError("phi0_mode must be 'attention' or 'identity'")
+        _check_choice("phi0_mode", phi0_mode, ("attention", "identity"))
         self.phi0_mode = phi0_mode
         self.weighted = weighted
         n_heads = order + 1 if phi0_mode == "attention" else order
@@ -529,6 +542,8 @@ class Model:
 
     def __init__(self, layers, n_nodes, n_outputs, output="softmax",
                  readout_mode="flatten"):
+        _check_choice("output", output, ("softmax", "linear"))
+        _check_choice("readout_mode", readout_mode, ("flatten", "mean_pool"))
         for a, b in zip(layers[:-1], layers[1:]):
             if a.f_out != b.f_in:
                 raise IncompatibleDims("adjacent layer features must chain")
@@ -570,10 +585,13 @@ class Model:
             layer.post_update(ctx)
 
     def features(self, ctx, X0, tape=None):
-        """Layer-stack output (the permutation-equivariance surface)."""
+        """Layer-stack output (the permutation-equivariance surface).
+
+        An array X0 stays a constant, so the backward spends no work on
+        its adjoint; pass a Tensor to get dL/dX0 in its ``grad``.
+        """
         tape = tape if tape is not None else Tape()
-        Z = Tensor(np.asarray(X0, dtype=np.float64)) \
-            if not isinstance(X0, Tensor) else X0
+        Z = X0 if isinstance(X0, Tensor) else np.asarray(X0, dtype=np.float64)
         for layer in self.layers:
             Z = layer.forward(tape, ctx, Z)
         return Z, tape
@@ -582,14 +600,11 @@ class Model:
         """Logits through the readout; returns (logits Tensor, tape)."""
         Z, tape = self.features(ctx, X0)
         if self.readout_mode == "flatten":
-            v = Z.value
-            flat_shape = v.shape[:-2] + (v.shape[-2] * v.shape[-1],)
-            F = ag.reshape(tape, Z, flat_shape)
-        elif self.readout_mode == "mean_pool":
+            shape = Z.shape
+            F = ag.reshape(tape, Z, shape[:-2] + (shape[-2] * shape[-1],))
+        else:
             F = ag.scale(tape, ag.sum_axis(tape, Z, axis=-2),
                          1.0 / self.n_nodes)
-        else:
-            raise ValueError(f"unknown readout mode {self.readout_mode!r}")
         logits = ag.add(tape, ag.matmul(tape, F, self.readout_w),
                         self.readout_b)
         tape.output = logits

@@ -48,36 +48,39 @@ def _pattern_payload(p):
             "col_idx": p.col_idx.tolist()}
 
 
-def _pattern_from(d, key, where, n_nodes):
+def _pattern_from(d, key, n_nodes):
     """The validated pattern stored under ``key`` of a layer record."""
     payload = d[key]
     try:
         p = Pattern(payload["n"], payload["n"], payload["row_ptr"],
                     payload["col_idx"])
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{where}: invalid {key}: {exc}") from exc
+        raise ConfigError(f"invalid {key}: {exc}") from exc
     if p.n_rows != n_nodes:
-        raise ConfigError(f"{where}: {key} has {p.n_rows} nodes, "
+        raise ConfigError(f"{key} has {p.n_rows} nodes, "
                           f"the model has {n_nodes}")
     return p
 
 
-def _integer(d, key, where):
+def _integer(d, key):
     """The non-negative integer under ``key``, or ConfigError naming it."""
     value = d[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ConfigError(f"{where}: field '{key}' must be a non-negative "
+        raise ConfigError(f"field '{key}' must be a non-negative "
                           f"integer, not {value!r}")
     return value
 
 
-def _integers(d, key, where):
-    """The list of integers under ``key``, or ConfigError naming it."""
+def _integers(d, key, length=None):
+    """The list of integers under ``key``, of ``length`` entries when
+    given, or ConfigError naming it."""
     value = d[key]
     if not isinstance(value, list) or any(
             isinstance(v, bool) or not isinstance(v, int) for v in value):
-        raise ConfigError(
-            f"{where}: field '{key}' must be a list of integers")
+        raise ConfigError(f"field '{key}' must be a list of integers")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"field '{key}' has {len(value)} entries, "
+                          f"the model has {length} nodes")
     return value
 
 
@@ -90,31 +93,31 @@ def _layer_payload(layer):
     return d
 
 
-def _layer_from(d, where, n_nodes):
+def _layer_from(d, n_nodes):
     kind = d["kind"]
-    args = tuple(_integer(d, key, where) for key in ("f_in", "f_out", "order"))
+    args = tuple(_integer(d, key) for key in ("f_in", "f_out", "order"))
     nl = d["nonlinearity"]
     bias = d.get("use_bias", True)
     if kind == "polynomial":
         return PolynomialLayer(*args, nonlinearity=nl, use_bias=bias)
     if kind == "block_varying":
         return BlockVaryingLayer(
-            *args, block_of_node=_integers(d, "block_of_node", where),
-            n_blocks=_integer(d, "n_blocks", where), nonlinearity=nl,
+            *args, block_of_node=_integers(d, "block_of_node", n_nodes),
+            n_blocks=_integer(d, "n_blocks"), nonlinearity=nl,
             use_bias=bias)
     if kind == "edge_varying":
         return EdgeVaryingLayer(
-            *args, pattern=_pattern_from(d, "pattern", where, n_nodes),
+            *args, pattern=_pattern_from(d, "pattern", n_nodes),
             nonlinearity=nl, use_bias=bias)
     if kind == "hybrid":
-        masked = _pattern_from(d, "masked_pattern", where, n_nodes)
-        return HybridLayer(*args, important=_integers(d, "important", where),
+        masked = _pattern_from(d, "masked_pattern", n_nodes)
+        return HybridLayer(*args, important=_integers(d, "important"),
                            masked_pattern=masked, nonlinearity=nl,
                            use_bias=bias)
     if kind == "arma":
         f_in, f_out, order = args
-        return ArmaLayer(f_in, f_out, _integer(d, "n_poles", where), order,
-                         _integer(d, "jacobi_order", where), nonlinearity=nl,
+        return ArmaLayer(f_in, f_out, _integer(d, "n_poles"), order,
+                         _integer(d, "jacobi_order"), nonlinearity=nl,
                          use_bias=bias)
     if kind == "gcat":
         layer = GcatLayer(*args, nonlinearity=nl, use_bias=bias,
@@ -173,15 +176,17 @@ def load_model(path, shift=None):
     try:
         arch = doc["architecture"]
         if not isinstance(arch, dict):
-            raise ConfigError("architecture must be an object")
-        n_nodes = _integer(arch, "n_nodes", "architecture")
+            raise ConfigError("must be an object")
+        n_nodes = _integer(arch, "n_nodes")
         records = arch["layers"]
         if not isinstance(records, list):
-            raise ConfigError("architecture: field 'layers' must be a list")
-        head = dict(n_outputs=_integer(arch, "n_outputs", "architecture"),
+            raise ConfigError("field 'layers' must be a list")
+        head = dict(n_outputs=_integer(arch, "n_outputs"),
                     output=arch["output"], readout_mode=arch["readout_mode"])
     except KeyError as exc:
         raise ConfigError(f"architecture: missing field {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"architecture: {exc}") from exc
     layers = []
     for i, d in enumerate(records):
         if not isinstance(d, dict):
@@ -190,12 +195,15 @@ def load_model(path, shift=None):
                 f"{type(d).__name__}")
         where = f"layer {i} ({d.get('kind')})"
         try:
-            layers.append(_layer_from(d, where, n_nodes))
+            layers.append(_layer_from(d, n_nodes))
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}") from None
-        except IncompatibleDims as exc:
+        except (ConfigError, IncompatibleDims) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    model = Model(layers, n_nodes, **head)
+    try:
+        model = Model(layers, n_nodes, **head)
+    except (ConfigError, IncompatibleDims) as exc:
+        raise ConfigError(f"architecture: {exc}") from exc
     live = model.parameters()
     try:
         stored = doc["parameters"]

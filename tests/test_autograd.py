@@ -213,6 +213,127 @@ class TestAttentionPrimitives:
             [x, b, e], tol=1e-5)
 
 
+def _constant_operand_cases():
+    """name -> build(tape, wrap): one call of each primitive, whose
+    operands are wrap(array)."""
+    rng = np.random.default_rng(50)
+    pat = ring_pattern(5)
+    S = SparseMatrix.from_dense(pat.matrix(rng.normal(size=pat.nnz))
+                                .to_dense())
+    x = rng.normal(size=(2, 5, 3))
+    y = rng.normal(size=(2, 5, 3))
+    m = rng.normal(size=(3, 4))
+    blocks = np.array([0, 1, 0, 0, 1])
+    a = rng.normal(size=(2, 3, 4))
+    vals = rng.normal(size=pat.nnz)
+    pair = rng.normal(size=(pat.nnz, 3, 4))
+    gamma = rng.normal(size=(3, 4)) + 4.0
+    b = rng.normal(size=(3, 2))
+    e = rng.normal(size=(4,))
+    e6 = rng.normal(size=(6,))
+    scores = rng.normal(size=(2, pat.nnz))
+    idx = np.array([1, 3])
+    return {
+        "add": lambda t, w: ag.add(t, w(x), w(y)),
+        "sub": lambda t, w: ag.sub(t, w(x), w(y)),
+        "mul": lambda t, w: ag.mul(t, w(x), w(y)),
+        "scale": lambda t, w: ag.scale(t, w(x), 0.3),
+        "reciprocal": lambda t, w: ag.reciprocal(t, w(y)),
+        "matmul": lambda t, w: ag.matmul(t, w(x), w(m)),
+        "reshape": lambda t, w: ag.reshape(t, w(x), (2, 15)),
+        "concat": lambda t, w: ag.concat(t, [w(x), w(y)], -1),
+        "expand_last": lambda t, w: ag.expand_last(t, w(x)),
+        "sum_axis": lambda t, w: ag.sum_axis(t, w(x), -2),
+        "take_index": lambda t, w: ag.take_index(t, w(x), 1),
+        "gather_rows": lambda t, w: ag.gather_rows(t, w(x), idx),
+        "scatter_rows": lambda t, w: ag.scatter_rows(t, w(x[:, :2]), idx, 7),
+        "relu": lambda t, w: ag.activation(t, w(x), "relu"),
+        "leaky_relu": lambda t, w: ag.activation(t, w(x), "leaky_relu"),
+        "block_mix": lambda t, w: ag.block_mix(t, w(x), w(a), blocks),
+        "jacobi_shift_values": lambda t, w: ag.jacobi_shift_values(
+            t, w(gamma), vals, vals + 9.0),
+        "spmm_const": lambda t, w: ag.spmm_const(t, S, w(x)),
+        "spmm_values": lambda t, w: ag.spmm_values(t, w(vals), w(x), pat),
+        "spmm_pairwise": lambda t, w: ag.spmm_pairwise(
+            t, w(pair), ag.expand_last(t, w(x)), pat),
+        "edge_score": lambda t, w: ag.edge_score(t, w(x), w(e6), pat, 0.2),
+        "support_softmax": lambda t, w: ag.support_softmax(t, w(scores),
+                                                           pat),
+        "attention_shift": lambda t, w: ag.attention_shift(
+            t, w(x), w(b), w(e), pat, 0.2, weights=vals),
+    }
+
+
+CONSTANT_CASES = _constant_operand_cases()
+
+
+class TestConstantOperands:
+    """Only Tensors cost adjoint work: constant operands get none, and a
+    primitive of constants only records nothing."""
+
+    @pytest.mark.parametrize("name", sorted(CONSTANT_CASES))
+    def test_all_constant_primitive_records_nothing(self, name):
+        build = CONSTANT_CASES[name]
+        tape = Tape()
+        out = build(tape, lambda v: v)
+        assert isinstance(out, ag.Constant) and not isinstance(out, Tensor)
+        assert len(tape._records) == 0
+        ref = build(Tape(), Tensor)
+        assert isinstance(ref, Tensor)
+        assert out.value.tobytes() == ref.value.tobytes()
+
+    def test_constant_result_is_a_constant_operand(self):
+        rng = np.random.default_rng(51)
+        S = SparseMatrix.from_dense(ring_pattern(4).matrix(
+            rng.normal(size=8)).to_dense())
+        tape = Tape()
+        z = ag.spmm_const(tape, S, ag.spmm_const(tape, S, rng.normal(
+            size=(4, 2))))
+        w = Tensor(rng.normal(size=(2, 3)))
+        out = ag.matmul(tape, z, w)
+        assert isinstance(z, ag.Constant) and len(tape._records) == 1
+        tape.backward(out, np.ones(out.shape))
+        assert np.allclose(w.grad, z.value.sum(axis=0)[:, None])
+
+    @pytest.mark.parametrize("primitive", ["spmm_values", "spmm_pairwise"])
+    def test_constant_operand_takes_no_transposed_product(self, primitive,
+                                                          monkeypatch):
+        from graphfilt.sparse import _Product
+        rng = np.random.default_rng(52)
+        pat = ring_pattern(5)
+        if primitive == "spmm_values":
+            v0, x0 = rng.normal(size=pat.nnz), rng.normal(size=(2, 5, 3))
+        else:
+            v0 = rng.normal(size=(pat.nnz, 3, 2))
+            x0 = rng.normal(size=(2, 5, 3, 1))
+        calls = []
+        transposed = _Product.apply_transposed
+
+        def counted(op, G, trailing):
+            calls.append(trailing)
+            return transposed(op, G, trailing)
+
+        monkeypatch.setattr(_Product, "apply_transposed", counted)
+        grads = []
+        for x in (x0, Tensor(x0)):
+            del calls[:]
+            vals, tape = Tensor(v0), Tape()
+            out = getattr(ag, primitive)(tape, vals, x, pat)
+            tape.backward(out, np.ones(out.shape))
+            grads.append(vals.grad)
+            assert len(calls) == isinstance(x, Tensor)
+        assert grads[0].tobytes() == grads[1].tobytes()
+
+    def test_mixed_concat_splits_the_adjoint_to_tensors_only(self):
+        rng = np.random.default_rng(53)
+        x, t = rng.normal(size=(3, 2)), Tensor(rng.normal(size=(3, 4)))
+        tape = Tape()
+        out = ag.concat(tape, [x, t], -1)
+        g = rng.normal(size=(3, 6))
+        tape.backward(out, g)
+        assert np.array_equal(t.grad, g[:, 2:])
+
+
 class TestActivation:
     def test_relu_subgradient_zero_at_zero(self):
         tape = Tape()
@@ -244,6 +365,14 @@ class TestActivation:
         tape.backward(out, np.ones_like(x))
         assert a.grad.tobytes() == where_factor.tobytes()
         assert leaky_relu(x, slope).tobytes() == out.value.tobytes()
+
+    @pytest.mark.parametrize("operand", ["tensor", "array"])
+    def test_identity_returns_its_operand_and_records_nothing(self, operand):
+        x = np.random.default_rng(54).normal(size=(2, 3))
+        a = Tensor(x) if operand == "tensor" else x
+        tape = Tape()
+        assert ag.activation(tape, a, "identity") is a
+        assert len(tape._records) == 0
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -784,6 +784,74 @@ def test_two_layer_gradients_with_several_input_features(family):
     assert rep.passed, rep.summary()
 
 
+# -- constant input: an array X0 takes no adjoint work ---------------------
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("f_in", [1, 3])
+@pytest.mark.parametrize("family,tied", (
+    [(f, False) for f in sorted(FAMILIES)]
+    + [(f, True) for f in ("gat", "gcat", "ev_gat", "hybrid_gcat")]))
+def test_array_input_leaves_parameter_gradients_bitwise_equal(
+        family, tied, f_in, graph, monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    layer = FAMILIES[family](f_in, 2, ctx, np.array([1, 4]))
+    if tied:
+        tie_attention_to_mixing(layer)
+    model = Model([layer], ctx.n, 2)
+    rng = np.random.default_rng(41)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, 2))
+
+    def run(X):
+        model.zero_grad()
+        Z, tape = model.features(ctx, X)
+        tape.backward(Z, weights)
+        return Z.value, [t.grad for _, t in model.parameters()[:-2]]
+
+    out, grads = run(X0)
+    X = Tensor(X0)
+    t_out, t_grads = run(X)
+    assert out.tobytes() == t_out.tobytes()
+    assert len(grads) == len(t_grads) > 0
+    for g, ref in zip(grads, t_grads):
+        assert g.tobytes() == ref.tobytes()
+    # a Tensor input still gets dL/dX, equal to the per-hop reference's
+    _, _, ref_x_grad = _run_layer(
+        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X,
+                                               monkeypatch), X0, weights)
+    assert _rel(X.grad, ref_x_grad) <= 1e-12
+
+
+def _counting(monkeypatch, owner, name):
+    """Count the calls of owner.name from now on; returns the counter."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("as_tensor,transposed", [(False, 0), (True, 3)])
+def test_gcnn_backward_runs_no_shift_product_for_an_array_input(
+        as_tensor, transposed, monkeypatch):
+    ctx = dense_context()
+    layer = PolynomialLayer(2, 3, 3)
+    model = Model([layer], ctx.n, 2)
+    rng = np.random.default_rng(43)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(4, ctx.n, 2))
+    logits, tape = model.forward(ctx, Tensor(X0) if as_tensor else X0)
+    calls = _counting(monkeypatch, ag, "spmm")
+    tape.backward(output_grad=rng.normal(size=logits.shape))
+    assert len(calls) == transposed
+    assert layer.mixing[0].grad is not None
+
+
 # -- attention: the fused shift against the three-record chain -------------
 
 def three_record_shift_values(head, tape, ctx, X, weighted):
@@ -918,6 +986,31 @@ class TestHybridValidatesStructure:
             3 * 1 * 2 + layer.masked_pattern.nnz * 1 * 2 + 2 * 1 * 2)
 
 
+class TestConstructorsRejectOutOfRangeValues:
+    def test_layer_rejects_unknown_nonlinearity(self):
+        with pytest.raises(ConfigError, match="field 'nonlinearity' must be "
+                           "one of 'identity', 'relu', 'leaky_relu', "
+                           "not 'tanh'"):
+            PolynomialLayer(1, 2, 1, nonlinearity="tanh")
+
+    def test_ev_gat_rejects_unknown_phi0_mode(self):
+        with pytest.raises(ConfigError, match="field 'phi0_mode'"):
+            EdgeVaryingGatLayer(1, 2, 1, phi0_mode="bogus")
+
+    @pytest.mark.parametrize("blocks", [[0, 1, 2, 99, 0, 1],
+                                        [0, 1, 2, 3, 0, 1],
+                                        [0, -1, 2, 0, 1, 2],
+                                        [[0, 1, 2, 0, 1, 2]]])
+    def test_block_layer_rejects_blocks_out_of_range(self, blocks):
+        with pytest.raises(IncompatibleDims, match=r"1-D .*\[0, 3\)"):
+            BlockVaryingLayer(1, 2, 1, blocks, 3)
+
+    @pytest.mark.parametrize("key", ["output", "readout_mode"])
+    def test_model_rejects_unknown_head(self, key):
+        with pytest.raises(ConfigError, match=f"field '{key}'"):
+            Model([PolynomialLayer(1, 2, 1)], 6, 2, **{key: "bogus"})
+
+
 class TestLoadChecksFields:
     """Model files with missing fields or a hybrid structure that does not
     fit raise ConfigError naming where the fault is."""
@@ -977,6 +1070,63 @@ class TestLoadChecksFields:
         _, doc = self._saved(tmp_path)
         doc["architecture"]["layers"][layer][key] = value
         with pytest.raises(ConfigError, match=rf"^layer {layer} .*{message}"):
+            self._load(tmp_path, doc)
+
+    @staticmethod
+    def _saved_with(tmp_path, layers):
+        import json
+        ctx = ctx_for()
+        model = Model(layers, 6, 2)
+        init_params(model, np.random.default_rng(5), shift=ctx)
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        return json.loads(path.read_text())
+
+    def test_unknown_nonlinearity_named(self, tmp_path):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][0]["nonlinearity"] = "tanh"
+        with pytest.raises(ConfigError, match=(
+                r"^layer 0 \(edge_varying\): field 'nonlinearity' must be "
+                "one of")):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("kind", ["ev_gat", "hybrid_gcat"])
+    def test_unknown_phi0_mode_named(self, tmp_path, kind):
+        layer = (EdgeVaryingGatLayer(1, 2, 1) if kind == "ev_gat"
+                 else HybridGcatLayer(1, 2, 1))
+        doc = self._saved_with(tmp_path, [layer])
+        record = doc["architecture"]["layers"][0]
+        (record if kind == "ev_gat" else record["gat"])["phi0_mode"] = "bogus"
+        with pytest.raises(ConfigError, match=(
+                rf"^layer 0 \({kind}\): field 'phi0_mode' must be one of")):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("blocks,message", [
+        ([0, 1, 2, 99, 0, 1], r"block_of_node must be .*\[0, 3\)"),
+        ([0, 1, 2, 0, 1], "field 'block_of_node' has 5 entries, the model "
+                          "has 6 nodes"),
+    ])
+    def test_block_of_node_checked(self, tmp_path, blocks, message):
+        layer = BlockVaryingLayer(1, 2, 1, np.arange(6) % 3, 3)
+        doc = self._saved_with(tmp_path, [layer])
+        doc["architecture"]["layers"][0]["block_of_node"] = blocks
+        with pytest.raises(ConfigError, match=(
+                rf"^layer 0 \(block_varying\): {message}")):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("key", ["output", "readout_mode"])
+    def test_unknown_model_head_named(self, tmp_path, key):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"][key] = "bogus"
+        with pytest.raises(ConfigError, match=(
+                f"^architecture: field '{key}' must be one of")):
+            self._load(tmp_path, doc)
+
+    def test_layers_that_do_not_chain_named(self, tmp_path):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][1]["f_in"] = 3
+        with pytest.raises(ConfigError, match=(
+                "^architecture: adjacent layer features must chain")):
             self._load(tmp_path, doc)
 
     def test_layer_record_that_is_not_an_object(self, tmp_path):
