@@ -10,6 +10,7 @@ import numpy as np
 from ..errors import DegenerateColumn, DimensionMismatch, ParseError
 from ..graphs import (Graph, block_labels, build_shift, load_graph,
                       sbm_generate, write_edge_list)
+from ..nn import ShiftContext
 from ..sparse import SparseMatrix, power_iteration_lambda_max, spmv
 
 
@@ -29,10 +30,19 @@ class Dataset:
     splits: dict = field(default_factory=dict)
     n_outputs: int = 0
     meta: dict = field(default_factory=dict)
+    _context: ShiftContext = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def is_classification(self):
         return self.labels is not None
+
+    def context(self):
+        """The ShiftContext of S, built on first use and rebuilt only
+        after S is replaced."""
+        if self._context is None or self._context.S is not self.S:
+            self._context = ShiftContext(self.S)
+        return self._context
 
     def split_arrays(self, split):
         idx = self.splits[split]

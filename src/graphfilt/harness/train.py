@@ -11,8 +11,8 @@ from ..graphs import select_nodes
 from ..nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                   EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                   HybridGcatLayer, HybridLayer, Model, PolynomialLayer,
-                  ShiftContext, adam_step, cross_entropy, init_params,
-                  smooth_l1, tie_attention_to_mixing)
+                  adam_step, cross_entropy, init_params, smooth_l1,
+                  tie_attention_to_mixing)
 from .data import build_dataset
 
 
@@ -114,10 +114,16 @@ def _forward_batch(model, ctx, xb):
     return model.forward(ctx, xb[:, :, None])
 
 
+def _require_samples(dataset, split):
+    if len(dataset.splits[split]) == 0:
+        raise ConfigError(f"split {split!r} is empty")
+
+
 def evaluate(model, dataset, split, cfg=None, chunk=1024):
     """Loss plus error rate (classification) or RMSE over observed
-    entries (regression) on one split."""
-    ctx = ShiftContext(dataset.S)
+    entries (regression) on one split; an empty split raises ConfigError."""
+    _require_samples(dataset, split)
+    ctx = dataset.context()
     X, y, mask = dataset.split_arrays(split)
     losses = []
     hits = 0.0
@@ -135,14 +141,14 @@ def evaluate(model, dataset, split, cfg=None, chunk=1024):
             mb = mask[start:start + chunk]
             delta = cfg.dataset["smooth_l1_delta"] if cfg else 1.0
             loss, _ = smooth_l1(lv, yb, delta, mask=mb)
-            losses.append((loss / max(len(xb), 1), len(xb)))
+            losses.append((loss / len(xb), len(xb)))
             resid = (lv - yb) * mb
             sq_sum += float(np.sum(resid * resid))
             sq_n += float(np.sum(mb))
     total = sum(n for _, n in losses)
-    loss = sum(l * n for l, n in losses) / max(total, 1)
+    loss = sum(l * n for l, n in losses) / total
     if dataset.is_classification:
-        metric = 1.0 - hits / max(total, 1)
+        metric = 1.0 - hits / total
     else:
         metric = float(np.sqrt(sq_sum / max(sq_n, 1.0)))
     return loss, metric
@@ -151,8 +157,9 @@ def evaluate(model, dataset, split, cfg=None, chunk=1024):
 def train(cfg, dataset):
     """Seeded training; returns (best-validation model, metric records).
 
-    A non-finite batch loss, parameter gradient or validation loss raises
-    NonFiniteValue naming the epoch, plus the batch start and the
+    An empty train or val split raises ConfigError before the first
+    epoch. A non-finite batch loss, parameter gradient or validation loss
+    raises NonFiniteValue naming the epoch, plus the batch start and the
     parameter where they apply.
 
     The wall-time column is recorded only when cfg.timing is set, so the
@@ -161,7 +168,9 @@ def train(cfg, dataset):
     _, init_seq, shuffle_seq = np.random.SeedSequence(cfg.seed).spawn(3)
     init_rng = np.random.default_rng(init_seq)
     shuffle_rng = np.random.default_rng(shuffle_seq)
-    ctx = ShiftContext(dataset.S)
+    for split in ("train", "val"):
+        _require_samples(dataset, split)
+    ctx = dataset.context()
     model = build_model(cfg, ctx, dataset.n_outputs)
     init_params(model, init_rng, shift=ctx)
     state = AdamState([t for _, t in model.parameters()],
@@ -200,7 +209,7 @@ def train(cfg, dataset):
             raise NonFiniteValue(
                 f"epoch {epoch}: validation loss is {val_loss}")
         seconds = time.perf_counter() - t0 if cfg.timing else 0.0
-        records.append(MetricsRecord(epoch, epoch_loss / max(seen, 1),
+        records.append(MetricsRecord(epoch, epoch_loss / seen,
                                      val_loss, val_metric, seconds))
         if val_loss < best_loss:
             best_loss = val_loss

@@ -281,20 +281,38 @@ def scatter_rows(tape, a, idx, n_rows, trailing=1):
                    lambda g: _acc(a, lambda: g[sl]))
 
 
-def activation(tape, a, kind, slope=0.2):
-    """Pointwise nonlinearity; "identity" returns ``a`` itself and records
-    nothing."""
-    if kind == "identity":
+def activation(tape, a, kind, slope=0.2, bias=None):
+    """The layer tail sigma(a + bias) as one record, written into one new
+    array; "identity" without a bias returns ``a`` itself and records
+    nothing.
+
+    The backward reads the nonlinearity's mask from the output, which
+    keeps the sign of its input for relu and for leaky slopes >= 0, so no
+    factor array stays on the tape. A negative slope raises ValueError.
+    """
+    if kind not in ("identity", "relu", "leaky_relu"):
+        raise ValueError(f"unknown nonlinearity {kind!r}")
+    if kind == "leaky_relu" and not slope >= 0:
+        raise ValueError(f"leaky_relu slope must be >= 0, not {slope!r}")
+    if kind == "identity" and bias is None:
         return a
     av = _val(a)
+    bv = None if bias is None else _val(bias)
+    out = av.copy() if bv is None else av + bv
     if kind == "relu":
-        factor = (av > 0).astype(np.float64)
+        np.maximum(out, 0.0, out=out)
     elif kind == "leaky_relu":
-        factor = _leaky_factor(av, slope)
-    else:
-        raise ValueError(f"unknown nonlinearity {kind!r}")
-    return _result(tape, av * factor, (a,),
-                   lambda g: _acc(a, lambda: g * factor))
+        out *= _leaky_factor(out, slope)
+
+    def back(g):
+        if kind == "relu":
+            g = g * (out > 0)
+        elif kind == "leaky_relu":
+            g = g * _leaky_factor(out, slope)
+        _acc(a, lambda: _unbroadcast(g, av.shape))
+        _acc(bias, lambda: _unbroadcast(g, bv.shape))
+
+    return _result(tape, out, (a, bias), back)
 
 
 def block_mix(tape, x, a, block_of_node):

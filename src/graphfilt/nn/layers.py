@@ -113,9 +113,7 @@ class GnnLayer:
         return int(total)
 
     def _finish(self, tape, acc):
-        if self.bias is not None:
-            acc = ag.add(tape, acc, self.bias)
-        return ag.activation(tape, acc, self.nonlinearity)
+        return ag.activation(tape, acc, self.nonlinearity, bias=self.bias)
 
     def forward(self, tape, ctx, X):
         raise NotImplementedError

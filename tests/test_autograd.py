@@ -249,6 +249,8 @@ def _constant_operand_cases():
         "scatter_rows": lambda t, w: ag.scatter_rows(t, w(x[:, :2]), idx, 7),
         "relu": lambda t, w: ag.activation(t, w(x), "relu"),
         "leaky_relu": lambda t, w: ag.activation(t, w(x), "leaky_relu"),
+        "biased_relu": lambda t, w: ag.activation(t, w(x), "relu",
+                                                  bias=w(m[:, 0])),
         "block_mix": lambda t, w: ag.block_mix(t, w(x), w(a), blocks),
         "jacobi_shift_values": lambda t, w: ag.jacobi_shift_values(
             t, w(gamma), vals, vals + 9.0),
@@ -332,6 +334,76 @@ class TestConstantOperands:
         g = rng.normal(size=(3, 6))
         tape.backward(out, g)
         assert np.array_equal(t.grad, g[:, 2:])
+
+
+def reference_tail(tape, a, kind, slope=0.2, bias=None):
+    """The layer tail as it was before it was fused: an add record for the
+    bias, then the nonlinearity as a product with a factor array that the
+    backward keeps."""
+    if bias is not None:
+        a = ag.add(tape, a, bias)
+    if kind == "identity":
+        return a
+    av = ag._val(a)
+    if kind == "relu":
+        factor = (av > 0).astype(np.float64)
+    else:
+        factor = _leaky_factor(av, slope)
+    return ag._result(tape, av * factor, (a,),
+                      lambda g: ag._acc(a, lambda: g * factor))
+
+
+TAIL_KINDS = [("relu", 0.2), ("leaky_relu", 0.0), ("leaky_relu", 0.2),
+              ("leaky_relu", 1.5), ("identity", 0.2)]
+
+
+class TestFusedTail:
+    """activation(..., bias=) against the add + factor pair it replaced."""
+
+    @staticmethod
+    def _run(tail, kind, slope, operand, biased):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(3, 5, 4))
+        b = rng.normal(size=4)
+        x[0, 0] = -b                    # pre-activation exactly +0.0
+        x[0, 1, :2] = [0.0, -0.0]
+        a = Tensor(x) if operand == "tensor" else x
+        bias = Tensor(b) if biased else None
+        tape = Tape()
+        out = tail(tape, a, kind, slope=slope, bias=bias)
+        grads = []
+        if isinstance(out, Tensor):
+            tape.backward(out, rng.normal(size=x.shape))
+            grads = [t.grad for t in (a, bias) if isinstance(t, Tensor)]
+        return ag._val(out), grads, len(tape._records)
+
+    @pytest.mark.parametrize("operand", ["tensor", "array"])
+    @pytest.mark.parametrize("biased", [False, True])
+    @pytest.mark.parametrize("kind,slope", TAIL_KINDS)
+    def test_matches_the_add_and_factor_pair(self, kind, slope, biased,
+                                             operand):
+        out, grads, records = self._run(ag.activation, kind, slope,
+                                        operand, biased)
+        ref, ref_grads, _ = self._run(reference_tail, kind, slope, operand,
+                                      biased)
+        assert len(grads) == len(ref_grads)
+        for g, r in zip(grads, ref_grads):
+            assert g.tobytes() == r.tobytes()
+        if kind == "relu":
+            # max(x, 0) writes +0.0 where x * 0.0 wrote -0.0
+            assert np.array_equal(out, ref)
+            assert not np.signbit(out).any()
+        else:
+            assert out.tobytes() == ref.tobytes()
+        tensor_operand = operand == "tensor" or biased
+        assert records == int(tensor_operand and (kind != "identity"
+                                                  or biased))
+
+    @pytest.mark.parametrize("slope", [-0.2, float("nan")])
+    def test_negative_leaky_slope_raises(self, slope):
+        with pytest.raises(ValueError, match=f"slope.*{slope}"):
+            ag.activation(Tape(), Tensor(np.ones(3)), "leaky_relu",
+                          slope=slope)
 
 
 class TestActivation:

@@ -279,6 +279,60 @@ class TestTrainLoop:
                                  "of L0.poly"):
             train(cfg, ds)
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_empty_training_split_raises_before_the_first_epoch(
+            self, split, monkeypatch):
+        batches = []
+        monkeypatch.setattr(train_module, "_forward_batch",
+                            lambda *args: batches.append(args))
+        cfg = sbm_config(dataset={f"n_{split}": 0})
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match=f"split '{split}' is empty"):
+            train(cfg, ds)
+        assert batches == []
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_evaluate_on_an_empty_split_raises(self, split):
+        cfg = sbm_config()
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        model = build_model(cfg, ShiftContext(ds.S), ds.n_outputs)
+        ds.splits[split] = ds.splits[split][:0]
+        with pytest.raises(ConfigError, match=f"split '{split}' is empty"):
+            evaluate(model, ds, split, cfg)
+
+    def test_context_is_kept_until_the_shift_is_replaced(self, monkeypatch):
+        cfg = sbm_config()
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        model = build_model(cfg, ds.context(), ds.n_outputs)
+        used = []
+        forward = model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda ctx, xb: used.append(ctx)
+                            or forward(ctx, xb))
+        evaluate(model, ds, "val", cfg)
+        evaluate(model, ds, "test", cfg)
+        first = ds.context()
+        assert len(used) == 2 and all(ctx is first for ctx in used)
+        ds.S = ds.S.scale(0.5)
+        second = ds.context()
+        assert second is not first and second.S is ds.S
+        assert ds.context() is second
+
+    def test_train_then_evaluate_builds_one_context(self, monkeypatch):
+        built = []
+        init = ShiftContext.__init__
+
+        def counted(ctx, S):
+            built.append(S)
+            init(ctx, S)
+
+        monkeypatch.setattr(ShiftContext, "__init__", counted)
+        cfg = sbm_config(training={"epochs": 3})
+        ds = build_dataset(cfg, np.random.default_rng(0))
+        model, _ = train(cfg, ds)
+        evaluate(model, ds, "test", cfg)
+        assert len(built) == 1 and built[0] is ds.S
+
     def test_loss_decreases_every_family_smoke(self):
         # separable toy task; first-epoch to last-epoch train loss drop
         for family in ("gcnn", "edge_varying", "block_varying", "hybrid",

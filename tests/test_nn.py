@@ -20,8 +20,10 @@ from graphfilt.nn import (AdamState, ArmaLayer, AttentionParams,
                           smooth_l1, softmax_rows, tie_attention_to_mixing,
                           untie_attention)
 from graphfilt.nn import autograd as ag
+from graphfilt.nn.layers import GnnLayer
 from graphfilt.sparse import (Permutation, SparseMatrix, permute_shift,
                               permute_signal)
+from test_autograd import reference_tail
 from test_kernel import FAMILIES, dense_context, ring_context
 
 
@@ -821,6 +823,45 @@ def test_array_input_leaves_parameter_gradients_bitwise_equal(
         layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X,
                                                monkeypatch), X0, weights)
     assert _rel(X.grad, ref_x_grad) <= 1e-12
+
+
+# -- the fused layer tail against the add + factor pair ---------------------
+
+def _reference_finish(layer, tape, acc):
+    return reference_tail(tape, acc, layer.nonlinearity, bias=layer.bias)
+
+
+@pytest.mark.parametrize("nonlinearity", ["relu", "leaky_relu"])
+@pytest.mark.parametrize("f_in", [1, 3])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_fused_tail_leaves_logits_and_gradients_bitwise_equal(
+        family, f_in, nonlinearity, monkeypatch):
+    ctx = dense_context()
+    build = FAMILIES[family]
+    sel = np.array([1, 4])
+    layers = [build(f_in, 3, ctx, sel, nonlinearity=nonlinearity),
+              build(3, 2, ctx, sel, nonlinearity=nonlinearity)]
+    model = Model(layers, ctx.n, 2)
+    rng = np.random.default_rng(47)
+    init_params(model, rng, shift=ctx)
+    for layer in layers:
+        layer.bias.value = rng.normal(size=layer.f_out)
+    X0 = rng.normal(size=(4, ctx.n, f_in))
+    weights = rng.normal(size=(4, 2))
+
+    def run():
+        model.zero_grad()
+        X = Tensor(X0)
+        logits, tape = model.forward(ctx, X)
+        tape.backward(output_grad=weights)
+        return [logits.value, X.grad] + [t.grad for _, t in
+                                         model.parameters()]
+
+    got = run()
+    monkeypatch.setattr(GnnLayer, "_finish", _reference_finish)
+    want = run()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def _counting(monkeypatch, owner, name):
