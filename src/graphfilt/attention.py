@@ -78,8 +78,8 @@ def _edge_scores_adjoint(dpre, pattern):
     the pre-activation scores, summed over each node's own row (own) and
     over its column (other)."""
     T, perm = pattern.transpose_permutation()
-    d_own = _segment_sums(dpre, pattern.row_ptr, axis=-1)
-    d_other = _segment_sums(dpre[..., perm], T.row_ptr, axis=-1)
+    d_own = _segment_sums(dpre, pattern.row_ptr)
+    d_other = _segment_sums(dpre[..., perm], T.row_ptr)
     return np.stack([d_own, d_other], axis=-1)
 
 
@@ -95,14 +95,14 @@ def _row_softmax(z, pattern):
     rows = pattern.entry_rows()
     row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
     shifted = np.exp(z - row_max[..., rows])
-    denom = _segment_sums(shifted, pattern.row_ptr, axis=-1)
+    denom = _segment_sums(shifted, pattern.row_ptr)
     return shifted / denom[..., rows]
 
 
 def _row_softmax_adjoint(g, vals, pattern):
     """Adjoint of the scores given g, the adjoint of the soft maximum's
     output ``vals``."""
-    sdot = _segment_sums(g * vals, pattern.row_ptr, axis=-1)
+    sdot = _segment_sums(g * vals, pattern.row_ptr)
     return vals * (g - sdot[..., pattern.entry_rows()])
 
 

@@ -1,11 +1,12 @@
 """Experiment configuration: a strict JSON schema.
 
-Unknown keys are errors at every level; a typo that silently fell back to
-a default would corrupt an experiment.
+Unknown keys and wrong-typed fields are errors; a typo that silently
+fell back to a default would corrupt an experiment.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError
@@ -14,12 +15,21 @@ TASKS = ("sbm_source_localization", "edge_list_classification",
          "ratings_regression")
 FAMILIES = ("gcnn", "edge_varying", "block_varying", "hybrid", "arma",
             "gat", "gcat", "ev_gat", "hybrid_gcat")
+_KINDS = {int: "an integer", bool: "true or false", float: "a number"}
 
 
 def _take(d, key, default=None, required=False):
     if required and key not in d:
         raise ConfigError(f"missing required key {key!r}")
     return d.pop(key, default)
+
+
+def _typed(d, key, default, kind):
+    """The field ``key`` of JSON type ``kind``; an int is a float here."""
+    v = d.pop(key, default)
+    if type(v) is not kind and not (kind is float and type(v) is int):
+        raise ConfigError(f"field '{key}' must be {_KINDS[kind]}, not {v!r}")
+    return v
 
 
 def _no_extras(d, where):
@@ -50,20 +60,20 @@ class ArchitectureConfig:
         d = dict(d)
         cfg = cls(
             family=_take(d, "family", "gcnn"),
-            order=int(_take(d, "order", 3)),
-            features=int(_take(d, "features", 16)),
-            layers=int(_take(d, "layers", 1)),
-            n_poles=int(_take(d, "n_poles", 1)),
-            jacobi_order=int(_take(d, "jacobi_order", 1)),
-            n_selected=int(_take(d, "n_selected", 5)),
+            order=_typed(d, "order", 3, int),
+            features=_typed(d, "features", 16, int),
+            layers=_typed(d, "layers", 1, int),
+            n_poles=_typed(d, "n_poles", 1, int),
+            jacobi_order=_typed(d, "jacobi_order", 1, int),
+            n_selected=_typed(d, "n_selected", 5, int),
             selection=_take(d, "selection", "degree"),
-            selection_k=int(_take(d, "selection_k", 3)),
+            selection_k=_typed(d, "selection_k", 3, int),
             phi0_mode=_take(d, "phi0_mode", "attention"),
-            weighted_softmax=bool(_take(d, "weighted_softmax", False)),
-            tie_attention=bool(_take(d, "tie_attention", False)),
+            weighted_softmax=_typed(d, "weighted_softmax", False, bool),
+            tie_attention=_typed(d, "tie_attention", False, bool),
             nonlinearity=_take(d, "nonlinearity", "relu"),
             readout_mode=_take(d, "readout_mode", "flatten"),
-            bias=bool(_take(d, "bias", True)),
+            bias=_typed(d, "bias", True, bool),
         )
         _no_extras(d, "architecture")
         if cfg.family not in FAMILIES:
@@ -83,12 +93,15 @@ class TrainingConfig:
     def from_dict(cls, d):
         d = dict(d)
         cfg = cls(
-            epochs=int(_take(d, "epochs", 40)),
-            batch_size=int(_take(d, "batch_size", 100)),
-            learning_rate=float(_take(d, "learning_rate", 1e-3)),
+            epochs=_typed(d, "epochs", 40, int),
+            batch_size=_typed(d, "batch_size", 100, int),
+            learning_rate=float(_typed(d, "learning_rate", 1e-3, float)),
         )
         _no_extras(d, "training")
-        if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.learning_rate <= 0:
+        if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+            raise ConfigError("field 'learning_rate' must be finite and > 0, "
+                              f"not {cfg.learning_rate!r}")
+        if cfg.epochs < 0 or cfg.batch_size < 1:
             raise ConfigError("invalid training settings")
         return cfg
 
@@ -149,11 +162,11 @@ class ExperimentConfig:
         d = dict(d)
         cfg = cls(
             task=_take(d, "task", required=True),
-            seed=int(_take(d, "seed", 0)),
+            seed=_typed(d, "seed", 0, int),
             architecture=ArchitectureConfig.from_dict(_take(d, "architecture", {})),
             training=TrainingConfig.from_dict(_take(d, "training", {})),
             dataset=dict(_take(d, "dataset", {})),
-            timing=bool(_take(d, "timing", False)),
+            timing=_typed(d, "timing", False, bool),
         )
         _no_extras(d, "config")
         return cfg

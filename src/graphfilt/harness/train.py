@@ -115,13 +115,16 @@ def _forward_batch(model, ctx, xb):
 
 
 def _require_samples(dataset, split):
-    if len(dataset.splits[split]) == 0:
+    idx = dataset.splits[split]
+    if len(idx) == 0:
         raise ConfigError(f"split {split!r} is empty")
+    if not dataset.is_classification and not dataset.target_mask[idx].any():
+        raise ConfigError(f"split {split!r} has no observed target")
 
 
 def evaluate(model, dataset, split, cfg=None, chunk=1024):
     """Loss plus error rate (classification) or RMSE over observed
-    entries (regression) on one split; an empty split raises ConfigError."""
+    entries (regression) on one split; ConfigError if it has none."""
     _require_samples(dataset, split)
     ctx = dataset.context()
     X, y, mask = dataset.split_arrays(split)
@@ -150,17 +153,18 @@ def evaluate(model, dataset, split, cfg=None, chunk=1024):
     if dataset.is_classification:
         metric = 1.0 - hits / total
     else:
-        metric = float(np.sqrt(sq_sum / max(sq_n, 1.0)))
+        metric = float(np.sqrt(sq_sum / sq_n))
     return loss, metric
 
 
 def train(cfg, dataset):
     """Seeded training; returns (best-validation model, metric records).
 
-    An empty train or val split raises ConfigError before the first
-    epoch. A non-finite batch loss, parameter gradient or validation loss
-    raises NonFiniteValue naming the epoch, plus the batch start and the
-    parameter where they apply.
+    An empty train or val split, or one with no observed regression
+    target, raises ConfigError before the first epoch. A non-finite batch
+    loss, parameter gradient or validation loss raises NonFiniteValue
+    naming the epoch, plus the batch start and the parameter where they
+    apply.
 
     The wall-time column is recorded only when cfg.timing is set, so the
     metrics stream stays byte-identical for a fixed (config, seed).

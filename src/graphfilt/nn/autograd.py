@@ -361,18 +361,15 @@ def jacobi_shift_values(tape, gamma, s_off, d_off_rows):
 # sparse primitives; a ``pattern`` argument is a ``sparse.Pattern``
 
 
-def spmm_const(tape, S, x, S_transpose=None):
-    """Fixed sparse matrix times tensor; gradient flows to x only.
-
-    Callers in a loop should pass the precomputed transpose.
-    """
+def spmm_const(tape, S, x):
+    """Fixed sparse matrix times tensor; gradient flows to x only, through
+    ``S.transpose()``, which S builds on first use and caches."""
     xv = _val(x)
     if xv.ndim < 2:
         raise ValueError("spmm_const expects (..., n, f) input")
 
     def back(g):
-        _acc(x, lambda: spmm(
-            S_transpose if S_transpose is not None else S.transpose(), g))
+        _acc(x, lambda: spmm(S.transpose(), g))
 
     return _result(tape, spmm(S, xv), (x,), back)
 

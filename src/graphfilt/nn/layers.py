@@ -31,7 +31,6 @@ class ShiftContext:
 
     def __init__(self, S):
         self.S = S
-        self.S_t = S.transpose()
         self.n = S.n_rows
         self.pattern = support_mask(S)
         self.diag = S.diagonal()
@@ -139,7 +138,7 @@ class GnnLayer:
         """sum_k S^k X A_k for the fixed graph shift."""
         Zs = [X]
         for _ in matrices[1:]:
-            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1], ctx.S_t))
+            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1]))
         return _mix(tape, Zs, matrices)
 
 
@@ -184,7 +183,7 @@ class BlockVaryingLayer(GnnLayer):
     def forward(self, tape, ctx, X):
         Zs = [X]
         for _ in self.coeffs[1:]:
-            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1], ctx.S_t))
+            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1]))
         acc = ag.block_mix(tape, ag.concat(tape, Zs, -1),
                            ag.concat(tape, self.coeffs, 1), self.block_of_node)
         return self._finish(tape, acc)

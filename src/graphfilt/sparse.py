@@ -2,20 +2,16 @@
 
 One immutable CSR layout, ``Pattern``, carries shift operators and every
 sparse parameter matrix in the library; a ``SparseMatrix`` is values on
-a pattern. Every sparse product (``spmv``,
-``spmm`` and the value-operand tape primitives) goes through one kernel,
-``_Product``, which picks one of three paths from the pattern's shape and
-nnz and from whether the values are shared across the batch:
+a pattern. Every sparse product (``spmv``, ``spmm`` and the
+value-operand tape primitives) goes through one kernel, ``_Product``,
+which takes one of two paths:
 
-* dense: for small or dense patterns whose values are shared, the dense
-  matrix is built once and the product is a BLAS ``D @ X``;
-* CSR: a gather of the operand rows plus a segment sum per row, for large
-  sparse patterns whose values are shared. It never builds a dense
-  matrix;
-* feature-major CSR: for per-sample values, the same gather and segment
-  sum on the operand laid out as (*F, batch, n), so that the gather,
-  the transpose permutation and the segment sums all run over the last,
-  contiguous axis.
+* dense: for small or dense patterns whose values are shared across the
+  batch, the dense matrix is built once and the product is a BLAS
+  ``D @ X``; ``_dense_fits`` reads only the pattern's shape and nnz;
+* node-last CSR: for everything else. The operand is laid out as
+  (*F, batch, n), so the gather, the transpose's entry permutation and
+  the segment sums all run over the last, contiguous axis.
 
 Results are deterministic for a fixed shape and BLAS thread count, and a
 batched ``spmv`` is bitwise equal to a loop of single-vector calls.
@@ -44,26 +40,21 @@ def _dense_fits(n_rows, n_cols, nnz):
     return n_rows <= _DENSE_MAX_ROWS and n_rows * n_cols <= _DENSE_FILL * nnz
 
 
-def _segment_sums(contrib, row_ptr, axis):
-    """Sum ``contrib`` over CSR row segments along ``axis``.
+def _segment_sums(contrib, row_ptr):
+    """Sum ``contrib`` over CSR row segments of its last axis.
 
     ``np.add.reduceat`` reads an empty segment as the single element at
     its start, so empty rows are zeroed afterwards; a start equal to the
     axis length is out of range, so only then is one zero slot appended.
     """
-    contrib = np.asarray(contrib, dtype=np.float64)
-    axis = axis % contrib.ndim
     starts = row_ptr[:-1]
-    if len(starts) and starts[-1] == contrib.shape[axis]:
-        pad_shape = list(contrib.shape)
-        pad_shape[axis] = 1
-        contrib = np.concatenate([contrib, np.zeros(pad_shape)], axis=axis)
-    out = np.add.reduceat(contrib, starts, axis=axis)
+    if len(starts) and starts[-1] == contrib.shape[-1]:
+        contrib = np.concatenate(
+            [contrib, np.zeros(contrib.shape[:-1] + (1,))], axis=-1)
+    out = np.add.reduceat(contrib, starts, axis=-1)
     empty = row_ptr[1:] == starts
     if empty.any():
-        idx = [slice(None)] * out.ndim
-        idx[axis] = empty
-        out[tuple(idx)] = 0.0
+        out[..., empty] = 0.0
     return out
 
 
@@ -108,16 +99,11 @@ def _dense_product(D, X, trailing):
     return out.reshape(X.shape[:X.ndim - 1 - trailing] + out.shape[1:])
 
 
-def _csr_product(row_ptr, col_idx, values, X, trailing):
-    """CSR path: row i sums values[..., e, *] * X[..., col_idx[e], *] over
-    its stored entries e, in entry order.
-
-    values is (..., nnz, *T) with len(T) = ``trailing``, T broadcasting
-    against the feature axes of X (..., m, *F).
-    """
-    tail = (slice(None),) * trailing
-    contrib = values * X[(Ellipsis, col_idx) + tail]
-    return _segment_sums(contrib, row_ptr, axis=-1 - trailing)
+def _csr_product(row_ptr, col_idx, values, X):
+    """CSR path on a node-last operand X (*F, ..., m): row i sums
+    values[..., e] * X[..., col_idx[e]] over its entries e. The product is
+    out of place: pairwise values broadcast to more than the gather."""
+    return _segment_sums(np.take(X, col_idx, axis=-1) * values, row_ptr)
 
 
 class _Product:
@@ -125,26 +111,23 @@ class _Product:
 
     ``pattern`` is a ``Pattern``. ``values`` is (nnz, *T), shared by every
     batch element, where T is empty (one scalar per entry) or has one axis
-    per operand feature axis (one scalar per entry and feature slot);
-    shared values take the dense or the CSR path, as ``_dense_fits``
-    picks. With ``per_sample`` it is (..., nnz), one scalar per entry and
-    batch element, the batch axes matching the operand's; such values
-    always take the feature-major CSR path: each product moves the
-    operand to (*F, ..., n), runs the gather and the segment sums over
-    its last axis and returns a (..., n, *F) view of the result. A
-    per-sample dense stack was slower for the one-feature operands of
-    the attention layers' first hop. Operands are (..., n_cols, *F),
-    with ``trailing`` = len(F) feature axes.
+    per operand feature axis (one scalar per entry and feature slot).
+    With ``per_sample`` it is (..., nnz), one scalar per entry and batch
+    element, the batch axes matching the operand's. Operands are
+    (..., n_cols, *F), with ``trailing`` = len(F) feature axes.
+
+    Shared values take the dense path when ``_dense_fits`` says so, and
+    all else the node-last CSR path, which returns a (..., n, *F) view
+    of a (*F, ..., n) result. (A per-sample dense stack was slower for
+    the one-feature operands of the attention layers' first hop.)
     """
 
-    __slots__ = ("pattern", "values", "per_sample", "carried", "dense")
+    __slots__ = ("pattern", "values", "per_sample", "dense")
 
     def __init__(self, pattern, values, per_sample=False):
         self.pattern = pattern
         self.values = values
         self.per_sample = per_sample
-        # feature axes the values carry after the entry axis
-        self.carried = 0 if per_sample else values.ndim - 1
         self.dense = None
         if not per_sample and _dense_fits(
                 pattern.n_rows, pattern.n_cols, pattern.nnz):
@@ -153,52 +136,49 @@ class _Product:
                                   + (pattern.n_rows, pattern.n_cols))
             self.dense[..., pattern.entry_rows(), pattern.col_idx] = vals
 
-    def _aligned(self, trailing):
-        """values with exactly ``trailing`` axes after the entry axis."""
-        v = self.values
-        return v.reshape(v.shape + (1,) * (trailing - self.carried))
+    def _node_last_values(self, ndim):
+        """Values for an ``ndim``-axis operand in node-last form: shared
+        (nnz, *T) as (*T, 1..., nnz), per-sample (..., nnz) as they are."""
+        if self.per_sample:
+            return self.values
+        v = np.moveaxis(self.values, 0, -1)
+        return v.reshape(v.shape[:-1] + (1,) * (ndim - v.ndim) + v.shape[-1:])
 
     def apply(self, X, trailing):
         """S X for X of shape (..., n_cols, *F)."""
-        p = self.pattern
         if self.dense is not None:
             return _dense_product(self.dense, X, trailing)
-        if self.per_sample:
-            return _node_back(_csr_product(
-                p.row_ptr, p.col_idx, self.values, _node_last(X, trailing),
-                0), trailing)
-        return _csr_product(p.row_ptr, p.col_idx, self._aligned(trailing),
-                            X, trailing)
+        p = self.pattern
+        return _node_back(_csr_product(
+            p.row_ptr, p.col_idx, self._node_last_values(X.ndim),
+            _node_last(X, trailing)), trailing)
 
     def apply_transposed(self, G, trailing):
         """S^T G for G of shape (..., n_rows, *F)."""
         if self.dense is not None:
             return _dense_product(self.dense.swapaxes(-1, -2), G, trailing)
         T, perm = self.pattern.transpose_permutation()
-        if self.per_sample:
-            return _node_back(_csr_product(
-                T.row_ptr, T.col_idx, self.values[..., perm],
-                _node_last(G, trailing), 0), trailing)
-        vt = np.take(self._aligned(trailing), perm, axis=-1 - trailing)
-        return _csr_product(T.row_ptr, T.col_idx, vt, G, trailing)
+        vt = self._node_last_values(G.ndim)[..., perm]
+        return _node_back(_csr_product(
+            T.row_ptr, T.col_idx, vt, _node_last(G, trailing)), trailing)
 
     def values_adjoint(self, G, X, trailing):
         """Gradient of sum(G * apply(X)) with respect to the values.
 
-        Feature axes the values do not carry are summed; batch axes are
-        summed on the dense path and kept on the CSR paths, so callers
+        Feature axes the values do not carry are summed, and so are the
+        batch axes of shared values; per-sample values keep them. Callers
         reduce the result to the values' shape.
         """
         rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
-        if self.per_sample:
+        if self.dense is None:
+            # G has the output's full shape, so X's gather broadcasts into it
             gv = _node_last(G, trailing)[..., rows]
             gv *= _node_last(X, trailing)[..., cols]
-            return gv.sum(axis=tuple(range(trailing)))
-        if self.dense is None:
-            tail = (slice(None),) * trailing
-            gv = G[(Ellipsis, rows) + tail] * X[(Ellipsis, cols) + tail]
-            summed = tuple(range(gv.ndim - trailing + self.carried, gv.ndim))
-            return gv.sum(axis=summed) if summed else gv
+            if self.per_sample:
+                return gv.sum(axis=tuple(range(trailing)))
+            kept = self.values.ndim - 1       # the feature axes of T
+            return np.moveaxis(
+                gv.sum(axis=tuple(range(kept, gv.ndim - 1))), -1, 0)
         if self.dense.ndim == 2:
             # (G X^T) over every batch and feature axis at once
             axes = [a for a in range(G.ndim) if a != G.ndim - 1 - trailing]
@@ -375,11 +355,12 @@ class SparseMatrix:
     """Real CSR matrix: one value per stored entry of a ``Pattern``.
 
     ``values`` must not be mutated in place: products cache a dense copy
-    of the matrix on first use, which would go stale. ``with_values`` and
-    ``scale`` return a new matrix on the same pattern instead.
+    of the matrix, and ``transpose`` its result, on first use, and both
+    would go stale. ``with_values`` and ``scale`` return a new matrix on
+    the same pattern instead.
     """
 
-    __slots__ = ("pattern", "values", "_op")
+    __slots__ = ("pattern", "values", "_op", "_t")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         self._set(Pattern(n_rows, n_cols, row_ptr, col_idx), values)
@@ -387,7 +368,7 @@ class SparseMatrix:
     def _set(self, pattern, values):
         self.pattern = pattern
         self.values = np.asarray(values, dtype=np.float64)
-        self._op = None
+        self._op = self._t = None
         if len(self.values) != pattern.nnz:
             raise ValueError("col_idx and values must have equal length")
 
@@ -450,8 +431,12 @@ class SparseMatrix:
         return d
 
     def transpose(self):
-        T, perm = self.pattern.transpose_permutation()
-        return T.matrix(self.values[perm])
+        """S^T, built on first use and cached like the pattern's own
+        transpose; it holds no reference back to S, so no cycle forms."""
+        if self._t is None:
+            T, perm = self.pattern.transpose_permutation()
+            self._t = T.matrix(self.values[perm])
+        return self._t
 
     def with_values(self, values):
         """Same pattern, new values."""

@@ -79,6 +79,50 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(p)
 
+    @pytest.mark.parametrize("section,field,value", [
+        ("architecture", "weighted_softmax", "false"),
+        ("architecture", "tie_attention", 0),
+        ("architecture", "bias", "true"),
+        (None, "timing", 1),
+        ("architecture", "order", 2.7),
+        ("architecture", "order", "abc"),
+        ("architecture", "order", True),
+        ("architecture", "features", None),
+        ("training", "epochs", 3.0),
+        (None, "seed", "0"),
+        ("training", "learning_rate", "nan"),
+        ("training", "learning_rate", float("nan")),
+        ("training", "learning_rate", float("inf")),
+        ("training", "learning_rate", "0.01"),
+        ("training", "learning_rate", True),
+        ("training", "learning_rate", 0.0),
+    ])
+    def test_wrong_typed_field_names_it(self, section, field, value):
+        d = {"task": "sbm_source_localization"}
+        if section is None:
+            d[field] = value
+        else:
+            d[section] = {field: value}
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            ExperimentConfig.from_dict(d)
+
+    def test_json_false_stays_false(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            "task": "sbm_source_localization",
+            "architecture": {"weighted_softmax": False, "bias": False},
+            "training": {"learning_rate": 1}}))
+        cfg = ExperimentConfig.from_json(p)
+        assert cfg.architecture.weighted_softmax is False
+        assert cfg.architecture.bias is False
+        assert cfg.training.learning_rate == 1.0
+
+    @pytest.mark.parametrize("name", ["sbm_gcnn", "sbm_arma"])
+    def test_shipped_configs_load(self, name):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        ExperimentConfig.from_json(os.path.join(root, "configs",
+                                                f"{name}.json"))
+
 
 class TestSourceLocalization:
     def test_split_sizes_default(self):
@@ -412,6 +456,46 @@ class TestTrainLoop:
         _, records = train(cfg, ds)
         assert records[-1].train_loss < records[0].train_loss
         os.remove(path)
+
+    @staticmethod
+    def _ratings(tmp_path):
+        rng = np.random.default_rng(5)
+        ratings = rng.integers(1, 6, size=(6, 30)).astype(float)
+        path = tmp_path / "ratings.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n"
+                                for row in ratings))
+        cfg = ExperimentConfig.from_dict({
+            "task": "ratings_regression", "seed": 0,
+            "architecture": {"family": "gcnn", "order": 1, "features": 2},
+            "training": {"epochs": 2, "batch_size": 8,
+                         "learning_rate": 1e-3},
+            "dataset": {"ratings_path": str(path), "target_node": 0,
+                        "top_k": 3},
+        })
+        return cfg, build_dataset(cfg, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_evaluate_on_a_split_with_no_observed_target_raises(
+            self, split, tmp_path):
+        cfg, ds = self._ratings(tmp_path)
+        model = build_model(cfg, ds.context(), ds.n_outputs)
+        ds.target_mask[ds.splits[split]] = 0.0
+        with pytest.raises(ConfigError,
+                           match=f"split '{split}' has no observed target"):
+            evaluate(model, ds, split, cfg)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_train_on_a_split_with_no_observed_target_raises(
+            self, split, tmp_path, monkeypatch):
+        batches = []
+        monkeypatch.setattr(train_module, "_forward_batch",
+                            lambda *args: batches.append(args))
+        cfg, ds = self._ratings(tmp_path)
+        ds.target_mask[ds.splits[split]] = 0.0
+        with pytest.raises(ConfigError,
+                           match=f"split '{split}' has no observed target"):
+            train(cfg, ds)
+        assert batches == []
 
     def test_rmse_of_zero_predictions(self):
         # regression path: zero model output against known targets

@@ -1,6 +1,8 @@
 """The size-dispatched sparse product kernel: both paths against dense
-numpy and scipy oracles, the dispatch rule, and two-layer gradients of
-every family on a graph taking each path, with and across ReLU kinks."""
+numpy and scipy oracles and against the entry-major CSR kernel the
+node-last one replaced, the dispatch rule, the cached transpose, and
+two-layer gradients of every family on a graph taking each path, with
+and across ReLU kinks."""
 import gc
 
 import numpy as np
@@ -12,9 +14,8 @@ from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
                           cross_entropy, finite_difference_check,
                           init_params)
 from graphfilt.nn import autograd as ag
-from graphfilt.sparse import (SparseMatrix, _csr_product, _dense_fits,
-                              _dense_product, _Product, _segment_sums, spmm,
-                              spmv)
+from graphfilt.sparse import (SparseMatrix, _dense_fits, _dense_product,
+                              _Product, _segment_sums, spmm, spmv)
 
 BATCHES = [(), (3,), (2, 3)]
 
@@ -66,6 +67,40 @@ def csr_only(op):
     return op
 
 
+# -- the entry-major CSR kernel the node-last one replaced, kept as the
+# -- bitwise reference for shared values
+
+def entry_major_segment_sums(contrib, row_ptr, axis):
+    contrib = np.asarray(contrib, dtype=np.float64)
+    axis = axis % contrib.ndim
+    starts = row_ptr[:-1]
+    if len(starts) and starts[-1] == contrib.shape[axis]:
+        pad_shape = list(contrib.shape)
+        pad_shape[axis] = 1
+        contrib = np.concatenate([contrib, np.zeros(pad_shape)], axis=axis)
+    out = np.add.reduceat(contrib, starts, axis=axis)
+    empty = row_ptr[1:] == starts
+    if empty.any():
+        idx = [slice(None)] * out.ndim
+        idx[axis] = empty
+        out[tuple(idx)] = 0.0
+    return out
+
+
+def entry_major_product(row_ptr, col_idx, values, X, trailing):
+    """Row i sums values[e, *] * X[..., col_idx[e], *] over its entries e;
+    values is (nnz, *T) with len(T) = ``trailing``."""
+    tail = (slice(None),) * trailing
+    contrib = values * X[(Ellipsis, col_idx) + tail]
+    return entry_major_segment_sums(contrib, row_ptr, axis=-1 - trailing)
+
+
+def entry_major_transposed(p, values, G, trailing):
+    T, perm = p.transpose_permutation()
+    return entry_major_product(T.row_ptr, T.col_idx, values[perm], G,
+                               trailing)
+
+
 class TestPaths:
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("trailing", [0, 1])
@@ -76,8 +111,7 @@ class TestPaths:
         X = rng.normal(size=batch + (shape[1],) + (4,) * trailing)
         want = oracle(p, S.values, X, trailing)
         close(_dense_product(S.to_dense(), X, trailing), want)
-        close(_csr_product(p.row_ptr, p.col_idx, aligned(S.values, trailing),
-                           X, trailing), want)
+        close(csr_only(_Product(p, S.values)).apply(X, trailing), want)
 
     @pytest.mark.parametrize("batch", BATCHES[1:])
     def test_per_sample_values_match_dense_oracle(self, batch):
@@ -98,7 +132,7 @@ class TestPaths:
         Z = rng.normal(size=batch + (6, 2, g_z))       # broadcast when g_z=1
         want = oracle(p, vals, np.broadcast_to(Z, batch + (6, 2, 3)), 2)
         close(_dense_product(dense_stack(p, vals), Z, 2), want)
-        close(_csr_product(p.row_ptr, p.col_idx, vals, Z, 2), want)
+        close(csr_only(_Product(p, vals)).apply(Z, 2), want)
 
     @pytest.mark.parametrize("trailing", [0, 1])
     def test_paths_match_scipy(self, trailing):
@@ -109,8 +143,7 @@ class TestPaths:
         X = rng.normal(size=(3, 11) + (5,) * trailing)
         want = np.stack([A @ x for x in X])
         close(_dense_product(S.to_dense(), X, trailing), want)
-        close(_csr_product(p.row_ptr, p.col_idx, aligned(S.values, trailing),
-                           X, trailing), want)
+        close(csr_only(_Product(p, S.values)).apply(X, trailing), want)
 
 
 class TestAdjoints:
@@ -162,6 +195,107 @@ class TestAdjoints:
         if force_csr:
             csr_only(op)
         self._check(op, p, vals, X, G, 2, dense_stack(p, vals))
+
+
+SHARED_CASES = {
+    # name: (trailing, values' feature axes, operand feature axes)
+    "scalar_t0": (0, (), ()),
+    "scalar_t1": (1, (), (3,)),
+    "pairwise": (2, (2, 3), (2, 3)),
+    "pairwise_broadcast": (2, (2, 3), (2, 1)),
+}
+PATTERNS = {"sparse": (7, 5, 0.4), "long_rows": (9, 20, 0.7)}
+
+
+class TestNodeLastAgainstEntryMajor:
+    """Shared values on the CSR path: the node-last product and its
+    transpose are bitwise equal to the entry-major kernel, including
+    rows longer than numpy's 8-element pairwise-summation block and
+    patterns whose first and last rows are empty."""
+
+    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
+    def test_bitwise(self, pattern, batch, case):
+        trailing, t, f = SHARED_CASES[case]
+        rng = np.random.default_rng(len(batch) + trailing + len(f))
+        p, S = random_pattern(rng, *PATTERNS[pattern])
+        vals = rng.normal(size=(p.nnz,) + t) if t else S.values
+        X = rng.normal(size=batch + (p.n_cols,) + f)
+        G = rng.normal(size=batch + (p.n_rows,) + (t or f))
+        op = csr_only(_Product(p, vals))
+        ref = aligned(vals, trailing)
+        assert np.array_equal(op.apply(X, trailing),
+                              entry_major_product(p.row_ptr, p.col_idx, ref,
+                                                  X, trailing))
+        assert np.array_equal(op.apply_transposed(G, trailing),
+                              entry_major_transposed(p, ref, G, trailing))
+
+
+def scipy_values_adjoint(sp, p, G, X, trailing):
+    """d<G, S X>/d(value of entry e) as <G, E_e X>, one scipy product per
+    entry, E_e holding a single 1 at entry e: (nnz, *batch, *F), with no
+    axis summed yet."""
+    node = G.ndim - 1 - trailing
+    Xb = np.broadcast_to(X, G.shape[:node] + X.shape[node:node + 1]
+                         + G.shape[node + 1:])
+    Xm = np.moveaxis(Xb, node, 0).reshape(p.n_cols, -1)
+    Gm = np.moveaxis(G, node, 0)
+    out = []
+    for e in range(p.nnz):
+        E = sp.csr_matrix((np.eye(1, p.nnz, e)[0], p.col_idx, p.row_ptr),
+                          shape=p.shape)
+        out.append(np.sum(Gm * (E @ Xm).reshape(Gm.shape), axis=0))
+    return np.stack(out)
+
+
+def dense_values_adjoint(p, G, X, trailing):
+    """The same (nnz, *batch, *F) array from dense numpy."""
+    node = G.ndim - 1 - trailing
+    return np.stack([np.take(G, i, node) * np.take(X, j, node)
+                     for i, j in zip(p.entry_rows(), p.col_idx)])
+
+
+class TestValuesAdjoint:
+    """Every values adjoint (shared scalar values at trailing 0 and 1,
+    pairwise values with a full and a broadcast operand, per-sample
+    values) on both paths, against dense numpy and scipy to 1e-12."""
+
+    @pytest.mark.parametrize("force_csr", [False, True])
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("case", sorted(SHARED_CASES))
+    def test_shared(self, force_csr, batch, case):
+        sp = pytest.importorskip("scipy.sparse")
+        trailing, t, f = SHARED_CASES[case]
+        rng = np.random.default_rng(31 + len(batch) + trailing)
+        p, S = random_pattern(rng, 6, 6)
+        vals = rng.normal(size=(p.nnz,) + t) if t else S.values
+        X = rng.normal(size=batch + (6,) + f)
+        G = rng.normal(size=batch + (6,) + (t or f))
+        op = _Product(p, vals)
+        assert op.dense is not None
+        if force_csr:
+            csr_only(op)
+        got = ag._unbroadcast(op.values_adjoint(G, X, trailing), vals.shape)
+        # sum the batch axes, and the feature axes the values do not carry
+        summed = tuple(range(1, 1 + len(batch) + trailing - len(t)))
+        for want in (dense_values_adjoint(p, G, X, trailing),
+                     scipy_values_adjoint(sp, p, G, X, trailing)):
+            close(got, want.sum(axis=summed))
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("F", [1, 4])
+    def test_per_sample(self, batch, F):
+        sp = pytest.importorskip("scipy.sparse")
+        rng = np.random.default_rng(37 + F + len(batch))
+        p, _ = random_pattern(rng, 7, 9)
+        vals = rng.normal(size=batch + (p.nnz,))
+        X = rng.normal(size=batch + (9, F))
+        G = rng.normal(size=batch + (7, F))
+        got = _Product(p, vals, per_sample=True).values_adjoint(G, X, 1)
+        for want in (dense_values_adjoint(p, G, X, 1),
+                     scipy_values_adjoint(sp, p, G, X, 1)):
+            close(got, np.moveaxis(want.sum(axis=-1), 0, -1))
 
 
 class TestFeatureMajorPerSample:
@@ -233,6 +367,8 @@ class TestDispatch:
         assert doubled._operator().dense is not S._operator().dense
 
     def test_used_matrix_freed_without_cycle_collection(self):
+        """A used matrix, its dense copy and its cached transpose (used
+        too) are freed by reference counting alone."""
         def alive():
             return sum(isinstance(o, SparseMatrix) for o in gc.get_objects())
 
@@ -241,6 +377,7 @@ class TestDispatch:
             before = alive()
             _, S = random_pattern(np.random.default_rng(4), 6, 6)
             spmm(S, np.ones((6, 2)))
+            spmm(S.transpose(), np.ones((6, 2)))
             del S
             assert alive() == before
         finally:
@@ -256,6 +393,55 @@ class TestDispatch:
                 assert np.array_equal(got[b], spmv(S, X[b]))
 
 
+class TestTransposeCache:
+    def test_transpose_is_cached(self):
+        _, S = random_pattern(np.random.default_rng(6), 6, 8)
+        St = S.transpose()
+        assert S.transpose() is St
+        assert np.array_equal(St.to_dense(), S.to_dense().T)
+
+    @pytest.mark.parametrize("derive", ["with_values", "scale"])
+    def test_derived_matrix_gets_a_fresh_cache(self, derive):
+        _, S = random_pattern(np.random.default_rng(7), 6, 8)
+        St = S.transpose()
+        D = (S.with_values(-S.values) if derive == "with_values"
+             else S.scale(-1.0))
+        assert D.transpose() is not St
+        assert np.array_equal(D.transpose().to_dense(), -St.to_dense())
+        assert S.transpose() is St
+
+    @pytest.mark.parametrize("graph", ["dense", "csr"])
+    def test_context_builds_transpose_only_for_a_backward(self, graph,
+                                                          monkeypatch):
+        """ShiftContext builds no S^T; a 1-layer model, whose shift chain
+        reads only the constant input, never needs one; a 2-layer model's
+        backward builds it once and reuses it."""
+        made = []
+        original = SparseMatrix.transpose
+
+        def spy(self):
+            out = original(self)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(SparseMatrix, "transpose", spy)
+        ctx = dense_context() if graph == "dense" else ring_context(60)
+        assert made == []
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(3, ctx.n, 1))
+        for n_layers in (1, 2):
+            layers = [PolynomialLayer(1, 2, 2)] + [
+                PolynomialLayer(2, 2, 2) for _ in range(n_layers - 1)]
+            model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
+            init_params(model, rng, shift=ctx)
+            logits, tape = model.forward(ctx, X)
+            tape.backward(output_grad=np.ones(logits.shape))
+            if n_layers == 1:
+                assert made == []
+        assert len(made) == 2          # one per hop of the second layer
+        assert made[0] is made[1]
+
+
 class TestSegmentSums:
     @pytest.mark.parametrize("row_ptr", [[0, 0, 2, 2, 3], [0, 1, 1, 3, 3],
                                          [0, 0, 0], [0, 3], [0, 1, 2, 3]])
@@ -264,7 +450,7 @@ class TestSegmentSums:
         contrib = np.arange(1.0, 2.0 * row_ptr[-1] + 1).reshape(2, -1)
         want = np.stack([[contrib[b, a:z].sum() for a, z in
                           zip(row_ptr[:-1], row_ptr[1:])] for b in range(2)])
-        assert np.array_equal(_segment_sums(contrib, row_ptr, axis=-1), want)
+        assert np.array_equal(_segment_sums(contrib, row_ptr), want)
 
 
 class TestValidate:

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graphfilt.sparse import (Pattern, SparseMatrix,  # noqa: E402
-                              _csr_product, _dense_product, _Product)
+                              _dense_product, _Product)
 
 cases = st.fixed_dictionaries({
     "n_rows": st.integers(1, 12),
@@ -42,9 +42,9 @@ def test_paths_equal_dense_product(case):
     trailing = len(case["features"])
     node = X.ndim - 1 - trailing
     want = np.moveaxis(np.tensordot(dense, X, axes=([1], [node])), 0, node)
-    vals = S.values.reshape(S.values.shape + (1,) * trailing)
-    for got in (_dense_product(dense, X, trailing),
-                _csr_product(S.row_ptr, S.col_idx, vals, X, trailing)):
+    csr = _Product(S.pattern, S.values)
+    csr.dense = None
+    for got in (_dense_product(dense, X, trailing), csr.apply(X, trailing)):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12 * max(
             1.0, float(np.abs(want).max(initial=0.0))))
@@ -149,7 +149,8 @@ def test_derived_matrices_reuse_the_pattern(case):
     assert S.with_values(-S.values).pattern is S.pattern
     assert S.scale(2.0).pattern is S.pattern
     St = S.transpose()
-    assert St.pattern is S.transpose().pattern
+    assert St is S.transpose()
+    assert St.pattern is S.scale(2.0).transpose().pattern
     assert np.array_equal(St.to_dense(), dense.T)
 
 

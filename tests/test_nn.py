@@ -654,7 +654,7 @@ def per_hop_chain(tape, ctx, X, matrices):
     acc = ag.matmul(tape, X, matrices[0])
     Z = X
     for A in matrices[1:]:
-        Z = ag.spmm_const(tape, ctx.S, Z, ctx.S_t)
+        Z = ag.spmm_const(tape, ctx.S, Z)
         acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
     return acc
 
@@ -703,7 +703,7 @@ def per_hop_forward(layer, tape, ctx, X, monkeypatch):
         acc = ag.block_mix(tape, X, layer.coeffs[0], layer.block_of_node)
         Z = X
         for A in layer.coeffs[1:]:
-            Z = ag.spmm_const(tape, ctx.S, Z, ctx.S_t)
+            Z = ag.spmm_const(tape, ctx.S, Z)
             acc = ag.add(tape, acc,
                          ag.block_mix(tape, Z, A, layer.block_of_node))
     elif isinstance(layer, EdgeVaryingLayer):
