@@ -15,7 +15,8 @@ TASKS = ("sbm_source_localization", "edge_list_classification",
          "ratings_regression")
 FAMILIES = ("gcnn", "edge_varying", "block_varying", "hybrid", "arma",
             "gat", "gcat", "ev_gat", "hybrid_gcat")
-_KINDS = {int: "an integer", bool: "true or false", float: "a number"}
+_KINDS = {int: "an integer", bool: "true or false", float: "a number",
+          str: "a string", list: "a non-empty list of positive integers"}
 
 
 def _take(d, key, default=None, required=False):
@@ -27,7 +28,9 @@ def _take(d, key, default=None, required=False):
 def _typed(d, key, default, kind):
     """The field ``key`` of JSON type ``kind``; an int is a float here."""
     v = d.pop(key, default)
-    if type(v) is not kind and not (kind is float and type(v) is int):
+    if (type(v) is not kind and not (kind is float and type(v) is int)
+            or kind is list and not (v and all(
+                type(b) is int and b > 0 for b in v))):
         raise ConfigError(f"field '{key}' must be {_KINDS[kind]}, not {v!r}")
     return v
 
@@ -147,12 +150,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        merged = dict(_DATASET_KEYS[self.task])
-        extras = set(self.dataset) - set(merged)
-        if extras:
-            raise ConfigError(f"unknown keys in dataset: {sorted(extras)}")
-        merged.update(self.dataset)
-        self.dataset = merged
+        given = dict(self.dataset)
+        # each field has the JSON type of its default; a path is a string
+        self.dataset = {k: _typed(given, k, v, str if v is None else type(v))
+                        for k, v in _DATASET_KEYS[self.task].items()}
+        _no_extras(given, "dataset")
         for key in ("p_intra", "p_inter"):
             if key in self.dataset and not 0.0 <= self.dataset[key] <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1]")

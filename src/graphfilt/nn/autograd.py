@@ -345,7 +345,7 @@ def jacobi_shift_values(tape, gamma, s_off, d_off_rows):
     gamma: scalar or (f, g); s_off and d_off_rows: (nnz,) constants giving
     the stored off-diagonal values and the diagonal of their rows. The
     gamma adjoint is the analytic -(D - gamma I)^{-2}(S - D) contraction.
-    """
+    No layer calls it; the tests' ARMA reference and the bench tracer do."""
     gv = _val(gamma)
     s = s_off[:, None, None]
     denom = d_off_rows[:, None, None] - np.atleast_2d(gv)

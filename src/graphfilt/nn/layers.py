@@ -27,7 +27,7 @@ def _check_choice(field, value, choices):
 
 class ShiftContext:
     """Shift operator with the derived structures layers keep reusing:
-    the pattern of supp(I+S) and the off-diagonal part of S."""
+    the pattern of supp(I+S) and the off-diagonal part S_off = S - D."""
 
     def __init__(self, S):
         self.S = S
@@ -35,13 +35,12 @@ class ShiftContext:
         self.pattern = support_mask(S)
         self.diag = S.diagonal()
         off = S.entry_rows() != S.col_idx
-        self.off_pattern = S.pattern.select(off)
-        self.off_values = S.values[off]
+        self.S_off = S.pattern.select(off).matrix(S.values[off])
         self.weighted_vals = self.pattern.aligned_values(S, diag_fill_zero=1.0)
 
     def masked_rows_pattern(self, important):
         """Off-diagonal pattern of S restricted to the given rows."""
-        off = self.off_pattern
+        off = self.S_off.pattern
         return off.select(np.isin(off.entry_rows(), important))
 
 
@@ -306,8 +305,9 @@ class HybridLayer(GnnLayer):
 
 
 class ArmaLayer(GnnLayer):
-    """Pole branches through truncated Jacobi recursions plus a direct
-    polynomial chain; beta and gamma vary per feature pair."""
+    """Pole branches, Jacobi steps U <- (D - gamma_p I)^{-1}(beta_p X -
+    S_off U) from U = X, plus a direct polynomial chain; beta and gamma
+    vary per feature pair, and one S_off product serves every pair."""
 
     kind = "arma"
 
@@ -344,17 +344,15 @@ class ArmaLayer(GnnLayer):
         Xp = ag.expand_last(tape, X)
         d_col = ctx.diag[:, None, None]
         for p in range(self.n_poles):
-            gamma_p = ag.take_index(tape, self.gamma, p)
-            beta_p = ag.take_index(tape, self.beta, p)
-            rec = ag.reciprocal(tape, ag.sub(tape, d_col, gamma_p))
-            c = ag.mul(tape, ag.mul(tape, beta_p, Xp), rec)
-            rvals = ag.jacobi_shift_values(
-                tape, gamma_p, ctx.off_values,
-                ctx.diag[ctx.off_pattern.entry_rows()])
+            rec = ag.reciprocal(tape, ag.sub(
+                tape, d_col, ag.take_index(tape, self.gamma, p)))
+            bx = ag.mul(tape, ag.take_index(tape, self.beta, p), Xp)
             U = Xp
             for _ in range(self.jacobi_order):
-                U = ag.add(tape, c,
-                           ag.spmm_pairwise(tape, rvals, U, ctx.off_pattern))
+                flat = ag.reshape(tape, U, U.value.shape[:-2] + (-1,))
+                SU = ag.reshape(tape, ag.spmm_const(tape, ctx.S_off, flat),
+                                U.value.shape)
+                U = ag.mul(tape, rec, ag.sub(tape, bx, SU))
             acc = ag.add(tape, acc, ag.sum_axis(tape, U, axis=-2))
         return self._finish(tape, acc)
 

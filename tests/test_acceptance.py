@@ -246,7 +246,7 @@ def test_criterion_09_parameter_count_identities():
     rng = np.random.default_rng(109)
     S = random_connected_shift(rng, 7)
     ctx = ShiftContext(S)
-    M = int(ctx.off_pattern.nnz)
+    M = int(ctx.S_off.pattern.nnz)
     N = 7
     checks = []
 

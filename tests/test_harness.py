@@ -106,6 +106,32 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("task,field,value", [
+        ("sbm_source_localization", "p_intra", "0.5"),
+        ("sbm_source_localization", "n_train", 2.5),
+        ("sbm_source_localization", "block_sizes", [5, "a"]),
+        ("sbm_source_localization", "t_max", 2.7),
+        ("sbm_source_localization", "n_val", True),
+        ("sbm_source_localization", "block_sizes", []),
+        ("sbm_source_localization", "block_sizes", [5, 0]),
+        ("sbm_source_localization", "block_sizes", 5),
+        ("edge_list_classification", "normalization", 1),
+        ("edge_list_classification", "graph_path", None),
+        ("ratings_regression", "ratings_path", ["r.csv"]),
+        ("ratings_regression", "top_k", "4"),
+    ])
+    def test_wrong_typed_dataset_field_names_it(self, task, field, value):
+        paths = {"edge_list_classification": {"graph_path": "g.edgelist",
+                                              "signals_path": "s.csv"},
+                 "ratings_regression": {"ratings_path": "r.csv"}}
+        dataset = dict(paths.get(task, {}), **{field: value})
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            ExperimentConfig.from_dict({"task": task, "dataset": dataset})
+
+    def test_dataset_path_is_required(self):
+        with pytest.raises(ConfigError, match="field 'ratings_path'"):
+            ExperimentConfig.from_dict({"task": "ratings_regression"})
+
     def test_json_false_stays_false(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({

@@ -515,7 +515,7 @@ def test_two_layer_gradients(family, graph):
     including the pairwise products' broadcast operand (F_out > 1)."""
     ctx = dense_context() if graph == "dense" else ring_context(60)
     sel = np.array([1, 4])
-    patterns = [ctx.S, ctx.pattern, ctx.off_pattern,
+    patterns = [ctx.S, ctx.pattern, ctx.S_off.pattern,
                 ctx.masked_rows_pattern(sel)]
     fits = [_dense_fits(p.n_rows, p.n_cols, p.nnz) for p in patterns]
     assert all(fits[:3]) if graph == "dense" else not any(fits)

@@ -687,13 +687,38 @@ def full_row_hybrid(layer, tape, ctx, X):
     return ag.sum_axis(tape, acc, axis=-2)
 
 
-def per_hop_forward(layer, tape, ctx, X, monkeypatch):
+def pairwise_arma_forward(layer, tape, ctx, X):
+    """ArmaLayer.forward as it ran before its Jacobi step read the shared
+    S_off: R(gamma_p) = -(D - gamma_p I)^{-1}(S - D) as (nnz, F_in, F_out)
+    values, and U <- c + R U through spmm_pairwise, c = beta_p X rec."""
+    layer._check_guard(ctx)
+    acc = per_hop_chain(tape, ctx, X, layer.mixing)
+    Xp = ag.expand_last(tape, X)
+    d_col = ctx.diag[:, None, None]
+    off = ctx.S.entry_rows() != ctx.S.col_idx
+    off_pattern = ctx.S.pattern.select(off)
+    for p in range(layer.n_poles):
+        gamma_p = ag.take_index(tape, layer.gamma, p)
+        beta_p = ag.take_index(tape, layer.beta, p)
+        rec = ag.reciprocal(tape, ag.sub(tape, d_col, gamma_p))
+        c = ag.mul(tape, ag.mul(tape, beta_p, Xp), rec)
+        rvals = ag.jacobi_shift_values(
+            tape, gamma_p, ctx.S.values[off],
+            ctx.diag[off_pattern.entry_rows()])
+        U = Xp
+        for _ in range(layer.jacobi_order):
+            U = ag.add(tape, c,
+                       ag.spmm_pairwise(tape, rvals, U, off_pattern))
+        acc = ag.add(tape, acc, ag.sum_axis(tape, U, axis=-2))
+    return layer._finish(tape, acc)
+
+
+def per_hop_forward(layer, tape, ctx, X):
     """The layer forward as it was before the hops were stacked (and,
-    for hybrid, before its chain ran on the important block only)."""
+    for hybrid, before its chain ran on the important block only; for
+    ARMA, before its Jacobi step read the shared S_off)."""
     if isinstance(layer, ArmaLayer):
-        # only its convolutional chain changed
-        monkeypatch.setattr(layer, "_mix_chain", per_hop_chain)
-        return layer.forward(tape, ctx, X)
+        return pairwise_arma_forward(layer, tape, ctx, X)
     if isinstance(layer, HybridLayer):
         acc = ag.add(tape, per_hop_chain(tape, ctx, X, layer.mixing),
                      full_row_hybrid(layer, tape, ctx, X))
@@ -748,8 +773,7 @@ def _rel(got, want):
 @pytest.mark.parametrize("family,tied", (
     [(f, False) for f in sorted(FAMILIES)]
     + [(f, True) for f in ("gat", "gcat", "ev_gat", "hybrid_gcat")]))
-def test_stacked_mixing_matches_per_hop_sum(family, tied, f_in, graph,
-                                            monkeypatch):
+def test_stacked_mixing_matches_per_hop_sum(family, tied, f_in, graph):
     ctx = dense_context() if graph == "dense" else ring_context(60)
     sel = np.array([1, 4])
     layer = FAMILIES[family](f_in, 2, ctx, sel)
@@ -763,8 +787,8 @@ def test_stacked_mixing_matches_per_hop_sum(family, tied, f_in, graph,
     out, grads, x_grad = _run_layer(
         layer, lambda tape, X: layer.forward(tape, ctx, X), X0, weights)
     ref_out, ref_grads, ref_x_grad = _run_layer(
-        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X,
-                                               monkeypatch), X0, weights)
+        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X),
+        X0, weights)
     assert _rel(out, ref_out) <= 1e-12
     assert _rel(x_grad, ref_x_grad) <= 1e-12
     for g, ref in zip(grads, ref_grads):
@@ -794,7 +818,7 @@ def test_two_layer_gradients_with_several_input_features(family):
     [(f, False) for f in sorted(FAMILIES)]
     + [(f, True) for f in ("gat", "gcat", "ev_gat", "hybrid_gcat")]))
 def test_array_input_leaves_parameter_gradients_bitwise_equal(
-        family, tied, f_in, graph, monkeypatch):
+        family, tied, f_in, graph):
     ctx = dense_context() if graph == "dense" else ring_context(60)
     layer = FAMILIES[family](f_in, 2, ctx, np.array([1, 4]))
     if tied:
@@ -820,8 +844,8 @@ def test_array_input_leaves_parameter_gradients_bitwise_equal(
         assert g.tobytes() == ref.tobytes()
     # a Tensor input still gets dL/dX, equal to the per-hop reference's
     _, _, ref_x_grad = _run_layer(
-        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X,
-                                               monkeypatch), X0, weights)
+        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X),
+        X0, weights)
     assert _rel(X.grad, ref_x_grad) <= 1e-12
 
 
@@ -891,6 +915,65 @@ def test_gcnn_backward_runs_no_shift_product_for_an_array_input(
     tape.backward(output_grad=rng.normal(size=logits.shape))
     assert len(calls) == transposed
     assert layer.mixing[0].grad is not None
+
+
+# -- ARMA: the Jacobi step on the shared S_off against the pairwise chain ---
+
+def _arma_run(model, ctx, X0, weights):
+    """Features, dL/dX and every layer parameter's gradient (None where no
+    adjoint reached it) for a Tensor input."""
+    model.zero_grad()
+    X = Tensor(X0)
+    Z, tape = model.features(ctx, X)
+    tape.backward(Z, weights)
+    return [Z.value, X.grad] + [t.grad for _, t in model.parameters()[:-2]]
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("jacobi_order", [0, 1, 3])
+@pytest.mark.parametrize("n_poles", [1, 2])
+@pytest.mark.parametrize("f_out", [1, 4])
+@pytest.mark.parametrize("f_in", [1, 3])
+def test_arma_jacobi_step_matches_pairwise_chain(
+        f_in, f_out, n_poles, jacobi_order, n_layers, graph, monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    layers = [ArmaLayer(f, f_out, n_poles, 1, jacobi_order)
+              for f in [f_in, f_out][:n_layers]]
+    model = Model(layers, ctx.n, 2)
+    rng = np.random.default_rng(53)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, f_out))
+
+    got = _arma_run(model, ctx, X0, weights)
+    monkeypatch.setattr(ArmaLayer, "forward", pairwise_arma_forward)
+    want = _arma_run(model, ctx, X0, weights)
+    # per layer: beta, gamma, two alpha matrices and the bias
+    assert len(got) == len(want) == 2 + 5 * n_layers
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        assert g is None or _rel(g, w) <= 1e-12
+    # beta and gamma reach the output only through a Jacobi step
+    assert (got[2] is None) == (jacobi_order == 0)
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+def test_arma_steps_through_spmm_const_only(graph, monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    layer = ArmaLayer(3, 4, 2, 2, 3)
+    model = Model([layer], ctx.n, 2)
+    rng = np.random.default_rng(59)
+    init_params(model, rng, shift=ctx)
+    calls = {name: _counting(monkeypatch, ag, name) for name in (
+        "spmm_const", "spmm_values", "spmm_pairwise", "jacobi_shift_values")}
+    logits, tape = model.forward(ctx, Tensor(rng.normal(size=(2, ctx.n, 3))))
+    tape.backward(output_grad=np.ones(logits.shape))
+    # order 2 shift products, then 2 poles x 3 Jacobi steps on S_off
+    assert {k: len(v) for k, v in calls.items()} == {
+        "spmm_const": 2 + 2 * 3, "spmm_values": 0, "spmm_pairwise": 0,
+        "jacobi_shift_values": 0}
+    assert layer.gamma.grad is not None and layer.beta.grad is not None
 
 
 # -- attention: the fused shift against the three-record chain -------------
@@ -972,7 +1055,7 @@ def test_hybrid_local_chain_matches_full_row_chain(selection, f_in, graph):
     out, grads, x_grad = _run_layer(
         layer, lambda tape, X: layer.forward(tape, ctx, X), X0, weights)
     ref_out, ref_grads, ref_x_grad = _run_layer(
-        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X, None),
+        layer, lambda tape, X: per_hop_forward(layer, tape, ctx, X),
         X0, weights)
     assert _rel(out, ref_out) <= 1e-12
     assert _rel(x_grad, ref_x_grad) <= 1e-12
