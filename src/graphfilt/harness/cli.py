@@ -18,7 +18,7 @@ from ..linalg import sym_eig
 from ..nn import ShiftContext, finite_difference_check, init_params, \
     load_model, save_model
 from ..spectral import arma_response, poly_response
-from .config import ExperimentConfig
+from .config import FAMILIES, ExperimentConfig
 from .data import build_dataset, dataset_hash, export_dataset
 from .train import build_model, evaluate, metrics_to_csv, run_experiment
 
@@ -132,8 +132,7 @@ def _cmd_gradcheck(args):
     S = build_shift(Graph(6, edges), "max_eigenvalue")
     ctx = ShiftContext(S)
     failures = []
-    for family in ("gcnn", "edge_varying", "block_varying", "hybrid",
-                   "arma", "gcat", "ev_gat", "hybrid_gcat"):
+    for family in FAMILIES:
         cfg = ExperimentConfig.from_dict({
             "task": "sbm_source_localization",
             "architecture": {"family": family, "order": 2, "features": 3,

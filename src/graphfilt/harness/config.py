@@ -155,9 +155,14 @@ class ExperimentConfig:
         self.dataset = {k: _typed(given, k, v, str if v is None else type(v))
                         for k, v in _DATASET_KEYS[self.task].items()}
         _no_extras(given, "dataset")
-        for key in ("p_intra", "p_inter"):
+        for key in ("p_intra", "p_inter", "train_fraction", "val_fraction"):
             if key in self.dataset and not 0.0 <= self.dataset[key] <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1]")
+        if "val_fraction" in self.dataset and (
+                self.dataset["train_fraction"]
+                + self.dataset["val_fraction"] > 1.0):
+            raise ConfigError("train_fraction + val_fraction must not "
+                              "exceed 1")
 
     @classmethod
     def from_dict(cls, d):

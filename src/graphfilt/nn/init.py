@@ -1,35 +1,51 @@
-"""Deterministic parameter initialization.
+"""Deterministic parameter initialization, by parameter name.
 
-Matrix-shaped parameters draw from the uniform Glorot range; scalar
-filter entries draw from uniform(-1/(K+1), 1/(K+1)); ARMA poles start
-beyond the diagonal range so the singularity guard holds by construction.
+Mixing matrices and attention mixers ("poly", "block", "mixing",
+"att_B") draw from the uniform Glorot range with fans (F_in, F_out), and
+attention scorers ("att_e") with fans (2 F_out, 1). Scalar filter entries
+("ev_phi0", "ev_phi", "hybrid_phi0", "hybrid_phi", "arma_alpha") draw from
+uniform(-1/(K+1), 1/(K+1)) and ARMA residues from uniform(-0.1, 0.1); ARMA
+poles start beyond the diagonal range, so the singularity guard holds by
+construction.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
-                     EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
-                     HybridLayer, PolynomialLayer)
-
 SMALL_UNIFORM = 0.1
 BIAS_INIT = 0.05  # keeps rectified units receptive on nonnegative inputs
 
 
-def _glorot(rng, t, fan_in, fan_out):
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    t.value = rng.uniform(-s, s, size=t.value.shape)
+def _uniform(rng, shape, s):
+    return rng.uniform(-s, s, size=shape)
 
 
-def _coeff_uniform(rng, t, order):
-    s = 1.0 / (order + 1)
-    t.value = rng.uniform(-s, s, size=t.value.shape)
+def _glorot(rng, shape, fan_in, fan_out):
+    return _uniform(rng, shape, np.sqrt(6.0 / (fan_in + fan_out)))
 
 
-def _init_head(rng, head, f_in, f_out):
-    if not head.tied:
-        _glorot(rng, head.B, f_in, f_out)
-    _glorot(rng, head.e, 2 * f_out, 1)
+def _initial_value(name, shape, layer, rng, shift):
+    """The starting value of the layer parameter called ``name``."""
+    fi, fo = layer.f_in, layer.f_out
+    if name in ("poly", "block", "mixing", "att_B"):
+        return _glorot(rng, shape, fi, fo)
+    if name == "att_e":
+        return _glorot(rng, shape, 2 * fo, 1)
+    if name in ("ev_phi0", "ev_phi", "hybrid_phi0", "hybrid_phi",
+                "arma_alpha"):
+        return _uniform(rng, shape, 1.0 / (layer.order + 1))
+    if name == "arma_beta":
+        return _uniform(rng, shape, SMALL_UNIFORM)
+    if name == "arma_gamma":
+        if shift is None:
+            raise ValueError("ARMA initialization needs the shift operator")
+        diag = shift.diag if hasattr(shift, "diag") else shift.diagonal()
+        top = float(np.max(np.abs(diag), initial=0.0))
+        poles = top + 1.0 + np.arange(1, shape[0] + 1) * 0.5
+        return np.broadcast_to(poles[:, None, None], shape).copy()
+    if name == "bias":
+        return np.full(shape, BIAS_INIT)
+    raise ValueError(f"no initializer for parameter {name!r}")
 
 
 def init_params(model, rng, shift=None):
@@ -39,58 +55,8 @@ def init_params(model, rng, shift=None):
     pole starting points); pass the SparseMatrix or a ShiftContext.
     """
     for layer in model.layers:
-        fi, fo = layer.f_in, layer.f_out
-        if isinstance(layer, PolynomialLayer):
-            for t in layer.mixing:
-                _glorot(rng, t, fi, fo)
-        elif isinstance(layer, BlockVaryingLayer):
-            for t in layer.coeffs:
-                _glorot(rng, t, fi, fo)
-        elif isinstance(layer, EdgeVaryingLayer):
-            _coeff_uniform(rng, layer.phi0, layer.order)
-            for t in layer.phi:
-                _coeff_uniform(rng, t, layer.order)
-            for t in layer.mixing:
-                _glorot(rng, t, fi, fo)
-        elif isinstance(layer, HybridLayer):
-            _coeff_uniform(rng, layer.phi0, layer.order)
-            for t in layer.phi:
-                _coeff_uniform(rng, t, layer.order)
-            for t in layer.mixing:
-                _glorot(rng, t, fi, fo)
-        elif isinstance(layer, ArmaLayer):
-            if shift is None:
-                raise ValueError("ARMA initialization needs the shift operator")
-            diag = shift.diag if hasattr(shift, "diag") else shift.diagonal()
-            top = float(np.max(np.abs(diag), initial=0.0))
-            layer.beta.value = rng.uniform(
-                -SMALL_UNIFORM, SMALL_UNIFORM, size=layer.beta.value.shape)
-            g = np.empty_like(layer.gamma.value)
-            for p in range(layer.n_poles):
-                g[p] = top + 1.0 + (p + 1) * 0.5
-            layer.gamma.value = g
-            for t in layer.mixing:
-                _coeff_uniform(rng, t, layer.order)
-        elif isinstance(layer, GcatLayer):
-            _init_head(rng, layer.head, fi, fo)
-            for t in layer.mixing:
-                _glorot(rng, t, fi, fo)
-        elif isinstance(layer, EdgeVaryingGatLayer):
-            for h in layer.heads:
-                _init_head(rng, h, fi, fo)
-            for t in layer.mixing:
-                _glorot(rng, t, fi, fo)
-        elif isinstance(layer, HybridGcatLayer):
-            for t in layer.mixing:
-                _glorot(rng, t, fi, fo)
-            for h in layer.gat.heads:
-                _init_head(rng, h, fi, fo)
-            for t in layer.gat.mixing:
-                _glorot(rng, t, fi, fo)
-        else:
-            raise ValueError(f"no initializer for layer kind {layer.kind!r}")
-        if layer.bias is not None:
-            layer.bias.value = np.full(layer.f_out, BIAS_INIT)
-    fan_in = model.readout_w.value.shape[0]
-    _glorot(rng, model.readout_w, fan_in, model.n_outputs)
+        for name, t in layer.named_params():
+            t.value = _initial_value(name, t.value.shape, layer, rng, shift)
+    shape = model.readout_w.value.shape  # (fan_in, n_outputs)
+    model.readout_w.value = _glorot(rng, shape, *shape)
     model.readout_b.value = np.zeros(model.n_outputs)

@@ -54,7 +54,7 @@ def _pattern_from(d, key, n_nodes):
     try:
         p = Pattern(payload["n"], payload["n"], payload["row_ptr"],
                     payload["col_idx"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"invalid {key}: {exc}") from exc
     if p.n_rows != n_nodes:
         raise ConfigError(f"{key} has {p.n_rows} nodes, "
@@ -76,7 +76,8 @@ def _integers(d, key, length=None):
     given, or ConfigError naming it."""
     value = d[key]
     if not isinstance(value, list) or any(
-            isinstance(v, bool) or not isinstance(v, int) for v in value):
+            isinstance(v, bool) or not isinstance(v, int)
+            or not -2**63 <= v < 2**63 for v in value):
         raise ConfigError(f"field '{key}' must be a list of integers")
     if length is not None and len(value) != length:
         raise ConfigError(f"field '{key}' has {len(value)} entries, "
@@ -93,54 +94,61 @@ def _layer_payload(layer):
     return d
 
 
+def _object(value, what):
+    """``value`` if it is a JSON object, or ConfigError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be an object, not "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _boolean(d, key, default=None):
+    """The JSON boolean under ``key`` (``default`` when it is absent and
+    a default is given), or ConfigError naming it."""
+    value = d[key] if default is None else d.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"field '{key}' must be true or false, "
+                          f"not {value!r}")
+    return value
+
+
 def _layer_from(d, n_nodes):
     kind = d["kind"]
     args = tuple(_integer(d, key) for key in ("f_in", "f_out", "order"))
-    nl = d["nonlinearity"]
-    bias = d.get("use_bias", True)
+    common = dict(nonlinearity=d["nonlinearity"],
+                  use_bias=_boolean(d, "use_bias", True))
+    att = d  # the record that holds the attention fields
     if kind == "polynomial":
-        return PolynomialLayer(*args, nonlinearity=nl, use_bias=bias)
-    if kind == "block_varying":
-        return BlockVaryingLayer(
+        layer = PolynomialLayer(*args, **common)
+    elif kind == "block_varying":
+        layer = BlockVaryingLayer(
             *args, block_of_node=_integers(d, "block_of_node", n_nodes),
-            n_blocks=_integer(d, "n_blocks"), nonlinearity=nl,
-            use_bias=bias)
-    if kind == "edge_varying":
-        return EdgeVaryingLayer(
-            *args, pattern=_pattern_from(d, "pattern", n_nodes),
-            nonlinearity=nl, use_bias=bias)
-    if kind == "hybrid":
+            n_blocks=_integer(d, "n_blocks"), **common)
+    elif kind == "edge_varying":
+        layer = EdgeVaryingLayer(
+            *args, pattern=_pattern_from(d, "pattern", n_nodes), **common)
+    elif kind == "hybrid":
         masked = _pattern_from(d, "masked_pattern", n_nodes)
-        return HybridLayer(*args, important=_integers(d, "important"),
-                           masked_pattern=masked, nonlinearity=nl,
-                           use_bias=bias)
-    if kind == "arma":
+        layer = HybridLayer(*args, important=_integers(d, "important"),
+                            masked_pattern=masked, **common)
+    elif kind == "arma":
         f_in, f_out, order = args
-        return ArmaLayer(f_in, f_out, _integer(d, "n_poles"), order,
-                         _integer(d, "jacobi_order"), nonlinearity=nl,
-                         use_bias=bias)
-    if kind == "gcat":
-        layer = GcatLayer(*args, nonlinearity=nl, use_bias=bias,
-                          include_k0=d["include_k0"], weighted=d["weighted"])
-        if d.get("tied"):
-            tie_attention_to_mixing(layer)
-        return layer
-    if kind == "ev_gat":
-        layer = EdgeVaryingGatLayer(*args, nonlinearity=nl, use_bias=bias,
-                                    phi0_mode=d["phi0_mode"],
-                                    weighted=d["weighted"])
-        if d.get("tied"):
-            tie_attention_to_mixing(layer)
-        return layer
-    if kind == "hybrid_gcat":
-        g = d["gat"]
-        layer = HybridGcatLayer(*args, nonlinearity=nl, use_bias=bias,
-                                phi0_mode=g["phi0_mode"],
-                                weighted=g["weighted"])
-        if g.get("tied"):
-            tie_attention_to_mixing(layer)
-        return layer
-    raise ConfigError(f"unknown layer kind {kind!r}")
+        layer = ArmaLayer(f_in, f_out, _integer(d, "n_poles"), order,
+                          _integer(d, "jacobi_order"), **common)
+    elif kind == "gcat":
+        layer = GcatLayer(*args, include_k0=_boolean(d, "include_k0"),
+                          weighted=_boolean(d, "weighted"), **common)
+    elif kind in ("ev_gat", "hybrid_gcat"):
+        if kind == "hybrid_gcat":
+            att = _object(d["gat"], "field 'gat'")
+        cls = EdgeVaryingGatLayer if kind == "ev_gat" else HybridGcatLayer
+        layer = cls(*args, phi0_mode=att["phi0_mode"],
+                    weighted=_boolean(att, "weighted"), **common)
+    else:
+        raise ConfigError(f"unknown layer kind {kind!r}")
+    if _boolean(att, "tied", False):
+        tie_attention_to_mixing(layer)
+    return layer
 
 
 def save_model(model, path, shift=None):
@@ -166,7 +174,7 @@ def save_model(model, path, shift=None):
 
 def load_model(path, shift=None):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _object(json.load(fh), "model file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(
             f"unsupported model format_version {doc.get('format_version')!r}")
@@ -174,9 +182,7 @@ def load_model(path, shift=None):
         if shift_operator_hash(shift) != doc["shift_hash"]:
             raise ConfigError("model was saved against a different shift")
     try:
-        arch = doc["architecture"]
-        if not isinstance(arch, dict):
-            raise ConfigError("must be an object")
+        arch = _object(doc["architecture"], "record")
         n_nodes = _integer(arch, "n_nodes")
         records = arch["layers"]
         if not isinstance(records, list):
@@ -189,10 +195,7 @@ def load_model(path, shift=None):
         raise ConfigError(f"architecture: {exc}") from exc
     layers = []
     for i, d in enumerate(records):
-        if not isinstance(d, dict):
-            raise ConfigError(
-                f"layer {i}: record must be an object, not "
-                f"{type(d).__name__}")
+        _object(d, f"layer {i}: record")
         where = f"layer {i} ({d.get('kind')})"
         try:
             layers.append(_layer_from(d, n_nodes))
@@ -207,15 +210,22 @@ def load_model(path, shift=None):
     live = model.parameters()
     try:
         stored = doc["parameters"]
+        if not isinstance(stored, list):
+            raise ConfigError("field 'parameters' must be a list")
         if len(stored) != len(live):
             raise ConfigError("parameter list length mismatch")
-        for rec, (name, t) in zip(stored, live):
-            if rec["name"] != name or tuple(rec["shape"]) != t.value.shape:
+        for i, (rec, (name, t)) in enumerate(zip(stored, live)):
+            _object(rec, f"parameter {i}: record")
+            shape = list(t.value.shape)
+            if rec["name"] != name or rec["shape"] != shape:
                 raise ConfigError(
-                    f"parameter mismatch: file has {rec['name']}"
-                    f"{rec['shape']}, model expects {name}"
-                    f"{list(t.value.shape)}")
-            t.value = _decode(rec["data"], rec["shape"])
+                    f"parameter {i}: file has {rec['name']!r} of shape "
+                    f"{rec['shape']!r}, model expects {name!r} of {shape}")
+            try:
+                t.value = _decode(rec["data"], shape)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"parameter {i} ({name}): data does not "
+                                  f"decode to shape {shape}: {exc}") from exc
     except KeyError as exc:
         raise ConfigError(f"parameters: missing field {exc}") from None
     return model

@@ -13,6 +13,7 @@ from graphfilt.harness import (ExperimentConfig, build_dataset,
                                gen_source_localization, ingest_edge_list,
                                metrics_to_csv, pearson_similarity, train)
 from graphfilt.harness.cli import main as cli_main
+from graphfilt.harness.config import FAMILIES
 from graphfilt.harness.train import MetricsRecord, build_model
 from graphfilt.nn import ShiftContext, init_params
 
@@ -106,6 +107,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             ExperimentConfig.from_dict(d)
 
+    _PATHS = {"edge_list_classification": {"graph_path": "g.edgelist",
+                                           "signals_path": "s.csv"},
+              "ratings_regression": {"ratings_path": "r.csv"}}
+
     @pytest.mark.parametrize("task,field,value", [
         ("sbm_source_localization", "p_intra", "0.5"),
         ("sbm_source_localization", "n_train", 2.5),
@@ -121,12 +126,35 @@ class TestConfig:
         ("ratings_regression", "top_k", "4"),
     ])
     def test_wrong_typed_dataset_field_names_it(self, task, field, value):
-        paths = {"edge_list_classification": {"graph_path": "g.edgelist",
-                                              "signals_path": "s.csv"},
-                 "ratings_regression": {"ratings_path": "r.csv"}}
-        dataset = dict(paths.get(task, {}), **{field: value})
+        dataset = dict(self._PATHS.get(task, {}), **{field: value})
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             ExperimentConfig.from_dict({"task": task, "dataset": dataset})
+
+    @pytest.mark.parametrize("task", ["edge_list_classification",
+                                      "ratings_regression"])
+    @pytest.mark.parametrize("fractions,message", [
+        ({"train_fraction": -0.2}, "^train_fraction must lie in"),
+        ({"train_fraction": 1.5}, "^train_fraction must lie in"),
+        ({"train_fraction": float("nan")}, "^train_fraction must lie in"),
+        ({"val_fraction": float("inf")}, "^val_fraction must lie in"),
+        ({"val_fraction": -0.01}, "^val_fraction must lie in"),
+        ({"train_fraction": 0.8, "val_fraction": 0.3},
+         r"^train_fraction \+ val_fraction must not exceed 1"),
+    ])
+    def test_split_fractions_range_checked(self, task, fractions, message):
+        dataset = dict(self._PATHS[task], **fractions)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict({"task": task, "dataset": dataset})
+
+    @pytest.mark.parametrize("task", ["edge_list_classification",
+                                      "ratings_regression"])
+    @pytest.mark.parametrize("train,val", [(0.0, 0.0), (1.0, 0.0),
+                                           (0.7, 0.3), (0.9, 0.1)])
+    def test_split_fractions_at_the_bounds_load(self, task, train, val):
+        dataset = dict(self._PATHS[task], train_fraction=train,
+                       val_fraction=val)
+        cfg = ExperimentConfig.from_dict({"task": task, "dataset": dataset})
+        assert cfg.dataset["train_fraction"] == train
 
     def test_dataset_path_is_required(self):
         with pytest.raises(ConfigError, match="field 'ratings_path'"):
@@ -616,8 +644,11 @@ class TestCli:
         assert out[0] == "node,score"
         assert out[1] == "0,4.0"
 
-    def test_gradcheck_suite_exits_zero(self):
+    def test_gradcheck_suite_exits_zero(self, capsys):
         assert cli_main(["gradcheck"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            [family, "PASS"] for family in FAMILIES]
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

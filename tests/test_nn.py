@@ -328,7 +328,121 @@ class TestTying:
             tie_attention_to_mixing(PolynomialLayer(2, 2, 1))
 
 
+def _ref_glorot(rng, t, fan_in, fan_out):
+    s = np.sqrt(6.0 / (fan_in + fan_out))
+    t.value = rng.uniform(-s, s, size=t.value.shape)
+
+
+def _ref_coeff_uniform(rng, t, order):
+    s = 1.0 / (order + 1)
+    t.value = rng.uniform(-s, s, size=t.value.shape)
+
+
+def _ref_init_head(rng, head, f_in, f_out):
+    if not head.tied:
+        _ref_glorot(rng, head.B, f_in, f_out)
+    _ref_glorot(rng, head.e, 2 * f_out, 1)
+
+
+def isinstance_init_params(model, rng, shift=None):
+    """Reference for init_params: the per-layer-class dispatch it replaced,
+    which draws each family's parameters in its own hand-written order."""
+    for layer in model.layers:
+        fi, fo = layer.f_in, layer.f_out
+        if isinstance(layer, PolynomialLayer):
+            for t in layer.mixing:
+                _ref_glorot(rng, t, fi, fo)
+        elif isinstance(layer, BlockVaryingLayer):
+            for t in layer.coeffs:
+                _ref_glorot(rng, t, fi, fo)
+        elif isinstance(layer, (EdgeVaryingLayer, HybridLayer)):
+            _ref_coeff_uniform(rng, layer.phi0, layer.order)
+            for t in layer.phi:
+                _ref_coeff_uniform(rng, t, layer.order)
+            for t in layer.mixing:
+                _ref_glorot(rng, t, fi, fo)
+        elif isinstance(layer, ArmaLayer):
+            top = float(np.max(np.abs(shift.diag), initial=0.0))
+            layer.beta.value = rng.uniform(-0.1, 0.1,
+                                           size=layer.beta.value.shape)
+            g = np.empty_like(layer.gamma.value)
+            for p in range(layer.n_poles):
+                g[p] = top + 1.0 + (p + 1) * 0.5
+            layer.gamma.value = g
+            for t in layer.mixing:
+                _ref_coeff_uniform(rng, t, layer.order)
+        elif isinstance(layer, GcatLayer):
+            _ref_init_head(rng, layer.head, fi, fo)
+            for t in layer.mixing:
+                _ref_glorot(rng, t, fi, fo)
+        elif isinstance(layer, EdgeVaryingGatLayer):
+            for h in layer.heads:
+                _ref_init_head(rng, h, fi, fo)
+            for t in layer.mixing:
+                _ref_glorot(rng, t, fi, fo)
+        elif isinstance(layer, HybridGcatLayer):
+            for t in layer.mixing:
+                _ref_glorot(rng, t, fi, fo)
+            for h in layer.gat.heads:
+                _ref_init_head(rng, h, fi, fo)
+            for t in layer.gat.mixing:
+                _ref_glorot(rng, t, fi, fo)
+        if layer.bias is not None:
+            layer.bias.value = np.full(layer.f_out, 0.05)
+    _ref_glorot(rng, model.readout_w, model.readout_w.value.shape[0],
+                model.n_outputs)
+    model.readout_b.value = np.zeros(model.n_outputs)
+
+
+ATTENTION_FAMILIES = ("gat", "gcat", "ev_gat", "hybrid_gcat")
+INIT_CASES = [
+    (family, tied, n_layers, phi0_mode)
+    for family in sorted(FAMILIES)
+    for tied in (False, True)
+    for n_layers in (1, 2)
+    for phi0_mode in ("attention", "identity")
+    if (family in ATTENTION_FAMILIES or not tied)
+    and (family in ("ev_gat", "hybrid_gcat") or phi0_mode == "attention")]
+
+
+def _init_case_model(family, tied, n_layers, phi0_mode, ctx):
+    kw = ({"phi0_mode": phi0_mode}
+          if family in ("ev_gat", "hybrid_gcat") else {})
+    layers = []
+    for f_in, f_out in [(1, 3), (3, 2)][:n_layers]:
+        layer = FAMILIES[family](f_in, f_out, ctx, np.array([1, 4]), **kw)
+        if tied:
+            tie_attention_to_mixing(layer)
+        layers.append(layer)
+    return Model(layers, ctx.n, 2)
+
+
 class TestInit:
+    @pytest.mark.parametrize("family,tied,n_layers,phi0_mode", INIT_CASES)
+    def test_draws_bitwise_equal_to_per_class_dispatch(
+            self, family, tied, n_layers, phi0_mode):
+        ctx = dense_context()
+        got = _init_case_model(family, tied, n_layers, phi0_mode, ctx)
+        want = _init_case_model(family, tied, n_layers, phi0_mode, ctx)
+        rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+        init_params(got, rng, shift=ctx)
+        isinstance_init_params(want, ref_rng, shift=ctx)
+        assert [n for n, _ in got.parameters()] == \
+            [n for n, _ in want.parameters()]
+        for (name, a), (_, b) in zip(got.parameters(), want.parameters()):
+            assert a.value.dtype == b.value.dtype, name
+            assert np.array_equal(a.value, b.value), name
+        assert rng.random() == ref_rng.random()
+
+    def test_unknown_parameter_name_rejected(self):
+        class Renamed(PolynomialLayer):
+            def params(self):
+                return [("mystery", t) for t in self.mixing]
+
+        layer = Renamed(1, 2, 1)
+        with pytest.raises(ValueError, match="parameter 'mystery'"):
+            init_params(Model([layer], 6, 2), np.random.default_rng(0))
+
     def test_same_seed_identical(self):
         ctx = ctx_for()
         models = []
@@ -1253,6 +1367,11 @@ class TestLoadChecksFields:
                 "^architecture: adjacent layer features must chain")):
             self._load(tmp_path, doc)
 
+    def test_model_file_that_is_not_an_object(self, tmp_path):
+        with pytest.raises(ConfigError,
+                           match="^model file must be an object, not list"):
+            self._load(tmp_path, [1])
+
     def test_layer_record_that_is_not_an_object(self, tmp_path):
         _, doc = self._saved(tmp_path)
         doc["architecture"]["layers"][1] = ["hybrid"]
@@ -1280,4 +1399,57 @@ class TestLoadChecksFields:
             del doc["parameters"][1][key]
         with pytest.raises(ConfigError, match=(
                 f"^parameters: missing field '{key or 'parameters'}'")):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("kind,path,value,message", [
+        ("gcat", ["weighted"], "false",
+         "field 'weighted' must be true or false, not 'false'"),
+        ("gcat", ["include_k0"], "no", "field 'include_k0' must be true"),
+        ("ev_gat", ["weighted"], 0.0, "field 'weighted' must be true"),
+        ("gcat", ["use_bias"], 1, "field 'use_bias' must be true"),
+        ("ev_gat", ["tied"], "yes", "field 'tied' must be true"),
+        ("hybrid_gcat", ["gat", "weighted"], "false",
+         "field 'weighted' must be true"),
+        ("hybrid_gcat", ["gat", "tied"], 1, "field 'tied' must be true"),
+        ("hybrid_gcat", ["gat"], 5, "field 'gat' must be an object, not int"),
+    ])
+    def test_boolean_field_of_wrong_type_named(self, tmp_path, kind, path,
+                                               value, message):
+        build = {"gcat": GcatLayer, "ev_gat": EdgeVaryingGatLayer,
+                 "hybrid_gcat": HybridGcatLayer}[kind]
+        doc = self._saved_with(tmp_path, [build(1, 2, 1)])
+        record = doc["architecture"]["layers"][0]
+        for key in path[:-1]:
+            record = record[key]
+        record[path[-1]] = value
+        with pytest.raises(ConfigError,
+                           match=rf"^layer 0 \({kind}\): {message}"):
+            self._load(tmp_path, doc)
+
+    @staticmethod
+    def _short_data(rec):
+        import base64
+        raw = base64.b64decode(rec["data"])[:-8]  # one entry fewer
+        rec["data"] = base64.b64encode(raw).decode("ascii")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.update(parameters=5),
+         "^field 'parameters' must be a list"),
+        (lambda doc: doc["parameters"].__setitem__(1, ["L0.ev_phi"]),
+         "^parameter 1: record must be an object, not list"),
+        (lambda doc: doc["parameters"][1].update(shape=3),
+         "^parameter 1: file has 'L0.ev_phi' of shape 3, model expects "
+         r"'L0.ev_phi' of \[\d+\]"),
+        (lambda doc: TestLoadChecksFields._short_data(doc["parameters"][1]),
+         r"^parameter 1 \(L0.ev_phi\): data does not decode to shape"),
+        (lambda doc: doc["parameters"][1].update(data=5),
+         r"^parameter 1 \(L0.ev_phi\): data does not decode to shape"),
+        (lambda doc: doc["parameters"][1].update(data="é"),
+         r"^parameter 1 \(L0.ev_phi\): data does not decode to shape"),
+    ], ids=["parameters-int", "record-list", "shape-int", "data-short",
+            "data-int", "data-non-ascii"])
+    def test_malformed_parameter_record_named(self, tmp_path, edit, message):
+        _, doc = self._saved(tmp_path)
+        edit(doc)
+        with pytest.raises(ConfigError, match=message):
             self._load(tmp_path, doc)
