@@ -7,7 +7,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import (MISSING, asdict, dataclass, field, fields,
+                         is_dataclass)
 
 from ..errors import ConfigError
 
@@ -16,13 +17,8 @@ TASKS = ("sbm_source_localization", "edge_list_classification",
 FAMILIES = ("gcnn", "edge_varying", "block_varying", "hybrid", "arma",
             "gat", "gcat", "ev_gat", "hybrid_gcat")
 _KINDS = {int: "an integer", bool: "true or false", float: "a number",
-          str: "a string", list: "a non-empty list of positive integers"}
-
-
-def _take(d, key, default=None, required=False):
-    if required and key not in d:
-        raise ConfigError(f"missing required key {key!r}")
-    return d.pop(key, default)
+          str: "a string", dict: "an object",
+          list: "a non-empty list of positive integers"}
 
 
 def _typed(d, key, default, kind):
@@ -35,9 +31,39 @@ def _typed(d, key, default, kind):
     return v
 
 
-def _no_extras(d, where):
-    if d:
-        raise ConfigError(f"unknown keys in {where}: {sorted(d)}")
+def _read(d, defaults, where):
+    """The fields of ``defaults`` read from the JSON object ``d``, each of
+    the JSON type of its default (a string for None), and no other key."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, not "
+                          f"{type(d).__name__}")
+    given = dict(d)
+    out = {k: _typed(given, k, v, str if v is None else type(v))
+           for k, v in defaults.items()}
+    if given:
+        raise ConfigError(f"unknown keys in {where}: {sorted(given)}")
+    return out
+
+
+def _section(cls, d, where):
+    """The dataclass ``cls`` read from ``d`` by its fields' defaults; a
+    field with no default is a required string, and one whose default is
+    made by a dataclass is an object read the same way."""
+    out = _read(d, {f.name: f.default if f.default is not MISSING else
+                    None if f.default_factory is MISSING else {}
+                    for f in fields(cls)}, where)
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            out[f.name] = _section(f.default_factory, out[f.name], f.name)
+    return cls(**out)
+
+
+def _at_least(obj, bounds):
+    """ConfigError naming the first field of ``obj`` below its bound."""
+    for key, low in bounds.items():
+        if getattr(obj, key) < low:
+            raise ConfigError(f"field '{key}' must be >= {low}, "
+                              f"not {getattr(obj, key)!r}")
 
 
 @dataclass
@@ -58,32 +84,12 @@ class ArchitectureConfig:
     readout_mode: str = "flatten"
     bias: bool = True
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        cfg = cls(
-            family=_take(d, "family", "gcnn"),
-            order=_typed(d, "order", 3, int),
-            features=_typed(d, "features", 16, int),
-            layers=_typed(d, "layers", 1, int),
-            n_poles=_typed(d, "n_poles", 1, int),
-            jacobi_order=_typed(d, "jacobi_order", 1, int),
-            n_selected=_typed(d, "n_selected", 5, int),
-            selection=_take(d, "selection", "degree"),
-            selection_k=_typed(d, "selection_k", 3, int),
-            phi0_mode=_take(d, "phi0_mode", "attention"),
-            weighted_softmax=_typed(d, "weighted_softmax", False, bool),
-            tie_attention=_typed(d, "tie_attention", False, bool),
-            nonlinearity=_take(d, "nonlinearity", "relu"),
-            readout_mode=_take(d, "readout_mode", "flatten"),
-            bias=_typed(d, "bias", True, bool),
-        )
-        _no_extras(d, "architecture")
-        if cfg.family not in FAMILIES:
-            raise ConfigError(f"unknown family {cfg.family!r}")
-        if cfg.order < 0 or cfg.features < 1 or cfg.layers < 1:
-            raise ConfigError("order must be >= 0; features, layers >= 1")
-        return cfg
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ConfigError(f"unknown family {self.family!r}")
+        _at_least(self, {"order": 0, "features": 1, "layers": 1,
+                         "n_poles": 0, "jacobi_order": 0, "n_selected": 0,
+                         "selection_k": 0})
 
 
 @dataclass
@@ -92,21 +98,12 @@ class TrainingConfig:
     batch_size: int = 100
     learning_rate: float = 1e-3
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        cfg = cls(
-            epochs=_typed(d, "epochs", 40, int),
-            batch_size=_typed(d, "batch_size", 100, int),
-            learning_rate=float(_typed(d, "learning_rate", 1e-3, float)),
-        )
-        _no_extras(d, "training")
-        if not (math.isfinite(cfg.learning_rate) and cfg.learning_rate > 0):
+    def __post_init__(self):
+        self.learning_rate = float(self.learning_rate)
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("field 'learning_rate' must be finite and > 0, "
-                              f"not {cfg.learning_rate!r}")
-        if cfg.epochs < 0 or cfg.batch_size < 1:
-            raise ConfigError("invalid training settings")
-        return cfg
+                              f"not {self.learning_rate!r}")
+        _at_least(self, {"epochs": 0, "batch_size": 1})
 
 
 _DATASET_KEYS = {
@@ -140,7 +137,7 @@ _DATASET_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    task: str = "sbm_source_localization"
+    task: str
     seed: int = 0
     architecture: ArchitectureConfig = field(default_factory=ArchitectureConfig)
     training: TrainingConfig = field(default_factory=TrainingConfig)
@@ -150,11 +147,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        given = dict(self.dataset)
-        # each field has the JSON type of its default; a path is a string
-        self.dataset = {k: _typed(given, k, v, str if v is None else type(v))
-                        for k, v in _DATASET_KEYS[self.task].items()}
-        _no_extras(given, "dataset")
+        self.dataset = _read(self.dataset, _DATASET_KEYS[self.task], "dataset")
         for key in ("p_intra", "p_inter", "train_fraction", "val_fraction"):
             if key in self.dataset and not 0.0 <= self.dataset[key] <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1]")
@@ -166,17 +159,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        cfg = cls(
-            task=_take(d, "task", required=True),
-            seed=_typed(d, "seed", 0, int),
-            architecture=ArchitectureConfig.from_dict(_take(d, "architecture", {})),
-            training=TrainingConfig.from_dict(_take(d, "training", {})),
-            dataset=dict(_take(d, "dataset", {})),
-            timing=_typed(d, "timing", False, bool),
-        )
-        _no_extras(d, "config")
-        return cfg
+        return _section(cls, d, "config")
 
     @classmethod
     def from_json(cls, path):
@@ -188,11 +171,4 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
     def to_dict(self):
-        return {
-            "task": self.task,
-            "seed": self.seed,
-            "architecture": vars(self.architecture).copy(),
-            "training": vars(self.training).copy(),
-            "dataset": dict(self.dataset),
-            "timing": self.timing,
-        }
+        return asdict(self)

@@ -26,6 +26,7 @@ class MetricsRecord:
 
 
 METRICS_HEADER = "epoch,train_loss,val_loss,val_metric,seconds"
+_EVAL_CHUNK = 1024  # samples per forward pass in evaluate
 
 
 def metrics_to_csv(records):
@@ -39,65 +40,45 @@ def metrics_to_csv(records):
 def _singleton_blocks(selected, n):
     """Selected nodes get their own block; the rest share the last one."""
     block = np.full(n, len(selected), dtype=np.int64)
-    for i, node in enumerate(np.sort(np.asarray(selected))):
-        block[node] = i
+    block[np.sort(selected)] = np.arange(len(selected))
     return block, len(selected) + 1
 
 
 def build_model(cfg, ctx, n_outputs):
     """Instantiate the configured architecture against a shift context."""
     arch = cfg.architecture
-    n = ctx.n
-    f_hidden = arch.features
-    layers = []
-    f_in = 1
-    for _ in range(arch.layers):
-        common = dict(nonlinearity=arch.nonlinearity, use_bias=arch.bias)
-        fam = arch.family
-        if fam == "gcnn":
-            layer = PolynomialLayer(f_in, f_hidden, arch.order, **common)
-        elif fam == "edge_varying":
-            layer = EdgeVaryingLayer(f_in, f_hidden, arch.order,
-                                     ctx.pattern, **common)
-        elif fam == "block_varying":
-            sel = select_nodes(ctx.S, arch.selection, arch.n_selected,
-                               arch.selection_k)
-            block, n_blocks = _singleton_blocks(sel, n)
-            layer = BlockVaryingLayer(f_in, f_hidden, arch.order, block,
-                                      n_blocks, **common)
-        elif fam == "hybrid":
-            sel = select_nodes(ctx.S, arch.selection, arch.n_selected,
-                               arch.selection_k)
-            layer = HybridLayer(f_in, f_hidden, arch.order, sel,
-                                ctx.masked_rows_pattern(sel), **common)
-        elif fam == "arma":
-            layer = ArmaLayer(f_in, f_hidden, arch.n_poles, arch.order,
-                              arch.jacobi_order, **common)
-        elif fam == "gat":
-            layer = GcatLayer(f_in, f_hidden, 1, include_k0=False,
-                              weighted=arch.weighted_softmax, **common)
-        elif fam == "gcat":
-            layer = GcatLayer(f_in, f_hidden, arch.order,
-                              weighted=arch.weighted_softmax, **common)
-        elif fam == "ev_gat":
-            layer = EdgeVaryingGatLayer(f_in, f_hidden, arch.order,
-                                        phi0_mode=arch.phi0_mode,
-                                        weighted=arch.weighted_softmax,
-                                        **common)
-        elif fam == "hybrid_gcat":
-            layer = HybridGcatLayer(f_in, f_hidden, arch.order,
-                                    phi0_mode=arch.phi0_mode,
-                                    weighted=arch.weighted_softmax,
-                                    **common)
-        else:
-            raise ConfigError(f"unknown family {fam!r}")
-        if arch.tie_attention and fam in ("gat", "gcat", "ev_gat",
-                                          "hybrid_gcat"):
+    F, K = arch.features, arch.order
+    common = dict(nonlinearity=arch.nonlinearity, use_bias=arch.bias)
+    att = dict(common, weighted=arch.weighted_softmax)
+    if arch.family in ("block_varying", "hybrid"):
+        sel = select_nodes(ctx.S, arch.selection, arch.n_selected,
+                           arch.selection_k)
+    build = {
+        "gcnn": lambda f: PolynomialLayer(f, F, K, **common),
+        "edge_varying": lambda f: EdgeVaryingLayer(f, F, K, ctx.pattern,
+                                                   **common),
+        "block_varying": lambda f: BlockVaryingLayer(
+            f, F, K, *_singleton_blocks(sel, ctx.n), **common),
+        "hybrid": lambda f: HybridLayer(
+            f, F, K, sel, ctx.masked_rows_pattern(sel), **common),
+        "arma": lambda f: ArmaLayer(f, F, arch.n_poles, K, arch.jacobi_order,
+                                    **common),
+        "gat": lambda f: GcatLayer(f, F, 1, include_k0=False, **att),
+        "gcat": lambda f: GcatLayer(f, F, K, **att),
+        "ev_gat": lambda f: EdgeVaryingGatLayer(
+            f, F, K, phi0_mode=arch.phi0_mode, **att),
+        "hybrid_gcat": lambda f: HybridGcatLayer(
+            f, F, K, phi0_mode=arch.phi0_mode, **att),
+    }.get(arch.family)
+    if build is None:
+        raise ConfigError(f"unknown family {arch.family!r}")
+    layers = [build(1 if i == 0 else F) for i in range(arch.layers)]
+    if arch.tie_attention and arch.family in ("gat", "gcat", "ev_gat",
+                                              "hybrid_gcat"):
+        for layer in layers:
             tie_attention_to_mixing(layer)
-        layers.append(layer)
-        f_in = f_hidden
     output = "linear" if cfg.task == "ratings_regression" else "softmax"
-    return Model(layers, n, n_outputs, output=output,
+    return Model(layers, ctx.n, n_outputs, output=output,
                  readout_mode=arch.readout_mode)
 
 
@@ -122,18 +103,16 @@ def _require_samples(dataset, split):
         raise ConfigError(f"split {split!r} has no observed target")
 
 
-def evaluate(model, dataset, split, cfg=None, chunk=1024):
+def evaluate(model, dataset, split, cfg):
     """Loss plus error rate (classification) or RMSE over observed
     entries (regression) on one split; ConfigError if it has none."""
     _require_samples(dataset, split)
     ctx = dataset.context()
     X, y, mask = dataset.split_arrays(split)
-    losses = []
-    hits = 0.0
-    sq_sum, sq_n = 0.0, 0.0
-    for start in range(0, len(X), chunk):
-        xb = X[start:start + chunk]
-        yb = y[start:start + chunk]
+    losses, hits, sq_sum, sq_n = [], 0.0, 0.0, 0.0
+    for start in range(0, len(X), _EVAL_CHUNK):
+        rows = slice(start, start + _EVAL_CHUNK)
+        xb, yb = X[rows], y[rows]
         logits, _ = _forward_batch(model, ctx, xb)
         lv = logits.value
         if dataset.is_classification:
@@ -141,9 +120,9 @@ def evaluate(model, dataset, split, cfg=None, chunk=1024):
             losses.append((loss, len(xb)))
             hits += float(np.sum(np.argmax(lv, axis=-1) == yb))
         else:
-            mb = mask[start:start + chunk]
-            delta = cfg.dataset["smooth_l1_delta"] if cfg else 1.0
-            loss, _ = smooth_l1(lv, yb, delta, mask=mb)
+            mb = mask[rows]
+            loss, _ = smooth_l1(lv, yb, cfg.dataset["smooth_l1_delta"],
+                                mask=mb)
             losses.append((loss / len(xb), len(xb)))
             resid = (lv - yb) * mb
             sq_sum += float(np.sum(resid * resid))

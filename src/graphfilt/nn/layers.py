@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..attention import LEAKY_SLOPE_DEFAULT
 from ..errors import ConfigError, IncompatibleDims, SingularDiagonal
 from ..filters import EPS_SING
 from ..sparse import support_mask
@@ -50,12 +51,14 @@ def _mix(tape, Zs, As):
 
 
 class AttentionParams:
-    """One attention head: mixer B (F_in x F_out) and scorer e (2 F_out)."""
+    """One attention head: mixer B (F_in x F_out) and scorer e (2 F_out);
+    every head scores through the same fixed LeakyReLU slope."""
 
-    def __init__(self, f_in, f_out, slope=0.2):
+    slope = LEAKY_SLOPE_DEFAULT
+
+    def __init__(self, f_in, f_out):
         self.B = Tensor(np.zeros((f_in, f_out)), name="att_B")
         self.e = Tensor(np.zeros(2 * f_out), name="att_e")
-        self.slope = slope
         self.tied = False
 
     def params(self):
@@ -379,11 +382,11 @@ class GcatLayer(GnnLayer):
     kind = "gcat"
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
-                 include_k0=True, weighted=False, slope=0.2, use_bias=True):
+                 include_k0=True, weighted=False, use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         self.include_k0 = include_k0
         self.weighted = weighted
-        self.head = AttentionParams(f_in, f_out, slope)
+        self.head = AttentionParams(f_in, f_out)
         n_mix = order + 1 if include_k0 else order
         self.mixing = self._make_mixing(n_mix)
 
@@ -416,15 +419,13 @@ class EdgeVaryingGatLayer(GnnLayer):
     kind = "ev_gat"
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
-                 phi0_mode="attention", weighted=False, slope=0.2,
-                 use_bias=True):
+                 phi0_mode="attention", weighted=False, use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         _check_choice("phi0_mode", phi0_mode, ("attention", "identity"))
         self.phi0_mode = phi0_mode
         self.weighted = weighted
         n_heads = order + 1 if phi0_mode == "attention" else order
-        self.heads = [AttentionParams(f_in, f_out, slope)
-                      for _ in range(n_heads)]
+        self.heads = [AttentionParams(f_in, f_out) for _ in range(n_heads)]
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):
@@ -455,14 +456,12 @@ class HybridGcatLayer(GnnLayer):
     kind = "hybrid_gcat"
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
-                 phi0_mode="attention", weighted=False, slope=0.2,
-                 use_bias=True):
+                 phi0_mode="attention", weighted=False, use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         self.gat = EdgeVaryingGatLayer(f_in, f_out, order,
                                        nonlinearity="identity",
                                        phi0_mode=phi0_mode,
-                                       weighted=weighted, slope=slope,
-                                       use_bias=False)
+                                       weighted=weighted, use_bias=False)
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):
@@ -479,6 +478,19 @@ class HybridGcatLayer(GnnLayer):
         return d
 
 
+def _attention(layer):
+    """(heads, index of the mixing matrix head 0 shares, mixing matrices)
+    of an attention layer; a hybrid_gcat layer's are its inner chain's."""
+    if isinstance(layer, HybridGcatLayer):
+        layer = layer.gat
+    if isinstance(layer, GcatLayer):
+        return [layer.head], int(layer.include_k0), layer.mixing
+    if isinstance(layer, EdgeVaryingGatLayer):
+        return (layer.heads, int(layer.phi0_mode != "attention"),
+                layer.mixing)
+    raise IncompatibleDims(f"layer kind {layer.kind!r} has no attention head")
+
+
 def tie_attention_to_mixing(layer):
     """Share the attention mixer storage with the layer's mixing matrices.
 
@@ -486,42 +498,20 @@ def tie_attention_to_mixing(layer):
     edge-varying variant ties head k to matrix k. Gradients accumulate
     into the shared tensor from both roles.
     """
-    if isinstance(layer, GcatLayer):
-        idx = 1 if layer.include_k0 else 0
-        if idx >= len(layer.mixing):
+    heads, first, mixing = _attention(layer)
+    for k, head in enumerate(heads):
+        if first + k >= len(mixing):
             raise IncompatibleDims("no order-1 mixing matrix to share")
-        target = layer.mixing[idx]
-        if layer.head.B.shape != target.shape:
+        if head.B.shape != mixing[first + k].shape:
             raise IncompatibleDims("mixer and mixing matrix shapes differ")
-        layer.head.B = target
-        layer.head.tied = True
-        return layer
-    if isinstance(layer, EdgeVaryingGatLayer):
-        offset = 0 if layer.phi0_mode == "attention" else 1
-        for k, head in enumerate(layer.heads):
-            target = layer.mixing[k + offset]
-            if head.B.shape != target.shape:
-                raise IncompatibleDims("mixer and mixing matrix shapes differ")
-            head.B = target
-            head.tied = True
-        return layer
-    if isinstance(layer, HybridGcatLayer):
-        tie_attention_to_mixing(layer.gat)
-        return layer
-    raise IncompatibleDims(f"layer kind {layer.kind!r} has no attention head")
+        head.B = mixing[first + k]
+        head.tied = True
+    return layer
 
 
 def untie_attention(layer):
     """Give every tied head back its own storage (values copied)."""
-    if isinstance(layer, GcatLayer):
-        heads = [layer.head]
-    elif isinstance(layer, EdgeVaryingGatLayer):
-        heads = layer.heads
-    elif isinstance(layer, HybridGcatLayer):
-        heads = layer.gat.heads
-    else:
-        raise IncompatibleDims(f"layer kind {layer.kind!r} has no attention head")
-    for head in heads:
+    for head in _attention(layer)[0]:
         if head.tied:
             head.B = Tensor(head.B.value.copy(), name="att_B")
             head.tied = False

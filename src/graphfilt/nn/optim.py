@@ -5,36 +5,35 @@ import numpy as np
 
 from ..errors import ShapeMismatch
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     """First/second moment accumulators, one pair per parameter tensor."""
 
-    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    def __init__(self, params, learning_rate=1e-3):
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
 
-def adam_step(state, params=None, grads=None):
-    """One bias-corrected update; grads default to each tensor's slot.
+def adam_step(state, grads=None):
+    """One bias-corrected update of the state's parameters; grads default
+    to each tensor's slot.
 
     A missing gradient (untouched parameter) counts as zero.
     """
-    params = state.params if params is None else list(params)
-    if len(params) != len(state.m):
-        raise ShapeMismatch("parameter list does not match the state")
+    params = state.params
     if grads is None:
         grads = [p.grad for p in params]
+    if len(grads) != len(params):
+        raise ShapeMismatch("gradient list does not match the parameters")
     state.step_count += 1
     t = state.step_count
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
     for i, (p, g) in enumerate(zip(params, grads)):
         if g is None:
             g = np.zeros_like(p.value)
@@ -42,9 +41,9 @@ def adam_step(state, params=None, grads=None):
         if g.shape != p.value.shape:
             raise ShapeMismatch(
                 f"gradient shape {g.shape} != parameter shape {p.value.shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
         m_hat = state.m[i] / c1
         v_hat = state.v[i] / c2
         p.value = p.value - state.learning_rate * m_hat / (np.sqrt(v_hat)
-                                                           + state.eps)
+                                                           + EPS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -112,9 +113,43 @@ def _boolean(d, key, default=None):
     return value
 
 
-def _layer_from(d, n_nodes):
+def _stored_shapes(stored, prefix):
+    """Shapes of the parameter records whose name starts with ``prefix``,
+    each a list of non-negative integers that its record's data can hold."""
+    return [r["shape"] for r in stored
+            if str(r.get("name")).startswith(prefix)
+            and isinstance(r.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in r["shape"])
+            and 32 * math.prod(r["shape"]) <= 3 * len(str(r.get("data")))]
+
+
+def _match(key, value, held):
+    """ConfigError unless the stored axes ``held`` are all ``value``."""
+    if set(held) != {value}:
+        raise ConfigError(f"field '{key}' is {value!r}, but the stored "
+                          f"parameters have {sorted(set(held))}")
+
+
+def _sizes(d, shapes):
+    """(f_in, f_out, order) of layer record ``d``, checked with n_poles
+    and n_blocks against its stored parameter ``shapes`` before anything
+    is allocated from them."""
+    f_in, f_out, order = (_integer(d, k) for k in ("f_in", "f_out", "order"))
+    mats = [s for s in shapes if len(s) >= 2]
+    _match("f_in", f_in, [s[-2] for s in mats])
+    _match("f_out", f_out, [s[-1] for s in mats])
+    for key in ("n_poles", "n_blocks"):
+        if key in d:
+            _match(key, _integer(d, key), [s[0] for s in mats if len(s) == 3])
+    if order >= len(shapes):
+        raise ConfigError(f"field 'order' is {order}, but the layer stores "
+                          f"{len(shapes)} parameters")
+    return f_in, f_out, order
+
+
+def _layer_from(d, n_nodes, shapes):
     kind = d["kind"]
-    args = tuple(_integer(d, key) for key in ("f_in", "f_out", "order"))
+    args = _sizes(d, shapes)
     common = dict(nonlinearity=d["nonlinearity"],
                   use_bias=_boolean(d, "use_bias", True))
     att = d  # the record that holds the attention fields
@@ -141,6 +176,12 @@ def _layer_from(d, n_nodes):
     elif kind in ("ev_gat", "hybrid_gcat"):
         if kind == "hybrid_gcat":
             att = _object(d["gat"], "field 'gat'")
+            for key, value in dict(zip(("f_in", "f_out", "order"), args),
+                                   kind="ev_gat", nonlinearity="identity",
+                                   use_bias=False).items():
+                if type(att.get(key)) is not type(value) or att[key] != value:
+                    raise ConfigError(f"field 'gat.{key}' must be "
+                                      f"{value!r}, not {att.get(key)!r}")
         cls = EdgeVaryingGatLayer if kind == "ev_gat" else HybridGcatLayer
         layer = cls(*args, phi0_mode=att["phi0_mode"],
                     weighted=_boolean(att, "weighted"), **common)
@@ -193,29 +234,42 @@ def load_model(path, shift=None):
         raise ConfigError(f"architecture: missing field {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"architecture: {exc}") from exc
+    if "parameters" not in doc:
+        raise ConfigError("parameters: missing field 'parameters'")
+    stored = doc["parameters"]
+    if not isinstance(stored, list):
+        raise ConfigError("field 'parameters' must be a list")
+    for i, rec in enumerate(stored):
+        _object(rec, f"parameter {i}: record")
     layers = []
     for i, d in enumerate(records):
         _object(d, f"layer {i}: record")
+        if layers and d.get("f_in") != layers[-1].f_out:
+            raise ConfigError("architecture: adjacent layer features must "
+                              "chain")
         where = f"layer {i} ({d.get('kind')})"
         try:
-            layers.append(_layer_from(d, n_nodes))
+            layers.append(_layer_from(d, n_nodes,
+                                      _stored_shapes(stored, f"L{i}.")))
         except KeyError as exc:
             raise ConfigError(f"{where}: missing field {exc}") from None
         except (ConfigError, IncompatibleDims) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     try:
+        readout = _stored_shapes(stored, "readout_")
+        _match("n_outputs", head["n_outputs"], [s[-1] for s in readout if s])
+        f_last = layers[-1].f_out if layers else 1
+        if head["readout_mode"] == "flatten" and f_last:
+            _match("n_nodes", n_nodes, [s[0] // f_last for s in readout
+                                        if len(s) == 2 and s[0] % f_last == 0])
         model = Model(layers, n_nodes, **head)
     except (ConfigError, IncompatibleDims) as exc:
         raise ConfigError(f"architecture: {exc}") from exc
     live = model.parameters()
+    if len(stored) != len(live):
+        raise ConfigError("parameter list length mismatch")
     try:
-        stored = doc["parameters"]
-        if not isinstance(stored, list):
-            raise ConfigError("field 'parameters' must be a list")
-        if len(stored) != len(live):
-            raise ConfigError("parameter list length mismatch")
         for i, (rec, (name, t)) in enumerate(zip(stored, live)):
-            _object(rec, f"parameter {i}: record")
             shape = list(t.value.shape)
             if rec["name"] != name or rec["shape"] != shape:
                 raise ConfigError(

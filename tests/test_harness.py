@@ -97,6 +97,22 @@ class TestConfig:
         ("training", "learning_rate", "0.01"),
         ("training", "learning_rate", True),
         ("training", "learning_rate", 0.0),
+        ("architecture", "order", -1),
+        ("architecture", "features", 0),
+        ("architecture", "n_poles", -1),
+        ("architecture", "jacobi_order", -1),
+        ("architecture", "n_selected", -1),
+        ("architecture", "selection_k", -1),
+        ("architecture", "selection", 3),
+        ("architecture", "family", 1),
+        ("architecture", "nonlinearity", None),
+        ("architecture", "readout_mode", ["flatten"]),
+        ("architecture", "phi0_mode", False),
+        ("training", "epochs", -1),
+        ("training", "batch_size", 0),
+        (None, "architecture", 5),
+        (None, "training", ["epochs"]),
+        (None, "dataset", "none"),
     ])
     def test_wrong_typed_field_names_it(self, section, field, value):
         d = {"task": "sbm_source_localization"}
@@ -176,6 +192,69 @@ class TestConfig:
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ExperimentConfig.from_json(os.path.join(root, "configs",
                                                 f"{name}.json"))
+
+    def test_config_that_is_not_an_object(self):
+        with pytest.raises(ConfigError,
+                           match="^config must be an object, not list"):
+            ExperimentConfig.from_dict(["sbm_source_localization"])
+
+    # The architecture and training defaults as they stood when each was
+    # written twice, once in the dataclass and once in its reader.
+    _ARCHITECTURE_DEFAULTS = {
+        "family": "gcnn", "order": 3, "features": 16, "layers": 1,
+        "n_poles": 1, "jacobi_order": 1, "n_selected": 5,
+        "selection": "degree", "selection_k": 3, "phi0_mode": "attention",
+        "weighted_softmax": False, "tie_attention": False,
+        "nonlinearity": "relu", "readout_mode": "flatten", "bias": True}
+    _TRAINING_DEFAULTS = {"epochs": 40, "batch_size": 100,
+                          "learning_rate": 1e-3}
+
+    @staticmethod
+    def _shipped(name):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "configs", f"{name}.json")) as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("raw", [
+        "sbm_gcnn", "sbm_arma",
+        # the shapes the benchmark workloads and the gradcheck CLI build
+        {"architecture": {"family": "gcnn", "order": 5, "features": 16,
+                          "layers": 1},
+         "training": {"epochs": 40, "batch_size": 100,
+                      "learning_rate": 1e-3}},
+        {"architecture": {"family": "hybrid", "order": 3, "features": 16,
+                          "layers": 2, "readout_mode": "mean_pool",
+                          "n_poles": 2, "jacobi_order": 1, "n_selected": 5},
+         "training": {"epochs": 1, "batch_size": 100, "learning_rate": 1}},
+        {"architecture": {"family": "arma", "order": 2, "features": 2,
+                          "n_poles": 1, "jacobi_order": 2, "n_selected": 2,
+                          "readout_mode": "mean_pool"}},
+        {"architecture": {"family": "ev_gat", "order": 2, "features": 3,
+                          "layers": 1, "phi0_mode": "identity",
+                          "weighted_softmax": True, "tie_attention": True,
+                          "nonlinearity": "leaky_relu", "bias": False,
+                          "selection": "diffusion_centrality",
+                          "selection_k": 0}},
+    ], ids=["sbm_gcnn", "sbm_arma", "desk_gcnn", "family_sweep_hybrid",
+            "gradcheck_arma", "ev_gat_every_field"])
+    def test_to_dict_is_the_defaults_overlaid_with_the_given_fields(
+            self, raw):
+        raw = self._shipped(raw) if isinstance(raw, str) else dict(
+            raw, task="sbm_source_localization")
+        cfg = ExperimentConfig.from_dict(raw)
+        training = dict(self._TRAINING_DEFAULTS, **raw.get("training", {}))
+        training["learning_rate"] = float(training["learning_rate"])
+        assert cfg.to_dict() == {
+            "task": raw["task"], "seed": raw.get("seed", 0),
+            "architecture": dict(self._ARCHITECTURE_DEFAULTS,
+                                 **raw.get("architecture", {})),
+            "training": training,
+            "dataset": dict(ExperimentConfig.from_dict(
+                {"task": raw["task"]}).dataset, **raw.get("dataset", {})),
+            "timing": False}
+        assert type(cfg.training.learning_rate) is float
+        assert list(cfg.to_dict()["architecture"]) == list(
+            self._ARCHITECTURE_DEFAULTS)
 
 
 class TestSourceLocalization:

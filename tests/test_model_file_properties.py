@@ -19,12 +19,12 @@ from graphfilt.nn import (Model, init_params, load_model,  # noqa: E402
                           save_model, tie_attention_to_mixing)
 from test_kernel import FAMILIES, dense_context  # noqa: E402
 
-# small integers only, so that no replaced size allocates a large array
+# any integer: a size is checked against the stored parameter shapes
+# before anything is allocated from it
 json_values = st.one_of(
-    st.none(), st.booleans(), st.integers(max_value=8), st.floats(),
-    st.text(max_size=4),
-    st.lists(st.one_of(st.integers(max_value=8), st.text(max_size=2)),
-             max_size=4),
+    st.none(), st.booleans(), st.integers(), st.integers(max_value=8),
+    st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(), st.text(max_size=2)), max_size=4),
     st.dictionaries(st.text(max_size=3), st.integers(max_value=8),
                     max_size=2))
 

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from graphfilt.attention import AttentionHead, gcat_shift
+from graphfilt.attention import (LEAKY_SLOPE_DEFAULT, AttentionHead,
+                                 gcat_shift)
 from graphfilt.errors import (ConfigError, IncompatibleDims, LabelOutOfRange,
                               ShapeMismatch, SingularDiagonal)
 from graphfilt.filters import (EPS_SING, apply_hybrid, apply_polynomial,
@@ -229,6 +230,17 @@ class TestLayerOracles:
         layer = HybridGcatLayer(2, 3, 2)
         assert layer.gat.bias is None
         assert layer.gat.nonlinearity == "identity"
+
+    @pytest.mark.parametrize("build", [GcatLayer, EdgeVaryingGatLayer,
+                                       HybridGcatLayer])
+    def test_attention_slope_is_the_fixed_default(self, build):
+        # model files store no slope, so no layer may be built with another
+        with pytest.raises(TypeError):
+            build(2, 3, 1, slope=0.9)
+        layer = build(2, 3, 1)
+        heads = ([layer.head] if build is GcatLayer else
+                 getattr(layer, "gat", layer).heads)
+        assert [h.slope for h in heads] == [LEAKY_SLOPE_DEFAULT] * len(heads)
 
     def test_batched_forward_matches_per_sample(self):
         rng = np.random.default_rng(10)
@@ -616,6 +628,13 @@ class TestAdam:
         state = AdamState([p])
         with pytest.raises(ShapeMismatch):
             adam_step(state, grads=[np.zeros(4)])
+
+    def test_gradient_list_of_another_length(self):
+        p = Tensor(np.zeros(3))
+        state = AdamState([p])
+        with pytest.raises(ShapeMismatch, match="gradient list"):
+            adam_step(state, grads=[np.zeros(3), np.zeros(3)])
+        assert state.step_count == 0
 
 
 class TestQuadraticLossIdentityModel:
@@ -1424,6 +1443,75 @@ class TestLoadChecksFields:
         record[path[-1]] = value
         with pytest.raises(ConfigError,
                            match=rf"^layer 0 \({kind}\): {message}"):
+            self._load(tmp_path, doc)
+
+    # sizes a file could ask to allocate; each is checked against the
+    # stored parameter shapes before any array is built from it
+    @pytest.mark.parametrize("layers,edits,message", [
+        ("gcnn2", {0: {"f_out": 2**40}, 1: {"f_in": 2**40}},
+         r"^layer 0 \(polynomial\): field 'f_out' is 1099511627776, but "
+         r"the stored parameters have \[2\]"),
+        ("gcnn", {0: {"f_out": 2**40}},
+         r"^layer 0 \(polynomial\): field 'f_out' is 1099511627776"),
+        ("gcnn", {0: {"f_in": 2**40}},
+         r"^layer 0 \(polynomial\): field 'f_in' is 1099511627776"),
+        ("arma", {0: {"n_poles": 2**40}},
+         r"^layer 0 \(arma\): field 'n_poles' is 1099511627776"),
+        ("block", {0: {"n_blocks": 2**40}},
+         r"^layer 0 \(block_varying\): field 'n_blocks' is 1099511627776"),
+        ("gcnn", {"n_outputs": 2**40},
+         "^architecture: field 'n_outputs' is 1099511627776"),
+        ("gcnn", {"n_nodes": 2**40},
+         "^architecture: field 'n_nodes' is 1099511627776"),
+        ("gcnn", {0: {"f_out": 2**40}, "shapes": [1, 2**40]},
+         r"^layer 0 \(polynomial\): field 'f_in' is 1, but the stored "
+         r"parameters have \[\]"),
+        ("gcnn", {0: {"order": 2**40}},
+         r"^layer 0 \(polynomial\): field 'order' is 1099511627776, but "
+         "the layer stores 3 parameters"),
+    ], ids=["f_out-chained", "f_out", "f_in", "n_poles", "n_blocks",
+            "n_outputs", "n_nodes", "shapes-beyond-data", "order"])
+    def test_size_beyond_the_stored_parameters_named(self, tmp_path, layers,
+                                                     edits, message):
+        build = {"gcnn": [PolynomialLayer(1, 2, 1)],
+                 "gcnn2": [PolynomialLayer(1, 2, 1), PolynomialLayer(2, 2, 1)],
+                 "arma": [ArmaLayer(1, 2, 1, 1, 1)],
+                 "block": [BlockVaryingLayer(1, 2, 1, np.arange(6) % 3, 3)]}
+        doc = self._saved_with(tmp_path, build[layers])
+        arch = doc["architecture"]
+        for key, value in edits.items():
+            if key == "shapes":  # every matrix claims more than its data
+                for rec in doc["parameters"]:
+                    if rec["name"] == "L0.poly":
+                        rec["shape"] = value
+            elif isinstance(key, int):
+                arch["layers"][key].update(value)
+            else:
+                arch[key] = value
+        with pytest.raises(ConfigError, match=message):
+            self._load(tmp_path, doc)
+
+    # the gat record of a hybrid_gcat layer repeats what the outer record
+    # implies; a contradiction there names the field
+    @pytest.mark.parametrize("key,value,message", [
+        ("use_bias", "x", "field 'gat.use_bias' must be False, not 'x'"),
+        ("use_bias", True, "field 'gat.use_bias' must be False, not True"),
+        ("f_in", "y", "field 'gat.f_in' must be 1, not 'y'"),
+        ("f_in", True, "field 'gat.f_in' must be 1, not True"),
+        ("f_out", 3, "field 'gat.f_out' must be 2, not 3"),
+        ("order", 2, "field 'gat.order' must be 1, not 2"),
+        ("nonlinearity", "tanh",
+         "field 'gat.nonlinearity' must be 'identity', not 'tanh'"),
+        ("nonlinearity", "relu",
+         "field 'gat.nonlinearity' must be 'identity', not 'relu'"),
+        ("kind", "gcat", "field 'gat.kind' must be 'ev_gat', not 'gcat'"),
+    ])
+    def test_hybrid_gcat_gat_record_must_match_the_layer(self, tmp_path, key,
+                                                         value, message):
+        doc = self._saved_with(tmp_path, [HybridGcatLayer(1, 2, 1)])
+        doc["architecture"]["layers"][0]["gat"][key] = value
+        with pytest.raises(ConfigError,
+                           match=rf"^layer 0 \(hybrid_gcat\): {message}"):
             self._load(tmp_path, doc)
 
     @staticmethod
