@@ -1,14 +1,16 @@
 """Graph representation, shift operators, random graphs, and centrality."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountTooLarge, GenerationFailed, ParseError
+from .errors import CountTooLarge, GenerationFailed, ParseError, SingularSystem
 from .sparse import SparseMatrix, power_iteration_lambda_max, spmv
 
 SBM_MAX_RETRIES = 1000
+SELECTIONS = ("degree", "diffusion_centrality")
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,10 @@ def build_shift(graph, normalization="max_eigenvalue",
     if normalization == "none":
         return A
     if normalization == "max_eigenvalue":
-        if graph.n_edges == 0:
-            raise ValueError("max_eigenvalue normalization needs an edge")
         lam = power_iteration_lambda_max(A, tol=tol, max_iter=max_iter)
+        if lam == 0.0:
+            raise SingularSystem("max_eigenvalue normalization needs "
+                                 "lambda_max(A) > 0, and this graph's is 0")
         return A.scale(1.0 / lam)
     if normalization == "row_stochastic":
         sums = spmv(A, np.ones(graph.n))
@@ -155,7 +158,8 @@ def diffusion_centrality(S, K):
 
 
 def select_nodes(S, strategy, count, k_dc=3):
-    """Top-`count` nodes by the given score, ties to the lower index."""
+    """Top-`count` nodes by the score ``strategy`` names (one of
+    SELECTIONS), ties to the lower index."""
     n = S.n_rows
     count = int(count)
     if count > n:
@@ -170,30 +174,54 @@ def select_nodes(S, strategy, count, k_dc=3):
     return np.sort(order[:count])
 
 
+def text_lines(path):
+    """(1-based number, text) of each line of a UTF-8 text file; a line
+    holding bytes that are not UTF-8 raises ParseError naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(lineno, "not UTF-8 text") from None
+            yield lineno, line
+
+
+def finite_floats(lineno, fields):
+    """The numbers the text ``fields`` of line ``lineno`` spell; a field
+    that is not a number, or is NaN or infinite, raises ParseError."""
+    try:
+        values = [float(p) for p in fields]
+    except ValueError as exc:
+        raise ParseError(lineno, str(exc)) from None
+    for text, v in zip(fields, values):
+        if not math.isfinite(v):
+            raise ParseError(lineno, f"{text.strip()!r} is not a finite number")
+    return values
+
+
 def read_edge_list(path):
     """Parse the text edge-list format: ``src dst [weight]`` per line,
     0-based indices, '#' comments and blank lines ignored."""
     edges = []
     max_node = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) not in (2, 3):
-                raise ParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-                w = float(parts[2]) if len(parts) == 3 else 1.0
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if src < 0 or dst < 0:
-                raise ParseError(lineno, "negative node index")
-            if src == dst:
-                raise ParseError(lineno, "self-loop not allowed")
-            edges.append((src, dst, w))
-            max_node = max(max_node, src, dst)
+    for lineno, raw in text_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(lineno, f"expected 2 or 3 fields, got {len(parts)}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        w = finite_floats(lineno, parts[2:])[0] if len(parts) == 3 else 1.0
+        if src < 0 or dst < 0:
+            raise ParseError(lineno, "negative node index")
+        if src == dst:
+            raise ParseError(lineno, "self-loop not allowed")
+        edges.append((src, dst, w))
+        max_node = max(max_node, src, dst)
     return edges, max_node + 1
 
 

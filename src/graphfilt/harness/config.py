@@ -11,6 +11,9 @@ from dataclasses import (MISSING, asdict, dataclass, field, fields,
                          is_dataclass)
 
 from ..errors import ConfigError
+from ..graphs import SELECTIONS
+from ..nn.autograd import NONLINEARITIES
+from ..nn.layers import PHI0_MODES, READOUT_MODES, _check_choice
 
 TASKS = ("sbm_source_localization", "edge_list_classification",
          "ratings_regression")
@@ -85,8 +88,11 @@ class ArchitectureConfig:
     bias: bool = True
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigError(f"unknown family {self.family!r}")
+        for key, choices in (("family", FAMILIES), ("selection", SELECTIONS),
+                             ("phi0_mode", PHI0_MODES),
+                             ("nonlinearity", NONLINEARITIES),
+                             ("readout_mode", READOUT_MODES)):
+            _check_choice(key, getattr(self, key), choices)
         _at_least(self, {"order": 0, "features": 1, "layers": 1,
                          "n_poles": 0, "jacobi_order": 0, "n_selected": 0,
                          "selection_k": 0})

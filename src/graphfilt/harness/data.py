@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateColumn, DimensionMismatch, ParseError
-from ..graphs import (Graph, block_labels, build_shift, load_graph,
-                      sbm_generate, write_edge_list)
+from ..errors import DegenerateColumn, ParseError
+from ..graphs import (Graph, block_labels, build_shift, finite_floats,
+                      load_graph, sbm_generate, text_lines, write_edge_list)
 from ..nn import ShiftContext
 from ..sparse import SparseMatrix, power_iteration_lambda_max, spmv
 
@@ -112,33 +112,37 @@ def gen_source_localization(cfg, rng):
 
 
 def read_signals_csv(path, n_nodes):
-    """One sample per line: n_nodes comma-separated values then a label."""
+    """One sample per line: n_nodes comma-separated finite values then a
+    label, an integer in [0, 2**63)."""
     X, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if len(parts) != n_nodes + 1:
-                raise ParseError(
-                    lineno, f"expected {n_nodes + 1} fields, got {len(parts)}")
-            try:
-                X.append([float(p) for p in parts[:-1]])
-                labels.append(int(parts[-1]))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-    return np.asarray(X, dtype=np.float64), np.asarray(labels, dtype=np.int64)
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != n_nodes + 1:
+            raise ParseError(
+                lineno, f"expected {n_nodes + 1} fields, got {len(parts)}")
+        X.append(finite_floats(lineno, parts[:-1]))
+        try:
+            label = int(parts[-1])
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if not 0 <= label < 2**63:
+            raise ParseError(lineno, f"label {label} outside [0, 2**63)")
+        labels.append(label)
+    return (np.asarray(X, dtype=np.float64).reshape(len(X), n_nodes),
+            np.asarray(labels, dtype=np.int64))
 
 
 def ingest_edge_list(graph_path, signals_path, normalization="max_eigenvalue",
                      train_fraction=0.8, val_fraction=0.1):
-    """Dataset from a user-supplied graph file and signal/label CSV."""
+    """Dataset from a user-supplied graph file and signal/label CSV; the
+    signals are read first, so a line of another width fails before the
+    shift of the graph's node count is built."""
     graph = load_graph(graph_path)
-    S = build_shift(graph, normalization)
     X, labels = read_signals_csv(signals_path, graph.n)
-    if X.shape[1] != graph.n:
-        raise DimensionMismatch("signals do not match the graph size")
+    S = build_shift(graph, normalization)
     n = len(X)
     n_train = int(round(train_fraction * n))
     n_val = int(round(val_fraction * n))
@@ -225,20 +229,16 @@ def build_similarity_graph(ratings, top_k, min_co_rated=2):
 def read_ratings_csv(path):
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if width is None:
-                width = len(parts)
-            elif len(parts) != width:
-                raise ParseError(lineno, "ragged ratings row")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
+    for lineno, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if width is None:
+            width = len(parts)
+        elif len(parts) != width:
+            raise ParseError(lineno, "ragged ratings row")
+        rows.append(finite_floats(lineno, parts))
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -69,9 +69,7 @@ def build_model(cfg, ctx, n_outputs):
             f, F, K, phi0_mode=arch.phi0_mode, **att),
         "hybrid_gcat": lambda f: HybridGcatLayer(
             f, F, K, phi0_mode=arch.phi0_mode, **att),
-    }.get(arch.family)
-    if build is None:
-        raise ConfigError(f"unknown family {arch.family!r}")
+    }[arch.family]
     layers = [build(1 if i == 0 else F) for i in range(arch.layers)]
     if arch.tie_attention and arch.family in ("gat", "gcat", "ev_gat",
                                               "hybrid_gcat"):

@@ -26,6 +26,8 @@ from ..attention import (_edge_scores, _edge_scores_adjoint, _leaky_factor,
 from ..errors import MissingTape
 from ..sparse import _Product, spmm
 
+NONLINEARITIES = ("identity", "relu", "leaky_relu")
+
 
 class Tensor:
     """Value with a gradient slot of the same shape."""
@@ -290,7 +292,7 @@ def activation(tape, a, kind, slope=0.2, bias=None):
     keeps the sign of its input for relu and for leaky slopes >= 0, so no
     factor array stays on the tape. A negative slope raises ValueError.
     """
-    if kind not in ("identity", "relu", "leaky_relu"):
+    if kind not in NONLINEARITIES:
         raise ValueError(f"unknown nonlinearity {kind!r}")
     if kind == "leaky_relu" and not slope >= 0:
         raise ValueError(f"leaky_relu slope must be >= 0, not {slope!r}")

@@ -16,7 +16,10 @@ from ..errors import ConfigError, IncompatibleDims, SingularDiagonal
 from ..filters import EPS_SING
 from ..sparse import support_mask
 from . import autograd as ag
-from .autograd import Tape, Tensor
+from .autograd import NONLINEARITIES, Tape, Tensor
+
+PHI0_MODES = ("attention", "identity")
+READOUT_MODES = ("flatten", "mean_pool")
 
 
 def _check_choice(field, value, choices):
@@ -86,8 +89,7 @@ class GnnLayer:
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  use_bias=True):
-        _check_choice("nonlinearity", nonlinearity,
-                      ("identity", "relu", "leaky_relu"))
+        _check_choice("nonlinearity", nonlinearity, NONLINEARITIES)
         self.f_in = f_in
         self.f_out = f_out
         self.order = order
@@ -421,7 +423,7 @@ class EdgeVaryingGatLayer(GnnLayer):
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  phi0_mode="attention", weighted=False, use_bias=True):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
-        _check_choice("phi0_mode", phi0_mode, ("attention", "identity"))
+        _check_choice("phi0_mode", phi0_mode, PHI0_MODES)
         self.phi0_mode = phi0_mode
         self.weighted = weighted
         n_heads = order + 1 if phi0_mode == "attention" else order
@@ -528,7 +530,7 @@ class Model:
     def __init__(self, layers, n_nodes, n_outputs, output="softmax",
                  readout_mode="flatten"):
         _check_choice("output", output, ("softmax", "linear"))
-        _check_choice("readout_mode", readout_mode, ("flatten", "mean_pool"))
+        _check_choice("readout_mode", readout_mode, READOUT_MODES)
         for a, b in zip(layers[:-1], layers[1:]):
             if a.f_out != b.f_in:
                 raise IncompatibleDims("adjacent layer features must chain")

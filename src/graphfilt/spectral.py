@@ -97,23 +97,29 @@ class SpectralEdgeVaryingFilter:
 
 
 def support_constraint_matrix(eig, support):
-    """Rows of the vectorized eigen-outer-product matrix at the zero
-    positions of I+S.
+    """Rows of the vectorized eigen-outer-product matrix, one for each
+    unordered pair {i, j}, i <= j, with (i, j) or (j, i) off supp(I+S).
 
-    Convention: the row for zero position (i, j) is the elementwise
-    product V[i, :] * V[j, :], which makes
-    ``row @ lambda == (V diag(lambda) V^T)[i, j]`` hold identically.
+    Convention: the row for pair (i, j) is the elementwise product
+    V[i, :] * V[j, :], which makes
+    ``row @ lambda == (V diag(lambda) V^T)[i, j]`` hold identically. That
+    row is also the one for (j, i), so the ordered zero positions of a
+    symmetric support would store each row twice.
     """
     V = eig.eigenvectors
     zero = np.ones((V.shape[0], V.shape[0]), dtype=bool)
     zero[support.entry_rows(), support.col_idx] = False
-    rows_i, cols_j = np.nonzero(zero)
+    rows_i, cols_j = np.nonzero(np.triu(zero | zero.T))
     return V[rows_i, :] * V[cols_j, :]
 
 
 def build_basis_kernel(S, tol=NULLSPACE_TOL):
     """Basis kernel of admissible spectral responses for supp(I+S).
 
+    The rank rule runs at tol / sqrt(2): the matrix of all ordered zero
+    positions repeats every off-diagonal row, which scales each singular
+    value by sqrt(2) and leaves max|A| alone, so on a symmetric support
+    this counts the singular values that tol counts on that matrix.
     A shift that is not symmetric within 1e-12 raises NotSymmetric.
     """
     eig = sym_eig(S.to_dense())
@@ -122,7 +128,7 @@ def build_basis_kernel(S, tol=NULLSPACE_TOL):
     if constraint.shape[0] == 0:
         basis = np.eye(S.n_rows)
     else:
-        basis = null_space_basis(constraint, tol=tol)
+        basis = null_space_basis(constraint, tol=tol / np.sqrt(2.0))
     return SpectralBasisKernel(basis, eig, mask, tol)
 
 

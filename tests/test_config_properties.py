@@ -1,7 +1,7 @@
 """Hypothesis property of experiment configs: a valid config with one
 architecture or training field replaced by any JSON value either loads,
-every field of its dataclass's type and no integer negative, or raises
-ConfigError."""
+every field of its dataclass's type, no integer negative and every
+string one of its field's choices, or raises ConfigError."""
 import copy
 from dataclasses import fields
 
@@ -12,14 +12,19 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graphfilt.errors import ConfigError  # noqa: E402
+from graphfilt.graphs import SELECTIONS  # noqa: E402
 from graphfilt.harness import (ArchitectureConfig,  # noqa: E402
                                ExperimentConfig, TrainingConfig)
+from graphfilt.harness.config import FAMILIES  # noqa: E402
+from graphfilt.nn.autograd import NONLINEARITIES  # noqa: E402
+from graphfilt.nn.layers import PHI0_MODES, READOUT_MODES  # noqa: E402
 
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
               st.text(max_size=8),
               st.sampled_from(["gcnn", "arma", "degree", "identity",
-                               "flatten", "mean_pool", "leaky_relu"])),
+                               "flatten", "mean_pool", "leaky_relu",
+                               "diffusion_centrality", "attention"])),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.dictionaries(st.text(max_size=3), inner,
                                             max_size=2)),
@@ -32,6 +37,9 @@ BASE = {
     "training": {"epochs": 2, "batch_size": 16, "learning_rate": 1e-3},
 }
 SECTIONS = {"architecture": ArchitectureConfig, "training": TrainingConfig}
+CHOICES = {"family": FAMILIES, "selection": SELECTIONS,
+           "phi0_mode": PHI0_MODES, "nonlinearity": NONLINEARITIES,
+           "readout_mode": READOUT_MODES}
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,3 +60,4 @@ def test_one_replaced_field_loads_or_raises_config_error(section, data,
         v = getattr(loaded, f.name)
         assert type(v) is type(f.default), f.name
         assert type(v) is not int or v >= 0, f.name
+        assert type(v) is not str or v in CHOICES[f.name], f.name

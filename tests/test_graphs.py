@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from graphfilt.errors import CountTooLarge, GenerationFailed, ParseError
+from graphfilt.errors import (CountTooLarge, GenerationFailed, ParseError,
+                              SingularSystem)
 from graphfilt.graphs import (Graph, build_shift, diffusion_centrality,
                               is_connected, load_graph, read_edge_list,
                               sbm_generate, select_nodes, write_edge_list)
@@ -65,6 +66,12 @@ class TestBuildShift:
         g = Graph(3, ((0, 1, 1.0),))
         S = build_shift(g, "row_stochastic")
         assert np.array_equal(S.to_dense()[2], np.zeros(3))
+
+    @pytest.mark.parametrize("edges", [((0, 1, 0.0),), ()])
+    def test_max_eigenvalue_of_zero_is_typed(self, edges):
+        # lambda_max(A) = 0 for an all-zero weight and for no edge at all
+        with pytest.raises(SingularSystem, match="lambda_max"):
+            build_shift(Graph(2, edges), "max_eigenvalue")
 
 
 class TestConnectivity:
@@ -179,3 +186,23 @@ class TestEdgeListIO:
         p.write_text("0 x\n")
         with pytest.raises(ParseError):
             read_edge_list(p)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_weight_names_its_line(self, tmp_path, weight):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"0 1\n1 2 {weight}\n")
+        with pytest.raises(ParseError, match="^line 2: .* finite") as err:
+            read_edge_list(p)
+        assert err.value.line == 2
+
+    def test_bytes_not_utf8_name_their_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"0 1\n# caf\xe9\n1 2\n")
+        with pytest.raises(ParseError, match="^line 2: not UTF-8") as err:
+            read_edge_list(p)
+        assert err.value.line == 2
+
+    def test_utf8_comment_and_crlf_lines_read(self, tmp_path):
+        p = tmp_path / "g.txt"
+        p.write_bytes("# café\r\n0 1\r\n1 2 0.5\r\n".encode("utf-8"))
+        assert read_edge_list(p) == ([(0, 1, 1.0), (1, 2, 0.5)], 3)

@@ -14,11 +14,13 @@ from graphfilt.harness import (ExperimentConfig, build_dataset,
                                metrics_to_csv, pearson_similarity, train)
 from graphfilt.harness.cli import main as cli_main
 from graphfilt.harness.config import FAMILIES
+from graphfilt.harness.data import read_ratings_csv, read_signals_csv
 from graphfilt.harness.train import MetricsRecord, build_model
 from graphfilt.nn import ShiftContext, init_params
 
 # the package exports the train function under the submodule's name
 train_module = importlib.import_module("graphfilt.harness.train")
+data_module = importlib.import_module("graphfilt.harness.data")
 
 
 def sbm_config(**overrides):
@@ -121,6 +123,21 @@ class TestConfig:
         else:
             d[section] = {field: value}
         with pytest.raises(ConfigError, match=f"field '{field}'"):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("field,value", [
+        ("family", "bogus"),
+        ("selection", "bogus"),
+        ("phi0_mode", "bogus"),
+        ("nonlinearity", "tanh"),
+        ("readout_mode", "sum_pool"),
+    ])
+    def test_value_outside_its_choices_names_it(self, field, value):
+        d = {"task": "sbm_source_localization",
+             "architecture": {"family": "hybrid", field: value}}
+        with pytest.raises(ConfigError,
+                           match=f"^field '{field}' must be one of .*"
+                                 f"not '{value}'$"):
             ExperimentConfig.from_dict(d)
 
     _PATHS = {"edge_list_classification": {"graph_path": "g.edgelist",
@@ -320,6 +337,74 @@ class TestEdgeListIngestion:
         with pytest.raises(ParseError) as err:
             ingest_edge_list(g, bad)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("row,message", [
+        ("0.0,nan,0.0,1", "'nan' is not a finite number"),
+        ("0.0,0.0,-inf,1", "'-inf' is not a finite number"),
+        ("0.0,0.0,1e400,1", "'1e400' is not a finite number"),
+        ("0.0,0.0,0.0,100000000000000000000000", "label 10{23} outside"),
+        ("0.0,0.0,0.0,-1", "label -1 outside"),
+    ])
+    def test_bad_signal_value_names_its_line(self, tmp_path, row, message):
+        g, _ = self.write_pair(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"1.0,0.0,0.0,0\n{row}\n")
+        with pytest.raises(ParseError, match=f"^line 2: {message}") as err:
+            read_signals_csv(bad, 3)
+        assert err.value.line == 2
+        with pytest.raises(ParseError, match="^line 2: "):
+            ingest_edge_list(g, bad)
+
+    def test_signal_bytes_not_utf8_name_their_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0,0.0,0.0,0\n0.5,\xff,0.0,1\n")
+        with pytest.raises(ParseError, match="^line 2: not UTF-8") as err:
+            read_signals_csv(bad, 3)
+        assert err.value.line == 2
+
+    def test_signals_read_before_the_shift_is_built(self, tmp_path,
+                                                     monkeypatch):
+        # a stray node index of 1e10 makes a 1e10-node graph; the signals'
+        # field count must fail before a shift of that size is allocated
+        _, s = self.write_pair(tmp_path)
+        g = tmp_path / "stray.edgelist"
+        g.write_text("0 1\n1 10000000000\n")
+
+        def no_shift(*args):
+            raise AssertionError("build_shift ran before the signals")
+        monkeypatch.setattr(data_module, "build_shift", no_shift)
+        with pytest.raises(ParseError, match="expected 10000000002 fields"):
+            ingest_edge_list(g, s)
+
+    def test_empty_signals_file_keeps_the_node_axis(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("# no samples\n")
+        X, labels = read_signals_csv(empty, 3)
+        assert X.shape == (0, 3) and labels.shape == (0,)
+
+    @pytest.mark.parametrize("content,line", [
+        (b"1,2\n3,nan\n", 2),
+        (b"1,inf\n3,4\n", 1),
+        (b"1,2\n\xc3(,4\n", 2),
+    ])
+    def test_bad_rating_names_its_line(self, tmp_path, content, line):
+        p = tmp_path / "ratings.csv"
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match=f"^line {line}: ") as err:
+            read_ratings_csv(p)
+        assert err.value.line == line
+
+    def test_nan_weight_fails_train_naming_its_line(self, tmp_path, capsys):
+        g, s = self.write_pair(tmp_path)
+        g.write_text("0 1\n1 2 nan\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "task": "edge_list_classification",
+            "dataset": {"graph_path": str(g), "signals_path": str(s)}}))
+        code = cli_main(["train", "-c", str(cfg), "-o", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: line 2: 'nan' is not a finite number")
 
     def test_round_trip_preserves_hash(self, tmp_path):
         cfg = sbm_config()

@@ -6,11 +6,12 @@ from graphfilt.errors import (DimensionMismatch, NotSymmetric,
                               PoleAtEigenvalue)
 from graphfilt.filters import (ArmaRational, PolynomialFilter,
                                apply_arma_exact, apply_polynomial)
-from graphfilt.graphs import Graph, build_shift
-from graphfilt.linalg import sym_eig
+from graphfilt.graphs import Graph, build_shift, sbm_generate
+from graphfilt.linalg import NULLSPACE_TOL, null_space_basis, sym_eig
 from graphfilt.spectral import (SpectralEdgeVaryingFilter, arma_response,
                                 build_basis_kernel, gft, igft, poly_response,
-                                reconstruct_phi, spectral_ev_response)
+                                reconstruct_phi, spectral_ev_response,
+                                support_constraint_matrix)
 from graphfilt.sparse import SparseMatrix, support_mask
 
 
@@ -114,6 +115,85 @@ class TestArmaResponse:
         f = ArmaRational([-1.0], [1.0])  # pole at lambda = 1
         with pytest.raises(PoleAtEigenvalue):
             arma_response(f, np.array([1.0]))
+
+
+def full_constraint_matrix(eig, support):
+    """Reference constraint: one row per ordered zero position (i, j) of
+    the support, so a symmetric support stores every row twice."""
+    V = eig.eigenvectors
+    zero = np.ones((V.shape[0], V.shape[0]), dtype=bool)
+    zero[support.entry_rows(), support.col_idx] = False
+    rows_i, cols_j = np.nonzero(zero)
+    return V[rows_i, :] * V[cols_j, :]
+
+
+def reference_basis(S, tol=NULLSPACE_TOL):
+    """Null-space basis of the full constraint at the unadjusted tol."""
+    A = full_constraint_matrix(sym_eig(S.to_dense()), support_mask(S))
+    return null_space_basis(A, tol=tol) if A.shape[0] else np.eye(S.n_rows)
+
+
+def assert_kernel_matches_reference(S):
+    kern = build_basis_kernel(S)
+    B = reference_basis(S)
+    assert kern.nullity == B.shape[1]
+    assert np.max(np.abs(kern.basis @ kern.basis.T - B @ B.T)) <= 1e-12
+
+
+def filter_analysis_shift(seed):
+    """The graph of the filter_analysis benchmark workload (SBM 5x10)."""
+    g = sbm_generate([10] * 5, 0.3, 0.02, np.random.default_rng(seed))
+    return build_shift(g, "max_eigenvalue")
+
+
+class TestBasisKernelAgainstFullConstraint:
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_filter_analysis_graphs(self, seed):
+        assert_kernel_matches_reference(filter_analysis_shift(seed))
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_random_sbms(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        n = int(rng.integers(4, 61))
+        cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 3),
+                                  replace=False))
+        blocks = np.diff(np.concatenate([[0], cuts, [n]])).tolist()
+        g = sbm_generate(blocks, rng.uniform(0.3, 0.9),
+                         rng.uniform(0.02, 0.3), rng)
+        assert_kernel_matches_reference(build_shift(g, "max_eigenvalue"))
+
+    def test_structurally_asymmetric_support(self):
+        # one stored 1e-13 entry at (i, j) with (j, i) unstored: S stays
+        # symmetric within 1e-12, but only the pair's (j, i) position is
+        # a zero, and the reference stores that row once
+        S = filter_analysis_shift(1)
+        dense = S.to_dense()
+        i, j = map(int, np.argwhere(np.triu(dense == 0.0, k=1))[0])
+        rows = np.append(S.entry_rows(), i)
+        cols = np.append(S.col_idx, j)
+        vals = np.append(S.values, 1e-13)
+        T = SparseMatrix.from_coo(S.n_rows, S.n_cols, rows, cols, vals)
+        mask = support_mask(T)
+        keep = np.zeros((T.n_rows, T.n_rows), dtype=bool)
+        keep[mask.entry_rows(), mask.col_idx] = True
+        assert keep[i, j] and not keep[j, i]
+        assert_kernel_matches_reference(T)
+
+    def test_one_row_per_unordered_zero_pair(self):
+        eig = sym_eig(p3_shift().to_dense())
+        A = support_constraint_matrix(eig, support_mask(p3_shift()))
+        V = eig.eigenvectors
+        assert A.shape == (1, 3)
+        assert np.array_equal(A[0], V[0] * V[2])
+
+    def test_halves_the_full_constraint(self):
+        S = filter_analysis_shift(1)
+        eig, mask = sym_eig(S.to_dense()), support_mask(S)
+        full = full_constraint_matrix(eig, mask)
+        pairs = support_constraint_matrix(eig, mask)
+        assert 2 * pairs.shape[0] == full.shape[0] == 2274
+        assert np.array_equal(np.unique(pairs, axis=0),
+                              np.unique(full, axis=0))
 
 
 class TestBasisKernel:
