@@ -62,8 +62,7 @@ class Graph:
         return len(self.edges)
 
 
-def build_shift(graph, normalization="max_eigenvalue",
-                tol=1e-10, max_iter=10000):
+def build_shift(graph, normalization="max_eigenvalue"):
     """Adjacency-based shift operator under the chosen scaling.
 
     normalization:
@@ -77,7 +76,7 @@ def build_shift(graph, normalization="max_eigenvalue",
     if normalization == "none":
         return A
     if normalization == "max_eigenvalue":
-        lam = power_iteration_lambda_max(A, tol=tol, max_iter=max_iter)
+        lam = power_iteration_lambda_max(A)
         if lam == 0.0:
             raise SingularSystem("max_eigenvalue normalization needs "
                                  "lambda_max(A) > 0, and this graph's is 0")
@@ -201,9 +200,14 @@ def finite_floats(lineno, fields):
 
 def read_edge_list(path):
     """Parse the text edge-list format: ``src dst [weight]`` per line,
-    0-based indices, '#' comments and blank lines ignored."""
-    edges = []
-    max_node = -1
+    0-based indices, '#' comments and blank lines ignored.
+
+    The node count is the largest index plus one. An index at or above
+    twice the number of distinct nodes the file names raises
+    CountTooLarge naming its line, before anything of that size exists.
+    """
+    edges, nodes = [], set()
+    max_node, max_line = -1, 0
     for lineno, raw in text_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -221,14 +225,19 @@ def read_edge_list(path):
         if src == dst:
             raise ParseError(lineno, "self-loop not allowed")
         edges.append((src, dst, w))
-        max_node = max(max_node, src, dst)
+        nodes.update((src, dst))
+        if max(src, dst) > max_node:
+            max_node, max_line = max(src, dst), lineno
+    if max_node >= 2 * len(nodes):
+        raise CountTooLarge(
+            f"line {max_line}: node index {max_node} is at or above twice "
+            f"the {len(nodes)} distinct nodes the file names")
     return edges, max_node + 1
 
 
-def load_graph(path, n=None, directed=False):
-    edges, n_seen = read_edge_list(path)
-    n = n_seen if n is None else int(n)
-    return Graph(n, tuple(edges), directed=directed)
+def load_graph(path):
+    edges, n = read_edge_list(path)
+    return Graph(n, tuple(edges))
 
 
 def write_edge_list(path, graph):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateColumn, ParseError
+from ..errors import CountTooLarge, DegenerateColumn, ParseError
 from ..graphs import (Graph, block_labels, build_shift, finite_floats,
                       load_graph, sbm_generate, text_lines, write_edge_list)
 from ..nn import ShiftContext
@@ -113,8 +113,11 @@ def gen_source_localization(cfg, rng):
 
 def read_signals_csv(path, n_nodes):
     """One sample per line: n_nodes comma-separated finite values then a
-    label, an integer in [0, 2**63)."""
-    X, labels = [], []
+    label, an integer in [0, 2**63). The class count, the largest label
+    plus one, must not exceed the number of samples; a label that breaks
+    this raises CountTooLarge naming its line, before any readout is
+    sized by it."""
+    X, labels, label_lines = [], [], []
     for lineno, raw in text_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -131,6 +134,13 @@ def read_signals_csv(path, n_nodes):
         if not 0 <= label < 2**63:
             raise ParseError(lineno, f"label {label} outside [0, 2**63)")
         labels.append(label)
+        label_lines.append(lineno)
+    top = max(labels, default=-1)
+    if top >= len(labels):
+        i = labels.index(top)
+        raise CountTooLarge(
+            f"line {label_lines[i]}: label {labels[i]} makes {labels[i] + 1} "
+            f"classes, more than the {len(labels)} samples")
     return (np.asarray(X, dtype=np.float64).reshape(len(X), n_nodes),
             np.asarray(labels, dtype=np.int64))
 

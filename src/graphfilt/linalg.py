@@ -65,17 +65,6 @@ def null_space_basis(A, tol=NULLSPACE_TOL):
     return Vt[rank:].T
 
 
-def khatri_rao(A, B):
-    """Columnwise Kronecker product: column j is kron(A[:, j], B[:, j])."""
-    A = np.asarray(A, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
-        raise DimensionMismatch("khatri_rao needs equal column counts")
-    m, k = A.shape
-    n = B.shape[0]
-    return (A[:, None, :] * B[None, :, :]).reshape(m * n, k)
-
-
 def poly_roots(coeffs):
     """All complex roots of sum_k coeffs[k] * x^k (companion-matrix
     eigenvalues), as complex128 even when every root is real."""

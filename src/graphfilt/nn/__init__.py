@@ -1,14 +1,13 @@
 """Differentiable layers, gradient engine, optimizer, and validation."""
 from .autograd import Tape, Tensor, backward
-from .functional import (cross_entropy, leaky_relu, log_sum_exp, quadratic,
-                         relu, smooth_l1, softmax_rows)
+from .functional import (cross_entropy, leaky_relu, log_sum_exp, relu,
+                         smooth_l1, softmax_rows)
 from .gradcheck import GradCheckReport, finite_difference_check
 from .init import init_params
 from .layers import (ArmaLayer, AttentionParams, BlockVaryingLayer,
                      EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                      GnnLayer, HybridGcatLayer, HybridLayer, Model,
-                     PolynomialLayer, ShiftContext, forward,
-                     tie_attention_to_mixing, untie_attention)
+                     PolynomialLayer, ShiftContext, tie_attention_to_mixing)
 from .optim import AdamState, adam_step
 from .serialize import load_model, save_model, shift_operator_hash
 
@@ -17,8 +16,8 @@ __all__ = [
     "EdgeVaryingGatLayer", "EdgeVaryingLayer", "GcatLayer", "GnnLayer",
     "GradCheckReport", "HybridGcatLayer", "HybridLayer", "Model",
     "PolynomialLayer", "ShiftContext", "Tape", "Tensor", "adam_step",
-    "backward", "cross_entropy", "finite_difference_check", "forward",
-    "init_params", "leaky_relu", "load_model", "log_sum_exp", "quadratic",
-    "relu", "save_model", "shift_operator_hash", "smooth_l1", "softmax_rows",
-    "tie_attention_to_mixing", "untie_attention",
+    "backward", "cross_entropy", "finite_difference_check", "init_params",
+    "leaky_relu", "load_model", "log_sum_exp", "relu", "save_model",
+    "shift_operator_hash", "smooth_l1", "softmax_rows",
+    "tie_attention_to_mixing",
 ]

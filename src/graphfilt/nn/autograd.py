@@ -186,24 +186,17 @@ def reciprocal(tape, a):
 
 
 def matmul(tape, a, b):
-    """a @ b with a of shape (..., f) or (..., n, f) and b (f, g) or (f,)."""
+    """a @ b with a of shape (..., f) and b (f, g); another b raises
+    ValueError."""
     av, bv = _val(a), _val(b)
+    if bv.ndim != 2:
+        raise ValueError(f"matmul expects a (f, g) matrix b, not {bv.shape}")
 
     def back(g):
-        if bv.ndim == 1 and av.ndim == 1:
-            _acc(a, lambda: g * bv)
-            _acc(b, lambda: g * av)
-        elif bv.ndim == 1:
-            _acc(a, lambda: g[..., None] * bv)
-            _acc(b, lambda: g.reshape(-1) @ av.reshape(-1, av.shape[-1]))
-        elif av.ndim == 1:
-            _acc(a, lambda: g @ bv.T)
-            _acc(b, lambda: np.outer(av, g))
-        else:
-            _acc(a, lambda: g @ bv.T)
-            # sum every leading batch axis into the (f, g) adjoint
-            _acc(b, lambda: av.reshape(-1, av.shape[-1]).T
-                 @ g.reshape(-1, g.shape[-1]))
+        _acc(a, lambda: g @ bv.T)
+        # sum every leading batch axis into the (f, g) adjoint
+        _acc(b, lambda: av.reshape(-1, av.shape[-1]).T
+             @ g.reshape(-1, g.shape[-1]))
 
     return _result(tape, av @ bv, (a, b), back)
 
@@ -364,14 +357,14 @@ def jacobi_shift_values(tape, gamma, s_off, d_off_rows):
 
 
 def spmm_const(tape, S, x):
-    """Fixed sparse matrix times tensor; gradient flows to x only, through
-    ``S.transpose()``, which S builds on first use and caches."""
+    """Fixed sparse matrix times tensor; gradient flows to x only, as
+    S^T g on S's own product operator, so no transposed matrix is built."""
     xv = _val(x)
     if xv.ndim < 2:
         raise ValueError("spmm_const expects (..., n, f) input")
 
     def back(g):
-        _acc(x, lambda: spmm(S.transpose(), g))
+        _acc(x, lambda: S._operator().apply_transposed(g, 1))
 
     return _result(tape, spmm(S, xv), (x,), back)
 

@@ -71,9 +71,3 @@ def smooth_l1(pred, target, delta=1.0, mask=None):
         per = per * mask
         grad = grad * mask
     return float(per.sum()), grad
-
-
-def quadratic(logits, _labels=None):
-    """0.5 ||logits||^2, the exactness case for gradient checking."""
-    logits = np.asarray(logits, dtype=np.float64)
-    return 0.5 * float(np.sum(logits * logits)), logits.copy()

@@ -511,15 +511,6 @@ def tie_attention_to_mixing(layer):
     return layer
 
 
-def untie_attention(layer):
-    """Give every tied head back its own storage (values copied)."""
-    for head in _attention(layer)[0]:
-        if head.tied:
-            head.B = Tensor(head.B.value.copy(), name="att_B")
-            head.tied = False
-    return layer
-
-
 class Model:
     """Ordered layer stack with a fully connected readout.
 
@@ -571,13 +562,13 @@ class Model:
         for layer in self.layers:
             layer.post_update(ctx)
 
-    def features(self, ctx, X0, tape=None):
+    def features(self, ctx, X0):
         """Layer-stack output (the permutation-equivariance surface).
 
         An array X0 stays a constant, so the backward spends no work on
         its adjoint; pass a Tensor to get dL/dX0 in its ``grad``.
         """
-        tape = tape if tape is not None else Tape()
+        tape = Tape()
         Z = X0 if isinstance(X0, Tensor) else np.asarray(X0, dtype=np.float64)
         for layer in self.layers:
             Z = layer.forward(tape, ctx, Z)
@@ -603,9 +594,3 @@ class Model:
     def restore(self, snap):
         for (_, t), v in zip(self.parameters(), snap):
             t.value = v.copy()
-
-
-def forward(model, S, X0):
-    """Run the model on a shift operator (or prepared context)."""
-    ctx = S if isinstance(S, ShiftContext) else ShiftContext(S)
-    return model.forward(ctx, X0)

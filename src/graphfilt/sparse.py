@@ -355,12 +355,11 @@ class SparseMatrix:
     """Real CSR matrix: one value per stored entry of a ``Pattern``.
 
     ``values`` must not be mutated in place: products cache a dense copy
-    of the matrix, and ``transpose`` its result, on first use, and both
-    would go stale. ``with_values`` and ``scale`` return a new matrix on
-    the same pattern instead.
+    of the matrix on first use, and it would go stale. ``with_values``
+    and ``scale`` return a new matrix on the same pattern instead.
     """
 
-    __slots__ = ("pattern", "values", "_op", "_t")
+    __slots__ = ("pattern", "values", "_op")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         self._set(Pattern(n_rows, n_cols, row_ptr, col_idx), values)
@@ -368,7 +367,7 @@ class SparseMatrix:
     def _set(self, pattern, values):
         self.pattern = pattern
         self.values = np.asarray(values, dtype=np.float64)
-        self._op = self._t = None
+        self._op = None
         if len(self.values) != pattern.nnz:
             raise ValueError("col_idx and values must have equal length")
 
@@ -431,12 +430,9 @@ class SparseMatrix:
         return d
 
     def transpose(self):
-        """S^T, built on first use and cached like the pattern's own
-        transpose; it holds no reference back to S, so no cycle forms."""
-        if self._t is None:
-            T, perm = self.pattern.transpose_permutation()
-            self._t = T.matrix(self.values[perm])
-        return self._t
+        """S^T, on the pattern's cached transpose."""
+        T, perm = self.pattern.transpose_permutation()
+        return T.matrix(self.values[perm])
 
     def with_values(self, values):
         """Same pattern, new values."""

@@ -107,11 +107,20 @@ class TestMatmul:
         b = Tensor(rng.normal(size=(4, 3)))
         check_primitive(lambda t: ag.matmul(t, a, b), [a, b])
 
-    def test_matrix_times_vector(self):
-        rng = np.random.default_rng(6)
-        a = Tensor(rng.normal(size=(3, 4)))
-        b = Tensor(rng.normal(size=(4,)))
-        check_primitive(lambda t: ag.matmul(t, a, b), [a, b])
+    def test_vector_times_matrix_adjoint_is_the_outer_product(self):
+        rng = np.random.default_rng(5)
+        a = Tensor(rng.normal(size=(4,)))
+        b = Tensor(rng.normal(size=(4, 3)))
+        g = rng.normal(size=3)
+        tape = Tape()
+        tape.backward(ag.matmul(tape, a, b), g)
+        assert np.array_equal(b.grad, np.outer(a.value, g))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 3)])
+    def test_b_other_than_a_matrix_raises(self, shape):
+        a = Tensor(np.ones((3, 4)))
+        with pytest.raises(ValueError, match="matmul expects a"):
+            ag.matmul(Tape(), a, np.ones(shape))
 
 
 class TestSparsePrimitives:

@@ -7,6 +7,7 @@ from graphfilt.errors import (CountTooLarge, GenerationFailed, ParseError,
 from graphfilt.graphs import (Graph, build_shift, diffusion_centrality,
                               is_connected, load_graph, read_edge_list,
                               sbm_generate, select_nodes, write_edge_list)
+from graphfilt.sparse import SparseMatrix
 
 
 def k3():
@@ -206,3 +207,39 @@ class TestEdgeListIO:
         p = tmp_path / "g.txt"
         p.write_bytes("# café\r\n0 1\r\n1 2 0.5\r\n".encode("utf-8"))
         assert read_edge_list(p) == ([(0, 1, 1.0), (1, 2, 0.5)], 3)
+
+    @pytest.mark.parametrize("content,line", [
+        ("0 1\n1 4000000\n", 2),
+        ("0 1\n1 10000000000\n0 2\n", 2),
+        ("0 4\n", 1),                       # 2 distinct nodes, index 4
+        ("0 1\n2 3\n0 10\n", 3),          # 5 distinct nodes, index 10
+    ])
+    def test_index_far_past_the_distinct_nodes_names_its_line(
+            self, tmp_path, content, line):
+        p = tmp_path / "stray.txt"
+        p.write_text(content)
+        with pytest.raises(CountTooLarge, match=f"^line {line}: node index"):
+            read_edge_list(p)
+
+    @pytest.mark.parametrize("content,n", [
+        ("0 3\n", 4),                       # 2 distinct nodes, index 3
+        ("0 1\n2 3\n0 8\n", 9),           # 5 distinct nodes, index 8
+        ("2 3\n3 4\n", 5),                 # 3 distinct nodes, index 4
+        ("", 0),
+    ])
+    def test_index_below_twice_the_distinct_nodes_reads(self, tmp_path,
+                                                         content, n):
+        p = tmp_path / "g.txt"
+        p.write_text(content)
+        assert read_edge_list(p)[1] == n
+
+    def test_stray_index_fails_before_the_shift_is_allocated(
+            self, tmp_path, monkeypatch):
+        p = tmp_path / "stray.txt"
+        p.write_text("0 1\n1 10000000000\n")
+
+        def no_matrix(*args):
+            raise AssertionError("a matrix was built for the stray index")
+        monkeypatch.setattr(SparseMatrix, "from_coo", no_matrix)
+        with pytest.raises(CountTooLarge, match="^line 2: "):
+            build_shift(load_graph(p), "none")

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from graphfilt.errors import ConfigError, NonFiniteValue, ParseError
+from graphfilt.errors import (ConfigError, CountTooLarge, NonFiniteValue,
+                              ParseError)
 from graphfilt.harness import (ExperimentConfig, build_dataset,
                                build_similarity_graph, dataset_hash,
                                evaluate, export_dataset,
@@ -364,17 +365,67 @@ class TestEdgeListIngestion:
 
     def test_signals_read_before_the_shift_is_built(self, tmp_path,
                                                      monkeypatch):
-        # a stray node index of 1e10 makes a 1e10-node graph; the signals'
-        # field count must fail before a shift of that size is allocated
+        # a stray node index of 1e10 fails in the edge-list reader; one the
+        # reader lets through (a 4-node graph of 3 named nodes) fails on
+        # the signals' field count; neither allocates a shift
         _, s = self.write_pair(tmp_path)
         g = tmp_path / "stray.edgelist"
-        g.write_text("0 1\n1 10000000000\n")
 
         def no_shift(*args):
             raise AssertionError("build_shift ran before the signals")
         monkeypatch.setattr(data_module, "build_shift", no_shift)
-        with pytest.raises(ParseError, match="expected 10000000002 fields"):
+        g.write_text("0 1\n1 10000000000\n")
+        with pytest.raises(CountTooLarge, match="^line 2: node index"):
             ingest_edge_list(g, s)
+        g.write_text("0 1\n1 3\n")
+        with pytest.raises(ParseError, match="expected 5 fields"):
+            ingest_edge_list(g, s)
+
+    @pytest.mark.parametrize("labels,line", [
+        ([0, 1000000000000], 2),
+        ([0, 1, 2, 0, 5], 5),                 # 6 classes, 5 samples
+        ([4, 0, 4, 1], 1),                    # the first largest label
+    ])
+    def test_class_count_above_the_samples_names_its_line(
+            self, tmp_path, monkeypatch, labels, line):
+        g, _ = self.write_pair(tmp_path)
+        s = tmp_path / "labels.csv"
+        s.write_text("".join(f"0.0,1.0,0.0,{y}\n" for y in labels))
+        with pytest.raises(CountTooLarge, match=(
+                f"^line {line}: label {max(labels)} makes {max(labels) + 1} "
+                f"classes, more than the {len(labels)} samples")):
+            read_signals_csv(s, 3)
+
+        def no_shift(*args):
+            raise AssertionError("the shift was built for a bad label")
+        monkeypatch.setattr(data_module, "build_shift", no_shift)
+        with pytest.raises(CountTooLarge, match=f"^line {line}: "):
+            ingest_edge_list(g, s)
+
+    def test_class_count_up_to_the_samples_reads(self, tmp_path):
+        g, _ = self.write_pair(tmp_path)
+        s = tmp_path / "labels.csv"
+        s.write_text("".join(f"0.0,1.0,0.0,{y}\n" for y in (0, 3, 1, 3)))
+        ds = ingest_edge_list(g, s)
+        assert ds.n_outputs == 4
+
+    def test_huge_label_fails_train_before_the_model(self, tmp_path, capsys,
+                                                     monkeypatch):
+        g, s = self.write_pair(tmp_path)
+        s.write_text("1.0,0.0,0.0,0\n0.0,1.0,0.0,1000000000000\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "task": "edge_list_classification",
+            "dataset": {"graph_path": str(g), "signals_path": str(s)}}))
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was sized by the label")
+        monkeypatch.setattr(train_module, "build_model", no_model)
+        code = cli_main(["train", "-c", str(cfg), "-o", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: label 1000000000000 makes")
+        assert "Traceback" not in err
 
     def test_empty_signals_file_keeps_the_node_axis(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -798,6 +849,18 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "lambda,response"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--filter", '{"kind":"polynomial","coeffs":[1.0]}'],
+        ["centrality"]])
+    def test_stray_node_index_exits_one_naming_its_line(self, tmp_path,
+                                                        capsys, command):
+        g = tmp_path / "stray.edgelist"
+        g.write_text("0 1\n1 10000000000\n")
+        assert cli_main(command + ["--graph", str(g)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 2: node index 10000000000")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_centrality_lists_nodes(self, capsys, tmp_path):
         g = tmp_path / "g.edgelist"

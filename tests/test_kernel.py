@@ -1,8 +1,8 @@
 """The size-dispatched sparse product kernel: both paths against dense
 numpy and scipy oracles and against the entry-major CSR kernel the
-node-last one replaced, the dispatch rule, the cached transpose, and
-two-layer gradients of every family on a graph taking each path, with
-and across ReLU kinks."""
+node-last one replaced, the dispatch rule, the transpose-free backward
+of the constant shift product, and two-layer gradients of every family
+on a graph taking each path, with and across ReLU kinks."""
 import gc
 
 import numpy as np
@@ -367,8 +367,8 @@ class TestDispatch:
         assert doubled._operator().dense is not S._operator().dense
 
     def test_used_matrix_freed_without_cycle_collection(self):
-        """A used matrix, its dense copy and its cached transpose (used
-        too) are freed by reference counting alone."""
+        """A used matrix, its dense copy and its transpose (used too) are
+        freed by reference counting alone."""
         def alive():
             return sum(isinstance(o, SparseMatrix) for o in gc.get_objects())
 
@@ -394,52 +394,77 @@ class TestDispatch:
 
 
 class TestTransposeCache:
-    def test_transpose_is_cached(self):
-        _, S = random_pattern(np.random.default_rng(6), 6, 8)
-        St = S.transpose()
-        assert S.transpose() is St
-        assert np.array_equal(St.to_dense(), S.to_dense().T)
+    """Only the pattern caches its transpose. spmm_const's backward is
+    S^T g on S's own cached product operator: no transposed SparseMatrix
+    (nor, on the dense path, a second dense copy) is built, and the
+    adjoint is the one the transposed matrix gave."""
 
     @pytest.mark.parametrize("derive", ["with_values", "scale"])
     def test_derived_matrix_gets_a_fresh_cache(self, derive):
         _, S = random_pattern(np.random.default_rng(7), 6, 8)
-        St = S.transpose()
+        G = np.random.default_rng(8).normal(size=(2, 6, 3))
+        before = S._operator().apply_transposed(G, 1)
         D = (S.with_values(-S.values) if derive == "with_values"
              else S.scale(-1.0))
-        assert D.transpose() is not St
-        assert np.array_equal(D.transpose().to_dense(), -St.to_dense())
-        assert S.transpose() is St
+        assert D._operator() is not S._operator()
+        assert np.array_equal(D._operator().apply_transposed(G, 1), -before)
+        assert np.array_equal(D.transpose().to_dense(),
+                              -S.transpose().to_dense())
+        assert D.transpose().pattern is S.transpose().pattern
 
     @pytest.mark.parametrize("graph", ["dense", "csr"])
-    def test_context_builds_transpose_only_for_a_backward(self, graph,
-                                                          monkeypatch):
-        """ShiftContext builds no S^T; a 1-layer model, whose shift chain
-        reads only the constant input, never needs one; a 2-layer model's
-        backward builds it once and reuses it."""
+    @pytest.mark.parametrize("family", ["gcnn", "arma"])
+    def test_forward_and_backward_build_no_transpose(self, family, graph,
+                                                     monkeypatch):
+        """A 2-layer gcnn and an ARMA layer with Jacobi order 2 run
+        spmm_const's backward on a Tensor operand, yet never call
+        SparseMatrix.transpose."""
         made = []
         original = SparseMatrix.transpose
 
         def spy(self):
-            out = original(self)
-            made.append(out)
-            return out
+            made.append(self)
+            return original(self)
 
         monkeypatch.setattr(SparseMatrix, "transpose", spy)
         ctx = dense_context() if graph == "dense" else ring_context(60)
-        assert made == []
+        if family == "gcnn":
+            layers = [PolynomialLayer(1, 2, 2), PolynomialLayer(2, 2, 2)]
+        else:
+            layers = [FAMILIES["arma"](1, 2, ctx, None)]
+            assert layers[0].jacobi_order == 2
+        model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
         rng = np.random.default_rng(8)
-        X = rng.normal(size=(3, ctx.n, 1))
-        for n_layers in (1, 2):
-            layers = [PolynomialLayer(1, 2, 2)] + [
-                PolynomialLayer(2, 2, 2) for _ in range(n_layers - 1)]
-            model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
-            init_params(model, rng, shift=ctx)
-            logits, tape = model.forward(ctx, X)
-            tape.backward(output_grad=np.ones(logits.shape))
-            if n_layers == 1:
-                assert made == []
-        assert len(made) == 2          # one per hop of the second layer
-        assert made[0] is made[1]
+        init_params(model, rng, shift=ctx)
+        logits, tape = model.forward(ctx, rng.normal(size=(3, ctx.n, 1)))
+        backward_products = []
+        transposed = _Product.apply_transposed
+
+        def counted(op, G, trailing):
+            backward_products.append(op)
+            return transposed(op, G, trailing)
+
+        monkeypatch.setattr(_Product, "apply_transposed", counted)
+        tape.backward(output_grad=np.ones(logits.shape))
+        assert backward_products            # the shift adjoint did run
+        assert made == []
+
+    @pytest.mark.parametrize("graph", ["dense", "csr"])
+    def test_adjoint_matches_dense_oracle_and_transposed_matrix(self, graph):
+        """x-adjoint of spmm_const against D^T g (1e-12) on both paths, and
+        on CSR bitwise against the route it replaced, spmm(S^T, g)."""
+        ctx = dense_context() if graph == "dense" else ring_context(60)
+        rng = np.random.default_rng(9)
+        for S in (ctx.S, ctx.S_off):
+            assert (S._operator().dense is not None) == (graph == "dense")
+            x = ag.Tensor(rng.normal(size=(2, 3, S.n_cols, 4)))
+            g = rng.normal(size=(2, 3, S.n_rows, 4))
+            tape = ag.Tape()
+            out = ag.spmm_const(tape, S, x)
+            tape.backward(out, g)
+            close(x.grad, S.to_dense().T @ g)
+            if graph == "csr":
+                assert np.array_equal(x.grad, spmm(S.transpose(), g))
 
 
 class TestSegmentSums:

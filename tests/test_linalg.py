@@ -1,11 +1,10 @@
-"""Dense eigensolver, null spaces, Khatri-Rao, root finding."""
+"""Dense eigensolver, null spaces, root finding."""
 import numpy as np
 import pytest
 
-from graphfilt.errors import (DegreeZero, DimensionMismatch, NoConvergence,
-                              NotSymmetric)
-from graphfilt.linalg import (EigenDecomposition, khatri_rao,
-                              null_space_basis, poly_roots, sym_eig)
+from graphfilt.errors import DegreeZero, NoConvergence, NotSymmetric
+from graphfilt.linalg import (EigenDecomposition, null_space_basis,
+                              poly_roots, sym_eig)
 
 
 def random_symmetric(rng, n):
@@ -158,34 +157,6 @@ class TestScipyOracle:
         ref = sla.null_space(A)
         assert N.shape == ref.shape == (n, n - rank)
         assert np.max(np.abs(N @ N.T - ref @ ref.T)) < 1e-10
-
-
-class TestKhatriRao:
-    def test_row_vectors_elementwise(self):
-        A = np.array([[1.0, 2.0, 3.0]])
-        B = np.array([[4.0, 5.0, 6.0]])
-        assert np.array_equal(khatri_rao(A, B), [[4.0, 10.0, 18.0]])
-
-    def test_identity_columns(self):
-        out = khatri_rao(np.eye(2), np.eye(2))
-        want = np.zeros((4, 2))
-        want[0, 0] = 1.0  # e1 kron e1
-        want[3, 1] = 1.0  # e2 kron e2
-        assert np.array_equal(out, want)
-
-    def test_matches_index_formula(self):
-        rng = np.random.default_rng(31)
-        A = rng.normal(size=(3, 2))
-        B = rng.normal(size=(2, 2))
-        out = khatri_rao(A, B)
-        for j in range(2):
-            for i in range(3):
-                for k in range(2):
-                    assert out[i * 2 + k, j] == A[i, j] * B[k, j]
-
-    def test_rejects_column_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            khatri_rao(np.eye(2), np.ones((2, 3)))
 
 
 class TestPolyRoots:
