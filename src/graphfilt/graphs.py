@@ -15,15 +15,11 @@ SELECTIONS = ("degree", "diffusion_centrality")
 
 @dataclass(frozen=True)
 class Graph:
-    """Weighted graph without self-loops.
-
-    For undirected graphs each edge is stored once with src < dst and the
-    adjacency expands both directions.
-    """
+    """Undirected weighted graph without self-loops: each edge is stored
+    once with src < dst and the adjacency expands both directions."""
 
     n: int
     edges: tuple = field(default=())
-    directed: bool = False
 
     def __post_init__(self):
         canon = []
@@ -35,7 +31,7 @@ class Graph:
                 raise ValueError(f"self-loop at node {src} not allowed")
             if not (0 <= src < self.n and 0 <= dst < self.n):
                 raise ValueError(f"edge ({src},{dst}) out of range")
-            if not self.directed and src > dst:
+            if src > dst:
                 src, dst = dst, src
             if (src, dst) in seen:
                 continue
@@ -44,14 +40,12 @@ class Graph:
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     def adjacency(self):
-        """Adjacency as a SparseMatrix (symmetric when undirected)."""
+        """Symmetric adjacency as a SparseMatrix."""
         if not self.edges:
             return SparseMatrix.from_coo(self.n, self.n, [], [], [])
         src = np.array([e[0] for e in self.edges], dtype=np.int64)
         dst = np.array([e[1] for e in self.edges], dtype=np.int64)
         w = np.array([e[2] for e in self.edges])
-        if self.directed:
-            return SparseMatrix.from_coo(self.n, self.n, src, dst, w)
         rows = np.concatenate([src, dst])
         cols = np.concatenate([dst, src])
         vals = np.concatenate([w, w])
@@ -131,7 +125,7 @@ def sbm_generate(block_sizes, p_intra, p_inter, rng):
         draw = rng.random(len(iu))
         keep = draw < prob
         edges = tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
-        g = Graph(n, tuple((a, b, 1.0) for a, b in edges), directed=False)
+        g = Graph(n, tuple((a, b, 1.0) for a, b in edges))
         if is_connected(g):
             return g
     raise GenerationFailed(

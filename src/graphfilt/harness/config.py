@@ -61,12 +61,22 @@ def _section(cls, d, where):
     return cls(**out)
 
 
-def _at_least(obj, bounds):
-    """ConfigError naming the first field of ``obj`` below its bound."""
+def _at_least(values, bounds):
+    """ConfigError naming the first field of ``values`` below its bound."""
     for key, low in bounds.items():
-        if getattr(obj, key) < low:
+        if values[key] < low:
             raise ConfigError(f"field '{key}' must be >= {low}, "
-                              f"not {getattr(obj, key)!r}")
+                              f"not {values[key]!r}")
+
+
+def _finite_positive(key, value):
+    """``value`` as a float, or ConfigError naming ``key`` unless it is
+    finite and > 0."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"field '{key}' must be finite and > 0, "
+                          f"not {value!r}")
+    return value
 
 
 @dataclass
@@ -93,9 +103,9 @@ class ArchitectureConfig:
                              ("nonlinearity", NONLINEARITIES),
                              ("readout_mode", READOUT_MODES)):
             _check_choice(key, getattr(self, key), choices)
-        _at_least(self, {"order": 0, "features": 1, "layers": 1,
-                         "n_poles": 0, "jacobi_order": 0, "n_selected": 0,
-                         "selection_k": 0})
+        _at_least(vars(self), {"order": 0, "features": 1, "layers": 1,
+                               "n_poles": 0, "jacobi_order": 0,
+                               "n_selected": 0, "selection_k": 0})
 
 
 @dataclass
@@ -105,11 +115,9 @@ class TrainingConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
-        self.learning_rate = float(self.learning_rate)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError("field 'learning_rate' must be finite and > 0, "
-                              f"not {self.learning_rate!r}")
-        _at_least(self, {"epochs": 0, "batch_size": 1})
+        self.learning_rate = _finite_positive("learning_rate",
+                                              self.learning_rate)
+        _at_least(vars(self), {"epochs": 0, "batch_size": 1})
 
 
 _DATASET_KEYS = {
@@ -153,7 +161,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
-        self.dataset = _read(self.dataset, _DATASET_KEYS[self.task], "dataset")
+        defaults = _DATASET_KEYS[self.task]
+        self.dataset = _read(self.dataset, defaults, "dataset")
+        _at_least(self.dataset, {k: 0 for k, v in defaults.items()
+                                 if type(v) is int})
+        if "smooth_l1_delta" in self.dataset:
+            _finite_positive("smooth_l1_delta",
+                             self.dataset["smooth_l1_delta"])
         for key in ("p_intra", "p_inter", "train_fraction", "val_fraction"):
             if key in self.dataset and not 0.0 <= self.dataset[key] <= 1.0:
                 raise ConfigError(f"{key} must lie in [0, 1]")

@@ -171,7 +171,7 @@ def export_dataset(ds, out_dir):
     rows = ds.S.entry_rows()
     edges = [(int(r), int(c), float(v)) for r, c, v
              in zip(rows, ds.S.col_idx, ds.S.values) if r < c]
-    graph = Graph(ds.S.n_rows, tuple(edges), directed=False)
+    graph = Graph(ds.S.n_rows, tuple(edges))
     graph_path = os.path.join(out_dir, "graph.edgelist")
     signals_path = os.path.join(out_dir, "signals.csv")
     write_edge_list(graph_path, graph)

@@ -111,17 +111,13 @@ def evaluate(model, dataset, split, cfg):
     for start in range(0, len(X), _EVAL_CHUNK):
         rows = slice(start, start + _EVAL_CHUNK)
         xb, yb = X[rows], y[rows]
+        mb = mask[rows] if mask is not None else None
         logits, _ = _forward_batch(model, ctx, xb)
         lv = logits.value
+        losses.append((_batch_loss(cfg, lv, yb, mb)[0], len(xb)))
         if dataset.is_classification:
-            loss, _ = cross_entropy(lv, yb)
-            losses.append((loss, len(xb)))
             hits += float(np.sum(np.argmax(lv, axis=-1) == yb))
         else:
-            mb = mask[rows]
-            loss, _ = smooth_l1(lv, yb, cfg.dataset["smooth_l1_delta"],
-                                mask=mb)
-            losses.append((loss / len(xb), len(xb)))
             resid = (lv - yb) * mb
             sq_sum += float(np.sum(resid * resid))
             sq_n += float(np.sum(mb))

@@ -1,5 +1,5 @@
 """Differentiable layers, gradient engine, optimizer, and validation."""
-from .autograd import Tape, Tensor, backward
+from .autograd import Tape, Tensor
 from .functional import (cross_entropy, leaky_relu, log_sum_exp, relu,
                          smooth_l1, softmax_rows)
 from .gradcheck import GradCheckReport, finite_difference_check
@@ -16,7 +16,7 @@ __all__ = [
     "EdgeVaryingGatLayer", "EdgeVaryingLayer", "GcatLayer", "GnnLayer",
     "GradCheckReport", "HybridGcatLayer", "HybridLayer", "Model",
     "PolynomialLayer", "ShiftContext", "Tape", "Tensor", "adam_step",
-    "backward", "cross_entropy", "finite_difference_check", "init_params",
+    "cross_entropy", "finite_difference_check", "init_params",
     "leaky_relu", "load_model", "log_sum_exp", "relu", "save_model",
     "shift_operator_hash", "smooth_l1", "softmax_rows",
     "tie_attention_to_mixing",

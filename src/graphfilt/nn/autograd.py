@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attention import (_edge_scores, _edge_scores_adjoint, _leaky_factor,
+from ..attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
+                         _edge_scores_adjoint, _leaky_factor,
                          _projection_weight_adjoint, _row_softmax,
                          _row_softmax_adjoint, _score_matrix)
 from ..errors import MissingTape
@@ -84,13 +85,6 @@ class Tape:
             np.asarray(output_grad, dtype=np.float64), out.value.shape).copy()
         for fn in reversed(self._records):
             fn()
-
-
-def backward(tape, loss_grad):
-    """Drive the recorded forward pass backwards from d(loss)/d(output)."""
-    if tape is None:
-        raise MissingTape("no tape recorded for this forward pass")
-    tape.backward(output_grad=loss_grad)
 
 
 def _val(x):
@@ -259,36 +253,27 @@ def gather_rows(tape, a, idx):
                    lambda g: _acc(a, lambda: _placed(av.shape, rows, g)))
 
 
-def scatter_rows(tape, a, idx, n_rows, trailing=1):
-    """Place rows at unique indices of an otherwise-zero node axis.
-
-    ``trailing`` counts the feature axes after the node axis: 1 for
-    (..., rows, F) inputs, 2 for pairwise (..., rows, F, G) inputs.
-    """
+def scatter_rows(tape, a, idx, n_rows):
+    """Place the rows of a (..., rows, F) operand at unique indices of an
+    otherwise-zero node axis of length n_rows."""
     av = _val(a)
-    axis = av.ndim - 1 - trailing
-    shape = list(av.shape)
-    shape[axis] = n_rows
-    sl = [slice(None)] * av.ndim
-    sl[axis] = idx
-    sl = tuple(sl)
-    return _result(tape, _placed(shape, sl, av), (a,),
-                   lambda g: _acc(a, lambda: g[sl]))
+    rows = (..., idx, slice(None))
+    return _result(tape, _placed(av.shape[:-2] + (n_rows, av.shape[-1]),
+                                 rows, av), (a,),
+                   lambda g: _acc(a, lambda: g[rows]))
 
 
-def activation(tape, a, kind, slope=0.2, bias=None):
+def activation(tape, a, kind, bias=None):
     """The layer tail sigma(a + bias) as one record, written into one new
     array; "identity" without a bias returns ``a`` itself and records
-    nothing.
+    nothing. Leaky ReLU uses the fixed LEAKY_SLOPE_DEFAULT.
 
     The backward reads the nonlinearity's mask from the output, which
-    keeps the sign of its input for relu and for leaky slopes >= 0, so no
-    factor array stays on the tape. A negative slope raises ValueError.
+    keeps the sign of its input for relu and for a leaky slope >= 0, so no
+    factor array stays on the tape.
     """
     if kind not in NONLINEARITIES:
         raise ValueError(f"unknown nonlinearity {kind!r}")
-    if kind == "leaky_relu" and not slope >= 0:
-        raise ValueError(f"leaky_relu slope must be >= 0, not {slope!r}")
     if kind == "identity" and bias is None:
         return a
     av = _val(a)
@@ -297,13 +282,13 @@ def activation(tape, a, kind, slope=0.2, bias=None):
     if kind == "relu":
         np.maximum(out, 0.0, out=out)
     elif kind == "leaky_relu":
-        out *= _leaky_factor(out, slope)
+        out *= _leaky_factor(out, LEAKY_SLOPE_DEFAULT)
 
     def back(g):
         if kind == "relu":
             g = g * (out > 0)
         elif kind == "leaky_relu":
-            g = g * _leaky_factor(out, slope)
+            g = g * _leaky_factor(out, LEAKY_SLOPE_DEFAULT)
         _acc(a, lambda: _unbroadcast(g, av.shape))
         _acc(bias, lambda: _unbroadcast(g, bv.shape))
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functional import cross_entropy
-from .layers import ShiftContext
 
 KINK_RETRIES = 3
 
@@ -37,9 +36,10 @@ def _rel_err(a, n):
     return abs(a - n) / max(abs(a), abs(n), 1e-3)
 
 
-def finite_difference_check(model, S, X0, loss=None, h=1e-5, tol=1e-4,
+def finite_difference_check(model, ctx, X0, loss=None, h=1e-5, tol=1e-4,
                             labels=None):
-    """Compare tape gradients against central differences, per scalar.
+    """Compare tape gradients against central differences, per scalar, on
+    the ShiftContext ``ctx``.
 
     loss maps logits to (value, dvalue/dlogits); defaults to mean
     cross-entropy against the given (or all-zero) labels.
@@ -49,7 +49,6 @@ def finite_difference_check(model, S, X0, loss=None, h=1e-5, tol=1e-4,
     than tol. Such a coordinate is re-evaluated at h/10, up to
     KINK_RETRIES times, and fails only if every step fails.
     """
-    ctx = S if isinstance(S, ShiftContext) else ShiftContext(S)
     X0 = np.asarray(X0, dtype=np.float64)
     if loss is None:
         if labels is None:

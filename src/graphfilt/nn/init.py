@@ -39,8 +39,7 @@ def _initial_value(name, shape, layer, rng, shift):
     if name == "arma_gamma":
         if shift is None:
             raise ValueError("ARMA initialization needs the shift operator")
-        diag = shift.diag if hasattr(shift, "diag") else shift.diagonal()
-        top = float(np.max(np.abs(diag), initial=0.0))
+        top = float(np.max(np.abs(shift.diag), initial=0.0))
         poles = top + 1.0 + np.arange(1, shape[0] + 1) * 0.5
         return np.broadcast_to(poles[:, None, None], shape).copy()
     if name == "bias":
@@ -51,8 +50,8 @@ def _initial_value(name, shape, layer, rng, shift):
 def init_params(model, rng, shift=None):
     """Fill every parameter of the model in declaration order.
 
-    ARMA layers need the bound shift operator (its diagonal places the
-    pole starting points); pass the SparseMatrix or a ShiftContext.
+    ARMA layers need the ShiftContext of the bound shift operator (its
+    diagonal places the pole starting points).
     """
     for layer in model.layers:
         for name, t in layer.named_params():

@@ -107,13 +107,7 @@ class GnnLayer:
 
     def filter_param_count(self):
         """Trainable scalars of the filter family, bias excluded."""
-        seen = set()
-        total = 0
-        for _, t in self.params():
-            if id(t) not in seen:
-                seen.add(id(t))
-                total += t.size
-        return int(total)
+        return sum(t.size for _, t in self.params())
 
     def _finish(self, tape, acc):
         return ag.activation(tape, acc, self.nonlinearity, bias=self.bias)
@@ -536,20 +530,12 @@ class Model:
         self.readout_b = Tensor(np.zeros(n_outputs), name="readout_b")
 
     def parameters(self):
-        """Unique named tensors, tied storage listed once."""
-        named = []
-        seen = set()
-        for i, layer in enumerate(self.layers):
-            for name, t in layer.named_params():
-                if id(t) not in seen:
-                    seen.add(id(t))
-                    named.append((f"L{i}.{name}", t))
-        for name, t in (("readout_w", self.readout_w),
-                        ("readout_b", self.readout_b)):
-            if id(t) not in seen:
-                seen.add(id(t))
-                named.append((name, t))
-        return named
+        """Named tensors in declaration order; a tied attention mixer is
+        listed once, as the mixing matrix it shares."""
+        named = [(f"L{i}.{name}", t) for i, layer in enumerate(self.layers)
+                 for name, t in layer.named_params()]
+        return named + [("readout_w", self.readout_w),
+                        ("readout_b", self.readout_b)]
 
     def param_count(self):
         return int(sum(t.size for _, t in self.parameters()))

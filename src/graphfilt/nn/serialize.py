@@ -50,12 +50,14 @@ def _pattern_payload(p):
 
 
 def _pattern_from(d, key, n_nodes):
-    """The validated pattern stored under ``key`` of a layer record."""
-    payload = d[key]
+    """The validated pattern stored under ``key`` of a layer record: an
+    object of the integer n and the integer lists row_ptr and col_idx."""
+    payload = _object(d[key], f"field '{key}'")
     try:
-        p = Pattern(payload["n"], payload["n"], payload["row_ptr"],
-                    payload["col_idx"])
-    except (ValueError, TypeError, OverflowError) as exc:
+        n = _integer(payload, "n")
+        p = Pattern(n, n, _integers(payload, "row_ptr"),
+                    _integers(payload, "col_idx"))
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"invalid {key}: {exc}") from exc
     if p.n_rows != n_nodes:
         raise ConfigError(f"{key} has {p.n_rows} nodes, "

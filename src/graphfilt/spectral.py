@@ -73,7 +73,6 @@ class SpectralBasisKernel:
     basis: np.ndarray
     eig: object
     support: object
-    tol: float
 
     @property
     def nullity(self):
@@ -113,14 +112,15 @@ def support_constraint_matrix(eig, support):
     return V[rows_i, :] * V[cols_j, :]
 
 
-def build_basis_kernel(S, tol=NULLSPACE_TOL):
+def build_basis_kernel(S):
     """Basis kernel of admissible spectral responses for supp(I+S).
 
-    The rank rule runs at tol / sqrt(2): the matrix of all ordered zero
-    positions repeats every off-diagonal row, which scales each singular
-    value by sqrt(2) and leaves max|A| alone, so on a symmetric support
-    this counts the singular values that tol counts on that matrix.
-    A shift that is not symmetric within 1e-12 raises NotSymmetric.
+    The rank rule runs at NULLSPACE_TOL / sqrt(2): the matrix of all
+    ordered zero positions repeats every off-diagonal row, which scales
+    each singular value by sqrt(2) and leaves max|A| alone, so on a
+    symmetric support this counts the singular values that NULLSPACE_TOL
+    counts on that matrix. A shift that is not symmetric within 1e-12
+    raises NotSymmetric.
     """
     eig = sym_eig(S.to_dense())
     mask = support_mask(S)
@@ -128,8 +128,9 @@ def build_basis_kernel(S, tol=NULLSPACE_TOL):
     if constraint.shape[0] == 0:
         basis = np.eye(S.n_rows)
     else:
-        basis = null_space_basis(constraint, tol=tol / np.sqrt(2.0))
-    return SpectralBasisKernel(basis, eig, mask, tol)
+        basis = null_space_basis(constraint,
+                                 tol=NULLSPACE_TOL / np.sqrt(2.0))
+    return SpectralBasisKernel(basis, eig, mask)
 
 
 def spectral_ev_response(f):

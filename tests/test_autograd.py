@@ -1,10 +1,12 @@
 """Gradient engine primitives against numeric differentiation."""
+from functools import partial
+
 import numpy as np
 import pytest
 
-from graphfilt.attention import _leaky_factor
+from graphfilt.attention import LEAKY_SLOPE_DEFAULT, _leaky_factor
 from graphfilt.errors import MissingTape
-from graphfilt.nn import Tape, Tensor, backward, leaky_relu
+from graphfilt.nn import Tape, Tensor, leaky_relu
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import SparseMatrix
 
@@ -175,8 +177,7 @@ class TestSparsePrimitives:
         x = Tensor(rng.normal(size=(5, 3)))
         idx = np.array([1, 3])
         check_primitive(
-            lambda t: ag.scatter_rows(t, ag.gather_rows(t, x, idx), idx, 5,
-                                      trailing=1),
+            lambda t: ag.scatter_rows(t, ag.gather_rows(t, x, idx), idx, 5),
             [x])
 
     def test_take_index(self):
@@ -345,7 +346,7 @@ class TestConstantOperands:
         assert np.array_equal(t.grad, g[:, 2:])
 
 
-def reference_tail(tape, a, kind, slope=0.2, bias=None):
+def reference_tail(tape, a, kind, slope=LEAKY_SLOPE_DEFAULT, bias=None):
     """The layer tail as it was before it was fused: an add record for the
     bias, then the nonlinearity as a product with a factor array that the
     backward keeps."""
@@ -367,10 +368,11 @@ TAIL_KINDS = [("relu", 0.2), ("leaky_relu", 0.0), ("leaky_relu", 0.2),
 
 
 class TestFusedTail:
-    """activation(..., bias=) against the add + factor pair it replaced."""
+    """activation(..., bias=) against the add + factor pair it replaced;
+    the leaky cases set the module's fixed slope to each slope >= 0."""
 
     @staticmethod
-    def _run(tail, kind, slope, operand, biased):
+    def _run(tail, kind, operand, biased):
         rng = np.random.default_rng(60)
         x = rng.normal(size=(3, 5, 4))
         b = rng.normal(size=4)
@@ -379,7 +381,7 @@ class TestFusedTail:
         a = Tensor(x) if operand == "tensor" else x
         bias = Tensor(b) if biased else None
         tape = Tape()
-        out = tail(tape, a, kind, slope=slope, bias=bias)
+        out = tail(tape, a, kind, bias=bias)
         grads = []
         if isinstance(out, Tensor):
             tape.backward(out, rng.normal(size=x.shape))
@@ -390,11 +392,11 @@ class TestFusedTail:
     @pytest.mark.parametrize("biased", [False, True])
     @pytest.mark.parametrize("kind,slope", TAIL_KINDS)
     def test_matches_the_add_and_factor_pair(self, kind, slope, biased,
-                                             operand):
-        out, grads, records = self._run(ag.activation, kind, slope,
-                                        operand, biased)
-        ref, ref_grads, _ = self._run(reference_tail, kind, slope, operand,
-                                      biased)
+                                             operand, monkeypatch):
+        monkeypatch.setattr(ag, "LEAKY_SLOPE_DEFAULT", slope)
+        out, grads, records = self._run(ag.activation, kind, operand, biased)
+        ref, ref_grads, _ = self._run(partial(reference_tail, slope=slope),
+                                      kind, operand, biased)
         assert len(grads) == len(ref_grads)
         for g, r in zip(grads, ref_grads):
             assert g.tobytes() == r.tobytes()
@@ -407,12 +409,6 @@ class TestFusedTail:
         tensor_operand = operand == "tensor" or biased
         assert records == int(tensor_operand and (kind != "identity"
                                                   or biased))
-
-    @pytest.mark.parametrize("slope", [-0.2, float("nan")])
-    def test_negative_leaky_slope_raises(self, slope):
-        with pytest.raises(ValueError, match=f"slope.*{slope}"):
-            ag.activation(Tape(), Tensor(np.ones(3)), "leaky_relu",
-                          slope=slope)
 
 
 class TestActivation:
@@ -428,11 +424,14 @@ class TestActivation:
     def test_leaky_slope(self):
         tape = Tape()
         a = Tensor(np.array([-2.0, 3.0]))
-        out = ag.activation(tape, a, "leaky_relu", slope=0.1)
-        assert np.allclose(out.value, [-0.2, 3.0])
+        out = ag.activation(tape, a, "leaky_relu")
+        assert LEAKY_SLOPE_DEFAULT == 0.2
+        assert np.allclose(out.value, [-0.4, 3.0])
 
     @pytest.mark.parametrize("slope", [0.01, 0.2, 1.5])
-    def test_leaky_branch_free_is_bitwise_the_where_form(self, slope):
+    def test_leaky_branch_free_is_bitwise_the_where_form(self, slope,
+                                                        monkeypatch):
+        monkeypatch.setattr(ag, "LEAKY_SLOPE_DEFAULT", slope)
         rng = np.random.default_rng(19)
         x = np.concatenate([[0.0, -0.0], rng.normal(size=200)])
         where_factor = np.where(x > 0, 1.0, slope)
@@ -440,7 +439,7 @@ class TestActivation:
         assert factor.tobytes() == where_factor.tobytes()
         tape = Tape()
         a = Tensor(x)
-        out = ag.activation(tape, a, "leaky_relu", slope=slope)
+        out = ag.activation(tape, a, "leaky_relu")
         assert out.value.tobytes() == (x * where_factor).tobytes()
         assert out.value.tobytes() == np.where(x > 0, x, slope * x).tobytes()
         tape.backward(out, np.ones_like(x))
@@ -472,7 +471,3 @@ class TestTape:
     def test_backward_without_output_raises(self):
         with pytest.raises(MissingTape):
             Tape().backward()
-
-    def test_module_level_backward_requires_tape(self):
-        with pytest.raises(MissingTape):
-            backward(None, np.ones(1))

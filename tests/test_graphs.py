@@ -33,11 +33,6 @@ class TestGraph:
         A = g.adjacency().to_dense()
         assert np.array_equal(A, A.T)
 
-    def test_directed_keeps_orientation(self):
-        g = Graph(2, ((0, 1, 3.0),), directed=True)
-        A = g.adjacency().to_dense()
-        assert A[0, 1] == 3.0 and A[1, 0] == 0.0
-
 
 class TestBuildShift:
     def test_none_is_raw_adjacency(self):

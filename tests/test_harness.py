@@ -126,6 +126,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"field '{field}'"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("task,field,value,rule", [
+        ("sbm_source_localization", "t_max", -1, ">= 0, not -1"),
+        ("sbm_source_localization", "n_train", -3, ">= 0, not -3"),
+        ("sbm_source_localization", "n_val", -1, ">= 0"),
+        ("sbm_source_localization", "n_test", -1, ">= 0"),
+        ("ratings_regression", "target_node", -1, ">= 0"),
+        ("ratings_regression", "top_k", -2, ">= 0, not -2"),
+        ("ratings_regression", "min_co_rated", -1, ">= 0"),
+        ("ratings_regression", "smooth_l1_delta", -1.0,
+         "finite and > 0, not -1.0"),
+        ("ratings_regression", "smooth_l1_delta", 0, "finite and > 0"),
+        ("ratings_regression", "smooth_l1_delta", float("nan"),
+         "finite and > 0"),
+        ("ratings_regression", "smooth_l1_delta", float("inf"),
+         "finite and > 0"),
+    ])
+    def test_dataset_field_out_of_range_names_it(self, task, field, value,
+                                                 rule):
+        d = {"task": task, "dataset": {field: value}}
+        if task == "ratings_regression":
+            d["dataset"]["ratings_path"] = "ratings.csv"
+        with pytest.raises(ConfigError,
+                           match=f"^field '{field}' must be {rule}"):
+            ExperimentConfig.from_dict(d)
+
+    def test_negative_t_max_exits_one_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "sbm_source_localization",
+                                   "dataset": {"t_max": -1}}))
+        code = cli_main(["train", "-c", str(cfg), "-o", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 't_max' must be >= 0, not -1")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("field,value", [
         ("family", "bogus"),
         ("selection", "bogus"),
@@ -532,9 +567,10 @@ class TestTrainLoop:
         ds = build_dataset(cfg, np.random.default_rng(0))
         model, records = train(cfg, ds)
         assert records == []
-        want = build_model(cfg, ShiftContext(ds.S), ds.n_outputs)
+        ctx = ShiftContext(ds.S)
+        want = build_model(cfg, ctx, ds.n_outputs)
         init_params(want, np.random.default_rng(
-            np.random.SeedSequence(cfg.seed).spawn(3)[1]), ds.S)
+            np.random.SeedSequence(cfg.seed).spawn(3)[1]), ctx)
         for (_, a), (_, b) in zip(model.parameters(), want.parameters()):
             assert np.array_equal(a.value, b.value)
 

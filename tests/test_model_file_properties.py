@@ -1,7 +1,9 @@
-"""Hypothesis property of model files: a saved model of every layer kind
-with one field of one record replaced by any JSON value either loads or
-raises ConfigError. The records are the layer records, the attention and
-pattern records inside them, and the parameter records."""
+"""Hypothesis properties of model files: a saved model of every layer
+kind with one field of one record replaced by any JSON value either loads
+or raises ConfigError, and one that holds a value other than an integer
+in a pattern field raises ConfigError naming the field. The records are
+the layer records, the attention and pattern records inside them, and
+the parameter records."""
 import copy
 import json
 import os
@@ -75,3 +77,36 @@ def test_one_replaced_field_loads_or_raises_config_error(data, value):
             load_model(path)
         except ConfigError:
             pass
+
+
+# every pattern field, and each entry of the index lists
+PATTERN_SLOTS = [
+    (i, key, field, None if field == "n" else j)
+    for i, layer in enumerate(SAVED["architecture"]["layers"])
+    for key in ("pattern", "masked_pattern") if key in layer
+    for field in ("n", "row_ptr", "col_idx")
+    for j in ([None] if field == "n" else range(len(layer[key][field])))]
+non_integers = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.integers(min_value=0, max_value=8).map(float),
+    st.integers(min_value=0, max_value=8).map(str),
+    st.lists(st.integers(), max_size=2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PATTERN_SLOTS), non_integers)
+def test_pattern_field_other_than_an_integer_is_named(slot, value):
+    i, key, field, j = slot
+    doc = copy.deepcopy(SAVED)
+    pattern = doc["architecture"]["layers"][i][key]
+    if j is None:
+        pattern[field] = value
+    else:
+        pattern[field][j] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(ConfigError,
+                           match=f"invalid {key}: field '{field}' must be"):
+            load_model(path)

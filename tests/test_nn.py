@@ -412,6 +412,22 @@ def _init_case_model(family, tied, n_layers, phi0_mode, ctx):
     return Model(layers, ctx.n, 2)
 
 
+@pytest.mark.parametrize("family,tied,n_layers,phi0_mode", INIT_CASES)
+def test_parameters_list_each_tensor_once(family, tied, n_layers, phi0_mode):
+    """A tied head lists no att_B, so the mixing matrix it shares appears
+    once, and no other tensor is shared: the parameter list and the
+    filter counts need no de-duplication."""
+    model = _init_case_model(family, tied, n_layers, phi0_mode, ctx_for())
+    named = model.parameters()
+    assert len({id(t) for _, t in named}) == len(named)
+    att_b = [name for name, _ in named if name.endswith(".att_B")]
+    assert bool(att_b) == (family in ATTENTION_FAMILIES and not tied)
+    for layer in model.layers:
+        own = [t for _, t in layer.params()]
+        assert len({id(t) for t in own}) == len(own)
+        assert layer.filter_param_count() == sum(t.size for t in own)
+
+
 class TestInit:
     @pytest.mark.parametrize("family,tied,n_layers,phi0_mode", INIT_CASES)
     def test_draws_bitwise_equal_to_per_class_dispatch(
@@ -744,6 +760,39 @@ class TestLoadValidatesPatterns:
         with pytest.raises(ConfigError, match=f"^layer {layer} .*{key}"):
             load_model(path)
 
+    @pytest.mark.parametrize("layer,key,field,corrupt", [
+        (0, "pattern", "n", lambda p: 6.0),
+        (0, "pattern", "n", lambda p: "6"),
+        (0, "pattern", "row_ptr", lambda p: [str(v) for v in p]),
+        (0, "pattern", "col_idx", lambda p: [p[0] + 0.9] + p[1:]),
+        (1, "masked_pattern", "n", lambda p: True),
+        (1, "masked_pattern", "row_ptr", lambda p: p[0]),
+        (1, "masked_pattern", "col_idx", lambda p: p[:-1] + [None]),
+    ], ids=["n-float", "n-string", "row_ptr-strings", "col_idx-fraction",
+            "masked-n-bool", "masked-row_ptr-integer", "masked-col_idx-null"])
+    def test_non_integer_pattern_field_named(self, tmp_path, layer, key,
+                                             field, corrupt):
+        import json
+        path, doc = self._saved(tmp_path)
+        pattern = doc["architecture"]["layers"][layer][key]
+        pattern[field] = corrupt(pattern[field])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=(
+                rf"^layer {layer} \(\w+\): invalid {key}: field '{field}' "
+                "must be a")):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [[0, 1], "pattern", None])
+    def test_pattern_record_must_be_an_object(self, tmp_path, value):
+        import json
+        path, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][0]["pattern"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=(
+                r"^layer 0 \(edge_varying\): field 'pattern' must be an "
+                "object")):
+            load_model(path)
+
     def test_pattern_size_must_match_the_model(self, tmp_path):
         import json
         path, doc = self._saved(tmp_path)
@@ -785,7 +834,10 @@ def full_row_hybrid(layer, tape, ctx, X):
     all N rows, as it ran before it was confined to the important block."""
     Xi = ag.gather_rows(tape, X, layer.important)
     Z = ag.mul(tape, layer.phi0, ag.expand_last(tape, Xi))
-    Z = ag.scatter_rows(tape, Z, layer.important, ctx.n, trailing=2)
+    f_in, f_out = Z.shape[-2:]
+    flat = ag.reshape(tape, Z, Z.shape[:-2] + (f_in * f_out,))
+    rows = ag.scatter_rows(tape, flat, layer.important, ctx.n)
+    Z = ag.reshape(tape, rows, rows.shape[:-1] + (f_in, f_out))
     acc = Z
     for vals in layer.phi:
         Z = ag.spmm_pairwise(tape, vals, Z, layer.masked_pattern)

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 
 from graphfilt.errors import (DimensionMismatch, NotSymmetric,
-                              PoleAtEigenvalue)
+                              PoleAtEigenvalue, SupportLeak)
 from graphfilt.filters import (ArmaRational, PolynomialFilter,
                                apply_arma_exact, apply_polynomial)
 from graphfilt.graphs import Graph, build_shift, sbm_generate
 from graphfilt.linalg import NULLSPACE_TOL, null_space_basis, sym_eig
-from graphfilt.spectral import (SpectralEdgeVaryingFilter, arma_response,
+from graphfilt.spectral import (SpectralBasisKernel,
+                                SpectralEdgeVaryingFilter, arma_response,
                                 build_basis_kernel, gft, igft, poly_response,
                                 reconstruct_phi, spectral_ev_response,
                                 support_constraint_matrix)
@@ -246,6 +247,18 @@ class TestReconstructPhi:
         for _ in range(5):
             phi, residual = reconstruct_phi(kern, rng.normal(size=4))
             assert residual == 0.0
+
+    def test_response_off_the_kernel_raises_support_leak(self):
+        kern = build_basis_kernel(p3_shift())
+        # the identity basis admits every response; lambda = e_0 gives
+        # v_0 v_0^T, whose (0, 2) entry lies off supp(I+S) of the path
+        free = SpectralBasisKernel(np.eye(3), kern.eig, kern.support)
+        V = kern.eig.eigenvectors
+        leak = abs(V[0, 0] * V[2, 0])
+        assert leak > 0.1
+        with pytest.raises(SupportLeak, match=f"^off-support magnitude "
+                           f"{leak:.3e} exceeds 1e-06"):
+            reconstruct_phi(free, np.eye(3)[0])
 
     def test_in_basis_mu_never_leaks(self):
         rng = np.random.default_rng(6)
