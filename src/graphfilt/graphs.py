@@ -2,58 +2,65 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountTooLarge, GenerationFailed, ParseError, SingularSystem
+from .errors import (CountTooLarge, GenerationFailed, ParseError,
+                     SingularSystem, TooLarge)
 from .sparse import SparseMatrix, power_iteration_lambda_max, spmv
 
 SBM_MAX_RETRIES = 1000
+MAX_ARRAY_BYTES = 2**30    # see check_size
 SELECTIONS = ("degree", "diffusion_centrality")
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected weighted graph without self-loops: each edge is stored
-    once with src < dst and the adjacency expands both directions."""
+    """Undirected weighted graph without self-loops, held as read-only
+    edge arrays: ``src`` < ``dst`` in (src, dst) order, one entry per edge,
+    and the ``weight`` it first had. ``edges`` are (src, dst[, w]) triples
+    or an (E, 2|3) array, w = 1.0 when missing; the first self-loop or
+    out-of-range index in input order raises ValueError."""
 
-    n: int
-    edges: tuple = field(default=())
+    def __init__(self, n, edges=()):
+        self.n = int(n)
+        arr = np.asarray(edges) if len(edges) else np.zeros((0, 2))
+        if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+            raise ValueError("edges must be (src, dst[, w]) triples or an "
+                             f"(E, 2|3) array, not shape {arr.shape}")
+        src, dst = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        w = (arr[:, 2].astype(np.float64) if arr.shape[1] == 3
+             else np.ones(len(arr)))
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        bad = (lo == hi) | (lo < 0) | (hi >= self.n)
+        if bad.any():
+            i = np.argmax(bad)
+            if lo[i] == hi[i]:
+                raise ValueError(f"self-loop at node {src[i]} not allowed")
+            raise ValueError(f"edge ({src[i]},{dst[i]}) out of range")
+        order = np.lexsort((hi, lo))     # stable: a repeat follows its first
+        lo, hi, w = lo[order], hi[order], w[order]
+        first = np.ones(len(lo), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        self.src, self.dst, self.weight = lo[first], hi[first], w[first]
+        for a in (self.src, self.dst, self.weight):
+            a.flags.writeable = False
 
-    def __post_init__(self):
-        canon = []
-        seen = set()
-        for e in self.edges:
-            src, dst = int(e[0]), int(e[1])
-            w = float(e[2]) if len(e) > 2 else 1.0
-            if src == dst:
-                raise ValueError(f"self-loop at node {src} not allowed")
-            if not (0 <= src < self.n and 0 <= dst < self.n):
-                raise ValueError(f"edge ({src},{dst}) out of range")
-            if src > dst:
-                src, dst = dst, src
-            if (src, dst) in seen:
-                continue
-            seen.add((src, dst))
-            canon.append((src, dst, w))
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+    @property
+    def edges(self):
+        """The (src, dst, weight) triples, as Python numbers."""
+        return tuple(zip(self.src.tolist(), self.dst.tolist(),
+                         self.weight.tolist()))
 
     def adjacency(self):
         """Symmetric adjacency as a SparseMatrix."""
-        if not self.edges:
-            return SparseMatrix.from_coo(self.n, self.n, [], [], [])
-        src = np.array([e[0] for e in self.edges], dtype=np.int64)
-        dst = np.array([e[1] for e in self.edges], dtype=np.int64)
-        w = np.array([e[2] for e in self.edges])
-        rows = np.concatenate([src, dst])
-        cols = np.concatenate([dst, src])
-        vals = np.concatenate([w, w])
-        return SparseMatrix.from_coo(self.n, self.n, rows, cols, vals)
+        return SparseMatrix.from_coo(
+            self.n, self.n, np.concatenate([self.src, self.dst]),
+            np.concatenate([self.dst, self.src]),
+            np.concatenate([self.weight, self.weight]))
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.src)
 
 
 def build_shift(graph, normalization="max_eigenvalue"):
@@ -84,25 +91,29 @@ def build_shift(graph, normalization="max_eigenvalue"):
 
 
 def is_connected(graph):
-    """Breadth-first search from node 0, edges taken both ways."""
+    """Depth-first search from node 0, edges taken both ways."""
     if graph.n == 0:
         return True
     neigh = [[] for _ in range(graph.n)]
-    for src, dst, _ in graph.edges:
+    for src, dst in zip(graph.src.tolist(), graph.dst.tolist()):
         neigh[src].append(dst)
         neigh[dst].append(src)
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in neigh[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        frontier = nxt
-    return bool(seen.all())
+    seen = [True] + [False] * (graph.n - 1)
+    stack = [0]
+    while stack:
+        for v in neigh[stack.pop()]:
+            if not seen[v]:
+                seen[v] = True
+                stack.append(v)
+    return all(seen)
+
+
+def check_size(name, items):
+    """TooLarge naming the field ``name`` when ``items`` 8-byte items pass
+    MAX_ARRAY_BYTES, which admits N(N-1)/2 SBM pairs up to N = 16k."""
+    if 8 * items > MAX_ARRAY_BYTES:
+        raise TooLarge(f"field '{name}' sizes an array of {8 * items} "
+                       f"bytes, past the {MAX_ARRAY_BYTES}-byte cap")
 
 
 def sbm_generate(block_sizes, p_intra, p_inter, rng):
@@ -114,18 +125,17 @@ def sbm_generate(block_sizes, p_intra, p_inter, rng):
     """
     if not (0.0 <= p_intra <= 1.0 and 0.0 <= p_inter <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
-    block_sizes = [int(b) for b in block_sizes]
-    if any(b <= 0 for b in block_sizes):
+    if min(block_sizes, default=1) <= 0:
         raise ValueError("block sizes must be positive")
-    n = sum(block_sizes)
-    block_of = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    n = int(sum(block_sizes))
+    check_size("block_sizes", n * (n - 1) // 2)
+    block_of = block_labels(block_sizes)
     iu, ju = np.triu_indices(n, k=1)
     prob = np.where(block_of[iu] == block_of[ju], p_intra, p_inter)
     for _ in range(SBM_MAX_RETRIES):
         draw = rng.random(len(iu))
         keep = draw < prob
-        edges = tuple(zip(iu[keep].tolist(), ju[keep].tolist()))
-        g = Graph(n, tuple((a, b, 1.0) for a, b in edges))
+        g = Graph(n, np.stack([iu[keep], ju[keep]], axis=1))
         if is_connected(g):
             return g
     raise GenerationFailed(
@@ -231,11 +241,10 @@ def read_edge_list(path):
 
 def load_graph(path):
     edges, n = read_edge_list(path)
-    return Graph(n, tuple(edges))
+    return Graph(n, edges)
 
 
 def write_edge_list(path, graph):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {graph.n} nodes, {graph.n_edges} edges\n")
-        for src, dst, w in graph.edges:
-            fh.write(f"{src} {dst} {w!r}\n")
+        fh.writelines(f"{src} {dst} {w!r}\n" for src, dst, w in graph.edges)

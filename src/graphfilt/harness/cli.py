@@ -13,14 +13,15 @@ import numpy as np
 
 from ..errors import GraphFiltError
 from ..filters import ArmaRational, param_count
-from ..graphs import build_shift, diffusion_centrality, load_graph
+from ..graphs import Graph, build_shift, diffusion_centrality, load_graph
 from ..linalg import sym_eig
 from ..nn import ShiftContext, finite_difference_check, init_params, \
     load_model, save_model
 from ..spectral import arma_response, poly_response
 from .config import FAMILIES, ExperimentConfig
 from .data import build_dataset, dataset_hash, export_dataset
-from .train import build_model, evaluate, metrics_to_csv, run_experiment
+from .train import (build_model, evaluate, metrics_to_csv, run_experiment,
+                    seed_streams)
 
 
 def _load_config(args):
@@ -32,9 +33,7 @@ def _load_config(args):
 
 def _cmd_generate(args):
     cfg = _load_config(args)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
-    ds = build_dataset(cfg, rng)
-    os.makedirs(args.out, exist_ok=True)
+    ds = build_dataset(cfg, seed_streams(cfg.seed)[0])
     graph_path, signals_path = export_dataset(ds, args.out)
     print(f"graph: {graph_path}")
     print(f"signals: {signals_path}")
@@ -60,8 +59,7 @@ def _cmd_train(args):
 
 def _cmd_eval(args):
     cfg = _load_config(args)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[0])
-    ds = build_dataset(cfg, rng)
+    ds = build_dataset(cfg, seed_streams(cfg.seed)[0])
     model = load_model(args.model, shift=ds.S if args.check_shift else None)
     loss, metric = evaluate(model, ds, args.split, cfg)
     print(f"split: {args.split}")
@@ -125,7 +123,6 @@ def _cmd_paramcount(args):
 
 
 def _cmd_gradcheck(args):
-    from ..graphs import Graph
     rng = np.random.default_rng(args.seed)
     edges = tuple((i, j, 1.0) for i in range(6) for j in range(i + 1, 6)
                   if (i + j) % 2 or j == i + 1)
@@ -200,15 +197,8 @@ def build_parser():
 
     p = sub.add_parser("paramcount", help="per-layer parameter formulas")
     p.add_argument("--kind", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--f", type=int, default=None)
-    p.add_argument("--f-out", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--m-i", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
+    for dim in ("k", "f", "f-out", "b", "m", "n", "i", "m-i", "p"):
+        p.add_argument(f"--{dim}", type=int, default=None)
     p.set_defaults(fn=_cmd_paramcount)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")

@@ -170,7 +170,8 @@ class ExperimentConfig:
                              self.dataset["smooth_l1_delta"])
         for key in ("p_intra", "p_inter", "train_fraction", "val_fraction"):
             if key in self.dataset and not 0.0 <= self.dataset[key] <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1]")
+                raise ConfigError(f"field '{key}' must lie in [0, 1], "
+                                  f"not {self.dataset[key]!r}")
         if "val_fraction" in self.dataset and (
                 self.dataset["train_fraction"]
                 + self.dataset["val_fraction"] > 1.0):

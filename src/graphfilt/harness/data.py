@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import CountTooLarge, DegenerateColumn, ParseError
-from ..graphs import (Graph, block_labels, build_shift, finite_floats,
-                      load_graph, sbm_generate, text_lines, write_edge_list)
+from ..graphs import (Graph, block_labels, build_shift, check_size,
+                      finite_floats, load_graph, sbm_generate, text_lines,
+                      write_edge_list)
 from ..nn import ShiftContext
 from ..sparse import SparseMatrix, power_iteration_lambda_max, spmv
 
@@ -65,10 +66,8 @@ def dataset_hash(ds):
 
 
 def _contiguous_splits(n_train, n_val, n_test):
-    train = np.arange(n_train)
-    val = np.arange(n_train, n_train + n_val)
-    test = np.arange(n_train + n_val, n_train + n_val + n_test)
-    return {"train": train, "val": val, "test": test}
+    return dict(zip(("train", "val", "test"), np.split(
+        np.arange(n_train + n_val + n_test), [n_train, n_train + n_val])))
 
 
 def gen_source_localization(cfg, rng):
@@ -80,35 +79,31 @@ def gen_source_localization(cfg, rng):
     """
     ds_cfg = cfg.dataset
     sizes = ds_cfg["block_sizes"]
+    n, n_blocks, t_max = sum(sizes), len(sizes), ds_cfg["t_max"]
+    n_total = ds_cfg["n_train"] + ds_cfg["n_val"] + ds_cfg["n_test"]
+    check_size("block_sizes", n * (n - 1) // 2)
+    check_size("t_max", (t_max + 1) * n_blocks * n)
+    check_size("n_train + n_val + n_test", n_total * n)
     graph = sbm_generate(sizes, ds_cfg["p_intra"], ds_cfg["p_inter"], rng)
     S = build_shift(graph, "max_eigenvalue")
-    labels_of_node = block_labels(sizes)
-    degree = np.diff(S.row_ptr)
-    sources = []
-    for c in range(len(sizes)):
-        members = np.nonzero(labels_of_node == c)[0]
-        best = members[np.lexsort((members, -degree[members]))[0]]
-        sources.append(int(best))
-    t_max = int(ds_cfg["t_max"])
-    n = graph.n
-    # all diffusion states up front: table[c, t] = S^t delta_source(c)
-    table = np.zeros((len(sizes), t_max + 1, n))
-    for c, src in enumerate(sources):
-        x = np.zeros(n)
-        x[src] = 1.0
-        table[c, 0] = x
-        for t in range(1, t_max + 1):
-            x = spmv(S, x)
-            table[c, t] = x
-    n_total = ds_cfg["n_train"] + ds_cfg["n_val"] + ds_cfg["n_test"]
-    comm = rng.integers(0, len(sizes), size=n_total)
+    # nodes by block, then degree (highest first), then index: the first
+    # of each contiguous block is its source
+    order = np.lexsort((np.arange(n), -np.diff(S.row_ptr),
+                        block_labels(sizes)))
+    sources = order[np.cumsum(sizes) - sizes]
+    # all diffusion states up front: table[t, c] = S^t delta_source(c)
+    table = np.zeros((t_max + 1, n_blocks, n))
+    table[0, np.arange(n_blocks), sources] = 1.0
+    for t in range(1, t_max + 1):
+        table[t] = spmv(S, table[t - 1])
+    comm = rng.integers(0, n_blocks, size=n_total)
     steps = rng.integers(0, t_max + 1, size=n_total)
-    X = table[comm, steps]
+    X = table[steps, comm]
     splits = _contiguous_splits(ds_cfg["n_train"], ds_cfg["n_val"],
                                 ds_cfg["n_test"])
     return Dataset(S=S, X=X, labels=comm.astype(np.int64), splits=splits,
-                   n_outputs=len(sizes),
-                   meta={"sources": sources, "task": cfg.task})
+                   n_outputs=n_blocks,
+                   meta={"sources": sources.tolist(), "task": cfg.task})
 
 
 def read_signals_csv(path, n_nodes):
@@ -168,17 +163,16 @@ def ingest_edge_list(graph_path, signals_path, normalization="max_eigenvalue",
 def export_dataset(ds, out_dir):
     """Edge list plus signals CSV, values written exactly (repr floats)."""
     os.makedirs(out_dir, exist_ok=True)
-    rows = ds.S.entry_rows()
-    edges = [(int(r), int(c), float(v)) for r, c, v
-             in zip(rows, ds.S.col_idx, ds.S.values) if r < c]
-    graph = Graph(ds.S.n_rows, tuple(edges))
+    rows, cols = ds.S.entry_rows(), ds.S.col_idx
+    upper = rows < cols
+    graph = Graph(ds.S.n_rows, np.stack(
+        [rows[upper], cols[upper], ds.S.values[upper]], axis=1))
     graph_path = os.path.join(out_dir, "graph.edgelist")
     signals_path = os.path.join(out_dir, "signals.csv")
     write_edge_list(graph_path, graph)
     with open(signals_path, "w", encoding="utf-8") as fh:
-        for x, y in zip(ds.X, ds.labels):
-            fh.write(",".join(repr(float(v)) for v in x))
-            fh.write(f",{int(y)}\n")
+        for x, y in zip(ds.X.tolist(), ds.labels.tolist()):
+            fh.write(",".join(map(repr, x)) + f",{y}\n")
     return graph_path, signals_path
 
 
@@ -219,15 +213,12 @@ def build_similarity_graph(ratings, top_k, min_co_rated=2):
                 continue
             if p is not None:
                 sim[i, j] = sim[j, i] = p
+    # per row, the top_k columns by (similarity desc, index); the pairs
+    # skipped above hold -inf, so they sort last and are zeroed
+    top = np.lexsort((np.broadcast_to(np.arange(n), (n, n)), -sim))[:, :top_k]
     W = np.zeros((n, n))
-    k = min(top_k, n - 1)
-    for i in range(n):
-        finite = np.nonzero(np.isfinite(sim[i]))[0]
-        if len(finite) == 0:
-            continue
-        order = finite[np.lexsort((finite, -sim[i, finite]))]
-        keep = order[:k]
-        W[i, keep] = sim[i, keep]
+    np.put_along_axis(W, top, np.take_along_axis(sim, top, axis=1), axis=1)
+    W[np.isinf(W)] = 0.0
     W = np.maximum(W, W.T)
     S = SparseMatrix.from_dense(W)
     if S.nnz == 0:

@@ -29,6 +29,12 @@ METRICS_HEADER = "epoch,train_loss,val_loss,val_metric,seconds"
 _EVAL_CHUNK = 1024  # samples per forward pass in evaluate
 
 
+def seed_streams(seed):
+    """The dataset, init and shuffle generators spawned from ``seed``."""
+    return tuple(np.random.default_rng(s)
+                 for s in np.random.SeedSequence(seed).spawn(3))
+
+
 def metrics_to_csv(records):
     lines = [METRICS_HEADER]
     for r in records:
@@ -142,9 +148,7 @@ def train(cfg, dataset):
     The wall-time column is recorded only when cfg.timing is set, so the
     metrics stream stays byte-identical for a fixed (config, seed).
     """
-    _, init_seq, shuffle_seq = np.random.SeedSequence(cfg.seed).spawn(3)
-    init_rng = np.random.default_rng(init_seq)
-    shuffle_rng = np.random.default_rng(shuffle_seq)
+    _, init_rng, shuffle_rng = seed_streams(cfg.seed)
     for split in ("train", "val"):
         _require_samples(dataset, split)
     ctx = dataset.context()
@@ -197,8 +201,7 @@ def train(cfg, dataset):
 
 def run_experiment(cfg):
     """Dataset build + train + test evaluation, all from one seed."""
-    data_seq = np.random.SeedSequence(cfg.seed).spawn(3)[0]
-    dataset = build_dataset(cfg, np.random.default_rng(data_seq))
+    dataset = build_dataset(cfg, seed_streams(cfg.seed)[0])
     model, records = train(cfg, dataset)
     test_loss, test_metric = evaluate(model, dataset, "test", cfg)
     return model, records, dataset, {"test_loss": test_loss,

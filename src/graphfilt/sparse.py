@@ -29,6 +29,9 @@ from .errors import DimensionMismatch, NoConvergence
 # rows, so that a 10k-node graph stays on CSR whatever its density.
 _DENSE_FILL = 16
 _DENSE_MAX_ROWS = 2048
+# power iteration stops when two estimates differ by less than POWER_TOL
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10000
 
 
 def _as_index_array(a):
@@ -522,7 +525,7 @@ def permute_shift(S, perm):
     return SparseMatrix.from_coo(S.n_rows, S.n_cols, rows, cols, S.values)
 
 
-def power_iteration_lambda_max(S, tol=1e-10, max_iter=10000):
+def power_iteration_lambda_max(S):
     """Magnitude of the dominant eigenvalue by normalized power iteration.
 
     The convergence monitor is the norm-growth estimate ||S x_k|| for unit
@@ -532,24 +535,22 @@ def power_iteration_lambda_max(S, tol=1e-10, max_iter=10000):
     """
     if S.n_rows != S.n_cols:
         raise DimensionMismatch("power iteration needs a square matrix")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = S.n_rows
     x = np.ones(n)
     x[0] += 0.5  # deterministic start, not orthogonal to e_0-heavy modes
     x /= np.linalg.norm(x)
     prev = None
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = spmv(S, x)
         est = float(np.linalg.norm(y))
         if est == 0.0:
             return 0.0
-        if prev is not None and abs(est - prev) < tol:
+        if prev is not None and abs(est - prev) < POWER_TOL:
             return est
         prev = est
         x = y / est
     raise NoConvergence(
-        f"power iteration did not converge in {max_iter} iterations")
+        f"power iteration did not converge in {POWER_MAX_ITER} iterations")
 
 
 def support_mask(S):

@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
+from graphfilt import graphs
 from graphfilt.errors import (CountTooLarge, GenerationFailed, ParseError,
-                              SingularSystem)
-from graphfilt.graphs import (Graph, build_shift, diffusion_centrality,
-                              is_connected, load_graph, read_edge_list,
-                              sbm_generate, select_nodes, write_edge_list)
+                              SingularSystem, TooLarge)
+from graphfilt.graphs import (MAX_ARRAY_BYTES, Graph, build_shift,
+                              check_size, diffusion_centrality, is_connected,
+                              load_graph, read_edge_list, sbm_generate,
+                              select_nodes, write_edge_list)
 from graphfilt.sparse import SparseMatrix
 
 
@@ -32,6 +34,96 @@ class TestGraph:
         assert g.n_edges == 2
         A = g.adjacency().to_dense()
         assert np.array_equal(A, A.T)
+
+
+def reference_canonical_edges(n, edges):
+    """The per-edge canonicalisation Graph ran before it held arrays: the
+    first occurrence of each unordered pair, with its weight, sorted."""
+    canon = []
+    seen = set()
+    for e in edges:
+        src, dst = int(e[0]), int(e[1])
+        w = float(e[2]) if len(e) > 2 else 1.0
+        if src == dst:
+            raise ValueError(f"self-loop at node {src} not allowed")
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"edge ({src},{dst}) out of range")
+        if src > dst:
+            src, dst = dst, src
+        if (src, dst) in seen:
+            continue
+        seen.add((src, dst))
+        canon.append((src, dst, w))
+    return tuple(sorted(canon))
+
+
+def random_edge_list(rng, n, count):
+    """``count`` (src, dst, w) triples on n nodes: repeats in both
+    orientations, mixed weights, no self-loop."""
+    src = rng.integers(0, n, size=count)
+    dst = (src + rng.integers(1, n, size=count)) % n
+    w = rng.choice([1.0, 0.5, -2.25, 0.0, 3.0], size=count)
+    return [(int(a), int(b), float(c)) for a, b, c in zip(src, dst, w)]
+
+
+class TestEdgeArrays:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_edges_equal_the_per_edge_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        edges = random_edge_list(rng, n, int(rng.integers(0, 3 * n)))
+        want = reference_canonical_edges(n, edges)
+        assert Graph(n, edges).edges == want
+        assert Graph(n, tuple(edges)).edges == want
+        assert Graph(n, np.array(edges).reshape(-1, 3)).edges == want
+
+    def test_arrays_are_canonical_and_read_only(self):
+        g = Graph(4, ((3, 1, 2.0), (0, 2, 1.0), (1, 3, 5.0), (1, 0, 0.5)))
+        assert np.array_equal(g.src, [0, 0, 1])
+        assert np.array_equal(g.dst, [1, 2, 3])
+        assert np.array_equal(g.weight, [0.5, 1.0, 2.0])
+        assert g.src.dtype == np.int64 and g.weight.dtype == np.float64
+        with pytest.raises(ValueError):
+            g.src[0] = 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_first_bad_edge_error_equals_the_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 10))
+        edges = random_edge_list(rng, n, 12)
+        for _ in range(2):
+            i = int(rng.integers(0, len(edges)))
+            a = int(rng.integers(0, n))
+            edges[i] = [(a, a, 1.0), (a, n + int(rng.integers(0, 3)), 1.0),
+                        (-1, a, 1.0), (n, n, 1.0)][int(rng.integers(0, 4))]
+        with pytest.raises(ValueError) as want:
+            reference_canonical_edges(n, edges)
+        with pytest.raises(ValueError) as got:
+            Graph(n, edges)
+        assert str(got.value) == str(want.value)
+
+    def test_two_columns_get_unit_weight(self):
+        pairs = [(0, 1), (2, 1), (1, 0)]
+        g = Graph(3, np.array(pairs))
+        assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+        assert Graph(3, pairs).edges == g.edges
+
+    def test_three_by_two_array_is_three_pairs(self):
+        # not reshaped to two weighted edges
+        g = Graph(4, np.array([[0, 1], [1, 2], [2, 3]]))
+        assert g.edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 4), (2, 3, 1), (3, 1)])
+    def test_other_shapes_raise(self, shape):
+        arr = np.arange(np.prod(shape)).reshape(shape) % 3
+        with pytest.raises(ValueError, match="shape"):
+            Graph(8, arr)
+
+    def test_no_edges(self):
+        for edges in ((), [], np.zeros((0, 3))):
+            g = Graph(3, edges)
+            assert g.n_edges == 0 and g.edges == ()
+            assert g.adjacency().nnz == 0
 
 
 class TestBuildShift:
@@ -80,6 +172,23 @@ class TestConnectivity:
     def test_long_path(self):
         assert is_connected(path(50))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_dense_reachability(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.2])
+        reach = np.eye(n, dtype=bool) | (g.adjacency().to_dense() != 0)
+        for _ in range(n):
+            reach = (reach.astype(int) @ reach.astype(int)) > 0
+        assert is_connected(g) == bool(reach[0].all())
+
+    def test_relabelled_long_path(self):
+        perm = np.random.default_rng(0).permutation(2000)
+        g = Graph(2000, np.stack([perm[:-1], perm[1:]], axis=1))
+        assert is_connected(g)
+        assert not is_connected(Graph(2000, g.edges[:1000] + g.edges[1001:]))
+
 
 class TestSbm:
     def test_single_block_full_probability_is_complete(self):
@@ -100,6 +209,24 @@ class TestSbm:
     def test_generated_graph_is_connected(self):
         g = sbm_generate([10] * 5, 0.8, 0.2, np.random.default_rng(3))
         assert is_connected(g)
+
+
+class TestSizeCap:
+    def test_cap_admits_the_10k_node_sbm(self):
+        check_size("block_sizes", 10_000 * 9_999 // 2)
+
+    def test_cap_is_inclusive(self):
+        check_size("t_max", MAX_ARRAY_BYTES // 8)
+        with pytest.raises(TooLarge):
+            check_size("t_max", MAX_ARRAY_BYTES // 8 + 1)
+
+    def test_huge_blocks_raise_before_the_pairs_exist(self, monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("the pair indices were built")
+        monkeypatch.setattr(graphs.np, "triu_indices", no_pairs)
+        with pytest.raises(TooLarge, match="^field 'block_sizes' sizes an "
+                                           "array of .* bytes, past the"):
+            sbm_generate([10**6, 10**6], 0.5, 0.1, np.random.default_rng(0))
 
 
 class TestDiffusionCentrality:

@@ -2,12 +2,13 @@
 import importlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from graphfilt.errors import (ConfigError, CountTooLarge, NonFiniteValue,
-                              ParseError)
+from graphfilt.errors import (ConfigError, CountTooLarge, DegenerateColumn,
+                              NonFiniteValue, ParseError, TooLarge)
 from graphfilt.harness import (ExperimentConfig, build_dataset,
                                build_similarity_graph, dataset_hash,
                                evaluate, export_dataset,
@@ -16,7 +17,10 @@ from graphfilt.harness import (ExperimentConfig, build_dataset,
 from graphfilt.harness.cli import main as cli_main
 from graphfilt.harness.config import FAMILIES
 from graphfilt.harness.data import read_ratings_csv, read_signals_csv
-from graphfilt.harness.train import MetricsRecord, build_model
+from graphfilt.graphs import (block_labels, build_shift, load_graph,
+                              sbm_generate)
+from graphfilt.harness.train import MetricsRecord, build_model, seed_streams
+from graphfilt.sparse import SparseMatrix, power_iteration_lambda_max, spmv
 from graphfilt.nn import ShiftContext, init_params
 
 # the package exports the train function under the submodule's name
@@ -202,11 +206,16 @@ class TestConfig:
     @pytest.mark.parametrize("task", ["edge_list_classification",
                                       "ratings_regression"])
     @pytest.mark.parametrize("fractions,message", [
-        ({"train_fraction": -0.2}, "^train_fraction must lie in"),
-        ({"train_fraction": 1.5}, "^train_fraction must lie in"),
-        ({"train_fraction": float("nan")}, "^train_fraction must lie in"),
-        ({"val_fraction": float("inf")}, "^val_fraction must lie in"),
-        ({"val_fraction": -0.01}, "^val_fraction must lie in"),
+        ({"train_fraction": -0.2},
+         r"^field 'train_fraction' must lie in \[0, 1\], not -0.2$"),
+        ({"train_fraction": 1.5},
+         r"^field 'train_fraction' must lie in \[0, 1\], not 1.5$"),
+        ({"train_fraction": float("nan")},
+         r"^field 'train_fraction' must lie in \[0, 1\], not nan$"),
+        ({"val_fraction": float("inf")},
+         r"^field 'val_fraction' must lie in \[0, 1\], not inf$"),
+        ({"val_fraction": -0.01},
+         r"^field 'val_fraction' must lie in \[0, 1\], not -0.01$"),
         ({"train_fraction": 0.8, "val_fraction": 0.3},
          r"^train_fraction \+ val_fraction must not exceed 1"),
     ])
@@ -214,6 +223,17 @@ class TestConfig:
         dataset = dict(self._PATHS[task], **fractions)
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict({"task": task, "dataset": dataset})
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("p_intra", 1.5, "1.5"),
+        ("p_inter", -0.25, "-0.25"),
+        ("p_intra", float("nan"), "nan"),
+    ])
+    def test_probability_range_names_the_field(self, field, value, shown):
+        with pytest.raises(ConfigError, match=(
+                rf"^field '{field}' must lie in \[0, 1\], not {shown}$")):
+            ExperimentConfig.from_dict({"task": "sbm_source_localization",
+                                        "dataset": {field: value}})
 
     @pytest.mark.parametrize("task", ["edge_list_classification",
                                       "ratings_regression"])
@@ -348,6 +368,98 @@ class TestSourceLocalization:
         h1 = dataset_hash(gen_source_localization(cfg, np.random.default_rng(5)))
         h2 = dataset_hash(gen_source_localization(cfg, np.random.default_rng(6)))
         assert h1 != h2
+
+
+def reference_source_localization(cfg, rng):
+    """The per-community source choice and diffusion table that
+    gen_source_localization ran before one batched spmv per step."""
+    ds_cfg = cfg.dataset
+    sizes = ds_cfg["block_sizes"]
+    graph = sbm_generate(sizes, ds_cfg["p_intra"], ds_cfg["p_inter"], rng)
+    S = build_shift(graph, "max_eigenvalue")
+    labels_of_node = block_labels(sizes)
+    degree = np.diff(S.row_ptr)
+    sources = []
+    for c in range(len(sizes)):
+        members = np.nonzero(labels_of_node == c)[0]
+        best = members[np.lexsort((members, -degree[members]))[0]]
+        sources.append(int(best))
+    t_max = int(ds_cfg["t_max"])
+    n = graph.n
+    table = np.zeros((len(sizes), t_max + 1, n))
+    for c, src in enumerate(sources):
+        x = np.zeros(n)
+        x[src] = 1.0
+        table[c, 0] = x
+        for t in range(1, t_max + 1):
+            x = spmv(S, x)
+            table[c, t] = x
+    n_total = ds_cfg["n_train"] + ds_cfg["n_val"] + ds_cfg["n_test"]
+    comm = rng.integers(0, len(sizes), size=n_total)
+    steps = rng.integers(0, t_max + 1, size=n_total)
+    return S, table[comm, steps], comm, sources
+
+
+class TestSourceLocalizationReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tensors_equal_the_per_community_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 5))).tolist()
+        cfg = sbm_config(dataset={
+            "block_sizes": sizes, "t_max": int(rng.integers(0, 12)),
+            "p_intra": 0.9, "p_inter": 0.3,
+            "n_train": int(rng.integers(1, 40)), "n_val": 3, "n_test": 2})
+        S, X, labels, sources = reference_source_localization(
+            cfg, np.random.default_rng(seed))
+        ds = gen_source_localization(cfg, np.random.default_rng(seed))
+        assert np.array_equal(ds.S.row_ptr, S.row_ptr)
+        assert np.array_equal(ds.S.col_idx, S.col_idx)
+        assert np.array_equal(ds.S.values, S.values)
+        assert np.array_equal(ds.X, X) and ds.X.flags.c_contiguous
+        assert np.array_equal(ds.labels, labels)
+        assert ds.meta["sources"] == sources
+        assert all(type(v) is int for v in ds.meta["sources"])
+
+    def test_export_writes_the_reference_edges(self, tmp_path):
+        ds = gen_source_localization(sbm_config(), np.random.default_rng(4))
+        rows = ds.S.entry_rows()
+        want = [(int(r), int(c), float(v)) for r, c, v
+                in zip(rows, ds.S.col_idx, ds.S.values) if r < c]
+        gpath, _ = export_dataset(ds, tmp_path / "export")
+        assert load_graph(gpath).edges == tuple(want)
+
+    @pytest.mark.parametrize("field,dataset", [
+        ("block_sizes", {"block_sizes": [100_000, 100_000]}),
+        ("t_max", {"t_max": 10**12}),
+        ("n_train + n_val + n_test", {"n_train": 10**12}),
+        ("n_train + n_val + n_test", {"n_test": 2**40}),
+    ])
+    def test_size_past_the_cap_raises_before_the_draw(self, monkeypatch,
+                                                      field, dataset):
+        def no_draw(*args):
+            raise AssertionError("the graph was drawn")
+        monkeypatch.setattr(data_module, "sbm_generate", no_draw)
+        with pytest.raises(TooLarge,
+                           match=rf"^field '{re.escape(field)}' sizes an "
+                                 r"array of \d+ bytes, past the \d+-byte cap"):
+            gen_source_localization(sbm_config(dataset=dataset),
+                                    np.random.default_rng(0))
+
+    def test_huge_t_max_exits_one_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "sbm_source_localization",
+                                   "dataset": {"t_max": 10**12}}))
+        code = cli_main(["train", "-c", str(cfg), "-o", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 't_max' sizes an array of ")
+        assert "Traceback" not in err
+
+    def test_seed_streams_are_the_spawned_children(self):
+        children = np.random.SeedSequence(7).spawn(3)
+        for got, seq in zip(seed_streams(7), children):
+            assert np.array_equal(got.random(5),
+                                  np.random.default_rng(seq).random(5))
 
 
 class TestEdgeListIngestion:
@@ -559,6 +671,40 @@ class TestSimilarityGraph:
         # symmetrized by max, so a row can hold more than top_k entries,
         # but each node keeps at least its own two best
         assert np.all((dense != 0).sum(axis=1) >= 2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_top_k_equals_the_per_row_reference(self, seed):
+        # the per-row top-k loop build_similarity_graph ran before; small
+        # integer ratings, so ties, skipped pairs and rows with no similar
+        # neighbor all occur
+        rng = np.random.default_rng(seed)
+        ratings = rng.integers(0, 4, size=(int(rng.integers(1, 9)),
+                                           int(rng.integers(2, 7))))
+        ratings = ratings.astype(float)
+        top_k = int(rng.integers(0, 10))
+        got = build_similarity_graph(ratings, top_k)
+        n = len(ratings)
+        sim = np.full((n, n), -np.inf)
+        for i in range(n):
+            for j in range(i + 1, n):
+                try:
+                    p = pearson_similarity(ratings[i], ratings[j])
+                except DegenerateColumn:
+                    continue
+                if p is not None:
+                    sim[i, j] = sim[j, i] = p
+        want = np.zeros((n, n))
+        for i in range(n):
+            finite = np.nonzero(np.isfinite(sim[i]))[0]
+            order = finite[np.lexsort((finite, -sim[i, finite]))]
+            keep = order[:min(top_k, n - 1)]
+            want[i, keep] = sim[i, keep]
+        want = SparseMatrix.from_dense(np.maximum(want, want.T))
+        if want.nnz:
+            want = want.scale(1.0 / power_iteration_lambda_max(want))
+        for a, b in ((got.row_ptr, want.row_ptr), (got.col_idx, want.col_idx),
+                     (got.values, want.values)):
+            assert np.array_equal(a, b)
 
 
 class TestTrainLoop:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from graphfilt import sparse
 from graphfilt.errors import DimensionMismatch, NoConvergence
 from graphfilt.sparse import (Pattern, Permutation, SparseMatrix,
                               permute_shift, permute_signal,
@@ -151,8 +152,9 @@ class TestPowerIteration:
         assert power_iteration_lambda_max(SparseMatrix.identity(4)) == \
             pytest.approx(1.0, abs=1e-9)
 
-    def test_k3_is_two(self):
-        lam = power_iteration_lambda_max(k3_adjacency(), tol=1e-12)
+    def test_k3_is_two(self, monkeypatch):
+        monkeypatch.setattr(sparse, "POWER_TOL", 1e-12)
+        lam = power_iteration_lambda_max(k3_adjacency())
         want = np.max(np.abs(np.linalg.eigvalsh(k3_adjacency().to_dense())))
         assert lam == pytest.approx(want, abs=1e-8)
         assert lam == pytest.approx(2.0, abs=1e-8)
@@ -168,9 +170,11 @@ class TestPowerIteration:
         lam = power_iteration_lambda_max(SparseMatrix.from_dense(dense))
         assert lam == pytest.approx(np.sqrt(2), abs=1e-8)
 
-    def test_no_convergence_raises(self):
-        with pytest.raises(NoConvergence):
-            power_iteration_lambda_max(k3_adjacency(), tol=1e-16, max_iter=3)
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(sparse, "POWER_TOL", 1e-16)
+        monkeypatch.setattr(sparse, "POWER_MAX_ITER", 3)
+        with pytest.raises(NoConvergence, match="in 3 iterations"):
+            power_iteration_lambda_max(k3_adjacency())
 
 
 class TestSupportMask:
