@@ -4,6 +4,11 @@ A scoring head (B, e) turns node features X into one score per supported
 (i, j) pair (diagonal included) through the F_in x 2 score matrix
 W = B E^T, E = e as (2, F_out); a per-neighborhood soft maximum then
 yields a row-stochastic shift matrix on supp(I+S).
+
+The private helpers below hold the per-entry arrays (pre-scores, scores,
+soft maximum and their adjoints) entry-major: the entry axis first, in
+CSR order, then any batch axes, so every row reduction runs on axis 0
+over contiguous rows of batch values.
 """
 from __future__ import annotations
 
@@ -30,6 +35,7 @@ class AttentionHead:
         e = np.asarray(self.e, dtype=np.float64)
         if B.ndim != 2 or e.shape != (2 * B.shape[1],):
             raise DimensionMismatch("scoring vector must have length 2*F_out")
+        _check_slope("field 'leaky_slope'", self.leaky_slope)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "e", e)
 
@@ -45,6 +51,13 @@ class AttentionShift:
 # Private numpy helpers shared with the tape primitives of nn.autograd
 # (edge_score, support_softmax, attention_shift, activation), so that each
 # piece of the attention math has one home.
+
+
+def _check_slope(name, slope):
+    """ValueError unless 0 <= slope <= 1, the range where the scores'
+    max(x, slope x) is LeakyReLU."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], not {slope!r}")
 
 
 def _leaky_factor(x, slope):
@@ -64,23 +77,24 @@ def _score_matrix(B, e):
 
 
 def _edge_scores(proj, pattern, slope):
-    """(scores, factor): LeakyReLU(own_i + other_j) per stored (i, j) of
-    ``pattern``, in CSR entry order, and its slope factor, from the
-    projections proj (..., n, 2) = [own, other]."""
-    pre = (proj[..., 0][..., pattern.entry_rows()]
-           + proj[..., 1][..., pattern.col_idx])
-    factor = _leaky_factor(pre, slope)
-    return pre * factor, factor
+    """(scores, pos): LeakyReLU(own_i + other_j) per stored (i, j) of
+    ``pattern``, entry-major, and the mask where own_i + other_j > 0,
+    from the projections proj (..., n, 2) = [own, other], laid out once
+    as (n, 2, ...). max(x, slope x) is the LeakyReLU for a slope in
+    [0, 1], bitwise x * where(x > 0, 1, slope)."""
+    P = np.ascontiguousarray(np.moveaxis(proj, (-2, -1), (0, 1)))
+    pre = P[pattern.entry_rows(), 0] + P[pattern.col_idx, 1]
+    return np.maximum(pre, slope * pre), pre > 0
 
 
 def _edge_scores_adjoint(dpre, pattern):
-    """D (..., n, 2): the adjoint of the projections given the adjoint of
-    the pre-activation scores, summed over each node's own row (own) and
-    over its column (other)."""
+    """D (..., n, 2), C-ordered: the adjoint of the projections given the
+    entry-major adjoint of the pre-activation scores, summed over each
+    node's own row (own) and over its column (other)."""
     T, perm = pattern.transpose_permutation()
-    d_own = _segment_sums(dpre, pattern.row_ptr)
-    d_other = _segment_sums(dpre[..., perm], T.row_ptr)
-    return np.stack([d_own, d_other], axis=-1)
+    d_own = _segment_sums(dpre, pattern.row_ptr, 0)
+    d_other = _segment_sums(dpre[perm], T.row_ptr, 0)
+    return np.stack([np.moveaxis(d, 0, -1) for d in (d_own, d_other)], -1)
 
 
 def _projection_weight_adjoint(D, x):
@@ -90,20 +104,23 @@ def _projection_weight_adjoint(D, x):
 
 
 def _row_softmax(z, pattern):
-    """Soft maximum over each row's stored entries, with max subtraction.
-    Every row must hold an entry, as supp(I+S) holds its diagonal."""
-    rows = pattern.entry_rows()
-    row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
-    shifted = np.exp(z - row_max[..., rows])
-    denom = _segment_sums(shifted, pattern.row_ptr)
-    return shifted / denom[..., rows]
+    """Soft maximum over each row's stored entries of the entry-major z,
+    with max subtraction. Every row must hold an entry, as supp(I+S)
+    holds its diagonal; the row maximum reads the padded row slots."""
+    rows, slots = pattern.entry_rows(), pattern.row_slots()
+    row_max = (z[slots].max(axis=0) if slots is not None else
+               np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
+    shifted = z - row_max[rows]
+    np.exp(shifted, out=shifted)
+    shifted /= _segment_sums(shifted, pattern.row_ptr, 0)[rows]
+    return shifted
 
 
 def _row_softmax_adjoint(g, vals, pattern):
-    """Adjoint of the scores given g, the adjoint of the soft maximum's
-    output ``vals``."""
-    sdot = _segment_sums(g * vals, pattern.row_ptr)
-    return vals * (g - sdot[..., pattern.entry_rows()])
+    """Adjoint of the entry-major scores given g, the adjoint of the soft
+    maximum's output ``vals``."""
+    sdot = _segment_sums(g * vals, pattern.row_ptr, 0)
+    return vals * (g - sdot[pattern.entry_rows()])
 
 
 def edge_scores(head, X, support):

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CountTooLarge, DegenerateColumn, ParseError
+from ..errors import (ConfigError, CountTooLarge, DegenerateColumn,
+                      NotSymmetric, ParseError)
 from ..graphs import (Graph, block_labels, build_shift, check_size,
                       finite_floats, load_graph, sbm_generate, text_lines,
                       write_edge_list)
@@ -157,11 +158,23 @@ def ingest_edge_list(graph_path, signals_path, normalization="max_eigenvalue",
     splits = _contiguous_splits(n_train, n_val, n_test)
     return Dataset(S=S, X=X, labels=labels, splits=splits,
                    n_outputs=int(labels.max()) + 1 if len(labels) else 0,
-                   meta={"graph_path": str(graph_path)})
+                   meta={"graph_path": str(graph_path),
+                         "normalization": normalization})
 
 
 def export_dataset(ds, out_dir):
-    """Edge list plus signals CSV, values written exactly (repr floats)."""
+    """Edge list plus signals CSV, values written exactly (repr floats).
+    The edge list holds one weight per undirected edge and the CSV class
+    labels, so anything else raises before a file is written."""
+    if ds.labels is None:
+        raise ConfigError("cannot export a regression dataset: the signals "
+                          "CSV holds class labels only")
+    St = ds.S.transpose()
+    if not all(map(np.array_equal, (St.row_ptr, St.col_idx, St.values),
+                   (ds.S.row_ptr, ds.S.col_idx, ds.S.values))):
+        raise NotSymmetric(
+            f"cannot export the {ds.meta.get('normalization')!r} shift: it "
+            "is not symmetric, and the edge list holds one weight per edge")
     os.makedirs(out_dir, exist_ok=True)
     rows, cols = ds.S.entry_rows(), ds.S.col_idx
     upper = rows < cols

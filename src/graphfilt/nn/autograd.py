@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
+from ..attention import (LEAKY_SLOPE_DEFAULT, _check_slope, _edge_scores,
                          _edge_scores_adjoint, _leaky_factor,
                          _projection_weight_adjoint, _row_softmax,
                          _row_softmax_adjoint, _score_matrix)
@@ -389,62 +389,72 @@ def spmm_pairwise(tape, vals, z, pattern):
 
 
 # ---------------------------------------------------------------------------
-# attention primitives; ``pattern`` is supp(I+S), so no row is empty
+# attention primitives; ``pattern`` is supp(I+S), so no row is empty; each
+# returns the (..., nnz) view of its entry-major result (see attention.py)
 
 
 def edge_score(tape, h, e, pattern, slope):
-    """LeakyReLU(e_left . h_i + e_right . h_j) per stored (i, j)."""
+    """LeakyReLU(e_left . h_i + e_right . h_j) per stored (i, j), for a
+    slope in [0, 1]."""
+    _check_slope("slope", slope)
     hv, ev = _val(h), _val(e)
     E = ev.reshape(2, -1)
-    scores, factor = _edge_scores(hv @ E.T, pattern, slope)
+    scores, pos = _edge_scores(hv @ E.T, pattern, slope)
 
     def back(g):
-        D = _edge_scores_adjoint(g * factor, pattern)
+        D = _edge_scores_adjoint(
+            np.moveaxis(g, -1, 0) * _leaky_factor(pos, slope), pattern)
         _acc(h, lambda: D @ E)
         _acc(e, lambda: _projection_weight_adjoint(D, hv).T.ravel())
 
-    return _result(tape, scores, (h, e), back)
+    return _result(tape, np.moveaxis(scores, 0, -1), (h, e), back)
 
 
 def support_softmax(tape, scores, pattern, weights=None):
     """Row-segment soft maximum with max subtraction; optional constant
     per-entry weights multiply the scores first."""
     sv = _val(scores)
-    vals = _row_softmax(sv * weights if weights is not None else sv, pattern)
+    z = sv * weights if weights is not None else sv
+    vals = _row_softmax(np.moveaxis(z, -1, 0), pattern)
 
     def adjoint(g):
-        dz = _row_softmax_adjoint(g, vals, pattern)
+        dz = _row_softmax_adjoint(np.moveaxis(g, -1, 0), vals, pattern)
+        dz = np.moveaxis(dz, 0, -1)
         return dz * weights if weights is not None else dz
 
-    return _result(tape, vals, (scores,),
+    return _result(tape, np.moveaxis(vals, 0, -1), (scores,),
                    lambda g: _acc(scores, lambda: adjoint(g)))
 
 
-def attention_shift(tape, x, b, e, pattern, slope, weights=None):
+def attention_shift(tape, x, b, e, pattern, weights=None):
     """Row-stochastic attention values on ``pattern`` scored from x, in
     one record: support_softmax(edge_score(x @ b, e), weights) without
-    forming x @ b.
+    forming x @ b, at the fixed LEAKY_SLOPE_DEFAULT.
 
     x: (..., n, f_in); b: (f_in, f_out); e: (2 f_out,). The scores read
     x @ W with the (f_in, 2) score matrix W = b E^T, E = e as (2, f_out).
     The backward is analytic: with D (..., n, 2) the adjoint of x @ W,
-    dx = D W^T, dW = x^T D, db = dW E and de = (dW^T b) flattened.
+    dx = D W^T, dW = x^T D, db = dW E and de = (dW^T b) flattened. Only
+    the sign mask of the scores stays on the tape for the LeakyReLU.
     """
     xv, bv, ev = _val(x), _val(b), _val(e)
     E = ev.reshape(2, -1)
     W = _score_matrix(bv, ev)
-    scores, factor = _edge_scores(xv @ W, pattern, slope)
-    vals = _row_softmax(scores * weights if weights is not None else scores,
-                        pattern)
+    scores, pos = _edge_scores(xv @ W, pattern, LEAKY_SLOPE_DEFAULT)
+    if weights is not None:
+        weights = weights.reshape((-1,) + (1,) * (scores.ndim - 1))
+        scores *= weights
+    vals = _row_softmax(scores, pattern)
 
     def back(g):
-        dz = _row_softmax_adjoint(g, vals, pattern)
+        dz = _row_softmax_adjoint(np.moveaxis(g, -1, 0), vals, pattern)
         if weights is not None:
-            dz = dz * weights
-        D = _edge_scores_adjoint(dz * factor, pattern)
+            dz *= weights
+        dz *= _leaky_factor(pos, LEAKY_SLOPE_DEFAULT)
+        D = _edge_scores_adjoint(dz, pattern)
         _acc(x, lambda: D @ W.T)
         dW = _projection_weight_adjoint(D, xv)
         _acc(b, lambda: dW @ E)
         _acc(e, lambda: (dW.T @ bv).ravel())
 
-    return _result(tape, vals, (x, b, e), back)
+    return _result(tape, np.moveaxis(vals, 0, -1), (x, b, e), back)

@@ -73,7 +73,7 @@ class AttentionParams:
         serves only the scores, through the score matrix B E^T."""
         weights = ctx.weighted_vals if weighted else None
         return ag.attention_shift(tape, X, self.B, self.e, ctx.pattern,
-                                  self.slope, weights=weights)
+                                  weights=weights)
 
 
 class GnnLayer:

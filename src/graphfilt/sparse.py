@@ -43,21 +43,23 @@ def _dense_fits(n_rows, n_cols, nnz):
     return n_rows <= _DENSE_MAX_ROWS and n_rows * n_cols <= _DENSE_FILL * nnz
 
 
-def _segment_sums(contrib, row_ptr):
-    """Sum ``contrib`` over CSR row segments of its last axis.
+def _segment_sums(contrib, row_ptr, axis=-1):
+    """Sum ``contrib`` over CSR row segments of one axis (the last by
+    default), in entry order.
 
     ``np.add.reduceat`` reads an empty segment as the single element at
     its start, so empty rows are zeroed afterwards; a start equal to the
     axis length is out of range, so only then is one zero slot appended.
     """
     starts = row_ptr[:-1]
-    if len(starts) and starts[-1] == contrib.shape[-1]:
-        contrib = np.concatenate(
-            [contrib, np.zeros(contrib.shape[:-1] + (1,))], axis=-1)
-    out = np.add.reduceat(contrib, starts, axis=-1)
+    if len(starts) and starts[-1] == contrib.shape[axis]:
+        pad = list(contrib.shape)
+        pad[axis] = 1
+        contrib = np.concatenate([contrib, np.zeros(pad)], axis=axis)
+    out = np.add.reduceat(contrib, starts, axis=axis)
     empty = row_ptr[1:] == starts
     if empty.any():
-        out[..., empty] = 0.0
+        np.moveaxis(out, axis, -1)[..., empty] = 0.0
     return out
 
 
@@ -206,12 +208,13 @@ class Pattern:
 
     Shift operators, parameter matrices on supp(I+S) and the sparse tape
     primitives' operands share this type. It is validated once, when
-    built; entry rows, the transpose and the diagonal positions are
-    cached on first use, so the index arrays must not be mutated.
+    built; entry rows, the transpose, the row slots and the diagonal
+    positions are cached on first use, so the index arrays must not be
+    mutated.
     """
 
     __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "_rows", "_t",
-                 "_diag")
+                 "_diag", "_slots")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx):
         self._set(n_rows, n_cols, row_ptr, col_idx)
@@ -230,7 +233,7 @@ class Pattern:
         self.n_cols = int(n_cols)
         self.row_ptr = _as_index_array(row_ptr)
         self.col_idx = _as_index_array(col_idx)
-        self._rows = self._t = self._diag = None
+        self._rows = self._t = self._diag = self._slots = None
 
     def _validate(self):
         if self.n_rows < 0 or self.n_cols < 0:
@@ -280,6 +283,21 @@ class Pattern:
                                  self.entry_rows()[perm])
             self._t = (T, perm)
         return self._t
+
+    def row_slots(self):
+        """(L, n_rows) entry positions, L the longest row's length: slot k
+        of row i is its k-th entry, or its last where the row is shorter,
+        so z[slots].max(axis=0) is each row's maximum of an entry-major
+        z. None when the slots would outnumber the entries four times (a
+        hub row); ValueError if a row is empty."""
+        if self._slots is None:
+            lens = np.diff(self.row_ptr)
+            if not lens.all():
+                raise ValueError(f"row {int(np.argmin(lens))} is empty")
+            L = int(lens.max(initial=0))
+            self._slots = False if L * self.n_rows > 4 * self.nnz else _frozen(
+                self.row_ptr[:-1] + np.minimum(np.arange(L)[:, None], lens - 1))
+        return None if self._slots is False else self._slots
 
     def diag_positions(self):
         """CSR positions of the (i, i) entries, in row order."""

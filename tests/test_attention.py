@@ -72,6 +72,13 @@ class TestEdgeScores:
         with pytest.raises(DimensionMismatch):
             edge_scores(head, np.zeros((4, 2)), mask)
 
+    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
+    def test_slope_outside_unit_interval_raises(self, slope):
+        # the scores are max(x, slope x), LeakyReLU only for 0 <= slope <= 1
+        with pytest.raises(ValueError, match=r"field 'leaky_slope' must lie "
+                                             r"in \[0, 1\], not"):
+            AttentionHead(np.ones((3, 2)), np.ones(4), leaky_slope=slope)
+
 
 class TestNeighborhoodSoftmax:
     def test_equal_scores_uniform(self):

@@ -4,11 +4,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from graphfilt.attention import LEAKY_SLOPE_DEFAULT, _leaky_factor
+from graphfilt.attention import (LEAKY_SLOPE_DEFAULT, _leaky_factor,
+                                 _projection_weight_adjoint, _score_matrix)
 from graphfilt.errors import MissingTape
-from graphfilt.nn import Tape, Tensor, leaky_relu
+from graphfilt.graphs import Graph, build_shift, sbm_generate
+from graphfilt.harness.config import ExperimentConfig
+from graphfilt.harness.train import build_model
+from graphfilt.nn import ShiftContext, Tape, Tensor, init_params, leaky_relu
 from graphfilt.nn import autograd as ag
-from graphfilt.sparse import SparseMatrix
+from graphfilt.sparse import SparseMatrix, _segment_sums, support_mask
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -219,8 +223,139 @@ class TestAttentionPrimitives:
         e = Tensor(rng.normal(size=(4,)))
         w = rng.uniform(0.5, 2.0, size=pat.nnz) if weighted else None
         check_primitive(
-            lambda t: ag.attention_shift(t, x, b, e, pat, 0.2, weights=w),
+            lambda t: ag.attention_shift(t, x, b, e, pat, weights=w),
             [x, b, e], tol=1e-5)
+
+    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
+    def test_edge_score_slope_outside_unit_interval_raises(self, slope):
+        h, e = np.ones((5, 3)), np.ones(6)
+        with pytest.raises(ValueError, match=r"slope must lie in \[0, 1\]"):
+            ag.edge_score(Tape(), Tensor(h), e, ring_pattern(5), slope)
+
+    @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+    def test_edge_score_max_form_is_the_factor_form(self, slope):
+        rng = np.random.default_rng(20)
+        pat = ring_pattern(6)
+        h = Tensor(rng.normal(size=(2, 6, 3)))
+        e = rng.normal(size=6)
+        e[3:] = -e[:3]                   # own == other: pre-scores of +-0.0
+        tape = Tape()
+        out = ag.edge_score(tape, h, e, pat, slope)
+        g = rng.normal(size=out.value.shape)
+        tape.backward(out, g)
+        E = e.reshape(2, -1)
+        proj = h.value @ E.T
+        pre = (proj[..., 0][..., pat.entry_rows()]
+               + proj[..., 1][..., pat.col_idx])
+        factor = _leaky_factor(pre, slope)
+        assert out.value.tobytes() == (pre * factor).tobytes()
+        T, perm = pat.transpose_permutation()
+        dpre = g * factor
+        D = np.stack([_segment_sums(dpre, pat.row_ptr),
+                      _segment_sums(dpre[..., perm], T.row_ptr)], axis=-1)
+        assert h.grad.tobytes() == (D @ E).tobytes()
+
+
+# -- attention_shift against its batch-major form ---------------------------
+
+def reference_attention_shift(tape, x, b, e, pattern, weights=None):
+    """attention_shift as it was before its entry-major layout: (..., nnz)
+    arrays from entry-axis gathers, the row maximum by maximum.reduceat,
+    and the LeakyReLU as a product with a slope factor kept for the
+    backward."""
+    xv, bv, ev = ag._val(x), ag._val(b), ag._val(e)
+    E = ev.reshape(2, -1)
+    W = _score_matrix(bv, ev)
+    proj = xv @ W
+    rows, cols = pattern.entry_rows(), pattern.col_idx
+    pre = proj[..., 0][..., rows] + proj[..., 1][..., cols]
+    factor = _leaky_factor(pre, LEAKY_SLOPE_DEFAULT)
+    scores = pre * factor
+    z = scores * weights if weights is not None else scores
+    row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
+    shifted = np.exp(z - row_max[..., rows])
+    vals = shifted / _segment_sums(shifted, pattern.row_ptr)[..., rows]
+
+    def back(g):
+        sdot = _segment_sums(g * vals, pattern.row_ptr)
+        dz = vals * (g - sdot[..., rows])
+        if weights is not None:
+            dz = dz * weights
+        dpre = dz * factor
+        T, perm = pattern.transpose_permutation()
+        D = np.stack([_segment_sums(dpre, pattern.row_ptr),
+                      _segment_sums(dpre[..., perm], T.row_ptr)], axis=-1)
+        ag._acc(x, lambda: D @ W.T)
+        dW = _projection_weight_adjoint(D, xv)
+        ag._acc(b, lambda: dW @ E)
+        ag._acc(e, lambda: (dW.T @ bv).ravel())
+
+    return ag._result(tape, vals, (x, b, e), back)
+
+
+def _sbm_shift():
+    return build_shift(sbm_generate([10] * 5, 0.8, 0.2,
+                                    np.random.default_rng(3)))
+
+
+ATTENTION_SHIFTS = {
+    "ring": lambda: SparseMatrix.from_dense(
+        ring_pattern(7).matrix(np.linspace(0.5, 1.5, 14)).to_dense()),
+    "dense": lambda: SparseMatrix.from_dense(np.ones((6, 6))
+                                             - np.eye(6)),
+    "sbm": _sbm_shift,
+    # a hub row: the row maximum falls back from the slots to reduceat
+    "star": lambda: build_shift(Graph(12, [(0, j) for j in range(1, 12)]),
+                                "none"),
+    # node 4 has no edge, so its row of supp(I+S) holds one entry
+    "isolated": lambda: build_shift(Graph(5, [(0, 1, 2.0), (1, 2, 0.5),
+                                              (2, 3, 1.0), (0, 3, 1.5)]),
+                                    "none"),
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("f_in", [1, 3, 16])
+@pytest.mark.parametrize("batch", [(), (2,), (3, 4)])
+@pytest.mark.parametrize("graph", sorted(ATTENTION_SHIFTS))
+def test_attention_shift_is_bitwise_its_batch_major_form(graph, batch, f_in,
+                                                         weighted):
+    S = ATTENTION_SHIFTS[graph]()
+    pat = support_mask(S)
+    weights = pat.aligned_values(S, diag_fill_zero=1.0) if weighted else None
+    rng = np.random.default_rng(70 + f_in)
+    x0 = rng.normal(size=batch + (S.n_rows, f_in))
+    b0, e0 = rng.normal(size=(f_in, 4)), rng.normal(size=8)
+    g = rng.normal(size=batch + (pat.nnz,))
+    got = []
+    for shift in (ag.attention_shift, reference_attention_shift):
+        x, b, e = Tensor(x0.copy()), Tensor(b0.copy()), Tensor(e0.copy())
+        tape = Tape()
+        out = shift(tape, x, b, e, pat, weights=weights)
+        tape.backward(out, g)
+        got.append([out.value.tobytes()]
+                   + [t.grad.tobytes() for t in (x, b, e)])
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("family", ["gat", "gcat", "ev_gat", "hybrid_gcat"])
+def test_attention_families_give_bitwise_the_batch_major_logits(
+        family, monkeypatch):
+    ctx = ShiftContext(_sbm_shift())
+    cfg = ExperimentConfig.from_dict({
+        "task": "sbm_source_localization", "architecture": {
+            "family": family, "order": 2, "features": 4, "layers": 2}})
+    X = np.random.default_rng(71).normal(size=(6, ctx.n, 1))
+    runs = []
+    for shift in (ag.attention_shift, reference_attention_shift):
+        monkeypatch.setattr(ag, "attention_shift", shift)
+        model = build_model(cfg, ctx, 5)
+        init_params(model, np.random.default_rng(72), shift=ctx)
+        logits, tape = model.forward(ctx, X)
+        tape.backward(output_grad=np.ones(logits.shape))
+        runs.append([logits.value.tobytes()] + [
+            t.grad.tobytes() for _, t in model.parameters()])
+    assert runs[0] == runs[1]
 
 
 def _constant_operand_cases():
@@ -272,7 +407,7 @@ def _constant_operand_cases():
         "support_softmax": lambda t, w: ag.support_softmax(t, w(scores),
                                                            pat),
         "attention_shift": lambda t, w: ag.attention_shift(
-            t, w(x), w(b), w(e), pat, 0.2, weights=vals),
+            t, w(x), w(b), w(e), pat, weights=vals),
     }
 
 

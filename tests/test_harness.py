@@ -1071,3 +1071,57 @@ class TestCli:
         a = (out1 / "signals.csv").read_text()
         b = (out2 / "signals.csv").read_text()
         assert a != b
+
+    @staticmethod
+    def _generate_fails(tmp_path, capsys, dataset, task):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": task, "dataset": dataset}))
+        before = sorted(os.listdir(tmp_path))
+        code = cli_main(["generate", "-c", str(cfg), "-o",
+                         str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "Traceback" not in captured.err
+        assert sorted(os.listdir(tmp_path)) == before    # nothing written
+        return captured.err
+
+    def test_generate_refuses_a_regression_dataset(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.csv"
+        ratings.write_text("5,3,0,1\n4,0,0,1\n1,1,0,5\n1,0,0,4\n0,1,5,4\n")
+        err = self._generate_fails(
+            tmp_path, capsys, {"ratings_path": str(ratings), "top_k": 2,
+                               "min_co_rated": 1}, "ratings_regression")
+        assert err == ("error: cannot export a regression dataset: the "
+                       "signals CSV holds class labels only\n")
+
+    @staticmethod
+    def _four_node_edge_list(tmp_path, normalization):
+        g, s = tmp_path / "g.edgelist", tmp_path / "s.csv"
+        g.write_text("0 1\n1 2\n2 3\n1 3\n")
+        s.write_text("1.0,0.0,0.0,0.0,0\n0.0,1.0,0.0,0.0,1\n")
+        return {"graph_path": str(g), "signals_path": str(s),
+                "normalization": normalization}
+
+    def test_generate_refuses_an_asymmetric_shift(self, tmp_path, capsys):
+        dataset = self._four_node_edge_list(tmp_path, "row_stochastic")
+        ds = build_dataset(ExperimentConfig.from_dict(
+            {"task": "edge_list_classification", "dataset": dataset}), None)
+        # row 1 is (1/3, 0, 1/3, 1/3), and column 1 is (1, 0, 1/2, 1/2)
+        assert ds.S.to_dense()[1, 0] == 1 / 3
+        err = self._generate_fails(tmp_path, capsys, dataset,
+                                   "edge_list_classification")
+        assert err.startswith("error: cannot export the 'row_stochastic' "
+                              "shift: it is not symmetric")
+
+    def test_generate_writes_a_symmetric_shift_exactly(self, tmp_path):
+        dataset = self._four_node_edge_list(tmp_path, "max_eigenvalue")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"task": "edge_list_classification",
+                                   "dataset": dataset}))
+        out = tmp_path / "out"
+        assert cli_main(["generate", "-c", str(cfg), "-o", str(out)]) == 0
+        ds = build_dataset(ExperimentConfig.from_dict(
+            {"task": "edge_list_classification", "dataset": dataset}), None)
+        again = ingest_edge_list(out / "graph.edgelist", out / "signals.csv",
+                                 normalization="none")
+        assert np.array_equal(again.S.to_dense(), ds.S.to_dense())

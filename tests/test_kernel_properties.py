@@ -167,3 +167,71 @@ def test_submatrix_is_the_dense_block(case, data):
     ids = np.arange(1.0, p.nnz + 1)
     want = p.matrix(ids).to_dense()[np.ix_(nodes, nodes)]
     assert np.array_equal(P.matrix(ids[pos]).to_dense(), want)
+
+
+slot_cases = st.fixed_dictionaries({
+    # many one-entry rows, as isolated nodes give supp(I+S)
+    "lengths": st.lists(st.one_of(st.just(1), st.integers(1, 9)),
+                        min_size=1, max_size=12),
+    "batch": st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    "seed": st.integers(0, 2**32 - 1),
+})
+
+
+def slot_pattern(case):
+    rng = np.random.default_rng(case["seed"])
+    lengths = np.array(case["lengths"])
+    n_cols = int(lengths.max()) + 3
+    cols = [np.sort(rng.choice(n_cols, k, replace=False)) for k in lengths]
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    return Pattern(len(lengths), n_cols, row_ptr, np.concatenate(cols)), rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(slot_cases)
+def test_row_slot_max_is_bitwise_the_reduceat_max(case):
+    pat, rng = slot_pattern(case)
+    slots, longest = pat.row_slots(), max(case["lengths"])
+    if longest * pat.n_rows > 4 * pat.nnz:     # a hub row: reduceat's job
+        assert slots is None
+        return
+    assert slots.shape == (longest, pat.n_rows)
+    assert not slots.flags.writeable and pat.row_slots() is slots
+    z = rng.normal(size=(pat.nnz,) + case["batch"])
+    # ties, signed zeros and infinities among the entries
+    special = rng.random(z.shape) < 0.5
+    z[special] = rng.choice([-0.0, 0.0, 1.5, -np.inf, np.inf],
+                            size=int(special.sum()))
+    want = np.maximum.reduceat(z, pat.row_ptr[:-1], axis=0)
+    got = z[slots].max(axis=0)
+    if np.prod(case["batch"]) > 1:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # with one sample, numpy's reduce loop may keep the other zero of
+        # a -0.0/+0.0 tie; the soft maximum subtracts it, and is bitwise
+        assert np.array_equal(got, want)
+    rows = pat.entry_rows()
+    with np.errstate(invalid="ignore"):          # inf - inf
+        assert (np.exp(z - got[rows]).tobytes()
+                == np.exp(z - want[rows]).tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(slot_cases, st.data())
+def test_row_slots_refuse_an_empty_row(case, data):
+    pat, _ = slot_pattern(case)
+    i = data.draw(st.integers(0, pat.n_rows - 1))
+    keep = pat.entry_rows() != i
+    with pytest.raises(ValueError, match=f"row {i} is empty"):
+        pat.select(keep).row_slots()
+
+
+def test_row_slots_give_way_to_reduceat_past_four_slots_per_entry():
+    # a star: the hub row holds every node, each leaf row two entries
+    n = 12
+    rows = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n),
+                           np.arange(1, n)])
+    cols = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64),
+                           np.arange(1, n)])
+    star = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows))).pattern
+    assert n * n > 4 * star.nnz and star.row_slots() is None
