@@ -3,12 +3,9 @@
 A scoring head (B, e) turns node features X into one score per supported
 (i, j) pair (diagonal included) through the F_in x 2 score matrix
 W = B E^T, E = e as (2, F_out); a per-neighborhood soft maximum then
-yields a row-stochastic shift matrix on supp(I+S).
-
-The private helpers below hold the per-entry arrays (pre-scores, scores,
-soft maximum and their adjoints) entry-major: the entry axis first, in
-CSR order, then any batch axes, so every row reduction runs on axis 0
-over contiguous rows of batch values.
+yields a row-stochastic shift matrix on supp(I+S). The private helpers
+hold per-entry arrays entry-major: the CSR entry axis first, then any
+batch axes, so every row reduction runs on axis 0.
 """
 from __future__ import annotations
 
@@ -35,7 +32,9 @@ class AttentionHead:
         e = np.asarray(self.e, dtype=np.float64)
         if B.ndim != 2 or e.shape != (2 * B.shape[1],):
             raise DimensionMismatch("scoring vector must have length 2*F_out")
-        _check_slope("field 'leaky_slope'", self.leaky_slope)
+        if not 0.0 <= self.leaky_slope <= 1.0:   # where max(x, s x) is exact
+            raise ValueError("field 'leaky_slope' must lie in [0, 1], "
+                             f"not {self.leaky_slope!r}")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "e", e)
 
@@ -53,20 +52,9 @@ class AttentionShift:
 # piece of the attention math has one home.
 
 
-def _check_slope(name, slope):
-    """ValueError unless 0 <= slope <= 1, the range where the scores'
-    max(x, slope x) is LeakyReLU."""
-    if not 0.0 <= slope <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], not {slope!r}")
-
-
-def _leaky_factor(x, slope):
-    """LeakyReLU slope per element: 1 where x > 0, else ``slope``.
-
-    Branch-free; bitwise equal to np.where(x > 0, 1.0, slope), which
-    costs several times as much.
-    """
-    pos = x > 0
+def _leaky_factor(pos, slope):
+    """LeakyReLU slope per element of the sign mask pos = (x > 0): 1 where
+    it is set, else ``slope``; bitwise np.where(pos, 1.0, slope)."""
     return pos * 1.0 + ~pos * slope
 
 
@@ -78,10 +66,9 @@ def _score_matrix(B, e):
 
 def _edge_scores(proj, pattern, slope):
     """(scores, pos): LeakyReLU(own_i + other_j) per stored (i, j) of
-    ``pattern``, entry-major, and the mask where own_i + other_j > 0,
-    from the projections proj (..., n, 2) = [own, other], laid out once
-    as (n, 2, ...). max(x, slope x) is the LeakyReLU for a slope in
-    [0, 1], bitwise x * where(x > 0, 1, slope)."""
+    ``pattern``, entry-major, and its sign mask, from the projections
+    proj (..., n, 2) = [own, other] laid out once as (n, 2, ...). For a
+    slope in [0, 1], max(x, slope x) is bitwise x * _leaky_factor."""
     P = np.ascontiguousarray(np.moveaxis(proj, (-2, -1), (0, 1)))
     pre = P[pattern.entry_rows(), 0] + P[pattern.col_idx, 1]
     return np.maximum(pre, slope * pre), pre > 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attention import (LEAKY_SLOPE_DEFAULT, _check_slope, _edge_scores,
+from ..attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
                          _edge_scores_adjoint, _leaky_factor,
                          _projection_weight_adjoint, _row_softmax,
                          _row_softmax_adjoint, _score_matrix)
@@ -282,13 +282,13 @@ def activation(tape, a, kind, bias=None):
     if kind == "relu":
         np.maximum(out, 0.0, out=out)
     elif kind == "leaky_relu":
-        out *= _leaky_factor(out, LEAKY_SLOPE_DEFAULT)
+        out *= _leaky_factor(out > 0, LEAKY_SLOPE_DEFAULT)
 
     def back(g):
         if kind == "relu":
             g = g * (out > 0)
         elif kind == "leaky_relu":
-            g = g * _leaky_factor(out, LEAKY_SLOPE_DEFAULT)
+            g = g * _leaky_factor(out > 0, LEAKY_SLOPE_DEFAULT)
         _acc(a, lambda: _unbroadcast(g, av.shape))
         _acc(bias, lambda: _unbroadcast(g, bv.shape))
 
@@ -396,7 +396,6 @@ def spmm_pairwise(tape, vals, z, pattern):
 def edge_score(tape, h, e, pattern, slope):
     """LeakyReLU(e_left . h_i + e_right . h_j) per stored (i, j), for a
     slope in [0, 1]."""
-    _check_slope("slope", slope)
     hv, ev = _val(h), _val(e)
     E = ev.reshape(2, -1)
     scores, pos = _edge_scores(hv @ E.T, pattern, slope)

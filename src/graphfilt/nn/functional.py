@@ -18,7 +18,7 @@ def relu(x):
 
 def leaky_relu(x, slope=0.2):
     x = np.asarray(x, dtype=np.float64)
-    return x * _leaky_factor(x, slope)
+    return x * _leaky_factor(x > 0, slope)
 
 
 def log_sum_exp(x, axis=-1):

@@ -288,14 +288,14 @@ class Pattern:
         """(L, n_rows) entry positions, L the longest row's length: slot k
         of row i is its k-th entry, or its last where the row is shorter,
         so z[slots].max(axis=0) is each row's maximum of an entry-major
-        z. None when the slots would outnumber the entries four times (a
-        hub row); ValueError if a row is empty."""
+        z. None past two slots per entry (a hub row), where
+        np.maximum.reduceat is as fast; ValueError if a row is empty."""
         if self._slots is None:
             lens = np.diff(self.row_ptr)
             if not lens.all():
                 raise ValueError(f"row {int(np.argmin(lens))} is empty")
             L = int(lens.max(initial=0))
-            self._slots = False if L * self.n_rows > 4 * self.nnz else _frozen(
+            self._slots = False if L * self.n_rows > 2 * self.nnz else _frozen(
                 self.row_ptr[:-1] + np.minimum(np.arange(L)[:, None], lens - 1))
         return None if self._slots is False else self._slots
 

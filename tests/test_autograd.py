@@ -226,12 +226,6 @@ class TestAttentionPrimitives:
             lambda t: ag.attention_shift(t, x, b, e, pat, weights=w),
             [x, b, e], tol=1e-5)
 
-    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
-    def test_edge_score_slope_outside_unit_interval_raises(self, slope):
-        h, e = np.ones((5, 3)), np.ones(6)
-        with pytest.raises(ValueError, match=r"slope must lie in \[0, 1\]"):
-            ag.edge_score(Tape(), Tensor(h), e, ring_pattern(5), slope)
-
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_edge_score_max_form_is_the_factor_form(self, slope):
         rng = np.random.default_rng(20)
@@ -247,7 +241,7 @@ class TestAttentionPrimitives:
         proj = h.value @ E.T
         pre = (proj[..., 0][..., pat.entry_rows()]
                + proj[..., 1][..., pat.col_idx])
-        factor = _leaky_factor(pre, slope)
+        factor = _leaky_factor(pre > 0, slope)
         assert out.value.tobytes() == (pre * factor).tobytes()
         T, perm = pat.transpose_permutation()
         dpre = g * factor
@@ -269,7 +263,7 @@ def reference_attention_shift(tape, x, b, e, pattern, weights=None):
     proj = xv @ W
     rows, cols = pattern.entry_rows(), pattern.col_idx
     pre = proj[..., 0][..., rows] + proj[..., 1][..., cols]
-    factor = _leaky_factor(pre, LEAKY_SLOPE_DEFAULT)
+    factor = _leaky_factor(pre > 0, LEAKY_SLOPE_DEFAULT)
     scores = pre * factor
     z = scores * weights if weights is not None else scores
     row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
@@ -493,7 +487,7 @@ def reference_tail(tape, a, kind, slope=LEAKY_SLOPE_DEFAULT, bias=None):
     if kind == "relu":
         factor = (av > 0).astype(np.float64)
     else:
-        factor = _leaky_factor(av, slope)
+        factor = _leaky_factor(av > 0, slope)
     return ag._result(tape, av * factor, (a,),
                       lambda g: ag._acc(a, lambda: g * factor))
 
@@ -570,7 +564,7 @@ class TestActivation:
         rng = np.random.default_rng(19)
         x = np.concatenate([[0.0, -0.0], rng.normal(size=200)])
         where_factor = np.where(x > 0, 1.0, slope)
-        factor = _leaky_factor(x, slope)
+        factor = _leaky_factor(x > 0, slope)
         assert factor.tobytes() == where_factor.tobytes()
         tape = Tape()
         a = Tensor(x)
