@@ -148,15 +148,16 @@ def ingest_edge_list(graph_path, signals_path, normalization="max_eigenvalue",
     shift of the graph's node count is built."""
     graph = load_graph(graph_path)
     X, labels = read_signals_csv(signals_path, graph.n)
-    S = build_shift(graph, normalization)
     n = len(X)
     n_train = int(round(train_fraction * n))
     n_val = int(round(val_fraction * n))
-    n_test = n - n_train - n_val
-    if n_test < 0:
-        raise ValueError("split fractions exceed the dataset")
-    splits = _contiguous_splits(n_train, n_val, n_test)
-    return Dataset(S=S, X=X, labels=labels, splits=splits,
+    if n_train + n_val > n:
+        raise ConfigError(
+            f"fields 'train_fraction' ({train_fraction}) and 'val_fraction' "
+            f"({val_fraction}) round to {n_train} + {n_val} of {n} samples")
+    splits = _contiguous_splits(n_train, n_val, n - n_train - n_val)
+    return Dataset(S=build_shift(graph, normalization), X=X, labels=labels,
+                   splits=splits,
                    n_outputs=int(labels.max()) + 1 if len(labels) else 0,
                    meta={"graph_path": str(graph_path),
                          "normalization": normalization})

@@ -216,7 +216,7 @@ def concat(tape, parts, axis):
 
 
 def expand_last(tape, a):
-    """Append a trailing unit axis (view used to broadcast feature pairs)."""
+    """Append a unit last axis (view used to broadcast feature pairs)."""
     return _result(tape, _val(a)[..., None], (a,),
                    lambda g: _acc(a, lambda: g[..., 0]))
 
@@ -345,11 +345,9 @@ def spmm_const(tape, S, x):
     """Fixed sparse matrix times tensor; gradient flows to x only, as
     S^T g on S's own product operator, so no transposed matrix is built."""
     xv = _val(x)
-    if xv.ndim < 2:
-        raise ValueError("spmm_const expects (..., n, f) input")
 
     def back(g):
-        _acc(x, lambda: S._operator().apply_transposed(g, 1))
+        _acc(x, lambda: S._operator().apply_transposed(g))
 
     return _result(tape, spmm(S, xv), (x,), back)
 
@@ -364,28 +362,34 @@ def spmm_values(tape, vals, x, pattern):
     op = _Product(pattern, vv, per_sample=vv.ndim > 1)
 
     def back(g):
-        _acc(vals, lambda: _unbroadcast(op.values_adjoint(g, xv, 1),
-                                        vv.shape))
-        _acc(x, lambda: op.apply_transposed(g, 1))
+        _acc(vals, lambda: _unbroadcast(op.values_adjoint(g, xv), vv.shape))
+        _acc(x, lambda: op.apply_transposed(g))
 
-    return _result(tape, op.apply(xv, 1), (vals, x), back)
+    return _result(tape, op.apply(xv), (vals, x), back)
 
 
 def spmm_pairwise(tape, vals, z, pattern):
     """Per-feature-pair sparse product.
 
     vals: (nnz, f, g); z: (..., n, f, g), broadcasting against the
-    values' (f, g); the entry axis sits at -3.
+    values' (f, g). One product runs on the f*g slots of the (nnz, f*g)
+    values, with z broadcast to them.
     """
     vv, zv = _val(vals), _val(z)
-    op = _Product(pattern, vv)
+    slots = vv.shape[1] * vv.shape[2]     # explicit, as -1 fails at size 0
+    op = _Product(pattern, vv.reshape(len(vv), slots))
+    flat = np.broadcast_to(zv, zv.shape[:-2] + vv.shape[1:]).reshape(
+        zv.shape[:-2] + (slots,))
 
     def back(g):
-        _acc(vals, lambda: _unbroadcast(op.values_adjoint(g, zv, 2),
-                                        vv.shape))
-        _acc(z, lambda: _unbroadcast(op.apply_transposed(g, 2), zv.shape))
+        gf = g.reshape(g.shape[:-2] + (slots,))
+        _acc(vals, lambda: op.values_adjoint(gf, flat).reshape(vv.shape))
+        _acc(z, lambda: _unbroadcast(op.apply_transposed(gf).reshape(
+            zv.shape[:-2] + vv.shape[1:]), zv.shape))
 
-    return _result(tape, op.apply(zv, 2), (vals, z), back)
+    out = op.apply(flat)
+    return _result(tape, out.reshape(out.shape[:-1] + vv.shape[1:]),
+                   (vals, z), back)
 
 
 # ---------------------------------------------------------------------------

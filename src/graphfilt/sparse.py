@@ -9,9 +9,9 @@ which takes one of two paths:
 * dense: for small or dense patterns whose values are shared across the
   batch, the dense matrix is built once and the product is a BLAS
   ``D @ X``; ``_dense_fits`` reads only the pattern's shape and nnz;
-* node-last CSR: for everything else. The operand is laid out as
-  (*F, batch, n), so the gather, the transpose's entry permutation and
-  the segment sums all run over the last, contiguous axis.
+* node-last CSR: for everything else. The operand (..., n, T) is laid
+  out as (T, ..., n), so the gather, the transpose's entry permutation
+  and the segment sums all run over the last, contiguous axis.
 
 Results are deterministic for a fixed shape and BLAS thread count, and a
 batched ``spmv`` is bitwise equal to a loop of single-vector calls.
@@ -63,68 +63,55 @@ def _segment_sums(contrib, row_ptr, axis=-1):
     return out
 
 
-def _feature_major(X, trailing):
-    """(..., n, *F) with ``trailing`` = len(F) as a contiguous (*F, n, B)
-    stack, B the flattened batch, so one matmul covers every feature slot."""
-    lead = X.ndim - 1 - trailing
+def _feature_major(X):
+    """(..., n, T) as a contiguous (T, n, B) stack, B the flattened batch,
+    so one matmul covers every feature slot."""
     # an explicit batch size, which -1 cannot infer when n = 0
-    flat = X.reshape((math.prod(X.shape[:lead]),) + X.shape[lead:])
-    order = tuple(range(2, trailing + 2)) + (1, 0)
-    return np.ascontiguousarray(flat.transpose(order))
+    flat = X.reshape((math.prod(X.shape[:-2]),) + X.shape[-2:])
+    return np.ascontiguousarray(flat.transpose(2, 1, 0))
 
 
-def _node_last(X, trailing):
-    """(..., n, *F) with ``trailing`` = len(F) as a contiguous
-    (*F, ..., n) array: the node axis last, the feature axes first."""
-    node = X.ndim - 1 - trailing
-    order = tuple(range(node + 1, X.ndim)) + tuple(range(node)) + (node,)
-    return np.ascontiguousarray(X.transpose(order))
+def _node_last(X):
+    """(..., n, T) as a contiguous (T, ..., n) array: the node axis last,
+    the feature axis first."""
+    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
 
 
-def _node_back(Y, trailing):
-    """The (..., n, *F) view of a (*F, ..., n) array; undoes _node_last."""
-    return Y.transpose(tuple(range(trailing, Y.ndim))
-                       + tuple(range(trailing)))
+def _dense_product(D, X):
+    """Dense path: the product over the node axis of X (..., m, T).
 
-
-def _dense_product(D, X, trailing):
-    """Dense path: the product over the node axis of X (..., m, *F), which
-    precedes its ``trailing`` feature axes.
-
-    D is (n, m), one matrix for every feature slot, or (*F, n, m), one
-    matrix per feature slot (broadcasting against F).
+    D is (n, m), one matrix for every feature slot, or (T, n, m), one
+    matrix per feature slot (broadcasting against T).
     """
-    if D.ndim == 2 and trailing == 0:
-        # a stack of mat-vecs: bitwise equal to one call per vector
-        return (D @ X[..., None])[..., 0]
-    if D.ndim == 2 and trailing == 1:
+    if D.ndim == 2:
         return D @ X
-    out = D @ _feature_major(X, trailing)                       # (*F, n, B)
-    out = out.transpose((trailing + 1, trailing) + tuple(range(trailing)))
-    return out.reshape(X.shape[:X.ndim - 1 - trailing] + out.shape[1:])
+    out = (D @ _feature_major(X)).transpose(2, 1, 0)            # (B, n, T)
+    return out.reshape(X.shape[:-2] + out.shape[1:])
 
 
-def _csr_product(row_ptr, col_idx, values, X):
-    """CSR path on a node-last operand X (*F, ..., m): row i sums
-    values[..., e] * X[..., col_idx[e]] over its entries e. The product is
-    out of place: pairwise values broadcast to more than the gather."""
-    return _segment_sums(np.take(X, col_idx, axis=-1) * values, row_ptr)
+def _csr_product(p, values, X):
+    """CSR path on the pattern ``p`` for X (..., m, T), laid out node-last
+    as (T, ..., m): row i sums values[..., e] * X[..., col_idx[e]] over its
+    entries e, for values (T?, 1..., nnz) or per-sample (..., nnz). The
+    product is out of place; the result is the (..., n, T) view of a
+    (T, ..., n) array."""
+    gathered = np.take(_node_last(X), p.col_idx, axis=-1)
+    return np.moveaxis(_segment_sums(gathered * values, p.row_ptr), 0, -1)
 
 
 class _Product:
     """Entry values on a CSR pattern as one linear operator.
 
-    ``pattern`` is a ``Pattern``. ``values`` is (nnz, *T), shared by every
-    batch element, where T is empty (one scalar per entry) or has one axis
-    per operand feature axis (one scalar per entry and feature slot).
-    With ``per_sample`` it is (..., nnz), one scalar per entry and batch
-    element, the batch axes matching the operand's. Operands are
-    (..., n_cols, *F), with ``trailing`` = len(F) feature axes.
+    ``pattern`` is a ``Pattern``. Operands are (..., n_cols, T): one
+    feature axis, so a vector is passed as ``x[..., None]`` and pairwise
+    values as f*g slots. ``values`` is (nnz,), shared by every batch
+    element and feature slot, or (nnz, T), one scalar per entry and
+    feature slot. With ``per_sample`` it is (..., nnz), one scalar per
+    entry and batch element, the batch axes matching the operand's.
 
     Shared values take the dense path when ``_dense_fits`` says so, and
-    all else the node-last CSR path, which returns a (..., n, *F) view
-    of a (*F, ..., n) result. (A per-sample dense stack was slower for
-    the one-feature operands of the attention layers' first hop.)
+    all else the node-last CSR path. (A per-sample dense stack was slower
+    for the one-feature operands of the attention layers' first hop.)
     """
 
     __slots__ = ("pattern", "values", "per_sample", "dense")
@@ -143,53 +130,46 @@ class _Product:
 
     def _node_last_values(self, ndim):
         """Values for an ``ndim``-axis operand in node-last form: shared
-        (nnz, *T) as (*T, 1..., nnz), per-sample (..., nnz) as they are."""
+        (nnz, T?) as (T?, 1..., nnz), per-sample (..., nnz) as they are."""
         if self.per_sample:
             return self.values
         v = np.moveaxis(self.values, 0, -1)
         return v.reshape(v.shape[:-1] + (1,) * (ndim - v.ndim) + v.shape[-1:])
 
-    def apply(self, X, trailing):
-        """S X for X of shape (..., n_cols, *F)."""
+    def apply(self, X):
+        """S X for X of shape (..., n_cols, T)."""
         if self.dense is not None:
-            return _dense_product(self.dense, X, trailing)
-        p = self.pattern
-        return _node_back(_csr_product(
-            p.row_ptr, p.col_idx, self._node_last_values(X.ndim),
-            _node_last(X, trailing)), trailing)
+            return _dense_product(self.dense, X)
+        return _csr_product(self.pattern, self._node_last_values(X.ndim), X)
 
-    def apply_transposed(self, G, trailing):
-        """S^T G for G of shape (..., n_rows, *F)."""
+    def apply_transposed(self, G):
+        """S^T G for G of shape (..., n_rows, T)."""
         if self.dense is not None:
-            return _dense_product(self.dense.swapaxes(-1, -2), G, trailing)
+            return _dense_product(self.dense.swapaxes(-1, -2), G)
         T, perm = self.pattern.transpose_permutation()
-        vt = self._node_last_values(G.ndim)[..., perm]
-        return _node_back(_csr_product(
-            T.row_ptr, T.col_idx, vt, _node_last(G, trailing)), trailing)
+        return _csr_product(T, self._node_last_values(G.ndim)[..., perm], G)
 
-    def values_adjoint(self, G, X, trailing):
+    def values_adjoint(self, G, X):
         """Gradient of sum(G * apply(X)) with respect to the values.
 
-        Feature axes the values do not carry are summed, and so are the
-        batch axes of shared values; per-sample values keep them. Callers
-        reduce the result to the values' shape.
+        The feature axis is summed unless the values carry it, and so
+        are the batch axes of shared values; per-sample values keep them.
+        Callers reduce the result to the values' shape.
         """
         rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
         if self.dense is None:
             # G has the output's full shape, so X's gather broadcasts into it
-            gv = _node_last(G, trailing)[..., rows]
-            gv *= _node_last(X, trailing)[..., cols]
+            gv = _node_last(G)[..., rows]
+            gv *= _node_last(X)[..., cols]
             if self.per_sample:
-                return gv.sum(axis=tuple(range(trailing)))
-            kept = self.values.ndim - 1       # the feature axes of T
-            return np.moveaxis(
-                gv.sum(axis=tuple(range(kept, gv.ndim - 1))), -1, 0)
+                return gv.sum(axis=0)
+            summed = tuple(range(self.values.ndim - 1, gv.ndim - 1))
+            return np.moveaxis(gv.sum(axis=summed), -1, 0)
         if self.dense.ndim == 2:
             # (G X^T) over every batch and feature axis at once
-            axes = [a for a in range(G.ndim) if a != G.ndim - 1 - trailing]
+            axes = [a for a in range(G.ndim) if a != G.ndim - 2]
             return np.tensordot(G, X, axes=(axes, axes))[rows, cols]
-        M = (_feature_major(G, trailing)
-             @ _feature_major(X, trailing).swapaxes(-1, -2))   # (*F, n, m)
+        M = _feature_major(G) @ _feature_major(X).swapaxes(-1, -2)  # (T, n, m)
         return np.moveaxis(M[..., rows, cols], -1, 0)
 
 
@@ -472,7 +452,7 @@ def spmv(S, x):
     if x.shape[-1] != S.n_cols:
         raise DimensionMismatch(
             f"spmv: matrix has {S.n_cols} columns, vector has {x.shape[-1]}")
-    return S._operator().apply(x, 0)
+    return S._operator().apply(x[..., None])[..., 0]
 
 
 def spmm(S, X):
@@ -484,7 +464,7 @@ def spmm(S, X):
     if X.ndim < 2 or X.shape[-2] != S.n_cols:
         raise DimensionMismatch(
             f"spmm: matrix has {S.n_cols} columns, X has shape {X.shape}")
-    return S._operator().apply(X, 1)
+    return S._operator().apply(X)
 
 
 class Permutation:

@@ -250,3 +250,42 @@ def test_support_without_diagonal_rejected():
         edge_scores(head, X, S.pattern)
     with pytest.raises(ValueError, match="full diagonal"):
         neighborhood_softmax(np.zeros(S.nnz), S.pattern)
+
+
+def _head(f_in=2, f_out=3):
+    return AttentionHead(np.ones((f_in, f_out)), np.ones(2 * f_out))
+
+
+# the input checks no other test reaches: (call, error type, message)
+RAISE_SITES = {
+    "head_mixer_not_2d": (
+        lambda: AttentionHead(np.ones(3), np.ones(6)), DimensionMismatch,
+        "scoring vector must have length 2*F_out"),
+    "head_scoring_vector_length": (
+        lambda: AttentionHead(np.ones((2, 3)), np.ones(5)), DimensionMismatch,
+        "scoring vector must have length 2*F_out"),
+    "edge_scores_signal_not_2d": (
+        lambda: edge_scores(_head(), np.ones(4),
+                            support_mask(small_graph_shift())),
+        DimensionMismatch, "X must be N x F_in"),
+    "edge_scores_node_count": (
+        lambda: edge_scores(_head(), np.ones((5, 2)),
+                            support_mask(small_graph_shift())),
+        DimensionMismatch, "X must be N x F_in"),
+    "softmax_score_count": (
+        lambda: neighborhood_softmax(np.ones(3),
+                                     support_mask(small_graph_shift())),
+        DimensionMismatch, "one score per supported pair required"),
+    "weighted_softmax_score_count": (
+        lambda: weighted_neighborhood_softmax(np.ones(3),
+                                              small_graph_shift(True)),
+        DimensionMismatch, "one score per supported pair required"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

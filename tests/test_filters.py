@@ -1,5 +1,6 @@
 """Linear filter families against dense oracles."""
 import os
+import re
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import graphfilt
-from graphfilt.errors import (RepeatedPoles, SingularDiagonal,
+from graphfilt.errors import (DimensionMismatch, RepeatedPoles,
+                              SingularDiagonal, SingularSystem,
                               SupportViolation, TooLarge)
 from graphfilt.filters import (ArmaJacobiFilter, ArmaRational,
                                BlockVaryingFilter, EdgeVaryingFilter,
@@ -515,3 +517,95 @@ def test_import_leaves_numpy_polynomial_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _path3():
+    """Shift of the path 0-1-2, whose supp(I+S) lacks (0, 2)."""
+    return build_shift(Graph(3, ((0, 1), (1, 2))), "none")
+
+
+def _swap2():
+    return SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+# the checks no other test reaches: (call, error type, message, or a
+# compiled pattern where the message carries a measured number)
+RAISE_SITES = {
+    "polynomial_no_coefficient": (
+        lambda: PolynomialFilter(np.zeros(0)), ValueError,
+        "need at least the order-0 coefficient"),
+    "polynomial_coefficient_matrix": (
+        lambda: PolynomialFilter(np.ones((2, 2))), ValueError,
+        "need at least the order-0 coefficient"),
+    "edge_varying_support_without_diagonal": (
+        lambda: EdgeVaryingFilter(np.ones(3), (), k3_shift().pattern),
+        ValueError, "support mask must contain the full diagonal"),
+    "edge_varying_phi0_length": (
+        lambda: EdgeVaryingFilter(np.ones(2), (), support_mask(_path3())),
+        DimensionMismatch, "phi0 must have one entry per node"),
+    "edge_varying_factor_off_support": (
+        lambda: EdgeVaryingFilter(np.ones(3), (k3_shift(),),
+                                  support_mask(_path3())),
+        SupportViolation, "factor 1 leaves the support of I+S"),
+    "block_varying_coeffs_not_2d": (
+        lambda: BlockVaryingFilter([0, 1], np.ones(3)), DimensionMismatch,
+        "coeffs must be B x (K+1)"),
+    "block_varying_block_id_too_large": (
+        lambda: BlockVaryingFilter([0, 2], np.ones((2, 2))), ValueError,
+        "block id out of range"),
+    "block_varying_negative_block_id": (
+        lambda: BlockVaryingFilter([-1, 0], np.ones((2, 2))), ValueError,
+        "block id out of range"),
+    "block_varying_empty_block": (
+        lambda: BlockVaryingFilter([0, 0], np.ones((2, 2))), ValueError,
+        "every block must contain a node"),
+    "hybrid_factor_count": (
+        lambda: HybridFilter([0], (SparseMatrix.identity(3),), [1.0, 0.5]),
+        DimensionMismatch,
+        "need K+1 masked factors to match the K+1 global coefficients"),
+    "arma_jacobi_unpaired_poles": (
+        lambda: ArmaJacobiFilter([1.0, 2.0], [0.5], [1.0], 1),
+        DimensionMismatch, "betas and gammas must pair up"),
+    "arma_jacobi_negative_order": (
+        lambda: ArmaJacobiFilter([1.0], [0.5], [1.0], -1), ValueError,
+        "jacobi_order must be non-negative"),
+    "arma_rational_empty_numerator": (
+        lambda: ArmaRational([0.5], []), ValueError,
+        "numerator needs at least one coefficient"),
+    "apply_edge_varying_signal_length": (
+        lambda: apply_edge_varying(
+            EdgeVaryingFilter(np.ones(3), (), support_mask(_path3())),
+            np.ones(2)),
+        DimensionMismatch, "signal length does not match the filter"),
+    "apply_block_varying_signal_length": (
+        lambda: apply_block_varying(
+            BlockVaryingFilter([0, 1, 0], np.ones((2, 2))), _path3(),
+            np.ones((4, 2))),
+        DimensionMismatch, "signal length does not match the filter"),
+    "jacobi_shift_not_square": (
+        lambda: jacobi_shift(SparseMatrix.from_dense(np.ones((2, 3))), 0.5),
+        DimensionMismatch, "jacobi_shift needs a square shift"),
+    # P(S) = I - S is exactly singular: the LU solve fails
+    "arma_exact_singular_solve": (
+        lambda: apply_arma_exact(ArmaRational([-1.0], [1.0]), _swap2(),
+                                 np.ones(2)),
+        SingularSystem, "Singular matrix"),
+    # P(S) = I - (1 - 2^-44) S solves, but with a residual far past 1e-8
+    "arma_exact_near_singular_residual": (
+        lambda: apply_arma_exact(ArmaRational([-(1.0 - 2.0**-44)], [1.0]),
+                                 _swap2(), np.array([1.0, 0.3])),
+        SingularSystem, re.compile(
+            r"solve residual \S+ indicates a near-singular P\(S\)")),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    if isinstance(message, str):
+        assert str(err.value) == message
+    else:
+        assert message.fullmatch(str(err.value)), str(err.value)

@@ -365,3 +365,53 @@ class TestEdgeListIO:
         monkeypatch.setattr(SparseMatrix, "from_coo", no_matrix)
         with pytest.raises(CountTooLarge, match="^line 2: "):
             build_shift(load_graph(p), "none")
+
+
+def _edge_list(tmp_path, text):
+    path = tmp_path / "g.edgelist"
+    path.write_text(text)
+    return path
+
+
+# the input checks no other test reaches: (call on a scratch directory,
+# error type, message)
+RAISE_SITES = {
+    "build_shift_no_nodes": (
+        lambda tmp: build_shift(Graph(0), "none"), ValueError,
+        "graph needs at least one node"),
+    "build_shift_unknown_normalization": (
+        lambda tmp: build_shift(k3(), "unit"), ValueError,
+        "unknown normalization 'unit'"),
+    "sbm_probability_above_one": (
+        lambda tmp: sbm_generate([2, 2], 1.5, 0.1,
+                                 np.random.default_rng(0)),
+        ValueError, "probabilities must lie in [0, 1]"),
+    "sbm_negative_probability": (
+        lambda tmp: sbm_generate([2, 2], 0.5, -0.1,
+                                 np.random.default_rng(0)),
+        ValueError, "probabilities must lie in [0, 1]"),
+    "sbm_empty_block": (
+        lambda tmp: sbm_generate([2, 0], 0.5, 0.1, np.random.default_rng(0)),
+        ValueError, "block sizes must be positive"),
+    "diffusion_centrality_not_square": (
+        lambda tmp: diffusion_centrality(
+            SparseMatrix.from_dense(np.ones((2, 3))), 2),
+        ValueError, "diffusion centrality needs a square shift"),
+    "select_nodes_unknown_strategy": (
+        lambda tmp: select_nodes(build_shift(k3(), "none"), "random", 1),
+        ValueError, "unknown strategy 'random'"),
+    "edge_list_negative_index": (
+        lambda tmp: read_edge_list(_edge_list(tmp, "0 1\n-1 2\n")),
+        ParseError, "line 2: negative node index"),
+    "edge_list_self_loop": (
+        lambda tmp: read_edge_list(_edge_list(tmp, "0 1\n# loop\n2 2 0.5\n")),
+        ParseError, "line 3: self-loop not allowed"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site, tmp_path):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert type(err.value) is error and str(err.value) == message

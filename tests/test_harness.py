@@ -21,7 +21,8 @@ from graphfilt.graphs import (block_labels, build_shift, load_graph,
                               sbm_generate)
 from graphfilt.harness.train import MetricsRecord, build_model, seed_streams
 from graphfilt.sparse import SparseMatrix, power_iteration_lambda_max, spmv
-from graphfilt.nn import ShiftContext, init_params
+from graphfilt.nn import (ShiftContext, finite_difference_check,
+                          init_params, load_model, save_model)
 
 # the package exports the train function under the submodule's name
 train_module = importlib.import_module("graphfilt.harness.train")
@@ -574,6 +575,38 @@ class TestEdgeListIngestion:
         assert err.startswith("error: line 2: label 1000000000000 makes")
         assert "Traceback" not in err
 
+    def test_rounded_splits_past_the_sample_count_exit_one(
+            self, tmp_path, capsys, monkeypatch):
+        # 3 samples at 0.5/0.5 pass the config check, but round half to
+        # even to 2 + 2; the error names both fields before a shift exists
+        g, s = self.write_pair(tmp_path)
+        s.write_text("1.0,0.0,0.0,0\n0.0,1.0,0.0,1\n0.0,0.0,1.0,1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "task": "edge_list_classification",
+            "dataset": {"graph_path": str(g), "signals_path": str(s),
+                        "train_fraction": 0.5, "val_fraction": 0.5}}))
+
+        def no_shift(*args, **kwargs):
+            raise AssertionError("the shift was built")
+        monkeypatch.setattr(data_module, "build_shift", no_shift)
+        code = cli_main(["train", "-c", str(cfg), "-o", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("error: fields 'train_fraction' (0.5) and "
+                       "'val_fraction' (0.5) round to 2 + 2 of 3 samples\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("train,val,sizes", [
+        (0.5, 0.4, (2, 1, 0)), (0.8, 0.1, (2, 0, 1)), (1.0, 0.0, (3, 0, 0))])
+    def test_rounded_splits_within_the_sample_count_load(
+            self, tmp_path, train, val, sizes):
+        g, s = self.write_pair(tmp_path)
+        s.write_text("1.0,0.0,0.0,0\n0.0,1.0,0.0,1\n0.0,0.0,1.0,1\n")
+        ds = ingest_edge_list(g, s, "none", train, val)
+        assert tuple(len(ds.splits[k]) for k in ("train", "val", "test")) \
+            == sizes
+
     def test_empty_signals_file_keeps_the_node_axis(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("# no samples\n")
@@ -705,6 +738,122 @@ class TestSimilarityGraph:
         for a, b in ((got.row_ptr, want.row_ptr), (got.col_idx, want.col_idx),
                      (got.values, want.values)):
             assert np.array_equal(a, b)
+
+
+def _ratings_with_target(tmp_path, target):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("1,0,2\n0,3,1\n")
+    return build_dataset(ExperimentConfig.from_dict({
+        "task": "ratings_regression",
+        "dataset": {"ratings_path": str(ratings), "target_node": target}}),
+        np.random.default_rng(0))
+
+
+def _signals_with_label(tmp_path, label):
+    signals = tmp_path / "signals.csv"
+    signals.write_text(f"1.0,0.0,0\n0.0,1.0,{label}\n")
+    return read_signals_csv(signals, 2)
+
+
+# the input checks no other test reaches: (call on a scratch directory,
+# error type, message)
+DATA_RAISE_SITES = {
+    "signals_fractional_label": (
+        lambda tmp: _signals_with_label(tmp, "1.5"), ParseError,
+        "line 2: invalid literal for int() with base 10: '1.5'"),
+    "signals_label_not_a_number": (
+        lambda tmp: _signals_with_label(tmp, "cat"), ParseError,
+        "line 2: invalid literal for int() with base 10: 'cat'"),
+    "ratings_target_node_outside": (
+        lambda tmp: _ratings_with_target(tmp, 2), ValueError,
+        "target_node outside the ratings matrix"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(DATA_RAISE_SITES))
+def test_data_input_check_raises_its_type_and_message(site, tmp_path):
+    call, error, message = DATA_RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert type(err.value) is error and str(err.value) == message
+
+
+# parameter counts (untied, tied) of each attention family at 2 layers,
+# 3 features and order 2 on a 6-node graph, with the flatten readout
+TIED_COUNTS = {"gat": (80, 68), "gcat": (104, 92), "ev_gat": (152, 116),
+               "hybrid_gcat": (188, 152)}
+
+
+def _six_node_context():
+    g = sbm_generate([3, 3], 0.9, 0.3, np.random.default_rng(0))
+    return ShiftContext(build_shift(g, "max_eigenvalue"))
+
+
+def _attention_model(family, tie, ctx):
+    cfg = ExperimentConfig.from_dict({
+        "task": "sbm_source_localization",
+        "architecture": {"family": family, "layers": 2, "features": 3,
+                         "order": 2, "tie_attention": tie}})
+    return build_model(cfg, ctx, 2)
+
+
+def _heads_and_mixers(family, layer):
+    """(head, the mixing tensor it is tied to) for every head of a layer:
+    gat shares mixing 0, gcat mixing 1 (mixing 0 is the order-0 term),
+    and edge-varying head k shares mixing k."""
+    if family == "gat":
+        return [(layer.head, layer.mixing[0])]
+    if family == "gcat":
+        return [(layer.head, layer.mixing[1])]
+    chain = layer.gat if family == "hybrid_gcat" else layer
+    return list(zip(chain.heads, chain.mixing))
+
+
+class TestTiedAttentionFromConfig:
+    """``"tie_attention": true`` reaches tie_attention_to_mixing through
+    build_model, for each attention family at two layers."""
+
+    @pytest.mark.parametrize("family", sorted(TIED_COUNTS))
+    def test_tying_drops_exactly_the_attention_mixers(self, family):
+        ctx = _six_node_context()
+        untied = _attention_model(family, False, ctx)
+        tied = _attention_model(family, True, ctx)
+        assert (untied.param_count(), tied.param_count()) \
+            == TIED_COUNTS[family]
+        att_b = sum(t.size for name, t in untied.parameters()
+                    if name.endswith("att_B"))
+        assert untied.param_count() - tied.param_count() == att_b
+        assert not any(name.endswith("att_B")
+                       for name, _ in tied.parameters())
+
+    @pytest.mark.parametrize("family", sorted(TIED_COUNTS))
+    def test_each_head_mixer_is_its_mixing_tensor(self, family):
+        ctx = _six_node_context()
+        for tie in (False, True):
+            model = _attention_model(family, tie, ctx)
+            for layer in model.layers:
+                pairs = _heads_and_mixers(family, layer)
+                assert all((head.B is mix) == tie for head, mix in pairs)
+                assert all(head.tied == tie for head, _ in pairs)
+
+    @pytest.mark.parametrize("family", sorted(TIED_COUNTS))
+    def test_round_trip_and_gradients(self, family, tmp_path):
+        ctx = _six_node_context()
+        model = _attention_model(family, True, ctx)
+        rng = np.random.default_rng(21)
+        init_params(model, rng, shift=ctx)
+        X0 = rng.normal(size=(3, ctx.n, 1))
+        path = tmp_path / "model.json"
+        save_model(model, path, shift=ctx.S)
+        loaded = load_model(path, shift=ctx.S)
+        assert (loaded.forward(ctx, X0)[0].value.tobytes()
+                == model.forward(ctx, X0)[0].value.tobytes())
+        for layer in loaded.layers:
+            assert all(head.B is mix
+                       for head, mix in _heads_and_mixers(family, layer))
+        report = finite_difference_check(model, ctx, X0,
+                                         labels=np.array([0, 1, 0]))
+        assert report.passed, report.summary()
 
 
 class TestTrainLoop:

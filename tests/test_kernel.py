@@ -41,18 +41,43 @@ def dense_stack(p, values, entry_axis=0):
     return D
 
 
-def oracle(p, values, X, trailing):
-    """Dense numpy reference of the product with shared values."""
+def oracle(p, values, X, feature_axes):
+    """Dense numpy reference of the product with shared values; X has
+    ``feature_axes`` axes after the node axis (2 for pairwise values)."""
     D = dense_stack(p, values)
     if D.ndim == 2:
-        node = X.ndim - 1 - trailing
+        node = X.ndim - 1 - feature_axes
         out = np.einsum("ij,...j->...i", D, np.moveaxis(X, node, -1))
         return np.moveaxis(out, -1, node)
     return np.einsum("fgij,...jfg->...ifg", D, X)
 
 
-def aligned(values, trailing):
-    return values.reshape(values.shape + (1,) * (trailing + 1 - values.ndim))
+def one_axis(feature_axes, values, *arrays):
+    """A case in the kernel's layout, every operand (..., n, T): a vector
+    (no feature axis) gains a unit one, and pairwise values (nnz, f, g)
+    become (nnz, f*g) slots, each operand (..., n, f, g') broadcast to
+    (f, g) and flattened with them. ``read_back`` returns results to
+    the caller's shape."""
+    if feature_axes == 0:
+        return (values,) + tuple(a[..., None] for a in arrays)
+    if feature_axes == 1:
+        return (values,) + arrays
+    fg = values.shape[1:]
+    return (values.reshape(len(values), -1),) + tuple(
+        np.broadcast_to(a, a.shape[:-2] + fg).reshape(a.shape[:-2] + (-1,))
+        for a in arrays)
+
+
+def read_back(Y, shape):
+    """A kernel result (..., n, T) in the caller's ``shape``, whose axes
+    after the node axis hold the T slots."""
+    assert Y.shape[:-1] == shape[:Y.ndim - 1]
+    return Y.reshape(shape)
+
+
+def aligned(values, feature_axes):
+    return values.reshape(values.shape + (1,) * (feature_axes + 1
+                                                 - values.ndim))
 
 
 def close(got, want, tol=1e-12):
@@ -87,31 +112,35 @@ def entry_major_segment_sums(contrib, row_ptr, axis):
     return out
 
 
-def entry_major_product(row_ptr, col_idx, values, X, trailing):
+def entry_major_product(row_ptr, col_idx, values, X, feature_axes):
     """Row i sums values[e, *] * X[..., col_idx[e], *] over its entries e;
-    values is (nnz, *T) with len(T) = ``trailing``."""
-    tail = (slice(None),) * trailing
+    values is (nnz, *T) with len(T) = ``feature_axes``."""
+    tail = (slice(None),) * feature_axes
     contrib = values * X[(Ellipsis, col_idx) + tail]
-    return entry_major_segment_sums(contrib, row_ptr, axis=-1 - trailing)
+    return entry_major_segment_sums(contrib, row_ptr, axis=-1 - feature_axes)
 
 
-def entry_major_transposed(p, values, G, trailing):
+def entry_major_transposed(p, values, G, feature_axes):
     T, perm = p.transpose_permutation()
     return entry_major_product(T.row_ptr, T.col_idx, values[perm], G,
-                               trailing)
+                               feature_axes)
 
 
 class TestPaths:
     @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("trailing", [0, 1])
+    @pytest.mark.parametrize("feature_axes", [0, 1])
     @pytest.mark.parametrize("shape", [(7, 7), (5, 9), (9, 4)])
-    def test_shared_values_match_dense_oracle(self, batch, trailing, shape):
-        rng = np.random.default_rng(sum(shape) + trailing + len(batch))
+    def test_shared_values_match_dense_oracle(self, batch, feature_axes,
+                                              shape):
+        """A vector operand (no feature axis) runs as x[..., None]."""
+        rng = np.random.default_rng(sum(shape) + feature_axes + len(batch))
         p, S = random_pattern(rng, *shape)
-        X = rng.normal(size=batch + (shape[1],) + (4,) * trailing)
-        want = oracle(p, S.values, X, trailing)
-        close(_dense_product(S.to_dense(), X, trailing), want)
-        close(csr_only(_Product(p, S.values)).apply(X, trailing), want)
+        X = rng.normal(size=batch + (shape[1],) + (4,) * feature_axes)
+        want = oracle(p, S.values, X, feature_axes)
+        vals, X1 = one_axis(feature_axes, S.values, X)
+        close(read_back(_dense_product(S.to_dense(), X1), want.shape), want)
+        close(read_back(csr_only(_Product(p, vals)).apply(X1), want.shape),
+              want)
 
     @pytest.mark.parametrize("batch", BATCHES[1:])
     def test_per_sample_values_match_dense_oracle(self, batch):
@@ -121,54 +150,57 @@ class TestPaths:
         X = rng.normal(size=batch + (8, 3))
         op = _Product(p, vals, per_sample=True)
         assert op.dense is None
-        close(op.apply(X, 1), dense_stack(p, vals, entry_axis=-1) @ X)
+        close(op.apply(X), dense_stack(p, vals, entry_axis=-1) @ X)
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("g_z", [1, 3])
     def test_pairwise_values_match_dense_oracle(self, batch, g_z):
+        """Pairwise values as (nnz, f*g) slots, the operand broadcast."""
         rng = np.random.default_rng(7 + g_z)
         p, _ = random_pattern(rng, 6, 6)
         vals = rng.normal(size=(p.nnz, 2, 3))
         Z = rng.normal(size=batch + (6, 2, g_z))       # broadcast when g_z=1
         want = oracle(p, vals, np.broadcast_to(Z, batch + (6, 2, 3)), 2)
-        close(_dense_product(dense_stack(p, vals), Z, 2), want)
-        close(csr_only(_Product(p, vals)).apply(Z, 2), want)
+        flat, Z1 = one_axis(2, vals, Z)
+        close(read_back(_dense_product(dense_stack(p, flat), Z1), want.shape),
+              want)
+        close(read_back(csr_only(_Product(p, flat)).apply(Z1), want.shape),
+              want)
 
-    @pytest.mark.parametrize("trailing", [0, 1])
-    def test_paths_match_scipy(self, trailing):
+    @pytest.mark.parametrize("feature_axes", [0, 1])
+    def test_paths_match_scipy(self, feature_axes):
         sp = pytest.importorskip("scipy.sparse")
         rng = np.random.default_rng(9)
         p, S = random_pattern(rng, 8, 11)
         A = sp.csr_matrix((S.values, S.col_idx, S.row_ptr), shape=S.shape)
-        X = rng.normal(size=(3, 11) + (5,) * trailing)
+        X = rng.normal(size=(3, 11) + (5,) * feature_axes)
         want = np.stack([A @ x for x in X])
-        close(_dense_product(S.to_dense(), X, trailing), want)
-        close(csr_only(_Product(p, S.values)).apply(X, trailing), want)
+        _, X1 = one_axis(feature_axes, S.values, X)
+        close(read_back(_dense_product(S.to_dense(), X1), want.shape), want)
+        close(read_back(csr_only(_Product(p, S.values)).apply(X1),
+                        want.shape), want)
 
 
 class TestAdjoints:
     """apply_transposed and values_adjoint, both paths, against dense
-    numpy: <G, S X> differentiated by X and by the values."""
+    numpy: <G, S X> differentiated by X and by the values. Pairwise
+    values run through spmm_pairwise, which flattens them to f*g slots."""
 
-    def _check(self, op, p, vals, X, G, trailing, D):
-        node = G.ndim - 1 - trailing
+    @staticmethod
+    def _want(p, vals, X, G, D):
         pairs = list(zip(p.entry_rows(), p.col_idx))
         if D.ndim == 2:
-            want_x = np.moveaxis(np.tensordot(D.T, G, axes=([1], [node])),
-                                 0, node)
-            want_v = np.array([
-                np.sum(np.take(G, i, node) * np.take(X, j, node))
-                for i, j in pairs])
+            want_x = np.moveaxis(np.tensordot(D.T, G, axes=([1], [-2])),
+                                 0, -2)
+            want_v = np.array([np.sum(G[..., i, :] * X[..., j, :])
+                               for i, j in pairs])
         else:
             want_x = ag._unbroadcast(np.einsum("fgji,...jfg->...ifg", D, G),
                                      X.shape)
             want_v = np.stack([
                 (G[..., i, :, :] * X[..., j, :, :]).reshape(
                     (-1,) + vals.shape[1:]).sum(axis=0) for i, j in pairs])
-        close(ag._unbroadcast(op.apply_transposed(G, trailing), X.shape),
-              want_x)
-        close(ag._unbroadcast(op.values_adjoint(G, X, trailing), vals.shape),
-              want_v)
+        return want_x, want_v
 
     @pytest.mark.parametrize("force_csr", [False, True])
     @pytest.mark.parametrize("batch", BATCHES)
@@ -181,24 +213,54 @@ class TestAdjoints:
         assert op.dense is not None
         if force_csr:
             csr_only(op)
-        self._check(op, p, S.values, X, G, 1, S.to_dense())
+        want_x, want_v = self._want(p, S.values, X, G, S.to_dense())
+        close(op.apply_transposed(G), want_x)
+        close(ag._unbroadcast(op.values_adjoint(G, X), S.values.shape),
+              want_v)
+
+    def _check_pairwise(self, p, vals, X, G, force_csr, monkeypatch):
+        """spmm_pairwise's value and both adjoints against dense numpy."""
+        if force_csr:       # spmm_pairwise builds its operator on the CSR path
+            monkeypatch.setattr("graphfilt.sparse._dense_fits",
+                                lambda *shape: False)
+        v, x, tape = ag.Tensor(vals), ag.Tensor(X), ag.Tape()
+        out = ag.spmm_pairwise(tape, v, x, p)
+        tape.backward(out, G)
+        close(out.value, oracle(p, vals, np.broadcast_to(
+            X, X.shape[:-2] + vals.shape[1:]), 2))
+        want_x, want_v = self._want(p, vals, X, G, dense_stack(p, vals))
+        close(x.grad, want_x)
+        close(v.grad, want_v)
 
     @pytest.mark.parametrize("force_csr", [False, True])
     @pytest.mark.parametrize("g_z", [1, 3])
-    def test_pairwise_broadcast_operand(self, force_csr, g_z):
+    def test_pairwise_broadcast_operand(self, force_csr, g_z, monkeypatch):
         rng = np.random.default_rng(13)
         p, _ = random_pattern(rng, 6, 6)
         vals = rng.normal(size=(p.nnz, 2, 3))
         X = rng.normal(size=(4, 6, 2, g_z))
         G = rng.normal(size=(4, 6, 2, 3))
-        op = _Product(p, vals)
-        if force_csr:
-            csr_only(op)
-        self._check(op, p, vals, X, G, 2, dense_stack(p, vals))
+        assert _dense_fits(6, 6, p.nnz)
+        self._check_pairwise(p, vals, X, G, force_csr, monkeypatch)
+
+    @pytest.mark.parametrize("force_csr", [False, True])
+    @pytest.mark.parametrize("shape", [(4, 6), (6, 4)])
+    def test_pairwise_on_a_rectangular_pattern(self, force_csr, shape,
+                                               monkeypatch):
+        """spmm_pairwise reads its output's node count from the pattern,
+        not from z."""
+        n, m = shape
+        rng = np.random.default_rng(n)
+        p, _ = random_pattern(rng, n, m, density=0.6)
+        assert _dense_fits(n, m, p.nnz)
+        self._check_pairwise(p, rng.normal(size=(p.nnz, 2, 3)),
+                             rng.normal(size=(3, m, 2, 1)),
+                             rng.normal(size=(3, n, 2, 3)), force_csr,
+                             monkeypatch)
 
 
 SHARED_CASES = {
-    # name: (trailing, values' feature axes, operand feature axes)
+    # name: (operand feature axes, values' feature axes, operand's ones)
     "scalar_t0": (0, (), ()),
     "scalar_t1": (1, (), (3,)),
     "pairwise": (2, (2, 3), (2, 3)),
@@ -209,7 +271,8 @@ PATTERNS = {"sparse": (7, 5, 0.4), "long_rows": (9, 20, 0.7)}
 
 class TestNodeLastAgainstEntryMajor:
     """Shared values on the CSR path: the node-last product and its
-    transpose are bitwise equal to the entry-major kernel, including
+    transpose, on the (..., n, T) operands of ``one_axis``, are bitwise
+    equal to the entry-major kernel on the caller's operands, including
     rows longer than numpy's 8-element pairwise-summation block and
     patterns whose first and last rows are empty."""
 
@@ -217,26 +280,27 @@ class TestNodeLastAgainstEntryMajor:
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("case", sorted(SHARED_CASES))
     def test_bitwise(self, pattern, batch, case):
-        trailing, t, f = SHARED_CASES[case]
-        rng = np.random.default_rng(len(batch) + trailing + len(f))
+        axes, t, f = SHARED_CASES[case]
+        rng = np.random.default_rng(len(batch) + axes + len(f))
         p, S = random_pattern(rng, *PATTERNS[pattern])
         vals = rng.normal(size=(p.nnz,) + t) if t else S.values
         X = rng.normal(size=batch + (p.n_cols,) + f)
         G = rng.normal(size=batch + (p.n_rows,) + (t or f))
-        op = csr_only(_Product(p, vals))
-        ref = aligned(vals, trailing)
-        assert np.array_equal(op.apply(X, trailing),
-                              entry_major_product(p.row_ptr, p.col_idx, ref,
-                                                  X, trailing))
-        assert np.array_equal(op.apply_transposed(G, trailing),
-                              entry_major_transposed(p, ref, G, trailing))
+        flat, X1, G1 = one_axis(axes, vals, X, G)
+        op = csr_only(_Product(p, flat))
+        ref = aligned(vals, axes)
+        want = entry_major_product(p.row_ptr, p.col_idx, ref, X, axes)
+        assert np.array_equal(read_back(op.apply(X1), want.shape), want)
+        want = entry_major_transposed(p, ref, G, axes)
+        assert np.array_equal(read_back(op.apply_transposed(G1), want.shape),
+                              want)
 
 
-def scipy_values_adjoint(sp, p, G, X, trailing):
+def scipy_values_adjoint(sp, p, G, X, feature_axes):
     """d<G, S X>/d(value of entry e) as <G, E_e X>, one scipy product per
     entry, E_e holding a single 1 at entry e: (nnz, *batch, *F), with no
     axis summed yet."""
-    node = G.ndim - 1 - trailing
+    node = G.ndim - 1 - feature_axes
     Xb = np.broadcast_to(X, G.shape[:node] + X.shape[node:node + 1]
                          + G.shape[node + 1:])
     Xm = np.moveaxis(Xb, node, 0).reshape(p.n_cols, -1)
@@ -249,38 +313,41 @@ def scipy_values_adjoint(sp, p, G, X, trailing):
     return np.stack(out)
 
 
-def dense_values_adjoint(p, G, X, trailing):
+def dense_values_adjoint(p, G, X, feature_axes):
     """The same (nnz, *batch, *F) array from dense numpy."""
-    node = G.ndim - 1 - trailing
+    node = G.ndim - 1 - feature_axes
     return np.stack([np.take(G, i, node) * np.take(X, j, node)
                      for i, j in zip(p.entry_rows(), p.col_idx)])
 
 
 class TestValuesAdjoint:
-    """Every values adjoint (shared scalar values at trailing 0 and 1,
-    pairwise values with a full and a broadcast operand, per-sample
-    values) on both paths, against dense numpy and scipy to 1e-12."""
+    """Every values adjoint (shared scalar values on a vector and a
+    matrix operand, pairwise values with a full and a broadcast operand,
+    per-sample values) on both paths, against dense numpy and scipy to
+    1e-12."""
 
     @pytest.mark.parametrize("force_csr", [False, True])
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("case", sorted(SHARED_CASES))
     def test_shared(self, force_csr, batch, case):
         sp = pytest.importorskip("scipy.sparse")
-        trailing, t, f = SHARED_CASES[case]
-        rng = np.random.default_rng(31 + len(batch) + trailing)
+        axes, t, f = SHARED_CASES[case]
+        rng = np.random.default_rng(31 + len(batch) + axes)
         p, S = random_pattern(rng, 6, 6)
         vals = rng.normal(size=(p.nnz,) + t) if t else S.values
         X = rng.normal(size=batch + (6,) + f)
         G = rng.normal(size=batch + (6,) + (t or f))
-        op = _Product(p, vals)
+        flat, X1, G1 = one_axis(axes, vals, X, G)
+        op = _Product(p, flat)
         assert op.dense is not None
         if force_csr:
             csr_only(op)
-        got = ag._unbroadcast(op.values_adjoint(G, X, trailing), vals.shape)
+        got = ag._unbroadcast(op.values_adjoint(G1, X1),
+                              flat.shape).reshape(vals.shape)
         # sum the batch axes, and the feature axes the values do not carry
-        summed = tuple(range(1, 1 + len(batch) + trailing - len(t)))
-        for want in (dense_values_adjoint(p, G, X, trailing),
-                     scipy_values_adjoint(sp, p, G, X, trailing)):
+        summed = tuple(range(1, 1 + len(batch) + axes - len(t)))
+        for want in (dense_values_adjoint(p, G, X, axes),
+                     scipy_values_adjoint(sp, p, G, X, axes)):
             close(got, want.sum(axis=summed))
 
     @pytest.mark.parametrize("batch", BATCHES)
@@ -292,7 +359,7 @@ class TestValuesAdjoint:
         vals = rng.normal(size=batch + (p.nnz,))
         X = rng.normal(size=batch + (9, F))
         G = rng.normal(size=batch + (7, F))
-        got = _Product(p, vals, per_sample=True).values_adjoint(G, X, 1)
+        got = _Product(p, vals, per_sample=True).values_adjoint(G, X)
         for want in (dense_values_adjoint(p, G, X, 1),
                      scipy_values_adjoint(sp, p, G, X, 1)):
             close(got, np.moveaxis(want.sum(axis=-1), 0, -1))
@@ -318,18 +385,18 @@ class TestFeatureMajorPerSample:
         p, vals, X, G, op = self._case(batch, F)
         assert op.dense is None
         D = dense_stack(p, vals, entry_axis=-1)
-        close(op.apply(X, 1), D @ X)
-        close(op.apply_transposed(G, 1), D.swapaxes(-1, -2) @ G)
+        close(op.apply(X), D @ X)
+        close(op.apply_transposed(G), D.swapaxes(-1, -2) @ G)
         want_v = np.stack([(G[..., i, :] * X[..., j, :]).sum(axis=-1)
                            for i, j in zip(p.entry_rows(), p.col_idx)], -1)
-        close(op.values_adjoint(G, X, 1), want_v)
+        close(op.values_adjoint(G, X), want_v)
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("F", [1, 4, 16])
     def test_matches_scipy(self, batch, F):
         sp = pytest.importorskip("scipy.sparse")
         p, vals, X, G, op = self._case(batch, F)
-        got, got_t = op.apply(X, 1), op.apply_transposed(G, 1)
+        got, got_t = op.apply(X), op.apply_transposed(G)
         for b in np.ndindex(batch):
             A = sp.csr_matrix((vals[b], p.col_idx, p.row_ptr), shape=p.shape)
             close(got[b], A @ X[b])
@@ -403,11 +470,11 @@ class TestTransposeCache:
     def test_derived_matrix_gets_a_fresh_cache(self, derive):
         _, S = random_pattern(np.random.default_rng(7), 6, 8)
         G = np.random.default_rng(8).normal(size=(2, 6, 3))
-        before = S._operator().apply_transposed(G, 1)
+        before = S._operator().apply_transposed(G)
         D = (S.with_values(-S.values) if derive == "with_values"
              else S.scale(-1.0))
         assert D._operator() is not S._operator()
-        assert np.array_equal(D._operator().apply_transposed(G, 1), -before)
+        assert np.array_equal(D._operator().apply_transposed(G), -before)
         assert np.array_equal(D.transpose().to_dense(),
                               -S.transpose().to_dense())
         assert D.transpose().pattern is S.transpose().pattern
@@ -440,9 +507,9 @@ class TestTransposeCache:
         backward_products = []
         transposed = _Product.apply_transposed
 
-        def counted(op, G, trailing):
+        def counted(op, G):
             backward_products.append(op)
-            return transposed(op, G, trailing)
+            return transposed(op, G)
 
         monkeypatch.setattr(_Product, "apply_transposed", counted)
         tape.backward(output_grad=np.ones(logits.shape))

@@ -1,6 +1,7 @@
 """Hypothesis properties of the sparse product kernel and its pattern
 type: on any pattern, batch shape and feature count, both paths equal the
-dense product, and the operator's adjoints satisfy <G, S X> = <S^T G, X>;
+dense product, the operator's adjoints satisfy <G, S X> = <S^T G, X>, and
+a batched spmv is bitwise spmm of x[..., None];
 any valid CSR layout is accepted, each single corruption of one is
 rejected, the cached transpose matches scipy, and a submatrix is the
 dense block it names."""
@@ -12,7 +13,7 @@ from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from graphfilt.sparse import (Pattern, SparseMatrix,  # noqa: E402
-                              _dense_product, _Product)
+                              _dense_product, _Product, spmm, spmv)
 
 cases = st.fixed_dictionaries({
     "n_rows": st.integers(1, 12),
@@ -35,16 +36,23 @@ def build(case):
     return S, dense, X, G
 
 
+def one_axis(case, *arrays):
+    """The operands in the kernel's (..., n, T) layout: a case with no
+    feature axis runs as x[..., None]."""
+    return arrays if case["features"] else tuple(a[..., None] for a in arrays)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cases)
 def test_paths_equal_dense_product(case):
     S, dense, X, _ = build(case)
-    trailing = len(case["features"])
-    node = X.ndim - 1 - trailing
+    node = X.ndim - 1 - len(case["features"])
     want = np.moveaxis(np.tensordot(dense, X, axes=([1], [node])), 0, node)
     csr = _Product(S.pattern, S.values)
     csr.dense = None
-    for got in (_dense_product(dense, X, trailing), csr.apply(X, trailing)):
+    X1, = one_axis(case, X)
+    for got in (_dense_product(dense, X1), csr.apply(X1)):
+        got = got if case["features"] else got[..., 0]
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0, atol=1e-12 * max(
             1.0, float(np.abs(want).max(initial=0.0))))
@@ -54,16 +62,27 @@ def test_paths_equal_dense_product(case):
 @given(cases, st.booleans())
 def test_adjoint_identity(case, force_csr):
     S, _, X, G = build(case)
-    trailing = len(case["features"])
+    X, G = one_axis(case, X, G)
     op = _Product(S.pattern, S.values)
     if force_csr:
         op.dense = None
-    lhs = float(np.sum(G * op.apply(X, trailing)))
-    rhs = float(np.sum(op.apply_transposed(G, trailing) * X))
-    via_values = float(np.sum(op.values_adjoint(G, X, trailing) * S.values))
+    lhs = float(np.sum(G * op.apply(X)))
+    rhs = float(np.sum(op.apply_transposed(G) * X))
+    via_values = float(np.sum(op.values_adjoint(G, X) * S.values))
     scale = max(1.0, abs(lhs))
     assert abs(lhs - rhs) <= 1e-12 * scale * max(1, X.size)
     assert abs(lhs - via_values) <= 1e-12 * scale * max(1, X.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases, st.booleans())
+def test_batched_spmv_is_spmm_of_a_unit_feature_axis(case, force_csr):
+    """spmv(S, x) is bitwise spmm(S, x[..., None])[..., 0], on both paths."""
+    S, _, X, _ = build(case)
+    x = X[..., 0] if case["features"] else X
+    if force_csr:
+        S._operator().dense = None
+    assert spmv(S, x).tobytes() == spmm(S, x[..., None])[..., 0].tobytes()
 
 
 # ---------------------------------------------------------------------------

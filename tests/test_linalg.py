@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from graphfilt.errors import DegreeZero, NoConvergence, NotSymmetric
+from graphfilt.errors import (DegreeZero, DimensionMismatch,
+                              NoConvergence, NotSymmetric)
 from graphfilt.linalg import (EigenDecomposition, null_space_basis,
                               poly_roots, sym_eig)
 
@@ -209,3 +210,28 @@ def test_eigendecomposition_is_frozen():
     assert isinstance(eig, EigenDecomposition)
     with pytest.raises(AttributeError):
         eig.eigenvalues = None
+
+
+# the input checks no other test reaches: (call, error type, message)
+RAISE_SITES = {
+    "sym_eig_not_square": (
+        lambda: sym_eig(np.ones((2, 3))), DimensionMismatch,
+        "sym_eig needs a square matrix"),
+    "null_space_of_a_vector": (
+        lambda: null_space_basis(np.ones(3)), DimensionMismatch,
+        "null_space_basis needs a matrix"),
+    "null_space_zero_tol": (
+        lambda: null_space_basis(np.ones((2, 2)), tol=0.0), ValueError,
+        "tol must be positive"),
+    "null_space_negative_tol": (
+        lambda: null_space_basis(np.ones((2, 2)), tol=-1e-9), ValueError,
+        "tol must be positive"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

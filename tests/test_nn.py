@@ -1566,3 +1566,46 @@ class TestLoadChecksFields:
         edit(doc)
         with pytest.raises(ConfigError, match=message):
             self._load(tmp_path, doc)
+
+
+def _gcat_with_a_wide_mixer():
+    """A gcat layer whose head mixer no longer has its mixing shape."""
+    layer = GcatLayer(2, 3, 2)
+    layer.head.B = Tensor(np.zeros((2, 4)))
+    return layer
+
+
+def _extra_parameter_record(tmp_path):
+    """load_model on a saved model whose file lists one parameter too
+    many."""
+    import json
+    path = tmp_path / "m.json"
+    save_model(Model([PolynomialLayer(1, 2, 1)], 6, 2), path)
+    doc = json.loads(path.read_text())
+    doc["parameters"].insert(0, doc["parameters"][0])
+    path.write_text(json.dumps(doc))
+    return load_model(path)
+
+
+# the checks no other test reaches: (call on a scratch directory, error
+# type, message)
+RAISE_SITES = {
+    "tie_mixer_shape_differs": (
+        lambda tmp: tie_attention_to_mixing(_gcat_with_a_wide_mixer()),
+        IncompatibleDims, "mixer and mixing matrix shapes differ"),
+    "model_features_do_not_chain": (
+        lambda tmp: Model([PolynomialLayer(1, 2, 1),
+                           PolynomialLayer(3, 2, 1)], 6, 2),
+        IncompatibleDims, "adjacent layer features must chain"),
+    "load_parameter_count": (
+        _extra_parameter_record, ConfigError,
+        "parameter list length mismatch"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site, tmp_path):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert type(err.value) is error and str(err.value) == message

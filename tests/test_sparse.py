@@ -248,3 +248,51 @@ class TestPattern:
                   p.transpose_permutation()[1]):
             with pytest.raises(ValueError):
                 a[0] = 1
+
+
+def _rectangular():
+    return SparseMatrix.from_dense(np.ones((2, 3)))
+
+
+# the input checks no other test reaches: (call, error type, message)
+RAISE_SITES = {
+    "pattern_negative_dimensions": (
+        lambda: Pattern(-1, 2, [0], []), ValueError,
+        "pattern dimensions must be non-negative"),
+    "pattern_row_ptr_length": (
+        lambda: Pattern(2, 2, [0, 1], [0]), ValueError,
+        "row_ptr must have length n_rows+1"),
+    "pattern_col_idx_not_1d": (
+        lambda: Pattern(1, 2, [0, 1], [[0]]), ValueError,
+        "col_idx must be one-dimensional"),
+    "matrix_values_length": (
+        lambda: SparseMatrix(2, 2, [0, 1, 2], [0, 1], [1.0]), ValueError,
+        "col_idx and values must have equal length"),
+    "spmm_vector_operand": (
+        lambda: spmm(SparseMatrix.identity(2), np.ones(2)), DimensionMismatch,
+        "spmm: matrix has 2 columns, X has shape (2,)"),
+    "spmm_node_count": (
+        lambda: spmm(SparseMatrix.identity(2), np.ones((3, 1))),
+        DimensionMismatch, "spmm: matrix has 2 columns, X has shape (3, 1)"),
+    "permute_signal_size": (
+        lambda: permute_signal(np.ones(3), Permutation.identity(2)),
+        DimensionMismatch, "permute_signal: size mismatch"),
+    "permute_shift_size": (
+        lambda: permute_shift(SparseMatrix.identity(3),
+                              Permutation.identity(2)),
+        DimensionMismatch, "permute_shift: size mismatch"),
+    "power_iteration_not_square": (
+        lambda: power_iteration_lambda_max(_rectangular()), DimensionMismatch,
+        "power iteration needs a square matrix"),
+    "support_mask_not_square": (
+        lambda: support_mask(_rectangular()), DimensionMismatch,
+        "support mask needs a square matrix"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message

@@ -306,3 +306,22 @@ class TestSpectralEdgeVarying:
             total += running
         got = np.diag(V.T @ total @ V)
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+# the input checks no other test reaches: (call, error type, message)
+RAISE_SITES = {
+    "igft_coefficient_count": (
+        lambda: igft(np.eye(3), np.ones(2)), DimensionMismatch,
+        "igft: coefficients do not match the basis"),
+    "reconstruct_phi_mu_length": (
+        lambda: reconstruct_phi(build_basis_kernel(p3_shift()), np.ones(7)),
+        DimensionMismatch, "mu must have length b"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_input_check_raises_its_type_and_message(site):
+    call, error, message = RAISE_SITES[site]
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
