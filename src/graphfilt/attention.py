@@ -21,20 +21,18 @@ LEAKY_SLOPE_DEFAULT = 0.2
 
 @dataclass(frozen=True)
 class AttentionHead:
-    """Feature mixer B (F_in x F_out) and scoring vector e (2 F_out)."""
+    """Feature mixer B (F_in x F_out) and scoring vector e (2 F_out);
+    every head scores through the fixed LeakyReLU slope."""
 
     B: np.ndarray
     e: np.ndarray
-    leaky_slope: float = LEAKY_SLOPE_DEFAULT
+    leaky_slope = LEAKY_SLOPE_DEFAULT
 
     def __post_init__(self):
         B = np.asarray(self.B, dtype=np.float64)
         e = np.asarray(self.e, dtype=np.float64)
         if B.ndim != 2 or e.shape != (2 * B.shape[1],):
             raise DimensionMismatch("scoring vector must have length 2*F_out")
-        if not 0.0 <= self.leaky_slope <= 1.0:   # where max(x, s x) is exact
-            raise ValueError("field 'leaky_slope' must lie in [0, 1], "
-                             f"not {self.leaky_slope!r}")
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "e", e)
 
@@ -54,8 +52,12 @@ class AttentionShift:
 
 def _leaky_factor(pos, slope):
     """LeakyReLU slope per element of the sign mask pos = (x > 0): 1 where
-    it is set, else ``slope``; bitwise np.where(pos, 1.0, slope)."""
-    return pos * 1.0 + ~pos * slope
+    it is set, else ``slope``; bitwise np.where(pos, 1.0, slope), as
+    (1 - slope) + slope rounds to 1 for a slope in [0, 1]."""
+    factor = pos.astype(np.float64)
+    factor *= 1.0 - slope
+    factor += slope
+    return factor
 
 
 def _score_matrix(B, e):

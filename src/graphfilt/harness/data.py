@@ -66,9 +66,24 @@ def dataset_hash(ds):
     return h.hexdigest()
 
 
-def _contiguous_splits(n_train, n_val, n_test):
-    return dict(zip(("train", "val", "test"), np.split(
-        np.arange(n_train + n_val + n_test), [n_train, n_train + n_val])))
+def _splits(order, n_train, n_val):
+    """The first n_train samples of ``order`` as train, the next n_val as
+    val and the rest as test."""
+    return dict(zip(("train", "val", "test"),
+                    np.split(order, [n_train, n_train + n_val])))
+
+
+def _fraction_splits(order, train_fraction, val_fraction):
+    """_splits of ``order`` at the rounded fractions of its length, or
+    ConfigError naming both fractions when they round past it."""
+    n = len(order)
+    n_train = int(round(train_fraction * n))
+    n_val = int(round(val_fraction * n))
+    if n_train + n_val > n:
+        raise ConfigError(
+            f"fields 'train_fraction' ({train_fraction}) and 'val_fraction' "
+            f"({val_fraction}) round to {n_train} + {n_val} of {n} samples")
+    return _splits(order, n_train, n_val)
 
 
 def gen_source_localization(cfg, rng):
@@ -100,8 +115,7 @@ def gen_source_localization(cfg, rng):
     comm = rng.integers(0, n_blocks, size=n_total)
     steps = rng.integers(0, t_max + 1, size=n_total)
     X = table[steps, comm]
-    splits = _contiguous_splits(ds_cfg["n_train"], ds_cfg["n_val"],
-                                ds_cfg["n_test"])
+    splits = _splits(np.arange(n_total), ds_cfg["n_train"], ds_cfg["n_val"])
     return Dataset(S=S, X=X, labels=comm.astype(np.int64), splits=splits,
                    n_outputs=n_blocks,
                    meta={"sources": sources.tolist(), "task": cfg.task})
@@ -148,14 +162,7 @@ def ingest_edge_list(graph_path, signals_path, normalization="max_eigenvalue",
     shift of the graph's node count is built."""
     graph = load_graph(graph_path)
     X, labels = read_signals_csv(signals_path, graph.n)
-    n = len(X)
-    n_train = int(round(train_fraction * n))
-    n_val = int(round(val_fraction * n))
-    if n_train + n_val > n:
-        raise ConfigError(
-            f"fields 'train_fraction' ({train_fraction}) and 'val_fraction' "
-            f"({val_fraction}) round to {n_train} + {n_val} of {n} samples")
-    splits = _contiguous_splits(n_train, n_val, n - n_train - n_val)
+    splits = _fraction_splits(np.arange(len(X)), train_fraction, val_fraction)
     return Dataset(S=build_shift(graph, normalization), X=X, labels=labels,
                    splits=splits,
                    n_outputs=int(labels.max()) + 1 if len(labels) else 0,
@@ -274,15 +281,8 @@ def gen_ratings_regression(cfg, rng):
     targets = X[:, target].copy().reshape(-1, 1)
     mask = (targets != 0).astype(np.float64)
     X[:, target] = 0.0
-    n = len(X)
-    order = rng.permutation(n)
-    n_train = int(round(ds_cfg["train_fraction"] * n))
-    n_val = int(round(ds_cfg["val_fraction"] * n))
-    splits = {
-        "train": order[:n_train],
-        "val": order[n_train:n_train + n_val],
-        "test": order[n_train + n_val:],
-    }
+    splits = _fraction_splits(rng.permutation(len(X)),
+                              ds_cfg["train_fraction"], ds_cfg["val_fraction"])
     return Dataset(S=S, X=X, targets=targets, target_mask=mask,
                    splits=splits, n_outputs=1,
                    meta={"target_node": target, "task": cfg.task})

@@ -200,8 +200,10 @@ def train(cfg, dataset):
 
 
 def run_experiment(cfg):
-    """Dataset build + train + test evaluation, all from one seed."""
+    """Dataset build + train + test evaluation, all from one seed; an
+    empty test split raises ConfigError before training."""
     dataset = build_dataset(cfg, seed_streams(cfg.seed)[0])
+    _require_samples(dataset, "test")
     model, records = train(cfg, dataset)
     test_loss, test_metric = evaluate(model, dataset, "test", cfg)
     return model, records, dataset, {"test_loss": test_loss,

@@ -14,7 +14,7 @@ import numpy as np
 from ..attention import LEAKY_SLOPE_DEFAULT
 from ..errors import ConfigError, IncompatibleDims, SingularDiagonal
 from ..filters import EPS_SING
-from ..sparse import support_mask
+from ..sparse import Pattern, support_mask
 from . import autograd as ag
 from .autograd import NONLINEARITIES, Tape, Tensor
 
@@ -76,6 +76,17 @@ class AttentionParams:
                                   weights=weights)
 
 
+def _record_value(value):
+    """A layer attribute as the model file holds it: an array as a list,
+    a pattern as its n, row_ptr and col_idx, an inner layer as its record."""
+    if isinstance(value, Pattern):
+        return {"n": value.n_rows, "row_ptr": value.row_ptr.tolist(),
+                "col_idx": value.col_idx.tolist()}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return value.describe() if isinstance(value, GnnLayer) else value
+
+
 class GnnLayer:
     """Base layer: filter-family parameters plus an optional per-feature
     bias added before the nonlinearity.
@@ -86,6 +97,7 @@ class GnnLayer:
     """
 
     kind = "base"
+    fields = ()  # the kind's own model-file record fields, in record order
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  use_bias=True):
@@ -119,14 +131,12 @@ class GnnLayer:
         pass
 
     def describe(self):
-        return {
-            "kind": self.kind,
-            "f_in": self.f_in,
-            "f_out": self.f_out,
-            "order": self.order,
-            "nonlinearity": self.nonlinearity,
-            "use_bias": self.bias is not None,
-        }
+        """The model-file record: the keys every kind shares, then the
+        kind's ``fields``."""
+        return {"kind": self.kind, "f_in": self.f_in, "f_out": self.f_out,
+                "order": self.order, "nonlinearity": self.nonlinearity,
+                "use_bias": self.bias is not None,
+                **{k: _record_value(getattr(self, k)) for k in self.fields}}
 
     def _make_mixing(self, count, name="mixing"):
         return [Tensor(np.zeros((self.f_in, self.f_out)), name=name)
@@ -161,6 +171,7 @@ class BlockVaryingLayer(GnnLayer):
     """Per-block mixing matrices: node i uses A_k[block_of_node[i]]."""
 
     kind = "block_varying"
+    fields = ("n_blocks", "block_of_node")
 
     def __init__(self, f_in, f_out, order, block_of_node, n_blocks,
                  nonlinearity="relu", use_bias=True):
@@ -186,12 +197,6 @@ class BlockVaryingLayer(GnnLayer):
                            ag.concat(tape, self.coeffs, 1), self.block_of_node)
         return self._finish(tape, acc)
 
-    def describe(self):
-        d = super().describe()
-        d["n_blocks"] = self.n_blocks
-        d["block_of_node"] = self.block_of_node.tolist()
-        return d
-
 
 class EdgeVaryingLayer(GnnLayer):
     """Full edge-varying recursion with one shared factor set.
@@ -201,6 +206,7 @@ class EdgeVaryingLayer(GnnLayer):
     """
 
     kind = "edge_varying"
+    fields = ("pattern",)
 
     def __init__(self, f_in, f_out, order, pattern, nonlinearity="relu",
                  use_bias=True):
@@ -262,6 +268,7 @@ class HybridLayer(GnnLayer):
     """
 
     kind = "hybrid"
+    fields = ("important", "masked_pattern")
 
     def __init__(self, f_in, f_out, order, important, masked_pattern,
                  nonlinearity="relu", use_bias=True):
@@ -297,11 +304,6 @@ class HybridLayer(GnnLayer):
                              self.important, ctx.n)
         return self._finish(tape, ag.add(tape, conv, ev))
 
-    def describe(self):
-        d = super().describe()
-        d["important"] = self.important.tolist()
-        return d
-
 
 class ArmaLayer(GnnLayer):
     """Pole branches, Jacobi steps U <- (D - gamma_p I)^{-1}(beta_p X -
@@ -309,6 +311,7 @@ class ArmaLayer(GnnLayer):
     vary per feature pair, and one S_off product serves every pair."""
 
     kind = "arma"
+    fields = ("n_poles", "jacobi_order")
 
     def __init__(self, f_in, f_out, n_poles, order, jacobi_order,
                  nonlinearity="relu", use_bias=True):
@@ -363,12 +366,6 @@ class ArmaLayer(GnnLayer):
         flat = self.gamma.value.reshape(-1)
         flat[hit] = np.where(flat[hit] >= near, near + 1e-6, near - 1e-6)
 
-    def describe(self):
-        d = super().describe()
-        d["n_poles"] = self.n_poles
-        d["jacobi_order"] = self.jacobi_order
-        return d
-
 
 class GcatLayer(GnnLayer):
     """Polynomial filter in a shift learned from the features by one
@@ -376,6 +373,8 @@ class GcatLayer(GnnLayer):
     single-shift attention layer."""
 
     kind = "gcat"
+    fields = ("include_k0", "weighted", "tied")
+    tied = property(lambda self: self.head.tied)
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  include_k0=True, weighted=False, use_bias=True):
@@ -397,12 +396,6 @@ class GcatLayer(GnnLayer):
         hops = Zs if self.include_k0 else Zs[1:]
         return self._finish(tape, _mix(tape, hops, self.mixing))
 
-    def describe(self):
-        d = super().describe()
-        d.update(include_k0=self.include_k0, weighted=self.weighted,
-                 tied=self.head.tied)
-        return d
-
 
 class EdgeVaryingGatLayer(GnnLayer):
     """Edge-varying recursion whose per-order factors come from
@@ -413,6 +406,8 @@ class EdgeVaryingGatLayer(GnnLayer):
     """
 
     kind = "ev_gat"
+    fields = ("phi0_mode", "weighted", "tied")
+    tied = property(lambda self: any(h.tied for h in self.heads))
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  phi0_mode="attention", weighted=False, use_bias=True):
@@ -438,18 +433,13 @@ class EdgeVaryingGatLayer(GnnLayer):
         hops = Zs[1:] if self.phi0_mode == "attention" else Zs
         return self._finish(tape, _mix(tape, hops, self.mixing))
 
-    def describe(self):
-        d = super().describe()
-        d.update(phi0_mode=self.phi0_mode, weighted=self.weighted,
-                 tied=any(h.tied for h in self.heads))
-        return d
-
 
 class HybridGcatLayer(GnnLayer):
     """Convolutional chain in the graph shift plus an attention-built
     edge-varying chain, each with its own mixing matrices."""
 
     kind = "hybrid_gcat"
+    fields = ("gat",)
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
                  phi0_mode="attention", weighted=False, use_bias=True):
@@ -467,11 +457,6 @@ class HybridGcatLayer(GnnLayer):
         conv = self._mix_chain(tape, ctx, X, self.mixing)
         gat_part = self.gat.forward(tape, ctx, X)
         return self._finish(tape, ag.add(tape, conv, gat_part))
-
-    def describe(self):
-        d = super().describe()
-        d["gat"] = self.gat.describe()
-        return d
 
 
 def _attention(layer):

@@ -16,10 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError, IncompatibleDims
 from ..sparse import Pattern
-from .layers import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
-                     EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
-                     HybridLayer, Model, PolynomialLayer,
-                     tie_attention_to_mixing)
+from .layers import GnnLayer, Model, tie_attention_to_mixing
 
 FORMAT_VERSION = 1
 
@@ -42,11 +39,6 @@ def shift_operator_hash(S):
     h.update(np.ascontiguousarray(S.col_idx, dtype="<i8").tobytes())
     h.update(np.ascontiguousarray(S.values, dtype="<f8").tobytes())
     return h.hexdigest()
-
-
-def _pattern_payload(p):
-    return {"n": p.n_rows, "row_ptr": p.row_ptr.tolist(),
-            "col_idx": p.col_idx.tolist()}
 
 
 def _pattern_from(d, key, n_nodes):
@@ -86,15 +78,6 @@ def _integers(d, key, length=None):
         raise ConfigError(f"field '{key}' has {len(value)} entries, "
                           f"the model has {length} nodes")
     return value
-
-
-def _layer_payload(layer):
-    d = layer.describe()
-    if isinstance(layer, EdgeVaryingLayer):
-        d["pattern"] = _pattern_payload(layer.pattern)
-    if isinstance(layer, HybridLayer):
-        d["masked_pattern"] = _pattern_payload(layer.masked_pattern)
-    return d
 
 
 def _object(value, what):
@@ -149,46 +132,50 @@ def _sizes(d, shapes):
     return f_in, f_out, order
 
 
+def _gat_fields(d, key, n_nodes):
+    """The ev_gat fields of the inner record of a hybrid_gcat record
+    ``d``, which must repeat what ``d`` implies."""
+    att = _object(d[key], f"field '{key}'")
+    for k, value in dict(f_in=d["f_in"], f_out=d["f_out"], order=d["order"],
+                         kind="ev_gat", nonlinearity="identity",
+                         use_bias=False).items():
+        if type(att.get(k)) is not type(value) or att[k] != value:
+            raise ConfigError(f"field 'gat.{k}' must be {value!r}, "
+                              f"not {att.get(k)!r}")
+    return _fields(_KINDS["ev_gat"], att, n_nodes)
+
+
+# one reader per record field: (record, key, n_nodes) -> its value
+_READERS = {
+    "block_of_node": _integers, "important": lambda d, k, n: _integers(d, k),
+    "pattern": _pattern_from, "masked_pattern": _pattern_from,
+    "phi0_mode": lambda d, k, n: d[k], "gat": _gat_fields,
+    **dict.fromkeys(("n_blocks", "n_poles", "jacobi_order"),
+                    lambda d, k, n: _integer(d, k)),
+    **dict.fromkeys(("include_k0", "weighted"),
+                    lambda d, k, n: _boolean(d, k)),
+}
+_KINDS = {cls.kind: cls for cls in GnnLayer.__subclasses__()}  # every kind
+
+
+def _fields(cls, d, n_nodes):
+    """Constructor arguments from the ``cls.fields`` of record ``d``, an
+    inner record's merged in; ``tied`` is applied to the built layer."""
+    kw = {k: _READERS[k](d, k, n_nodes) for k in cls.fields if k != "tied"}
+    kw.update(kw.pop("gat", {}))
+    return kw
+
+
 def _layer_from(d, n_nodes, shapes):
     kind = d["kind"]
-    args = _sizes(d, shapes)
+    sizes = dict(zip(("f_in", "f_out", "order"), _sizes(d, shapes)))
     common = dict(nonlinearity=d["nonlinearity"],
                   use_bias=_boolean(d, "use_bias", True))
-    att = d  # the record that holds the attention fields
-    if kind == "polynomial":
-        layer = PolynomialLayer(*args, **common)
-    elif kind == "block_varying":
-        layer = BlockVaryingLayer(
-            *args, block_of_node=_integers(d, "block_of_node", n_nodes),
-            n_blocks=_integer(d, "n_blocks"), **common)
-    elif kind == "edge_varying":
-        layer = EdgeVaryingLayer(
-            *args, pattern=_pattern_from(d, "pattern", n_nodes), **common)
-    elif kind == "hybrid":
-        masked = _pattern_from(d, "masked_pattern", n_nodes)
-        layer = HybridLayer(*args, important=_integers(d, "important"),
-                            masked_pattern=masked, **common)
-    elif kind == "arma":
-        f_in, f_out, order = args
-        layer = ArmaLayer(f_in, f_out, _integer(d, "n_poles"), order,
-                          _integer(d, "jacobi_order"), **common)
-    elif kind == "gcat":
-        layer = GcatLayer(*args, include_k0=_boolean(d, "include_k0"),
-                          weighted=_boolean(d, "weighted"), **common)
-    elif kind in ("ev_gat", "hybrid_gcat"):
-        if kind == "hybrid_gcat":
-            att = _object(d["gat"], "field 'gat'")
-            for key, value in dict(zip(("f_in", "f_out", "order"), args),
-                                   kind="ev_gat", nonlinearity="identity",
-                                   use_bias=False).items():
-                if type(att.get(key)) is not type(value) or att[key] != value:
-                    raise ConfigError(f"field 'gat.{key}' must be "
-                                      f"{value!r}, not {att.get(key)!r}")
-        cls = EdgeVaryingGatLayer if kind == "ev_gat" else HybridGcatLayer
-        layer = cls(*args, phi0_mode=att["phi0_mode"],
-                    weighted=_boolean(att, "weighted"), **common)
-    else:
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"unknown layer kind {kind!r}")
+    layer = cls(**sizes, **_fields(cls, d, n_nodes), **common)
+    att = d["gat"] if "gat" in cls.fields else d  # holds 'tied'
     if _boolean(att, "tied", False):
         tie_attention_to_mixing(layer)
     return layer
@@ -202,7 +189,7 @@ def save_model(model, path, shift=None):
             "n_outputs": model.n_outputs,
             "output": model.output,
             "readout_mode": model.readout_mode,
-            "layers": [_layer_payload(l) for l in model.layers],
+            "layers": [layer.describe() for layer in model.layers],
         },
         "shift_hash": shift_operator_hash(shift) if shift is not None else None,
         "parameters": [

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from graphfilt.attention import (AttentionHead, edge_scores,
-                                 edge_varying_gat_shifts, gcat_shift,
+from graphfilt.attention import (LEAKY_SLOPE_DEFAULT, AttentionHead,
+                                 edge_scores, edge_varying_gat_shifts,
+                                 gcat_shift,
                                  neighborhood_softmax,
                                  weighted_neighborhood_softmax)
 from graphfilt.errors import DimensionMismatch
@@ -72,12 +73,11 @@ class TestEdgeScores:
         with pytest.raises(DimensionMismatch):
             edge_scores(head, np.zeros((4, 2)), mask)
 
-    @pytest.mark.parametrize("slope", [1.5, -0.1, float("nan")])
-    def test_slope_outside_unit_interval_raises(self, slope):
-        # the scores are max(x, slope x), LeakyReLU only for 0 <= slope <= 1
-        with pytest.raises(ValueError, match=r"field 'leaky_slope' must lie "
-                                             r"in \[0, 1\], not"):
-            AttentionHead(np.ones((3, 2)), np.ones(4), leaky_slope=slope)
+    def test_slope_is_fixed(self):
+        head = AttentionHead(np.ones((3, 2)), np.ones(4))
+        assert head.leaky_slope == LEAKY_SLOPE_DEFAULT
+        with pytest.raises(TypeError):
+            AttentionHead(np.ones((3, 2)), np.ones(4), leaky_slope=0.5)
 
 
 class TestNeighborhoodSoftmax:

@@ -557,7 +557,9 @@ class TestActivation:
         assert LEAKY_SLOPE_DEFAULT == 0.2
         assert np.allclose(out.value, [-0.4, 3.0])
 
-    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.5])
+    # the slopes callers pass: the fixed 0.2, edge_score's range [0, 1]
+    # with its ends, and 1.5
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.2, 0.5, 1.0, 1.5])
     def test_leaky_branch_free_is_bitwise_the_where_form(self, slope,
                                                         monkeypatch):
         monkeypatch.setattr(ag, "LEAKY_SLOPE_DEFAULT", slope)
@@ -574,6 +576,12 @@ class TestActivation:
         tape.backward(out, np.ones_like(x))
         assert a.grad.tobytes() == where_factor.tobytes()
         assert leaky_relu(x, slope).tobytes() == out.value.tobytes()
+
+    def test_leaky_factor_is_the_where_form_over_the_unit_interval(self):
+        pos = np.array([True, False])
+        for slope in np.random.default_rng(9).random(500):
+            assert _leaky_factor(pos, slope).tobytes() \
+                == np.where(pos, 1.0, slope).tobytes()
 
     @pytest.mark.parametrize("operand", ["tensor", "array"])
     def test_identity_returns_its_operand_and_records_nothing(self, operand):

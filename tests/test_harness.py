@@ -13,7 +13,8 @@ from graphfilt.harness import (ExperimentConfig, build_dataset,
                                build_similarity_graph, dataset_hash,
                                evaluate, export_dataset,
                                gen_source_localization, ingest_edge_list,
-                               metrics_to_csv, pearson_similarity, train)
+                               metrics_to_csv, pearson_similarity,
+                               run_experiment, train)
 from graphfilt.harness.cli import main as cli_main
 from graphfilt.harness.config import FAMILIES
 from graphfilt.harness.data import read_ratings_csv, read_signals_csv
@@ -740,12 +741,12 @@ class TestSimilarityGraph:
             assert np.array_equal(a, b)
 
 
-def _ratings_with_target(tmp_path, target):
+def _three_item_ratings(tmp_path, **dataset):
     ratings = tmp_path / "ratings.csv"
     ratings.write_text("1,0,2\n0,3,1\n")
     return build_dataset(ExperimentConfig.from_dict({
         "task": "ratings_regression",
-        "dataset": {"ratings_path": str(ratings), "target_node": target}}),
+        "dataset": {"ratings_path": str(ratings), **dataset}}),
         np.random.default_rng(0))
 
 
@@ -765,8 +766,14 @@ DATA_RAISE_SITES = {
         lambda tmp: _signals_with_label(tmp, "cat"), ParseError,
         "line 2: invalid literal for int() with base 10: 'cat'"),
     "ratings_target_node_outside": (
-        lambda tmp: _ratings_with_target(tmp, 2), ValueError,
+        lambda tmp: _three_item_ratings(tmp, target_node=2), ValueError,
         "target_node outside the ratings matrix"),
+    # 3 items at 0.5/0.5 round half to even to 2 + 2, as the edge list's
+    "ratings_split_fractions_round_past": (
+        lambda tmp: _three_item_ratings(tmp, train_fraction=0.5,
+                                        val_fraction=0.5), ConfigError,
+        "fields 'train_fraction' (0.5) and 'val_fraction' (0.5) round to "
+        "2 + 2 of 3 samples"),
 }
 
 
@@ -933,6 +940,15 @@ class TestTrainLoop:
         ds = build_dataset(cfg, np.random.default_rng(0))
         with pytest.raises(ConfigError, match=f"split '{split}' is empty"):
             train(cfg, ds)
+        assert batches == []
+
+    def test_empty_test_split_raises_before_the_first_epoch(
+            self, monkeypatch):
+        batches = []
+        monkeypatch.setattr(train_module, "_forward_batch",
+                            lambda *args: batches.append(args))
+        with pytest.raises(ConfigError, match="split 'test' is empty"):
+            run_experiment(sbm_config(dataset={"n_test": 0}))
         assert batches == []
 
     @pytest.mark.parametrize("split", ["train", "val", "test"])

@@ -1567,6 +1567,34 @@ class TestLoadChecksFields:
         with pytest.raises(ConfigError, match=message):
             self._load(tmp_path, doc)
 
+    # a kind outside the kind table, a string or not, is named
+    @pytest.mark.parametrize("kind", ["bogus", "base", [], {}, 3, None],
+                             ids=["bogus", "base", "list", "object", "int",
+                                  "null"])
+    def test_unknown_layer_kind_named(self, tmp_path, kind):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][0]["kind"] = kind
+        with pytest.raises(ConfigError) as err:
+            self._load(tmp_path, doc)
+        assert str(err.value) == (f"layer 0 ({kind}): unknown layer kind "
+                                  f"{kind!r}")
+
+    def test_tied_on_a_kind_without_attention_named(self, tmp_path):
+        _, doc = self._saved(tmp_path)
+        doc["architecture"]["layers"][0]["tied"] = True
+        with pytest.raises(ConfigError) as err:
+            self._load(tmp_path, doc)
+        assert str(err.value) == ("layer 0 (edge_varying): layer kind "
+                                  "'edge_varying' has no attention head")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_record_holds_the_shared_keys_then_the_declared_fields(family):
+    layer = FAMILIES[family](1, 2, dense_context(), np.array([1, 4]))
+    assert list(layer.describe()) == ["kind", "f_in", "f_out", "order",
+                                      "nonlinearity", "use_bias",
+                                      *layer.fields]
+
 
 def _gcat_with_a_wide_mixer():
     """A gcat layer whose head mixer no longer has its mixing shape."""
