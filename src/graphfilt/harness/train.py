@@ -11,8 +11,7 @@ from ..graphs import select_nodes
 from ..nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                   EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                   HybridGcatLayer, HybridLayer, Model, PolynomialLayer,
-                  adam_step, cross_entropy, init_params, smooth_l1,
-                  tie_attention_to_mixing)
+                  adam_step, cross_entropy, init_params, smooth_l1)
 from .data import build_dataset
 
 
@@ -55,7 +54,8 @@ def build_model(cfg, ctx, n_outputs):
     arch = cfg.architecture
     F, K = arch.features, arch.order
     common = dict(nonlinearity=arch.nonlinearity, use_bias=arch.bias)
-    att = dict(common, weighted=arch.weighted_softmax)
+    att = dict(common, weighted=arch.weighted_softmax,
+               tied=arch.tie_attention)
     if arch.family in ("block_varying", "hybrid"):
         sel = select_nodes(ctx.S, arch.selection, arch.n_selected,
                            arch.selection_k)
@@ -77,10 +77,6 @@ def build_model(cfg, ctx, n_outputs):
             f, F, K, phi0_mode=arch.phi0_mode, **att),
     }[arch.family]
     layers = [build(1 if i == 0 else F) for i in range(arch.layers)]
-    if arch.tie_attention and arch.family in ("gat", "gcat", "ev_gat",
-                                              "hybrid_gcat"):
-        for layer in layers:
-            tie_attention_to_mixing(layer)
     output = "linear" if cfg.task == "ratings_regression" else "softmax"
     return Model(layers, ctx.n, n_outputs, output=output,
                  readout_mode=arch.readout_mode)

@@ -1,13 +1,12 @@
 """Differentiable layers, gradient engine, optimizer, and validation."""
 from .autograd import Tape, Tensor
-from .functional import (cross_entropy, leaky_relu, log_sum_exp, relu,
-                         smooth_l1, softmax_rows)
+from .functional import cross_entropy, log_sum_exp, smooth_l1, softmax_rows
 from .gradcheck import GradCheckReport, finite_difference_check
 from .init import init_params
 from .layers import (ArmaLayer, AttentionParams, BlockVaryingLayer,
                      EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                      GnnLayer, HybridGcatLayer, HybridLayer, Model,
-                     PolynomialLayer, ShiftContext, tie_attention_to_mixing)
+                     PolynomialLayer, ShiftContext)
 from .optim import AdamState, adam_step
 from .serialize import load_model, save_model, shift_operator_hash
 
@@ -17,7 +16,6 @@ __all__ = [
     "GradCheckReport", "HybridGcatLayer", "HybridLayer", "Model",
     "PolynomialLayer", "ShiftContext", "Tape", "Tensor", "adam_step",
     "cross_entropy", "finite_difference_check", "init_params",
-    "leaky_relu", "load_model", "log_sum_exp", "relu", "save_model",
-    "shift_operator_hash", "smooth_l1", "softmax_rows",
-    "tie_attention_to_mixing",
+    "load_model", "log_sum_exp", "save_model", "shift_operator_hash",
+    "smooth_l1", "softmax_rows",
 ]

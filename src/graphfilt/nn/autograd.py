@@ -399,7 +399,10 @@ def spmm_pairwise(tape, vals, z, pattern):
 
 def edge_score(tape, h, e, pattern, slope):
     """LeakyReLU(e_left . h_i + e_right . h_j) per stored (i, j), for a
-    slope in [0, 1]."""
+    slope in [0, 1] (ValueError outside it, where the backward's
+    LeakyReLU factor would not match the forward's maximum)."""
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"slope must lie in [0, 1], not {slope!r}")
     hv, ev = _val(h), _val(e)
     E = ev.reshape(2, -1)
     scores, pos = _edge_scores(hv @ E.T, pattern, slope)

@@ -1,4 +1,4 @@
-"""Pointwise nonlinearities and loss functions.
+"""Loss functions and the stable reductions they rest on.
 
 Losses live off the tape: each returns (value, gradient w.r.t. its first
 argument) so the training loop can seed the backward pass.
@@ -7,18 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..attention import _leaky_factor
 from ..errors import LabelOutOfRange
-
-
-def relu(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x, 0.0)
-
-
-def leaky_relu(x, slope=0.2):
-    x = np.asarray(x, dtype=np.float64)
-    return x * _leaky_factor(x > 0, slope)
 
 
 def log_sum_exp(x, axis=-1):

@@ -55,14 +55,16 @@ def _mix(tape, Zs, As):
 
 class AttentionParams:
     """One attention head: mixer B (F_in x F_out) and scorer e (2 F_out);
-    every head scores through the same fixed LeakyReLU slope."""
+    every head scores through the same fixed LeakyReLU slope. A head tied
+    to a mixing matrix of its layer takes it as B and lists no att_B."""
 
     slope = LEAKY_SLOPE_DEFAULT
 
-    def __init__(self, f_in, f_out):
-        self.B = Tensor(np.zeros((f_in, f_out)), name="att_B")
+    def __init__(self, f_in, f_out, tied_to=None):
+        self.tied = tied_to is not None
+        self.B = tied_to if self.tied else Tensor(np.zeros((f_in, f_out)),
+                                                  name="att_B")
         self.e = Tensor(np.zeros(2 * f_out), name="att_e")
-        self.tied = False
 
     def params(self):
         out = [] if self.tied else [("att_B", self.B)]
@@ -141,6 +143,15 @@ class GnnLayer:
     def _make_mixing(self, count, name="mixing"):
         return [Tensor(np.zeros((self.f_in, self.f_out)), name=name)
                 for _ in range(count)]
+
+    def _make_heads(self, count, first, tied):
+        """``count`` attention heads; tied, head k shares mixing matrix
+        first + k, and gradients reach it from both roles."""
+        if tied and first + count > len(self.mixing):
+            raise IncompatibleDims("no order-1 mixing matrix to share")
+        return [AttentionParams(self.f_in, self.f_out,
+                                self.mixing[first + k] if tied else None)
+                for k in range(count)]
 
     def _mix_chain(self, tape, ctx, X, matrices):
         """sum_k S^k X A_k for the fixed graph shift."""
@@ -377,13 +388,15 @@ class GcatLayer(GnnLayer):
     tied = property(lambda self: self.head.tied)
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
-                 include_k0=True, weighted=False, use_bias=True):
+                 include_k0=True, weighted=False, use_bias=True, tied=False):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         self.include_k0 = include_k0
         self.weighted = weighted
-        self.head = AttentionParams(f_in, f_out)
-        n_mix = order + 1 if include_k0 else order
-        self.mixing = self._make_mixing(n_mix)
+        self.mixing = self._make_mixing(order + 1 if include_k0 else order)
+        self.head = self._make_heads(1, int(include_k0), tied)[0]
+        if not self.mixing:  # checked after tying, which names its own fault
+            raise IncompatibleDims("gcat layer of order 0 without include_k0 "
+                                   "has no hop to mix")
 
     def params(self):
         return self.head.params() + [("mixing", t) for t in self.mixing]
@@ -410,14 +423,15 @@ class EdgeVaryingGatLayer(GnnLayer):
     tied = property(lambda self: any(h.tied for h in self.heads))
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
-                 phi0_mode="attention", weighted=False, use_bias=True):
+                 phi0_mode="attention", weighted=False, use_bias=True,
+                 tied=False):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         _check_choice("phi0_mode", phi0_mode, PHI0_MODES)
         self.phi0_mode = phi0_mode
         self.weighted = weighted
-        n_heads = order + 1 if phi0_mode == "attention" else order
-        self.heads = [AttentionParams(f_in, f_out) for _ in range(n_heads)]
         self.mixing = self._make_mixing(order + 1)
+        identity = phi0_mode == "identity"
+        self.heads = self._make_heads(order + 1 - identity, identity, tied)
 
     def params(self):
         named = []
@@ -442,12 +456,13 @@ class HybridGcatLayer(GnnLayer):
     fields = ("gat",)
 
     def __init__(self, f_in, f_out, order, nonlinearity="relu",
-                 phi0_mode="attention", weighted=False, use_bias=True):
+                 phi0_mode="attention", weighted=False, use_bias=True,
+                 tied=False):
         super().__init__(f_in, f_out, order, nonlinearity, use_bias)
         self.gat = EdgeVaryingGatLayer(f_in, f_out, order,
                                        nonlinearity="identity",
-                                       phi0_mode=phi0_mode,
-                                       weighted=weighted, use_bias=False)
+                                       phi0_mode=phi0_mode, weighted=weighted,
+                                       use_bias=False, tied=tied)
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):
@@ -457,37 +472,6 @@ class HybridGcatLayer(GnnLayer):
         conv = self._mix_chain(tape, ctx, X, self.mixing)
         gat_part = self.gat.forward(tape, ctx, X)
         return self._finish(tape, ag.add(tape, conv, gat_part))
-
-
-def _attention(layer):
-    """(heads, index of the mixing matrix head 0 shares, mixing matrices)
-    of an attention layer; a hybrid_gcat layer's are its inner chain's."""
-    if isinstance(layer, HybridGcatLayer):
-        layer = layer.gat
-    if isinstance(layer, GcatLayer):
-        return [layer.head], int(layer.include_k0), layer.mixing
-    if isinstance(layer, EdgeVaryingGatLayer):
-        return (layer.heads, int(layer.phi0_mode != "attention"),
-                layer.mixing)
-    raise IncompatibleDims(f"layer kind {layer.kind!r} has no attention head")
-
-
-def tie_attention_to_mixing(layer):
-    """Share the attention mixer storage with the layer's mixing matrices.
-
-    The convolutional attention layer ties B to the order-1 matrix; the
-    edge-varying variant ties head k to matrix k. Gradients accumulate
-    into the shared tensor from both roles.
-    """
-    heads, first, mixing = _attention(layer)
-    for k, head in enumerate(heads):
-        if first + k >= len(mixing):
-            raise IncompatibleDims("no order-1 mixing matrix to share")
-        if head.B.shape != mixing[first + k].shape:
-            raise IncompatibleDims("mixer and mixing matrix shapes differ")
-        head.B = mixing[first + k]
-        head.tied = True
-    return layer
 
 
 class Model:

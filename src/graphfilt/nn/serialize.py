@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError, IncompatibleDims
 from ..sparse import Pattern
-from .layers import GnnLayer, Model, tie_attention_to_mixing
+from .layers import GnnLayer, Model
 
 FORMAT_VERSION = 1
 
@@ -154,14 +154,15 @@ _READERS = {
                     lambda d, k, n: _integer(d, k)),
     **dict.fromkeys(("include_k0", "weighted"),
                     lambda d, k, n: _boolean(d, k)),
+    "tied": lambda d, k, n: _boolean(d, k, False),
 }
 _KINDS = {cls.kind: cls for cls in GnnLayer.__subclasses__()}  # every kind
 
 
 def _fields(cls, d, n_nodes):
     """Constructor arguments from the ``cls.fields`` of record ``d``, an
-    inner record's merged in; ``tied`` is applied to the built layer."""
-    kw = {k: _READERS[k](d, k, n_nodes) for k in cls.fields if k != "tied"}
+    inner record's merged in."""
+    kw = {k: _READERS[k](d, k, n_nodes) for k in cls.fields}
     kw.update(kw.pop("gat", {}))
     return kw
 
@@ -175,9 +176,9 @@ def _layer_from(d, n_nodes, shapes):
     if cls is None:
         raise ConfigError(f"unknown layer kind {kind!r}")
     layer = cls(**sizes, **_fields(cls, d, n_nodes), **common)
-    att = d["gat"] if "gat" in cls.fields else d  # holds 'tied'
-    if _boolean(att, "tied", False):
-        tie_attention_to_mixing(layer)
+    # a kind has heads when its record, or its inner one, holds 'tied'
+    if not {"tied", "gat"} & set(cls.fields) and _boolean(d, "tied", False):
+        raise IncompatibleDims(f"layer kind {kind!r} has no attention head")
     return layer
 
 

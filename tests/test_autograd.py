@@ -10,9 +10,15 @@ from graphfilt.errors import MissingTape
 from graphfilt.graphs import Graph, build_shift, sbm_generate
 from graphfilt.harness.config import ExperimentConfig
 from graphfilt.harness.train import build_model
-from graphfilt.nn import ShiftContext, Tape, Tensor, init_params, leaky_relu
+from graphfilt.nn import ShiftContext, Tape, Tensor, init_params
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import SparseMatrix, _segment_sums, support_mask
+
+
+def leaky_relu(x, slope):
+    """Pointwise LeakyReLU at any slope: the reference for ``activation``."""
+    x = np.asarray(x, dtype=np.float64)
+    return x * _leaky_factor(x > 0, slope)
 
 
 def numeric_grad(fn, x, h=1e-6):
@@ -225,6 +231,16 @@ class TestAttentionPrimitives:
         check_primitive(
             lambda t: ag.attention_shift(t, x, b, e, pat, weights=w),
             [x, b, e], tol=1e-5)
+
+    # outside [0, 1] max(x, slope x) is not x * factor, so the backward
+    # would not be the forward's: at 1.5, with this h, e = [1, 1] and a
+    # summed loss, dL/dh read [6, 6] where central differences give [4, 4]
+    @pytest.mark.parametrize("slope", [-0.1, 1.5, np.nan, np.inf])
+    def test_edge_score_slope_outside_the_unit_interval_raises(self, slope):
+        h = Tensor(np.array([[-1.0], [-2.0]]))
+        pat = ring_pattern(2)
+        with pytest.raises(ValueError, match=r"^slope must lie in \[0, 1\]"):
+            ag.edge_score(Tape(), h, np.ones(2), pat, slope)
 
     @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
     def test_edge_score_max_form_is_the_factor_form(self, slope):

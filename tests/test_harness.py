@@ -817,8 +817,8 @@ def _heads_and_mixers(family, layer):
 
 
 class TestTiedAttentionFromConfig:
-    """``"tie_attention": true`` reaches tie_attention_to_mixing through
-    build_model, for each attention family at two layers."""
+    """``"tie_attention": true`` reaches the attention constructors' ``tied``
+    through build_model, for each attention family at two layers."""
 
     @pytest.mark.parametrize("family", sorted(TIED_COUNTS))
     def test_tying_drops_exactly_the_attention_mixers(self, family):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from graphfilt.errors import ConfigError  # noqa: E402
 from graphfilt.nn import (Model, init_params, load_model,  # noqa: E402
-                          save_model, tie_attention_to_mixing)
+                          save_model)
 from test_kernel import FAMILIES, dense_context  # noqa: E402
 
 # any integer: a size is checked against the stored parameter shapes
@@ -37,11 +37,10 @@ def _saved_document():
     ctx = dense_context()
     layers = []
     for i, family in enumerate(sorted(FAMILIES)):
-        layer = FAMILIES[family](1 if i == 0 else 2, 2, ctx,
-                                 np.array([1, 4]))
-        if family in ("gcat", "ev_gat", "hybrid_gcat"):
-            tie_attention_to_mixing(layer)
-        layers.append(layer)
+        tied = {"tied": True} if family in ("gcat", "ev_gat",
+                                            "hybrid_gcat") else {}
+        layers.append(FAMILIES[family](1 if i == 0 else 2, 2, ctx,
+                                       np.array([1, 4]), **tied))
     model = Model(layers, ctx.n, 2)
     init_params(model, np.random.default_rng(3), shift=ctx)
     with tempfile.TemporaryDirectory() as tmp:

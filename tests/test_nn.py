@@ -1,4 +1,6 @@
 """Layers, model, losses, optimizer, init, tying, and serialization."""
+import json
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,8 @@ from graphfilt.nn import (AdamState, ArmaLayer, AttentionParams,
                           HybridGcatLayer, HybridLayer, Model,
                           PolynomialLayer, ShiftContext, Tape, Tensor,
                           adam_step, cross_entropy, finite_difference_check,
-                          init_params, leaky_relu, load_model, log_sum_exp,
-                          relu, save_model, smooth_l1, softmax_rows,
-                          tie_attention_to_mixing)
+                          init_params, load_model, log_sum_exp, save_model,
+                          smooth_l1, softmax_rows)
 from graphfilt.nn import autograd as ag
 from graphfilt.nn.layers import GnnLayer
 from graphfilt.sparse import (Permutation, SparseMatrix, _Product,
@@ -290,37 +291,137 @@ class TestEquivariance:
 
 class TestTying:
     def test_tie_drops_exactly_fin_fout(self):
-        layer = GcatLayer(3, 4, 2)
-        model = Model([layer], 6, 2)
-        before = model.param_count()
-        tie_attention_to_mixing(layer)
-        assert before - model.param_count() == 12
+        untied = Model([GcatLayer(3, 4, 2)], 6, 2)
+        tied = Model([GcatLayer(3, 4, 2, tied=True)], 6, 2)
+        assert untied.param_count() - tied.param_count() == 12
 
     def test_tie_ev_gat_drops_k_plus_one_blocks(self):
-        layer = EdgeVaryingGatLayer(3, 4, 2, phi0_mode="attention")
-        model = Model([layer], 6, 2)
-        before = model.param_count()
-        tie_attention_to_mixing(layer)
-        assert before - model.param_count() == 3 * 12
+        untied = Model([EdgeVaryingGatLayer(3, 4, 2)], 6, 2)
+        tied = Model([EdgeVaryingGatLayer(3, 4, 2, tied=True)], 6, 2)
+        assert untied.param_count() - tied.param_count() == 3 * 12
 
     def test_tied_gradients_flow_from_both_roles(self):
         ctx = ctx_for()
-        layer = GcatLayer(1, 3, 2)
-        model = Model([layer], 6, 2)
-        tie_attention_to_mixing(layer)
+        model = Model([GcatLayer(1, 3, 2, tied=True)], 6, 2)
         init_params(model, np.random.default_rng(14), shift=ctx)
         X0 = np.random.default_rng(15).normal(size=(6, 1))
         report = finite_difference_check(model, ctx, X0)
         assert report.passed, report.summary()
 
     def test_gcat_order_zero_cannot_tie(self):
-        layer = GcatLayer(2, 3, 0)
-        with pytest.raises(IncompatibleDims):
-            tie_attention_to_mixing(layer)
+        for include_k0 in (True, False):
+            with pytest.raises(IncompatibleDims,
+                               match="^no order-1 mixing matrix to share$"):
+                GcatLayer(2, 3, 0, include_k0=include_k0, tied=True)
 
     def test_non_attention_layer_rejected(self):
-        with pytest.raises(IncompatibleDims):
-            tie_attention_to_mixing(PolynomialLayer(2, 2, 1))
+        """Only the attention kinds take ``tied``: a layer without heads
+        cannot be asked to tie one."""
+        ctx = ctx_for()
+        for family in sorted(set(FAMILIES) - set(ATTENTION_FAMILIES)):
+            with pytest.raises(TypeError, match="'tied'"):
+                FAMILIES[family](2, 2, ctx, np.array([0, 2]), tied=True)
+
+
+# -- tying at construction against the post-construction tie it replaced --
+
+def _reference_attention(layer):
+    """(heads, index of the mixing matrix head 0 shares, mixing matrices)
+    of an attention layer; a hybrid_gcat layer's are its inner chain's."""
+    if isinstance(layer, HybridGcatLayer):
+        layer = layer.gat
+    if isinstance(layer, GcatLayer):
+        return [layer.head], int(layer.include_k0), layer.mixing
+    if isinstance(layer, EdgeVaryingGatLayer):
+        return (layer.heads, int(layer.phi0_mode != "attention"),
+                layer.mixing)
+    raise IncompatibleDims(f"layer kind {layer.kind!r} has no attention head")
+
+
+def reference_tie(layer):
+    """Tie a built layer's heads to its mixing matrices after construction:
+    the convolutional attention layer ties B to the order-1 matrix, the
+    edge-varying variant head k to matrix k."""
+    heads, first, mixing = _reference_attention(layer)
+    for k, head in enumerate(heads):
+        if first + k >= len(mixing):
+            raise IncompatibleDims("no order-1 mixing matrix to share")
+        if head.B.shape != mixing[first + k].shape:
+            raise IncompatibleDims("mixer and mixing matrix shapes differ")
+        head.B = mixing[first + k]
+        head.tied = True
+    return layer
+
+
+TIE_BUILDS = {
+    "gat": lambda f, g, order, **kw: GcatLayer(f, g, order, include_k0=False,
+                                               **kw),
+    "gcat": GcatLayer, "ev_gat": EdgeVaryingGatLayer,
+    "hybrid_gcat": HybridGcatLayer,
+}
+TIE_CASES = [
+    (family, order, weighted, phi0_mode)
+    for family in sorted(TIE_BUILDS)
+    for order in (0, 1, 2)
+    for weighted in (False, True)
+    for phi0_mode in ("attention", "identity")
+    if family in ("ev_gat", "hybrid_gcat") or phi0_mode == "attention"]
+
+
+def _tie_case_model(family, order, weighted, phi0_mode, build):
+    """A two-layer model of the case made by ``build(cls, f_in, f_out,
+    order, **kw)``, or the IncompatibleDims message that refused it."""
+    kw = dict(weighted=weighted)
+    if family in ("ev_gat", "hybrid_gcat"):
+        kw["phi0_mode"] = phi0_mode
+    try:
+        layers = [build(TIE_BUILDS[family], f, g, order, **kw)
+                  for f, g in [(1, 3), (3, 2)]]
+    except IncompatibleDims as exc:
+        return str(exc)
+    return Model(layers, 6, 2)
+
+
+def _mixer_positions(model):
+    """Indices in ``parameters()`` of each head's mixer B, by identity."""
+    named = [t for _, t in model.parameters()]
+    return [[i for i, t in enumerate(named) if t is head.B]
+            for layer in model.layers
+            for head in _reference_attention(layer)[0]]
+
+
+@pytest.mark.parametrize("family,order,weighted,phi0_mode", TIE_CASES)
+def test_tied_at_construction_matches_the_reference_tie(
+        family, order, weighted, phi0_mode, tmp_path):
+    """The records, model file, parameter list, forward and every gradient
+    of ``tied=True`` equal those of tying the built layer afterwards."""
+    ctx = ctx_for()
+    new = _tie_case_model(family, order, weighted, phi0_mode,
+                          lambda cls, *a, **kw: cls(*a, **kw, tied=True))
+    ref = _tie_case_model(family, order, weighted, phi0_mode,
+                          lambda cls, *a, **kw: reference_tie(cls(*a, **kw)))
+    if isinstance(ref, str):  # an order-0 gcat: tying keeps its message
+        assert new == "no order-1 mixing matrix to share"
+        return
+    assert [json.dumps(layer.describe()) for layer in new.layers] \
+        == [json.dumps(layer.describe()) for layer in ref.layers]
+    assert [name for name, _ in new.parameters()] \
+        == [name for name, _ in ref.parameters()]
+    positions = _mixer_positions(new)
+    assert positions == _mixer_positions(ref)
+    assert all(len(p) == 1 for p in positions)
+    X0 = np.random.default_rng(3).normal(size=(4, 6, 1))
+    runs = []
+    for i, model in enumerate((new, ref)):
+        init_params(model, np.random.default_rng(5), shift=ctx)
+        path = tmp_path / f"m{i}.json"
+        save_model(model, path, shift=ctx.S)
+        logits, tape = model.forward(ctx, X0)
+        model.zero_grad()
+        tape.backward(output_grad=np.cos(logits.value))
+        runs.append([path.read_bytes(), logits.value.tobytes()]
+                    + [t.grad.tobytes() for _, t in model.parameters()])
+    assert runs[0] == runs[1]
 
 
 def _ref_glorot(rng, t, fan_in, fan_out):
@@ -405,10 +506,10 @@ def _init_case_model(family, tied, n_layers, phi0_mode, ctx):
           if family in ("ev_gat", "hybrid_gcat") else {})
     layers = []
     for f_in, f_out in [(1, 3), (3, 2)][:n_layers]:
-        layer = FAMILIES[family](f_in, f_out, ctx, np.array([1, 4]), **kw)
         if tied:
-            tie_attention_to_mixing(layer)
-        layers.append(layer)
+            kw["tied"] = True
+        layers.append(FAMILIES[family](f_in, f_out, ctx, np.array([1, 4]),
+                                       **kw))
     return Model(layers, ctx.n, 2)
 
 
@@ -538,10 +639,12 @@ class TestInit:
 
 class TestLosses:
     def test_relu_values(self):
-        assert relu(-1.0) == 0.0 and relu(2.0) == 2.0
+        out = ag.activation(Tape(), np.array([-1.0, 2.0]), "relu")
+        assert out.value.tolist() == [0.0, 2.0]
 
     def test_leaky_values(self):
-        assert leaky_relu(-1.0, 0.2) == pytest.approx(-0.2)
+        out = ag.activation(Tape(), np.array([-1.0, 2.0]), "leaky_relu")
+        assert out.value.tolist() == [-LEAKY_SLOPE_DEFAULT, 2.0]
 
     def test_softmax_uniform(self):
         out = softmax_rows(np.zeros((2, 4)))
@@ -684,8 +787,7 @@ class TestSerialization:
     def test_round_trip_tied_ev_gat(self, tmp_path):
         rng = np.random.default_rng(20)
         ctx = ctx_for()
-        layer = EdgeVaryingGatLayer(1, 3, 1)
-        tie_attention_to_mixing(layer)
+        layer = EdgeVaryingGatLayer(1, 3, 1, tied=True)
         model = Model([layer, HybridGcatLayer(3, 2, 1)], 6, 2)
         init_params(model, rng, shift=ctx)
         self._roundtrip(model, ctx, tmp_path, rng.normal(size=(6, 1)))
@@ -934,9 +1036,8 @@ def _rel(got, want):
 def test_stacked_mixing_matches_per_hop_sum(family, tied, f_in, graph):
     ctx = dense_context() if graph == "dense" else ring_context(60)
     sel = np.array([1, 4])
-    layer = FAMILIES[family](f_in, 2, ctx, sel)
-    if tied:
-        tie_attention_to_mixing(layer)
+    layer = FAMILIES[family](f_in, 2, ctx, sel,
+                             **({"tied": True} if tied else {}))
     rng = np.random.default_rng(29)
     init_params(Model([layer], ctx.n, 2), rng, shift=ctx)
     X0 = rng.normal(size=(3, ctx.n, f_in))
@@ -978,9 +1079,8 @@ def test_two_layer_gradients_with_several_input_features(family):
 def test_array_input_leaves_parameter_gradients_bitwise_equal(
         family, tied, f_in, graph):
     ctx = dense_context() if graph == "dense" else ring_context(60)
-    layer = FAMILIES[family](f_in, 2, ctx, np.array([1, 4]))
-    if tied:
-        tie_attention_to_mixing(layer)
+    layer = FAMILIES[family](f_in, 2, ctx, np.array([1, 4]),
+                             **({"tied": True} if tied else {}))
     model = Model([layer], ctx.n, 2)
     rng = np.random.default_rng(41)
     init_params(model, rng, shift=ctx)
@@ -1159,9 +1259,8 @@ ATTENTION_CASES = (
 def test_fused_attention_shift_matches_three_record_chain(
         family, kw, f_in, weighted, tied, graph, monkeypatch):
     ctx = dense_context() if graph == "dense" else ring_context(60)
-    layer = FAMILIES[family](f_in, 2, ctx, None, weighted=weighted, **kw)
-    if tied:
-        tie_attention_to_mixing(layer)
+    layer = FAMILIES[family](f_in, 2, ctx, None, weighted=weighted, tied=tied,
+                             **kw)
     rng = np.random.default_rng(37)
     init_params(Model([layer], ctx.n, 2), rng, shift=ctx)
     X0 = rng.normal(size=(3, ctx.n, f_in))
@@ -1587,6 +1686,25 @@ class TestLoadChecksFields:
         assert str(err.value) == ("layer 0 (edge_varying): layer kind "
                                   "'edge_varying' has no attention head")
 
+    # a gcat record of order 0 that keeps no hop to mix, or whose head
+    # has no order-1 matrix to tie to, is refused when the layer is built
+    @pytest.mark.parametrize("include_k0,tied,message", [
+        (False, False, "gcat layer of order 0 without include_k0 has no hop "
+                       "to mix"),
+        (True, True, "no order-1 mixing matrix to share"),
+    ], ids=["no-hop", "tied-order-0"])
+    def test_gcat_of_order_zero_named(self, tmp_path, include_k0, tied,
+                                      message):
+        layer = GcatLayer(1, 2, 1 - include_k0, include_k0=include_k0)
+        doc = self._saved_with(tmp_path, [layer])
+        record = doc["architecture"]["layers"][0]
+        record.update(order=0, tied=tied)
+        doc["parameters"] = [r for r in doc["parameters"]
+                             if include_k0 or r["name"] != "L0.mixing"]
+        with pytest.raises(ConfigError) as err:
+            self._load(tmp_path, doc)
+        assert str(err.value) == f"layer 0 (gcat): {message}"
+
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_record_holds_the_shared_keys_then_the_declared_fields(family):
@@ -1594,13 +1712,6 @@ def test_record_holds_the_shared_keys_then_the_declared_fields(family):
     assert list(layer.describe()) == ["kind", "f_in", "f_out", "order",
                                       "nonlinearity", "use_bias",
                                       *layer.fields]
-
-
-def _gcat_with_a_wide_mixer():
-    """A gcat layer whose head mixer no longer has its mixing shape."""
-    layer = GcatLayer(2, 3, 2)
-    layer.head.B = Tensor(np.zeros((2, 4)))
-    return layer
 
 
 def _extra_parameter_record(tmp_path):
@@ -1618,9 +1729,6 @@ def _extra_parameter_record(tmp_path):
 # the checks no other test reaches: (call on a scratch directory, error
 # type, message)
 RAISE_SITES = {
-    "tie_mixer_shape_differs": (
-        lambda tmp: tie_attention_to_mixing(_gcat_with_a_wide_mixer()),
-        IncompatibleDims, "mixer and mixing matrix shapes differ"),
     "model_features_do_not_chain": (
         lambda tmp: Model([PolynomialLayer(1, 2, 1),
                            PolynomialLayer(3, 2, 1)], 6, 2),
