@@ -356,7 +356,7 @@ def spmm_values(tape, vals, x, pattern):
     """Sparse product where the stored values are themselves an operand.
 
     vals: (nnz,) shared across the batch, or (..., nnz) per sample.
-    x:    (..., n, f).
+    x:    (..., n, f), whose batch axes per-sample values must share.
     """
     vv, xv = _val(vals), _val(x)
     op = _Product(pattern, vv, per_sample=vv.ndim > 1)
@@ -394,7 +394,7 @@ def spmm_pairwise(tape, vals, z, pattern):
 
 # ---------------------------------------------------------------------------
 # attention primitives; ``pattern`` is supp(I+S), so no row is empty; each
-# returns the (..., nnz) view of its entry-major result (see attention.py)
+# returns the (..., nnz) view of its entry-major result, spmm_values's layout
 
 
 def edge_score(tape, h, e, pattern, slope):

@@ -9,9 +9,10 @@ which takes one of two paths:
 * dense: for small or dense patterns whose values are shared across the
   batch, the dense matrix is built once and the product is a BLAS
   ``D @ X``; ``_dense_fits`` reads only the pattern's shape and nnz;
-* node-last CSR: for everything else. The operand (..., n, T) is laid
-  out as (T, ..., n), so the gather, the transpose's entry permutation
-  and the segment sums all run over the last, contiguous axis.
+* CSR: for everything else, on the operand (..., n, T) laid out node-last,
+  (T, ..., n), for shared values and entry-major, (T, n, ...), for
+  per-sample ones, as attention builds them; per-sample forward plus both
+  adjoints, N=50, B=100: 1.2/15 ms at T=1/16 (node-last 2.1/30; 2 cores).
 
 Results are deterministic for a fixed shape and BLAS thread count, and a
 batched ``spmv`` is bitwise equal to a loop of single-vector calls.
@@ -71,10 +72,10 @@ def _feature_major(X):
     return np.ascontiguousarray(flat.transpose(2, 1, 0))
 
 
-def _node_last(X):
-    """(..., n, T) as a contiguous (T, ..., n) array: the node axis last,
-    the feature axis first."""
-    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
+def _laid_out(X, axis):
+    """(..., n, T) as a contiguous array, T first and n at ``axis``:
+    node-last (T, ..., n) for -1, entry-major (T, n, ...) for 1."""
+    return np.ascontiguousarray(np.moveaxis(X, (-1, -2), (0, axis)))
 
 
 def _dense_product(D, X):
@@ -89,14 +90,16 @@ def _dense_product(D, X):
     return out.reshape(X.shape[:-2] + out.shape[1:])
 
 
-def _csr_product(p, values, X):
-    """CSR path on the pattern ``p`` for X (..., m, T), laid out node-last
-    as (T, ..., m): row i sums values[..., e] * X[..., col_idx[e]] over its
-    entries e, for values (T?, 1..., nnz) or per-sample (..., nnz). The
-    product is out of place; the result is the (..., n, T) view of a
-    (T, ..., n) array."""
-    gathered = np.take(_node_last(X), p.col_idx, axis=-1)
-    return np.moveaxis(_segment_sums(gathered * values, p.row_ptr), 0, -1)
+def _csr_product(p, values, X, axis):
+    """CSR path on the pattern ``p`` for X (..., m, T) in the layout
+    ``_laid_out(X, axis)``: the gather along ``axis``, times the values in
+    place, summed over row segments. In both layouts the result is the
+    (..., n, T) view of a (T, ..., n) array: the bits of a later matmul
+    depend on its operand's layout."""
+    out = np.take(_laid_out(X, axis), p.col_idx, axis=axis)
+    out *= values
+    out = _segment_sums(out, p.row_ptr, axis)
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(out, axis, -1)), 0, -1)
 
 
 class _Product:
@@ -110,8 +113,8 @@ class _Product:
     entry and batch element, the batch axes matching the operand's.
 
     Shared values take the dense path when ``_dense_fits`` says so, and
-    all else the node-last CSR path. (A per-sample dense stack was slower
-    for the one-feature operands of the attention layers' first hop.)
+    all else node-last CSR; per-sample values take entry-major CSR (a
+    (B, n, n) dense stack is slower at T=1, faster at T=16 at N=50).
     """
 
     __slots__ = ("pattern", "values", "per_sample", "dense")
@@ -128,41 +131,51 @@ class _Product:
                                   + (pattern.n_rows, pattern.n_cols))
             self.dense[..., pattern.entry_rows(), pattern.col_idx] = vals
 
-    def _node_last_values(self, ndim):
-        """Values for an ``ndim``-axis operand in node-last form: shared
-        (nnz, T?) as (T?, 1..., nnz), per-sample (..., nnz) as they are."""
-        if self.per_sample:
-            return self.values
-        v = np.moveaxis(self.values, 0, -1)
-        return v.reshape(v.shape[:-1] + (1,) * (ndim - v.ndim) + v.shape[-1:])
+    def _kernel_values(self, X, n):
+        """(values, axis) for the CSR path on X (..., n, T): shared (nnz, T?)
+        as (T?, 1..., nnz) on the node-last axis -1, per-sample (..., nnz),
+        once checked against X, as (1, nnz, ...) on the entry-major axis 1."""
+        v, nnz = self.values, self.pattern.nnz
+        if not self.per_sample:
+            ones = (1,) * (X.ndim - v.ndim)
+            return v.T.reshape(v.shape[1:] + ones + (nnz,)), -1
+        if (v.shape[:-1], v.shape[-1], X.shape[-2]) != (X.shape[:-2], nnz, n):
+            raise DimensionMismatch(f"per-sample values {v.shape} on {nnz} "
+                                    f"entries do not fit operand {X.shape}")
+        return np.moveaxis(v, -1, 0)[None], 1
 
     def apply(self, X):
         """S X for X of shape (..., n_cols, T)."""
         if self.dense is not None:
             return _dense_product(self.dense, X)
-        return _csr_product(self.pattern, self._node_last_values(X.ndim), X)
+        v, axis = self._kernel_values(X, self.pattern.n_cols)
+        return _csr_product(self.pattern, v, X, axis)
 
     def apply_transposed(self, G):
         """S^T G for G of shape (..., n_rows, T)."""
         if self.dense is not None:
             return _dense_product(self.dense.swapaxes(-1, -2), G)
         T, perm = self.pattern.transpose_permutation()
-        return _csr_product(T, self._node_last_values(G.ndim)[..., perm], G)
+        v, axis = self._kernel_values(G, self.pattern.n_rows)
+        return _csr_product(T, np.take(v, perm, axis=axis), G, axis)
 
     def values_adjoint(self, G, X):
         """Gradient of sum(G * apply(X)) with respect to the values.
 
-        The feature axis is summed unless the values carry it, and so
-        are the batch axes of shared values; per-sample values keep them.
-        Callers reduce the result to the values' shape.
+        Sums the feature axis unless the values carry it, and the batch
+        axes of shared values; per-sample values keep them, as the (...,
+        nnz) view of an entry-major array. Callers reduce to their shape.
         """
         rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
+        if self.per_sample:
+            gv = np.take(_laid_out(G, 1), rows, axis=1)
+            gv *= np.take(_laid_out(X, 1), cols, axis=1)
+            return np.moveaxis(gv.sum(axis=0), 0, -1)
         if self.dense is None:
-            # G has the output's full shape, so X's gather broadcasts into it
-            gv = _node_last(G)[..., rows]
-            gv *= _node_last(X)[..., cols]
-            if self.per_sample:
-                return gv.sum(axis=0)
+            # G has the output's full shape, so X's gather broadcasts into
+            # it; the fancy gathers' F order sets the order of the sums
+            gv = _laid_out(G, -1)[..., rows]
+            gv *= _laid_out(X, -1)[..., cols]
             summed = tuple(range(self.values.ndim - 1, gv.ndim - 1))
             return np.moveaxis(gv.sum(axis=summed), -1, 0)
         if self.dense.ndim == 2:

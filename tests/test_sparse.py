@@ -4,6 +4,7 @@ import pytest
 
 from graphfilt import sparse
 from graphfilt.errors import DimensionMismatch, NoConvergence
+from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (Pattern, Permutation, SparseMatrix,
                               permute_shift, permute_signal,
                               power_iteration_lambda_max, spmm, spmv,
@@ -254,6 +255,12 @@ def _rectangular():
     return SparseMatrix.from_dense(np.ones((2, 3)))
 
 
+def _per_sample(vals_shape, x_shape):
+    """spmm_values with per-sample values on the 4-entry identity."""
+    return ag.spmm_values(ag.Tape(), np.ones(vals_shape), np.ones(x_shape),
+                          SparseMatrix.identity(4).pattern)
+
+
 # the input checks no other test reaches: (call, error type, message)
 RAISE_SITES = {
     "pattern_negative_dimensions": (
@@ -284,6 +291,17 @@ RAISE_SITES = {
     "power_iteration_not_square": (
         lambda: power_iteration_lambda_max(_rectangular()), DimensionMismatch,
         "power iteration needs a square matrix"),
+    "per_sample_batch_axes": (
+        lambda: _per_sample((3, 4), (4, 1)), DimensionMismatch,
+        "per-sample values (3, 4) on 4 entries do not fit operand (4, 1)"),
+    "per_sample_entry_count": (
+        lambda: _per_sample((2, 5), (2, 4, 1)), DimensionMismatch,
+        "per-sample values (2, 5) on 4 entries do not fit operand "
+        "(2, 4, 1)"),
+    "per_sample_node_count": (
+        lambda: _per_sample((2, 4), (2, 3, 1)), DimensionMismatch,
+        "per-sample values (2, 4) on 4 entries do not fit operand "
+        "(2, 3, 1)"),
     "support_mask_not_square": (
         lambda: support_mask(_rectangular()), DimensionMismatch,
         "support mask needs a square matrix"),
