@@ -35,9 +35,9 @@ class SingularDiagonal(GraphFiltError):
     Carries the offending node index in ``node``.
     """
 
-    def __init__(self, node, message=None):
+    def __init__(self, node):
         self.node = node
-        super().__init__(message or f"diagonal entry at node {node} too close to pole")
+        super().__init__(f"diagonal entry at node {node} too close to pole")
 
 
 class SupportViolation(GraphFiltError):

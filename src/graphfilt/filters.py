@@ -411,7 +411,6 @@ def arma_to_edge_varying(f, S):
     d = S.diagonal()
     pole_terms = []
     for beta, gamma in zip(f.betas, f.gammas):
-        check_pole_guard(S, gamma)
         R = jacobi_shift(S, gamma)
         inv_diag = 1.0 / (d - gamma)
         terms = []

@@ -19,6 +19,7 @@ TASKS = ("sbm_source_localization", "edge_list_classification",
          "ratings_regression")
 FAMILIES = ("gcnn", "edge_varying", "block_varying", "hybrid", "arma",
             "gat", "gcat", "ev_gat", "hybrid_gcat")
+ATTENTION_FAMILIES = ("gat", "gcat", "ev_gat", "hybrid_gcat")
 _KINDS = {int: "an integer", bool: "true or false", float: "a number",
           str: "a string", dict: "an object",
           list: "a non-empty list of positive integers"}
@@ -106,6 +107,14 @@ class ArchitectureConfig:
         _at_least(vars(self), {"order": 0, "features": 1, "layers": 1,
                                "n_poles": 0, "jacobi_order": 0,
                                "n_selected": 0, "selection_k": 0})
+        for key, families, unset in (
+                ("tie_attention", ATTENTION_FAMILIES, False),
+                ("weighted_softmax", ATTENTION_FAMILIES, False),
+                ("phi0_mode", ("ev_gat", "hybrid_gcat"), "attention")):
+            if getattr(self, key) != unset and self.family not in families:
+                raise ConfigError(
+                    f"field '{key}' must be {json.dumps(unset)} on family "
+                    f"{self.family!r}: only {', '.join(families)} use it")
 
 
 @dataclass

@@ -48,6 +48,14 @@ class ShiftContext:
         return off.select(np.isin(off.entry_rows(), important))
 
 
+def _hops(tape, ctx, X, count):
+    """The ``count`` hops X, S X, ..., S^(count-1) X of the fixed shift."""
+    Zs = [X]
+    for _ in range(count - 1):
+        Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1]))
+    return Zs
+
+
 def _mix(tape, Zs, As):
     """sum_k Z_k A_k as one product of the stacked hops and matrices."""
     return ag.matmul(tape, ag.concat(tape, Zs, -1), ag.concat(tape, As, 0))
@@ -67,8 +75,7 @@ class AttentionParams:
         self.e = Tensor(np.zeros(2 * f_out), name="att_e")
 
     def params(self):
-        out = [] if self.tied else [("att_B", self.B)]
-        return out + [("att_e", self.e)]
+        return [self.e] if self.tied else [self.B, self.e]
 
     def shift_values(self, tape, ctx, X, weighted):
         """Row-stochastic shift values on supp(I+S) scored from X; B
@@ -111,17 +118,17 @@ class GnnLayer:
         self.bias = Tensor(np.zeros(f_out), name="bias") if use_bias else None
 
     def params(self):
+        """The filter family's tensors in model-file order; each one's
+        ``name`` is the name the model file and ``init_params`` use."""
         raise NotImplementedError
 
     def named_params(self):
-        out = list(self.params())
-        if self.bias is not None:
-            out.append(("bias", self.bias))
-        return out
+        out = self.params() + ([self.bias] if self.bias is not None else [])
+        return [(t.name, t) for t in out]
 
     def filter_param_count(self):
         """Trainable scalars of the filter family, bias excluded."""
-        return sum(t.size for _, t in self.params())
+        return sum(t.size for t in self.params())
 
     def _finish(self, tape, acc):
         return ag.activation(tape, acc, self.nonlinearity, bias=self.bias)
@@ -155,10 +162,7 @@ class GnnLayer:
 
     def _mix_chain(self, tape, ctx, X, matrices):
         """sum_k S^k X A_k for the fixed graph shift."""
-        Zs = [X]
-        for _ in matrices[1:]:
-            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1]))
-        return _mix(tape, Zs, matrices)
+        return _mix(tape, _hops(tape, ctx, X, len(matrices)), matrices)
 
 
 class PolynomialLayer(GnnLayer):
@@ -172,7 +176,7 @@ class PolynomialLayer(GnnLayer):
         self.mixing = self._make_mixing(order + 1, "poly")
 
     def params(self):
-        return [("poly", t) for t in self.mixing]
+        return list(self.mixing)
 
     def forward(self, tape, ctx, X):
         return self._finish(tape, self._mix_chain(tape, ctx, X, self.mixing))
@@ -198,12 +202,10 @@ class BlockVaryingLayer(GnnLayer):
                        for _ in range(order + 1)]
 
     def params(self):
-        return [("block", t) for t in self.coeffs]
+        return list(self.coeffs)
 
     def forward(self, tape, ctx, X):
-        Zs = [X]
-        for _ in self.coeffs[1:]:
-            Zs.append(ag.spmm_const(tape, ctx.S, Zs[-1]))
+        Zs = _hops(tape, ctx, X, len(self.coeffs))
         acc = ag.block_mix(tape, ag.concat(tape, Zs, -1),
                            ag.concat(tape, self.coeffs, 1), self.block_of_node)
         return self._finish(tape, acc)
@@ -229,10 +231,7 @@ class EdgeVaryingLayer(GnnLayer):
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):
-        named = [("ev_phi0", self.phi0)]
-        named += [("ev_phi", t) for t in self.phi]
-        named += [("mixing", t) for t in self.mixing]
-        return named
+        return [self.phi0, *self.phi, *self.mixing]
 
     def forward(self, tape, ctx, X):
         Zs = [ag.mul(tape, ag.reshape(tape, self.phi0, (ctx.n, 1)), X)]
@@ -297,10 +296,7 @@ class HybridLayer(GnnLayer):
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):
-        named = [("hybrid_phi0", self.phi0)]
-        named += [("hybrid_phi", t) for t in self.phi]
-        named += [("mixing", t) for t in self.mixing]
-        return named
+        return [self.phi0, *self.phi, *self.mixing]
 
     def forward(self, tape, ctx, X):
         conv = self._mix_chain(tape, ctx, X, self.mixing)
@@ -334,8 +330,7 @@ class ArmaLayer(GnnLayer):
         self.mixing = self._make_mixing(order + 1, "arma_alpha")
 
     def params(self):
-        return ([("arma_beta", self.beta), ("arma_gamma", self.gamma)]
-                + [("arma_alpha", t) for t in self.mixing])
+        return [self.beta, self.gamma, *self.mixing]
 
     def _nearest_diagonal(self, ctx):
         """For each gamma entry in flat order: the index of the diagonal
@@ -399,7 +394,7 @@ class GcatLayer(GnnLayer):
                                    "has no hop to mix")
 
     def params(self):
-        return self.head.params() + [("mixing", t) for t in self.mixing]
+        return self.head.params() + self.mixing
 
     def forward(self, tape, ctx, X):
         vals = self.head.shift_values(tape, ctx, X, self.weighted)
@@ -434,10 +429,7 @@ class EdgeVaryingGatLayer(GnnLayer):
         self.heads = self._make_heads(order + 1 - identity, identity, tied)
 
     def params(self):
-        named = []
-        for h in self.heads:
-            named += h.params()
-        return named + [("mixing", t) for t in self.mixing]
+        return [t for h in self.heads for t in h.params()] + self.mixing
 
     def forward(self, tape, ctx, X):
         Zs = [X]
@@ -466,7 +458,7 @@ class HybridGcatLayer(GnnLayer):
         self.mixing = self._make_mixing(order + 1)
 
     def params(self):
-        return [("mixing", t) for t in self.mixing] + self.gat.params()
+        return self.mixing + self.gat.params()
 
     def forward(self, tape, ctx, X):
         conv = self._mix_chain(tape, ctx, X, self.mixing)
@@ -503,8 +495,7 @@ class Model:
         listed once, as the mixing matrix it shares."""
         named = [(f"L{i}.{name}", t) for i, layer in enumerate(self.layers)
                  for name, t in layer.named_params()]
-        return named + [("readout_w", self.readout_w),
-                        ("readout_b", self.readout_b)]
+        return named + [(t.name, t) for t in (self.readout_w, self.readout_b)]
 
     def param_count(self):
         return int(sum(t.size for _, t in self.parameters()))

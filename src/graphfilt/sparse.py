@@ -421,9 +421,9 @@ class SparseMatrix:
         return cls(n_rows, n_cols, _row_ptr(rows, n_rows), cols, vals)
 
     @classmethod
-    def from_dense(cls, dense, tol=0.0):
+    def from_dense(cls, dense):
         dense = np.asarray(dense, dtype=np.float64)
-        rows, cols = np.nonzero(np.abs(dense) > tol)
+        rows, cols = np.nonzero(np.abs(dense) > 0.0)
         return cls.from_coo(dense.shape[0], dense.shape[1],
                             rows, cols, dense[rows, cols])
 

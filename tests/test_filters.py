@@ -485,7 +485,8 @@ class TestArmaToEdgeVarying:
         terms = arma_to_edge_varying(f, S)
         for per_pole in terms.pole_terms:
             for M in per_pole:
-                sparse = SparseMatrix.from_dense(M, tol=1e-14)
+                sparse = SparseMatrix.from_dense(
+                    np.where(np.abs(M) > 1e-14, M, 0.0))
                 assert mask.contains(sparse)
 
 

@@ -182,6 +182,20 @@ class TestConfig:
                                  f"not '{value}'$"):
             ExperimentConfig.from_dict(d)
 
+    @pytest.mark.parametrize("family,field,value,unset", [
+        ("gcnn", "tie_attention", True, "false"),
+        ("arma", "weighted_softmax", True, "false"),
+        ("gcat", "phi0_mode", "identity", '"attention"'),
+    ])
+    def test_attention_field_on_a_family_without_its_head_names_both(
+            self, family, field, value, unset):
+        d = {"task": "sbm_source_localization",
+             "architecture": {"family": family, field: value}}
+        with pytest.raises(ConfigError,
+                           match=f"^field '{field}' must be {unset} on "
+                                 f"family '{family}': only "):
+            ExperimentConfig.from_dict(d)
+
     _PATHS = {"edge_list_classification": {"graph_path": "g.edgelist",
                                            "signals_path": "s.csv"},
               "ratings_regression": {"ratings_path": "r.csv"}}

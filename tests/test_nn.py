@@ -524,9 +524,30 @@ def test_parameters_list_each_tensor_once(family, tied, n_layers, phi0_mode):
     att_b = [name for name, _ in named if name.endswith(".att_B")]
     assert bool(att_b) == (family in ATTENTION_FAMILIES and not tied)
     for layer in model.layers:
-        own = [t for _, t in layer.params()]
+        own = layer.params()
         assert len({id(t) for t in own}) == len(own)
         assert layer.filter_param_count() == sum(t.size for t in own)
+
+
+@pytest.mark.parametrize("family,tied,n_layers,phi0_mode", INIT_CASES)
+def test_stored_names_are_the_tensor_names(family, tied, n_layers, phi0_mode,
+                                           tmp_path):
+    """Each stored parameter record is named L{i}. plus the name its
+    tensor was built with, in params() order with the bias last, and the
+    readout's records are readout_w and readout_b."""
+    ctx = ctx_for()
+    model = _init_case_model(family, tied, n_layers, phi0_mode, ctx)
+    want = []
+    for i, layer in enumerate(model.layers):
+        own = layer.params() + [layer.bias]
+        want += [(f"L{i}.{t.name}", t) for t in own]
+    want += [("readout_w", model.readout_w), ("readout_b", model.readout_b)]
+    assert model.parameters() == want
+    save_model(model, tmp_path / "model.json", shift=ctx.S)
+    with open(tmp_path / "model.json") as fh:
+        stored = json.load(fh)["parameters"]
+    assert [rec["name"] for rec in stored] == [name for name, _ in want]
+    assert all(t.name and "." not in t.name for _, t in want)
 
 
 class TestInit:
@@ -547,11 +568,8 @@ class TestInit:
         assert rng.random() == ref_rng.random()
 
     def test_unknown_parameter_name_rejected(self):
-        class Renamed(PolynomialLayer):
-            def params(self):
-                return [("mystery", t) for t in self.mixing]
-
-        layer = Renamed(1, 2, 1)
+        layer = PolynomialLayer(1, 2, 1)
+        layer.mixing[1].name = "mystery"
         with pytest.raises(ValueError, match="parameter 'mystery'"):
             init_params(Model([layer], 6, 2), np.random.default_rng(0))
 
