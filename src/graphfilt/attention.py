@@ -72,8 +72,10 @@ def _edge_scores(proj, pattern, slope):
     proj (..., n, 2) = [own, other] laid out once as (n, 2, ...). For a
     slope in [0, 1], max(x, slope x) is bitwise x * _leaky_factor."""
     P = np.ascontiguousarray(np.moveaxis(proj, (-2, -1), (0, 1)))
-    pre = P[pattern.entry_rows(), 0] + P[pattern.col_idx, 1]
-    return np.maximum(pre, slope * pre), pre > 0
+    pre = np.take(P[:, 0], pattern.entry_rows(), axis=0)
+    pre += np.take(P[:, 1], pattern.col_idx, axis=0)
+    np.maximum(pre, slope * pre, out=pre)  # keeps the sign of pre
+    return pre, pre > 0
 
 
 def _edge_scores_adjoint(dpre, pattern):
@@ -95,12 +97,13 @@ def _projection_weight_adjoint(D, x):
 def _row_softmax(z, pattern):
     """Soft maximum over each row's stored entries of the entry-major z,
     with max subtraction. Every row must hold an entry, as supp(I+S)
-    holds its diagonal; the row maximum reads the padded row slots."""
+    holds its diagonal; the row maximum reads the padded row slots. The
+    result overwrites the gathered maxima, never z."""
     rows, slots = pattern.entry_rows(), pattern.row_slots()
     row_max = (z[slots].max(axis=0) if slots is not None else
                np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
-    shifted = z - row_max[rows]
-    np.exp(shifted, out=shifted)
+    shifted = row_max[rows]
+    np.exp(np.subtract(z, shifted, out=shifted), out=shifted)
     shifted /= _segment_sums(shifted, pattern.row_ptr, 0)[rows]
     return shifted
 
@@ -108,8 +111,9 @@ def _row_softmax(z, pattern):
 def _row_softmax_adjoint(g, vals, pattern):
     """Adjoint of the entry-major scores given g, the adjoint of the soft
     maximum's output ``vals``."""
-    sdot = _segment_sums(g * vals, pattern.row_ptr, 0)
-    return vals * (g - sdot[pattern.entry_rows()])
+    dz = g * vals
+    sdot = _segment_sums(dz, pattern.row_ptr, 0)[pattern.entry_rows()]
+    return np.multiply(np.subtract(g, sdot, out=dz), vals, out=dz)
 
 
 def edge_scores(head, X, support):

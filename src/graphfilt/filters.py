@@ -257,12 +257,13 @@ def check_pole_guard(S, gamma):
     return d
 
 
-def jacobi_shift(S, gamma):
+def jacobi_shift(S, gamma, d=None):
     """R(gamma) = -(D - gamma I)^{-1} (S - D), D = diag(S); the pattern is
-    the stored off-diagonal pattern of S."""
+    the stored off-diagonal pattern of S. A caller that has run
+    check_pole_guard passes the diagonal it returned as d."""
     if S.n_rows != S.n_cols:
         raise DimensionMismatch("jacobi_shift needs a square shift")
-    d = check_pole_guard(S, gamma)
+    d = check_pole_guard(S, gamma) if d is None else d
     rows = S.entry_rows()
     off = rows != S.col_idx
     vals = -S.values[off] / (d[rows[off]] - gamma)
@@ -281,7 +282,7 @@ def apply_single_pole_jacobi(S, beta, gamma, k_jacobi, x):
     d = check_pole_guard(S, gamma)
     if int(k_jacobi) == 0:
         return x.copy()
-    R = jacobi_shift(S, gamma)
+    R = jacobi_shift(S, gamma, d)
     dcol = d if x.ndim == 1 else d[:, None]
     c = beta * x / (dcol - gamma)
     u = x

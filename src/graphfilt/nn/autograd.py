@@ -18,6 +18,8 @@ closure on the tape; running the tape backwards accumulates adjoints into
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
@@ -295,28 +297,38 @@ def activation(tape, a, kind, bias=None):
     return _result(tape, out, (a, bias), back)
 
 
-def block_mix(tape, x, a, block_of_node):
-    """Row-wise mixing with per-block matrices.
-
-    x: (..., n, f); a: (n_blocks, f, g); row i multiplies a[block[i]].
-    """
-    xv, av = _val(x), _val(a)
-    a_exp = av[block_of_node]
-
-    def a_adjoint(g):
-        xb = xv.reshape(-1, xv.shape[-2], xv.shape[-1])
-        gb = g.reshape(-1, g.shape[-2], g.shape[-1])
-        contrib = np.einsum("bnf,bng->nfg", xb, gb)
-        da = np.zeros_like(av)
-        np.add.at(da, block_of_node, contrib)
-        return da
+def node_matmul(tape, y, w):
+    """y[..., i, :] @ w[i] for y (..., n, f) and w (n, f, g), as one
+    batched matmul of y laid out as (n, B, f), B the flattened batch; the
+    adjoints g w^T and y^T g (summed over B) are per-node matmuls too."""
+    yv, wv = _val(y), _val(w)
+    # an explicit batch size, which -1 cannot infer when n = 0
+    batch = (math.prod(yv.shape[:-2]),)
+    yn = yv.reshape(batch + yv.shape[-2:]).transpose(1, 0, 2)
 
     def back(g):
-        _acc(x, lambda: np.einsum("...ng,nfg->...nf", g, a_exp))
-        _acc(a, lambda: a_adjoint(g))
+        gn = g.reshape(batch + g.shape[-2:]).transpose(1, 0, 2)
+        _acc(y, lambda: (gn @ wv.transpose(0, 2, 1)).transpose(1, 0, 2)
+             .reshape(yv.shape))
+        _acc(w, lambda: yn.transpose(0, 2, 1) @ gn)
 
-    return _result(tape, np.einsum("...nf,nfg->...ng", xv, a_exp), (x, a),
-                   back)
+    out = (yn @ wv).transpose(1, 0, 2).reshape(yv.shape[:-1] + wv.shape[2:])
+    return _result(tape, out, (y, w), back)
+
+
+def block_mix(tape, x, a, block_of_node):
+    """Row-wise mixing with per-block matrices: x (..., n, f), a
+    (n_blocks, f, g), and row i multiplies a[block_of_node[i]]. The
+    per-node matrices are gathered, then node_matmul mixes the rows."""
+    av = _val(a)
+
+    def back(g):  # replayed only when a is a Tensor
+        da = np.zeros_like(av)
+        np.add.at(da, block_of_node, g)
+        _acc(a, lambda: da)
+
+    a_node = _result(tape, av[block_of_node], (a,), back)
+    return node_matmul(tape, x, a_node)
 
 
 def jacobi_shift_values(tape, gamma, s_off, d_off_rows):

@@ -315,7 +315,10 @@ class HybridLayer(GnnLayer):
 class ArmaLayer(GnnLayer):
     """Pole branches, Jacobi steps U <- (D - gamma_p I)^{-1}(beta_p X -
     S_off U) from U = X, plus a direct polynomial chain; beta and gamma
-    vary per feature pair, and one S_off product serves every pair."""
+    vary per feature pair, and one S_off product serves every pair. At
+    Jacobi order 1 all poles are one node_matmul of [X, S_off X] by W =
+    [sum_p rec_p beta_p; -sum_p rec_p], rec_p = (D - gamma_p I)^{-1}; at
+    other orders rec sits inside the recursion, which runs per pole."""
 
     kind = "arma"
     fields = ("n_poles", "jacobi_order")
@@ -349,6 +352,15 @@ class ArmaLayer(GnnLayer):
     def forward(self, tape, ctx, X):
         self._check_guard(ctx)
         acc = self._mix_chain(tape, ctx, X, self.mixing)
+        if self.jacobi_order == 1:
+            rec = ag.reciprocal(tape, ag.sub(
+                tape, ctx.diag[:, None, None, None], self.gamma))
+            W = ag.concat(tape, [
+                ag.sum_axis(tape, ag.mul(tape, rec, self.beta), 1),
+                ag.scale(tape, ag.sum_axis(tape, rec, 1), -1.0)], 1)
+            Y = ag.concat(tape, [X, ag.spmm_const(tape, ctx.S_off, X)], -1)
+            return self._finish(tape, ag.add(tape, acc,
+                                             ag.node_matmul(tape, Y, W)))
         Xp = ag.expand_last(tape, X)
         d_col = ctx.diag[:, None, None]
         for p in range(self.n_poles):
@@ -363,6 +375,16 @@ class ArmaLayer(GnnLayer):
                 U = ag.mul(tape, rec, ag.sub(tape, bx, SU))
             acc = ag.add(tape, acc, ag.sum_axis(tape, U, axis=-2))
         return self._finish(tape, acc)
+
+    def jacobi_bound(self, ctx):
+        """(P, F_in, F_out) Gershgorin bounds max_i sum_{j != i} |S_ij| /
+        |d_i - gamma| on the spectral radius of each Jacobi step R(gamma),
+        inf where gamma sits on a diagonal entry."""
+        off = np.bincount(ctx.S_off.entry_rows(), np.abs(ctx.S_off.values),
+                          minlength=ctx.n)[:, None, None, None]
+        gap = np.abs(ctx.diag[:, None, None, None] - self.gamma.value)
+        return np.divide(off, gap, out=np.full(gap.shape, np.inf),
+                         where=gap > 0).max(axis=0, initial=0.0)
 
     def post_update(self, ctx):
         """Project gamma entries off the diagonal singularity guard."""

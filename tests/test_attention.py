@@ -106,6 +106,14 @@ class TestNeighborhoodSoftmax:
         got = neighborhood_softmax(scores, mask).matrix.values
         assert np.max(np.abs(got - naive_softmax(scores, mask))) < 1e-13
 
+    def test_leaves_its_scores_unchanged(self):
+        rng = np.random.default_rng(4)
+        mask = support_mask(small_graph_shift())
+        scores = rng.normal(size=mask.nnz) * 3.0
+        kept = scores.copy()
+        neighborhood_softmax(scores, mask)
+        assert scores.tobytes() == kept.tobytes()
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         S = small_graph_shift()

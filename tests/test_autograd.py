@@ -182,6 +182,12 @@ class TestSparsePrimitives:
         blocks = np.array([0, 1, 0, 0, 1, 1])
         check_primitive(lambda t: ag.block_mix(t, x, a, blocks), [x, a])
 
+    def test_node_matmul(self):
+        rng = np.random.default_rng(15)
+        y = Tensor(rng.normal(size=(2, 5, 3)))
+        w = Tensor(rng.normal(size=(5, 3, 4)))
+        check_primitive(lambda t: ag.node_matmul(t, y, w), [y, w])
+
     def test_gather_scatter_rows(self):
         rng = np.random.default_rng(13)
         x = Tensor(rng.normal(size=(5, 3)))
@@ -194,6 +200,29 @@ class TestSparsePrimitives:
         rng = np.random.default_rng(14)
         a = Tensor(rng.normal(size=(3, 2, 2)))
         check_primitive(lambda t: ag.mul(t, ag.take_index(t, a, 1), 3.0), [a])
+
+
+@pytest.mark.parametrize("n", [0, 4])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_node_matmul_matches_per_node_loop(batch, n):
+    rng = np.random.default_rng(16)
+    y0 = rng.normal(size=batch + (n, 3))
+    w0 = rng.normal(size=(n, 3, 2))
+    g = rng.normal(size=batch + (n, 2))
+    y, w = Tensor(y0), Tensor(w0)
+    tape = Tape()
+    out = ag.node_matmul(tape, y, w)
+    tape.backward(out, g)
+    want = np.zeros(batch + (n, 2))
+    dy = np.zeros_like(y0)
+    dw = np.zeros_like(w0)
+    for i in range(n):
+        want[..., i, :] = y0[..., i, :] @ w0[i]
+        dy[..., i, :] = g[..., i, :] @ w0[i].T
+        dw[i] = y0[..., i, :].reshape(-1, 3).T @ g[..., i, :].reshape(-1, 2)
+    for got, ref in [(out.value, want), (y.grad, dy), (w.grad, dw)]:
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
 
 
 class TestAttentionPrimitives:
@@ -380,6 +409,7 @@ def _constant_operand_cases():
     m = rng.normal(size=(3, 4))
     blocks = np.array([0, 1, 0, 0, 1])
     a = rng.normal(size=(2, 3, 4))
+    per_node = rng.normal(size=(5, 3, 4))
     vals = rng.normal(size=pat.nnz)
     pair = rng.normal(size=(pat.nnz, 3, 4))
     gamma = rng.normal(size=(3, 4)) + 4.0
@@ -407,6 +437,7 @@ def _constant_operand_cases():
         "biased_relu": lambda t, w: ag.activation(t, w(x), "relu",
                                                   bias=w(m[:, 0])),
         "block_mix": lambda t, w: ag.block_mix(t, w(x), w(a), blocks),
+        "node_matmul": lambda t, w: ag.node_matmul(t, w(x), w(per_node)),
         "jacobi_shift_values": lambda t, w: ag.jacobi_shift_values(
             t, w(gamma), vals, vals + 9.0),
         "spmm_const": lambda t, w: ag.spmm_const(t, S, w(x)),

@@ -10,8 +10,8 @@ from graphfilt.errors import (ConfigError, IncompatibleDims, LabelOutOfRange,
                               ShapeMismatch, SingularDiagonal)
 from graphfilt.filters import (EPS_SING, apply_hybrid, apply_polynomial,
                                apply_single_pole_jacobi, HybridFilter,
-                               PolynomialFilter)
-from graphfilt.graphs import Graph, build_shift
+                               jacobi_spectral_radius, PolynomialFilter)
+from graphfilt.graphs import Graph, build_shift, sbm_generate
 from graphfilt.nn import (AdamState, ArmaLayer, AttentionParams,
                           BlockVaryingLayer,
                           EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
@@ -991,6 +991,50 @@ def pairwise_arma_forward(layer, tape, ctx, X):
     return layer._finish(tape, acc)
 
 
+def per_pole_arma_forward(layer, tape, ctx, X):
+    """ArmaLayer.forward as it ran before its order-1 poles became one
+    node_matmul: a Jacobi chain per pole on (B, N, F_in, F_out) arrays,
+    on the shared S_off; still the layer's path at every other order."""
+    layer._check_guard(ctx)
+    acc = layer._mix_chain(tape, ctx, X, layer.mixing)
+    Xp = ag.expand_last(tape, X)
+    d_col = ctx.diag[:, None, None]
+    for p in range(layer.n_poles):
+        rec = ag.reciprocal(tape, ag.sub(
+            tape, d_col, ag.take_index(tape, layer.gamma, p)))
+        bx = ag.mul(tape, ag.take_index(tape, layer.beta, p), Xp)
+        U = Xp
+        for _ in range(layer.jacobi_order):
+            flat = ag.reshape(tape, U, U.value.shape[:-2] + (-1,))
+            SU = ag.reshape(tape, ag.spmm_const(tape, ctx.S_off, flat),
+                            U.value.shape)
+            U = ag.mul(tape, rec, ag.sub(tape, bx, SU))
+        acc = ag.add(tape, acc, ag.sum_axis(tape, U, axis=-2))
+    return layer._finish(tape, acc)
+
+
+def einsum_block_mix(tape, x, a, block_of_node):
+    """ag.block_mix as it ran before node_matmul: np.einsum products with
+    the gathered per-node matrices, in one record."""
+    xv, av = ag._val(x), ag._val(a)
+    a_exp = av[block_of_node]
+
+    def a_adjoint(g):
+        xb = xv.reshape(-1, xv.shape[-2], xv.shape[-1])
+        gb = g.reshape(-1, g.shape[-2], g.shape[-1])
+        contrib = np.einsum("bnf,bng->nfg", xb, gb)
+        da = np.zeros_like(av)
+        np.add.at(da, block_of_node, contrib)
+        return da
+
+    def back(g):
+        ag._acc(x, lambda: np.einsum("...ng,nfg->...nf", g, a_exp))
+        ag._acc(a, lambda: a_adjoint(g))
+
+    return ag._result(tape, np.einsum("...nf,nfg->...ng", xv, a_exp),
+                      (x, a), back)
+
+
 def per_hop_forward(layer, tape, ctx, X):
     """The layer forward as it was before the hops were stacked (and,
     for hybrid, before its chain ran on the important block only; for
@@ -1250,6 +1294,130 @@ def test_arma_steps_through_spmm_const_only(graph, monkeypatch):
         "spmm_const": 2 + 2 * 3, "spmm_values": 0, "spmm_pairwise": 0,
         "jacobi_shift_values": 0}
     assert layer.gamma.grad is not None and layer.beta.grad is not None
+
+
+# -- ARMA order 1 and block mixing: node_matmul against the kept chains ----
+
+def _assert_runs_match(got, want, exact):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if g is not None and exact:
+            assert g.tobytes() == w.tobytes()
+        elif g is not None:
+            assert _rel(g, w) <= 1e-12
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("jacobi_order", [0, 1, 2, 3])
+@pytest.mark.parametrize("n_poles", [1, 2])
+@pytest.mark.parametrize("f_in", [1, 3])
+def test_arma_matches_per_pole_chain(f_in, n_poles, jacobi_order, n_layers,
+                                     graph, monkeypatch):
+    """Order 1 runs one node_matmul, to 1e-12 of the per-pole chain; every
+    other order still runs that chain, bit for bit."""
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    layers = [ArmaLayer(f, 4, n_poles, 2, jacobi_order)
+              for f in [f_in, 4][:n_layers]]
+    model = Model(layers, ctx.n, 2)
+    rng = np.random.default_rng(61)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, 4))
+
+    got = _arma_run(model, ctx, X0, weights)
+    monkeypatch.setattr(ArmaLayer, "forward", per_pole_arma_forward)
+    want = _arma_run(model, ctx, X0, weights)
+    assert len(got) == 2 + 6 * n_layers
+    _assert_runs_match(got, want, exact=jacobi_order != 1)
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("f_in", [1, 3])
+def test_block_mix_matches_einsum_form(f_in, n_layers, graph, monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    layers = [BlockVaryingLayer(f, 4, 2, np.arange(ctx.n) % 3, 3)
+              for f in [f_in, 4][:n_layers]]
+    model = Model(layers, ctx.n, 2)
+    rng = np.random.default_rng(67)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(3, ctx.n, f_in))
+    weights = rng.normal(size=(3, ctx.n, 4))
+
+    got = _arma_run(model, ctx, X0, weights)
+    monkeypatch.setattr(ag, "block_mix", einsum_block_mix)
+    want = _arma_run(model, ctx, X0, weights)
+    assert len(got) == 2 + 4 * n_layers
+    _assert_runs_match(got, want, exact=False)
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("n_poles", [1, 2])
+def test_order_one_arma_runs_one_s_off_product(n_poles, graph, monkeypatch):
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    order = 2
+    layer = ArmaLayer(3, 4, n_poles, order, 1)
+    model = Model([layer], ctx.n, 2)
+    rng = np.random.default_rng(71)
+    init_params(model, rng, shift=ctx)
+    calls = {name: _counting(monkeypatch, ag, name)
+             for name in ("spmm_const", "node_matmul", "expand_last")}
+    logits, tape = model.forward(ctx, Tensor(rng.normal(size=(2, ctx.n, 3))))
+    tape.backward(output_grad=np.ones(logits.shape))
+    # the order shift products, then one S_off product for every pole
+    assert {k: len(v) for k, v in calls.items()} == {
+        "spmm_const": order + 1, "node_matmul": 1, "expand_last": 0}
+    assert layer.gamma.grad is not None and layer.beta.grad is not None
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr"])
+@pytest.mark.parametrize("family", ["block_varying", "arma"])
+def test_two_layer_node_matmul_gradients(family, graph):
+    """Identity activations keep the central differences off ReLU kinks."""
+    ctx = dense_context() if graph == "dense" else ring_context(60)
+    build = {"block_varying": lambda f, g: BlockVaryingLayer(
+        f, g, 2, np.arange(ctx.n) % 3, 3, nonlinearity="identity"),
+        "arma": lambda f, g: ArmaLayer(f, g, 2, 1, 1,
+                                       nonlinearity="identity")}[family]
+    model = Model([build(3, 2), build(2, 3)], ctx.n, 2,
+                  readout_mode="mean_pool")
+    rng = np.random.default_rng(73)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(2, ctx.n, 3))
+    rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
+    assert rep.passed, rep.summary()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_arma_jacobi_bound_holds_the_spectral_radius(seed):
+    """The Gershgorin bound is >= rho(R(gamma)) for every pole entry, on
+    SBM shifts given a random diagonal."""
+    rng = np.random.default_rng(seed)
+    A = build_shift(sbm_generate([4, 3, 5], 0.7, 0.2, rng), "max_eigenvalue")
+    ctx = ShiftContext(SparseMatrix.from_dense(
+        A.to_dense() + np.diag(rng.uniform(-1.0, 1.0, size=A.n_rows))))
+    layer = ArmaLayer(2, 3, 2, 1, 1)
+    layer.gamma.value = rng.uniform(-2.0, 2.0, size=layer.gamma.shape)
+    layer.gamma.value.flat[0] = ctx.diag[seed % ctx.n]  # on the guard
+    layer.post_update(ctx)
+    bound = layer.jacobi_bound(ctx)
+    assert bound.shape == (2, 2, 3)
+    for idx in np.ndindex(*bound.shape):
+        rho = jacobi_spectral_radius(ctx.S, layer.gamma.value[idx])
+        assert bound[idx] >= rho * (1.0 - 1e-12), (idx, bound[idx], rho)
+
+
+def test_arma_jacobi_bound_reads_inf_on_a_diagonal_entry():
+    ctx = ctx_for()
+    layer = ArmaLayer(1, 2, 1, 1, 1)
+    layer.gamma.value[...] = [[[ctx.diag[2], ctx.diag[2] + 0.5]]]
+    bound = layer.jacobi_bound(ctx)
+    row_abs = np.abs(ctx.S_off.to_dense()).sum(axis=1)
+    assert bound[0, 0, 0] == np.inf
+    assert bound[0, 0, 1] == np.max(
+        row_abs / np.abs(ctx.diag - ctx.diag[2] - 0.5))
 
 
 # -- attention: the fused shift against the three-record chain -------------
