@@ -46,7 +46,7 @@ class AttentionShift:
 
 
 # Private numpy helpers shared with the tape primitives of nn.autograd
-# (edge_score, support_softmax, attention_shift, activation), so that each
+# (edge_score, support_softmax, attention_hops, activation), so that each
 # piece of the attention math has one home.
 
 
@@ -94,18 +94,22 @@ def _projection_weight_adjoint(D, x):
     return x.reshape(-1, x.shape[-1]).T @ D.reshape(-1, D.shape[-1])
 
 
-def _row_softmax(z, pattern):
-    """Soft maximum over each row's stored entries of the entry-major z,
-    with max subtraction. Every row must hold an entry, as supp(I+S)
-    holds its diagonal; the row maximum reads the padded row slots. The
-    result overwrites the gathered maxima, never z."""
-    rows, slots = pattern.entry_rows(), pattern.row_slots()
+def _row_exp(z, pattern):
+    """(p, s): exp(z - row max) per entry of the entry-major z (never
+    written), s (n, ...) its row sums; every row must hold an entry."""
+    slots = pattern.row_slots()
     row_max = (z[slots].max(axis=0) if slots is not None else
                np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
-    shifted = row_max[rows]
-    np.exp(np.subtract(z, shifted, out=shifted), out=shifted)
-    shifted /= _segment_sums(shifted, pattern.row_ptr, 0)[rows]
-    return shifted
+    p = row_max[pattern.entry_rows()]
+    np.exp(np.subtract(z, p, out=p), out=p)
+    return p, _segment_sums(p, pattern.row_ptr, 0)
+
+
+def _row_softmax(z, pattern):
+    """Soft maximum over each row of the entry-major z, in a new array."""
+    p, s = _row_exp(z, pattern)
+    p /= s[pattern.entry_rows()]
+    return p
 
 
 def _row_softmax_adjoint(g, vals, pattern):

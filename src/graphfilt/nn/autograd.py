@@ -24,10 +24,10 @@ import numpy as np
 
 from ..attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
                          _edge_scores_adjoint, _leaky_factor,
-                         _projection_weight_adjoint, _row_softmax,
+                         _projection_weight_adjoint, _row_exp, _row_softmax,
                          _row_softmax_adjoint, _score_matrix)
-from ..errors import MissingTape
-from ..sparse import _Product, spmm
+from ..errors import DimensionMismatch, MissingTape
+from ..sparse import _csr_sums, _entry_sums, _Product, spmm
 
 NONLINEARITIES = ("identity", "relu", "leaky_relu")
 
@@ -405,8 +405,8 @@ def spmm_pairwise(tape, vals, z, pattern):
 
 
 # ---------------------------------------------------------------------------
-# attention primitives; ``pattern`` is supp(I+S), so no row is empty; each
-# returns the (..., nnz) view of its entry-major result, spmm_values's layout
+# attention primitives; ``pattern`` is supp(I+S), so no row is empty; the
+# layers run attention_hops, and the others give (..., nnz) entry-major views
 
 
 def edge_score(tape, h, e, pattern, slope):
@@ -444,35 +444,56 @@ def support_softmax(tape, scores, pattern, weights=None):
                    lambda g: _acc(scores, lambda: adjoint(g)))
 
 
-def attention_shift(tape, x, b, e, pattern, weights=None):
-    """Row-stochastic attention values on ``pattern`` scored from x, in
-    one record: support_softmax(edge_score(x @ b, e), weights) without
-    forming x @ b, at the fixed LEAKY_SLOPE_DEFAULT.
-
-    x: (..., n, f_in); b: (f_in, f_out); e: (2 f_out,). The scores read
-    x @ W with the (f_in, 2) score matrix W = b E^T, E = e as (2, f_out).
-    The backward is analytic: with D (..., n, 2) the adjoint of x @ W,
-    dx = D W^T, dW = x^T D, db = dW E and de = (dW^T b) flattened. Only
-    the sign mask of the scores stays on the tape for the LeakyReLU.
-    """
-    xv, bv, ev = _val(x), _val(b), _val(e)
-    E = ev.reshape(2, -1)
-    W = _score_matrix(bv, ev)
+def attention_hops(tape, x, b, e, pattern, z, hops, weights=None):
+    """[A z, ..., A^hops z] joined on the feature axis, (..., n, hops T),
+    for z (..., n, T) on x's batch and node axes, in one record; hops = 0
+    gives an empty Constant. A is the row soft maximum of edge_score(x @ b,
+    e) at LEAKY_SLOPE_DEFAULT (times the constant weights first), scored
+    from x W, W = b E^T: A = P / s, P = exp(score - row max), s its row
+    sums. The hops run entry-major, (T, n, ...), as CSR products by P over
+    s; the backward takes H_k = (G_k + P^T H_{k+1}) / s and the score
+    adjoint P (H Y^T - r), Y the hop inputs and r the sum of H_k y_k."""
+    xv, bv, ev, zv = _val(x), _val(b), _val(e), _val(z)
+    if xv.shape[:-1] != zv.shape[:-1]:
+        raise DimensionMismatch(f"x {xv.shape} and z {zv.shape} differ")
+    if hops == 0:
+        return Constant(np.zeros(zv.shape[:-1] + (0,)))
+    E, W, T = ev.reshape(2, -1), _score_matrix(bv, ev), zv.shape[-1]
     scores, pos = _edge_scores(xv @ W, pattern, LEAKY_SLOPE_DEFAULT)
     if weights is not None:
         weights = weights.reshape((-1,) + (1,) * (scores.ndim - 1))
         scores *= weights
-    vals = _row_softmax(scores, pattern)
+    p, s = _row_exp(scores, pattern)
+    ys = np.empty((hops + 1, T) + s.shape)  # z, then each hop
+    ys[0] = np.moveaxis(zv, (-1, -2), (0, 1))
+    for k in range(hops):
+        np.divide(_csr_sums(pattern, p, ys[k], 1), s, out=ys[k + 1])
 
     def back(g):
-        dz = _row_softmax_adjoint(np.moveaxis(g, -1, 0), vals, pattern)
+        gl = np.moveaxis(g.reshape(g.shape[:-1] + (hops, T)), (-2, -1, -3),
+                         (0, 1, 2))
+        pt, perm = pattern.transpose_permutation()
+        h, later = np.empty(gl.shape), 0.0
+        for k in reversed(range(hops)):
+            np.divide(gl[k] + later, s, out=h[k])
+            if k or isinstance(z, Tensor):   # P^T H_k
+                later = _csr_sums(pt, np.take(p, perm, axis=0), h[k], 1)
+        _acc(z, lambda: np.moveaxis(later, (0, 1), (-1, -2)))
+        dsc = _entry_sums(pattern, h[0], ys[0])   # hop by hop
+        for k in range(1, hops):
+            dsc += _entry_sums(pattern, h[k], ys[k])
+        dsc -= np.take((h * ys[1:]).sum(axis=(0, 1)), pattern.entry_rows(),
+                       axis=0)
+        dsc *= p
         if weights is not None:
-            dz *= weights
-        dz *= _leaky_factor(pos, LEAKY_SLOPE_DEFAULT)
-        D = _edge_scores_adjoint(dz, pattern)
+            dsc *= weights
+        dsc *= _leaky_factor(pos, LEAKY_SLOPE_DEFAULT)
+        D = _edge_scores_adjoint(dsc, pattern)
         _acc(x, lambda: D @ W.T)
         dW = _projection_weight_adjoint(D, xv)
         _acc(b, lambda: dW @ E)
         _acc(e, lambda: (dW.T @ bv).ravel())
 
-    return _result(tape, np.moveaxis(vals, 0, -1), (x, b, e), back)
+    out = np.moveaxis(ys[1:], (0, 1, 2), (-2, -1, -3))  # (..., n, hops, T)
+    out = out.reshape(zv.shape[:-1] + (hops * T,))
+    return _result(tape, out, (x, b, e, z), back)

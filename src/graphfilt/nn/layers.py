@@ -77,12 +77,11 @@ class AttentionParams:
     def params(self):
         return [self.e] if self.tied else [self.B, self.e]
 
-    def shift_values(self, tape, ctx, X, weighted):
-        """Row-stochastic shift values on supp(I+S) scored from X; B
-        serves only the scores, through the score matrix B E^T."""
+    def hops(self, tape, ctx, X, z, count, weighted):
+        """A z, ..., A^count z on the feature axis, A scored from X."""
         weights = ctx.weighted_vals if weighted else None
-        return ag.attention_shift(tape, X, self.B, self.e, ctx.pattern,
-                                  weights=weights)
+        return ag.attention_hops(tape, X, self.B, self.e, ctx.pattern, z,
+                                 count, weights=weights)
 
 
 def _record_value(value):
@@ -419,11 +418,10 @@ class GcatLayer(GnnLayer):
         return self.head.params() + self.mixing
 
     def forward(self, tape, ctx, X):
-        vals = self.head.shift_values(tape, ctx, X, self.weighted)
-        Zs = [X]
-        for _ in range(self.order):
-            Zs.append(ag.spmm_values(tape, vals, Zs[-1], ctx.pattern))
-        hops = Zs if self.include_k0 else Zs[1:]
+        hops = [X] if self.include_k0 else []
+        if self.order:
+            hops.append(self.head.hops(tape, ctx, X, X, self.order,
+                                       self.weighted))
         return self._finish(tape, _mix(tape, hops, self.mixing))
 
 
@@ -456,8 +454,7 @@ class EdgeVaryingGatLayer(GnnLayer):
     def forward(self, tape, ctx, X):
         Zs = [X]
         for head in self.heads:
-            vals = head.shift_values(tape, ctx, X, self.weighted)
-            Zs.append(ag.spmm_values(tape, vals, Zs[-1], ctx.pattern))
+            Zs.append(head.hops(tape, ctx, X, Zs[-1], 1, self.weighted))
         hops = Zs[1:] if self.phi0_mode == "attention" else Zs
         return self._finish(tape, _mix(tape, hops, self.mixing))
 

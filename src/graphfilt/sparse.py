@@ -11,8 +11,9 @@ which takes one of two paths:
   ``D @ X``; ``_dense_fits`` reads only the pattern's shape and nnz;
 * CSR: for everything else, on the operand (..., n, T) laid out node-last,
   (T, ..., n), for shared values and entry-major, (T, n, ...), for
-  per-sample ones, as attention builds them; per-sample forward plus both
-  adjoints, N=50, B=100: 1.2/15 ms at T=1/16 (node-last 2.1/30; 2 cores).
+  per-sample ones, which spmm_values takes and no layer makes (attention
+  runs its hops on ``_csr_sums`` itself); per-sample forward plus both
+  adjoints, N=50, B=100: 0.5-0.8/8.5-12 ms at T=1/16 (2 cores).
 
 Results are deterministic for a fixed shape and BLAS thread count, and a
 batched ``spmv`` is bitwise equal to a loop of single-vector calls.
@@ -90,15 +91,27 @@ def _dense_product(D, X):
     return out.reshape(X.shape[:-2] + out.shape[1:])
 
 
+def _csr_sums(p, values, Xl, axis):
+    """CSR kernel on ``p`` for Xl = ``_laid_out(X, axis)``: gather along
+    ``axis``, times the values in place, summed over row segments."""
+    out = np.take(Xl, p.col_idx, axis=axis)
+    out *= values
+    return _segment_sums(out, p.row_ptr, axis)
+
+
+def _entry_sums(p, Gl, Xl):
+    """Per-sample values adjoint of entry-major G and X, (nnz, ...)."""
+    gv = np.take(Gl, p.entry_rows(), axis=1)
+    gv *= np.take(Xl, p.col_idx, axis=1)
+    return gv.sum(axis=0)
+
+
 def _csr_product(p, values, X, axis):
     """CSR path on the pattern ``p`` for X (..., m, T) in the layout
-    ``_laid_out(X, axis)``: the gather along ``axis``, times the values in
-    place, summed over row segments. In both layouts the result is the
-    (..., n, T) view of a (T, ..., n) array: the bits of a later matmul
-    depend on its operand's layout."""
-    out = np.take(_laid_out(X, axis), p.col_idx, axis=axis)
-    out *= values
-    out = _segment_sums(out, p.row_ptr, axis)
+    ``_laid_out(X, axis)``. In both layouts the result is the (..., n, T)
+    view of a (T, ..., n) array: the bits of a later matmul depend on its
+    operand's layout."""
+    out = _csr_sums(p, values, _laid_out(X, axis), axis)
     return np.moveaxis(np.ascontiguousarray(np.moveaxis(out, axis, -1)), 0, -1)
 
 
@@ -113,8 +126,8 @@ class _Product:
     entry and batch element, the batch axes matching the operand's.
 
     Shared values take the dense path when ``_dense_fits`` says so, and
-    all else node-last CSR; per-sample values take entry-major CSR (a
-    (B, n, n) dense stack is slower at T=1, faster at T=16 at N=50).
+    all else node-last CSR; per-sample values (spmm_values's, no layer's)
+    take entry-major CSR (a (B, n, n) stack is slower at T=1, faster at 16).
     """
 
     __slots__ = ("pattern", "values", "per_sample", "dense")
@@ -166,11 +179,10 @@ class _Product:
         axes of shared values; per-sample values keep them, as the (...,
         nnz) view of an entry-major array. Callers reduce to their shape.
         """
-        rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
         if self.per_sample:
-            gv = np.take(_laid_out(G, 1), rows, axis=1)
-            gv *= np.take(_laid_out(X, 1), cols, axis=1)
-            return np.moveaxis(gv.sum(axis=0), 0, -1)
+            return np.moveaxis(_entry_sums(self.pattern, _laid_out(G, 1),
+                                           _laid_out(X, 1)), 0, -1)
+        rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
         if self.dense is None:
             # G has the output's full shape, so X's gather broadcasts into
             # it; the fancy gathers' F order sets the order of the sums

@@ -4,8 +4,10 @@ from functools import partial
 import numpy as np
 import pytest
 
-from graphfilt.attention import (LEAKY_SLOPE_DEFAULT, _leaky_factor,
-                                 _projection_weight_adjoint, _score_matrix)
+from graphfilt.attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
+                                 _edge_scores_adjoint, _leaky_factor,
+                                 _projection_weight_adjoint, _row_softmax,
+                                 _row_softmax_adjoint, _score_matrix)
 from graphfilt.errors import MissingTape
 from graphfilt.graphs import Graph, build_shift, sbm_generate
 from graphfilt.harness.config import ExperimentConfig
@@ -258,8 +260,23 @@ class TestAttentionPrimitives:
         e = Tensor(rng.normal(size=(4,)))
         w = rng.uniform(0.5, 2.0, size=pat.nnz) if weighted else None
         check_primitive(
-            lambda t: ag.attention_shift(t, x, b, e, pat, weights=w),
+            lambda t: attention_shift(t, x, b, e, pat, weights=w),
             [x, b, e], tol=1e-5)
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_attention_hops(self, batch, weighted, hops):
+        rng = np.random.default_rng(21 + len(batch) + hops)
+        pat = ring_pattern(5)
+        x = Tensor(rng.normal(size=batch + (5, 3)))
+        b = Tensor(rng.normal(size=(3, 2)))
+        e = Tensor(rng.normal(size=(4,)))
+        z = Tensor(rng.normal(size=batch + (5, 2)))
+        w = rng.uniform(0.5, 2.0, size=pat.nnz) if weighted else None
+        check_primitive(
+            lambda t: ag.attention_hops(t, x, b, e, pat, z, hops, weights=w),
+            [x, b, e, z], tol=1e-5)
 
     # outside [0, 1] max(x, slope x) is not x * factor, so the backward
     # would not be the forward's: at 1.5, with this h, e = [1, 1] and a
@@ -293,6 +310,57 @@ class TestAttentionPrimitives:
         D = np.stack([_segment_sums(dpre, pat.row_ptr),
                       _segment_sums(dpre[..., perm], T.row_ptr)], axis=-1)
         assert h.grad.tobytes() == (D @ E).tobytes()
+
+
+# -- the two-record attention chain the fused attention_hops replaced -------
+
+def attention_shift(tape, x, b, e, pattern, weights=None):
+    """Row-stochastic attention values on ``pattern`` scored from x, in
+    one record: support_softmax(edge_score(x @ b, e), weights) without
+    forming x @ b, at the fixed LEAKY_SLOPE_DEFAULT; the (..., nnz) view
+    of its entry-major result, the layout per-sample spmm_values reads.
+
+    x: (..., n, f_in); b: (f_in, f_out); e: (2 f_out,). The scores read
+    x @ W with the (f_in, 2) score matrix W = b E^T, E = e as (2, f_out).
+    The backward is analytic: with D (..., n, 2) the adjoint of x @ W,
+    dx = D W^T, dW = x^T D, db = dW E and de = (dW^T b) flattened. Only
+    the sign mask of the scores stays on the tape for the LeakyReLU.
+    """
+    xv, bv, ev = ag._val(x), ag._val(b), ag._val(e)
+    E = ev.reshape(2, -1)
+    W = _score_matrix(bv, ev)
+    scores, pos = _edge_scores(xv @ W, pattern, LEAKY_SLOPE_DEFAULT)
+    if weights is not None:
+        weights = weights.reshape((-1,) + (1,) * (scores.ndim - 1))
+        scores *= weights
+    vals = _row_softmax(scores, pattern)
+
+    def back(g):
+        dz = _row_softmax_adjoint(np.moveaxis(g, -1, 0), vals, pattern)
+        if weights is not None:
+            dz *= weights
+        dz *= _leaky_factor(pos, LEAKY_SLOPE_DEFAULT)
+        D = _edge_scores_adjoint(dz, pattern)
+        ag._acc(x, lambda: D @ W.T)
+        dW = _projection_weight_adjoint(D, xv)
+        ag._acc(b, lambda: dW @ E)
+        ag._acc(e, lambda: (dW.T @ bv).ravel())
+
+    return ag._result(tape, np.moveaxis(vals, 0, -1), (x, b, e), back)
+
+
+def two_record_hops(tape, x, b, e, pattern, z, hops, weights=None,
+                    shift=attention_shift):
+    """ag.attention_hops as the layers ran it before the fused record: the
+    shift's values, then one per-sample spmm_values per hop, the hops
+    joined on the feature axis (an empty Constant for none)."""
+    vals = shift(tape, x, b, e, pattern, weights=weights)
+    Zs = [z]
+    for _ in range(hops):
+        Zs.append(ag.spmm_values(tape, vals, Zs[-1], pattern))
+    if not hops:
+        return ag.Constant(np.zeros(ag._val(z).shape[:-1] + (0,)))
+    return ag.concat(tape, Zs[1:], -1)
 
 
 # -- attention_shift against its batch-major form ---------------------------
@@ -367,7 +435,7 @@ def test_attention_shift_is_bitwise_its_batch_major_form(graph, batch, f_in,
     b0, e0 = rng.normal(size=(f_in, 4)), rng.normal(size=8)
     g = rng.normal(size=batch + (pat.nnz,))
     got = []
-    for shift in (ag.attention_shift, reference_attention_shift):
+    for shift in (attention_shift, reference_attention_shift):
         x, b, e = Tensor(x0.copy()), Tensor(b0.copy()), Tensor(e0.copy())
         tape = Tape()
         out = shift(tape, x, b, e, pat, weights=weights)
@@ -386,8 +454,9 @@ def test_attention_families_give_bitwise_the_batch_major_logits(
             "family": family, "order": 2, "features": 4, "layers": 2}})
     X = np.random.default_rng(71).normal(size=(6, ctx.n, 1))
     runs = []
-    for shift in (ag.attention_shift, reference_attention_shift):
-        monkeypatch.setattr(ag, "attention_shift", shift)
+    for shift in (attention_shift, reference_attention_shift):
+        monkeypatch.setattr(ag, "attention_hops",
+                            partial(two_record_hops, shift=shift))
         model = build_model(cfg, ctx, 5)
         init_params(model, np.random.default_rng(72), shift=ctx)
         logits, tape = model.forward(ctx, X)
@@ -447,8 +516,10 @@ def _constant_operand_cases():
         "edge_score": lambda t, w: ag.edge_score(t, w(x), w(e6), pat, 0.2),
         "support_softmax": lambda t, w: ag.support_softmax(t, w(scores),
                                                            pat),
-        "attention_shift": lambda t, w: ag.attention_shift(
+        "attention_shift": lambda t, w: attention_shift(
             t, w(x), w(b), w(e), pat, weights=vals),
+        "attention_hops": lambda t, w: ag.attention_hops(
+            t, w(x), w(b), w(e), pat, w(y), 2, weights=vals),
     }
 
 

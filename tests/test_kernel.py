@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from graphfilt.graphs import Graph, build_shift
 from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
                           EdgeVaryingLayer, GcatLayer, HybridGcatLayer,
                           HybridLayer, Model, PolynomialLayer, ShiftContext,
@@ -19,6 +20,7 @@ from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (SparseMatrix, _dense_fits, _dense_product,
                               _Product, _segment_sums, spmm, spmv)
+from test_autograd import two_record_hops
 
 BATCHES = [(), (3,), (2, 3)]
 
@@ -479,7 +481,7 @@ class TestEntryMajorPerSample:
 
     def test_values_adjoint_is_entry_major(self):
         """The (B, nnz) values adjoint is the view of a contiguous (nnz, B)
-        array, the layout attention_shift's backward reads."""
+        array, the layout the attention shift's backward reads."""
         rng = np.random.default_rng(47)
         p, _ = random_pattern(rng, *PATTERNS["long_rows"])
         vals = per_sample_values(rng, p.nnz, (5,), "entry_major_view")
@@ -508,7 +510,7 @@ def reference_per_sample(monkeypatch):
 def attention_step(family, n_layers):
     """Logits and parameter gradients of one training step of an
     attention family, f_in = 1 and then 4, on a 20-node graph whose rows
-    pass eight entries."""
+    pass eight entries, its heads run as the two-record chain."""
     ctx = dense_context(20)
     dims = [1, 4, 3][:n_layers + 1]
     model = Model([FAMILIES[family](f, g, ctx, None)
@@ -526,7 +528,11 @@ def attention_step(family, n_layers):
 @pytest.mark.parametrize("family", ["gat", "gcat", "ev_gat", "hybrid_gcat"])
 def test_attention_step_bitwise_the_node_last_kernel(family, n_layers,
                                                      monkeypatch):
+    """The per-sample products of the two-record attention chain (the
+    shift's values, then spmm_values per hop), entry-major against
+    node-last, down to a training step."""
     assert max(np.diff(dense_context(20).pattern.row_ptr)) > 8
+    monkeypatch.setattr(ag, "attention_hops", two_record_hops)
     logits, grads = attention_step(family, n_layers)
     routed = reference_per_sample(monkeypatch)
     want_logits, want_grads = attention_step(family, n_layers)
@@ -750,6 +756,43 @@ def test_two_layer_gradients(family, graph):
               build(2, 3, ctx, sel, nonlinearity="identity")]
     model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
     rng = np.random.default_rng(17)
+    init_params(model, rng, shift=ctx)
+    X0 = rng.normal(size=(2, ctx.n, 1))
+    rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))
+    assert rep.passed, rep.summary()
+
+
+def star_context(n=12):
+    """A star: the hub row of supp(I+S) holds every node, so the row
+    maximum of the attention scores falls back to reduceat."""
+    ctx = ShiftContext(build_shift(Graph(n, [(0, j) for j in range(1, n)]),
+                                   "max_eigenvalue"))
+    assert ctx.pattern.row_slots() is None
+    return ctx
+
+
+ATTENTION_VARIANTS = [
+    ("gat", {}), ("gat", {"weighted": True, "tied": True}),
+    ("gcat", {"weighted": True}), ("gcat", {"tied": True}),
+    ("ev_gat", {"phi0_mode": "identity"}),
+    ("ev_gat", {"weighted": True, "tied": True}),
+    ("hybrid_gcat", {"phi0_mode": "identity", "weighted": True}),
+    ("hybrid_gcat", {"tied": True})]
+
+
+@pytest.mark.parametrize("graph", ["dense", "csr", "star"])
+@pytest.mark.parametrize("family,kw", ATTENTION_VARIANTS)
+def test_two_layer_attention_gradients(family, kw, graph):
+    """The fused attention record's adjoints through two layers, where
+    layer 2 scores and hops on layer 1's output: weighted, tied and
+    identity-phi0 heads, on a hub row too."""
+    ctx = {"dense": dense_context, "csr": lambda: ring_context(60),
+           "star": star_context}[graph]()
+    build = FAMILIES[family]
+    layers = [build(1, 2, ctx, None, nonlinearity="identity", **kw),
+              build(2, 3, ctx, None, nonlinearity="identity", **kw)]
+    model = Model(layers, ctx.n, 2, readout_mode="mean_pool")
+    rng = np.random.default_rng(19)
     init_params(model, rng, shift=ctx)
     X0 = rng.normal(size=(2, ctx.n, 1))
     rep = finite_difference_check(model, ctx, X0, labels=np.array([0, 1]))

@@ -1,5 +1,6 @@
 """Layers, model, losses, optimizer, init, tying, and serialization."""
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,8 +13,7 @@ from graphfilt.filters import (EPS_SING, apply_hybrid, apply_polynomial,
                                apply_single_pole_jacobi, HybridFilter,
                                jacobi_spectral_radius, PolynomialFilter)
 from graphfilt.graphs import Graph, build_shift, sbm_generate
-from graphfilt.nn import (AdamState, ArmaLayer, AttentionParams,
-                          BlockVaryingLayer,
+from graphfilt.nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                           EdgeVaryingGatLayer, EdgeVaryingLayer, GcatLayer,
                           HybridGcatLayer, HybridLayer, Model,
                           PolynomialLayer, ShiftContext, Tape, Tensor,
@@ -24,7 +24,7 @@ from graphfilt.nn import autograd as ag
 from graphfilt.nn.layers import GnnLayer
 from graphfilt.sparse import (Permutation, SparseMatrix, _Product,
                               permute_shift, permute_signal)
-from test_autograd import reference_tail
+from test_autograd import attention_shift, reference_tail, two_record_hops
 from test_kernel import FAMILIES, dense_context, ring_context
 
 
@@ -934,16 +934,24 @@ def per_hop_chain(tape, ctx, X, matrices):
     return acc
 
 
+def shift_values(head, tape, ctx, X, weighted):
+    """A head's row-stochastic values on supp(I+S) scored from X, as the
+    two-record chain's first record."""
+    weights = ctx.weighted_vals if weighted else None
+    return attention_shift(tape, X, head.B, head.e, ctx.pattern,
+                           weights=weights)
+
+
 def per_hop_ev_gat(layer, tape, ctx, X):
     heads = list(layer.heads)
     if layer.phi0_mode == "attention":
-        vals0 = heads.pop(0).shift_values(tape, ctx, X, layer.weighted)
+        vals0 = shift_values(heads.pop(0), tape, ctx, X, layer.weighted)
         Z = ag.spmm_values(tape, vals0, X, ctx.pattern)
     else:
         Z = X
     acc = ag.matmul(tape, Z, layer.mixing[0])
     for head, A in zip(heads, layer.mixing[1:]):
-        vals = head.shift_values(tape, ctx, X, layer.weighted)
+        vals = shift_values(head, tape, ctx, X, layer.weighted)
         Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
         acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
     return acc
@@ -1060,7 +1068,7 @@ def per_hop_forward(layer, tape, ctx, X):
             Z = ag.spmm_values(tape, vals, Z, layer.pattern)
             acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
     elif isinstance(layer, GcatLayer):
-        vals = layer.head.shift_values(tape, ctx, X, layer.weighted)
+        vals = shift_values(layer.head, tape, ctx, X, layer.weighted)
         mats = list(layer.mixing)
         acc = ag.matmul(tape, X, mats.pop(0)) if layer.include_k0 else None
         Z = X
@@ -1420,15 +1428,14 @@ def test_arma_jacobi_bound_reads_inf_on_a_diagonal_entry():
         row_abs / np.abs(ctx.diag - ctx.diag[2] - 0.5))
 
 
-# -- attention: the fused shift against the three-record chain -------------
+# -- attention: the fused hops against the three-record chain --------------
 
-def three_record_shift_values(head, tape, ctx, X, weighted):
-    """AttentionParams.shift_values as it was before the fused primitive:
-    H = X B, the edge scores of H and the soft maximum, one record each."""
-    H = ag.matmul(tape, X, head.B)
-    scores = ag.edge_score(tape, H, head.e, ctx.pattern, head.slope)
-    weights = ctx.weighted_vals if weighted else None
-    return ag.support_softmax(tape, scores, ctx.pattern, weights=weights)
+def three_record_shift(tape, x, b, e, pattern, weights=None):
+    """The attention shift as it was before the fused primitives: H = x b,
+    the edge scores of H and the soft maximum, one record each."""
+    H = ag.matmul(tape, x, b)
+    scores = ag.edge_score(tape, H, e, pattern, LEAKY_SLOPE_DEFAULT)
+    return ag.support_softmax(tape, scores, pattern, weights=weights)
 
 
 ATTENTION_CASES = (
@@ -1458,13 +1465,41 @@ def test_fused_attention_shift_matches_three_record_chain(
 
     out, grads, x_grad = run()
     with monkeypatch.context() as m:
-        m.setattr(AttentionParams, "shift_values", three_record_shift_values)
+        m.setattr(ag, "attention_hops",
+                  partial(two_record_hops, shift=three_record_shift))
         ref_out, ref_grads, ref_x_grad = run()
     assert _rel(out, ref_out) <= 1e-12
     assert _rel(x_grad, ref_x_grad) <= 1e-12
     assert len(grads) == len(ref_grads)
     for g, ref in zip(grads, ref_grads):
         assert _rel(g, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("family,kw", ATTENTION_CASES)
+def test_one_attention_record_per_head(family, kw, monkeypatch):
+    """gat and gcat call attention_hops once, ev_gat and hybrid_gcat once
+    per head, and no per-sample spmm_values runs."""
+    ctx = ctx_for()
+    layer = FAMILIES[family](1, 2, ctx, None, **kw)
+    calls = {name: _counting(monkeypatch, ag, name)
+             for name in ("attention_hops", "spmm_values")}
+    layer.forward(Tape(), ctx, Tensor(np.ones((2, ctx.n, 1))))
+    inner = getattr(layer, "gat", layer)
+    heads = inner.heads if hasattr(inner, "heads") else [inner.head]
+    assert {k: len(v) for k, v in calls.items()} == {
+        "attention_hops": len(heads), "spmm_values": 0}
+
+
+def test_order_zero_gcat_records_no_attention_work(monkeypatch):
+    ctx = ctx_for()
+    calls = _counting(monkeypatch, ag, "attention_hops")
+    layer = GcatLayer(1, 2, 0)
+    model = Model([layer], ctx.n, 2)
+    init_params(model, np.random.default_rng(41), shift=ctx)
+    logits, tape = model.forward(ctx, Tensor(np.ones((2, ctx.n, 1))))
+    tape.backward(output_grad=np.ones(logits.shape))
+    assert calls == []
+    assert layer.head.B.grad is None and layer.head.e.grad is None
 
 
 # -- hybrid: the local chain against the full-row chain --------------------
