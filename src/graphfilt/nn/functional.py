@@ -10,19 +10,23 @@ import numpy as np
 from ..errors import LabelOutOfRange
 
 
-def log_sum_exp(x, axis=-1):
-    """Stable log(sum(exp(x))) via max subtraction."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(
-        np.sum(np.exp(x - m), axis=axis))
-
-
-def softmax_rows(x, axis=-1):
+def _shifted_exp(x, axis):
+    """m = max, e = exp(x - m) and s = sum(e) along axis, kept in m, s."""
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
     e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return m, e, np.sum(e, axis=axis, keepdims=True)
+
+
+def log_sum_exp(x, axis=-1):
+    """Stable log(sum(exp(x))) via max subtraction."""
+    m, _, s = _shifted_exp(x, axis)
+    return np.squeeze(m, axis=axis) + np.log(np.squeeze(s, axis=axis))
+
+
+def softmax_rows(x, axis=-1):
+    _, e, s = _shifted_exp(x, axis)
+    return e / s
 
 
 def cross_entropy(logits, labels):
@@ -37,11 +41,11 @@ def cross_entropy(logits, labels):
     n, c = L.shape
     if y.min(initial=0) < 0 or y.max(initial=-1) >= c:
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
-    lse = log_sum_exp(L, axis=-1)
-    picked = L[np.arange(n), y]
-    loss = float(np.mean(lse - picked))
-    grad = softmax_rows(L)
-    grad[np.arange(n), y] -= 1.0
+    m, e, s = _shifted_exp(L, -1)
+    rows = np.arange(n)
+    loss = float(np.mean(m[:, 0] + np.log(s[:, 0]) - L[rows, y]))
+    grad = e / s
+    grad[rows, y] -= 1.0
     grad /= n
     return loss, (grad[0] if single else grad)
 

@@ -22,6 +22,7 @@ from graphfilt.nn import (AdamState, ArmaLayer, BlockVaryingLayer,
                           smooth_l1, softmax_rows)
 from graphfilt.nn import autograd as ag
 from graphfilt.nn.layers import GnnLayer
+from graphfilt.nn.optim import BETA1, BETA2, EPS
 from graphfilt.sparse import (Permutation, SparseMatrix, _Product,
                               permute_shift, permute_signal)
 from test_autograd import attention_shift, reference_tail, two_record_hops
@@ -713,6 +714,41 @@ class TestLosses:
         assert grad[0] == 0.0
 
 
+def per_tensor_adam_state(params, learning_rate):
+    """An AdamState holding its moments as one array per tensor, the
+    layout per_tensor_adam_step works on."""
+    state = AdamState(params, learning_rate=learning_rate)
+    state.m = [np.zeros_like(p.value) for p in state.params]
+    state.v = [np.zeros_like(p.value) for p in state.params]
+    return state
+
+
+def per_tensor_adam_step(state, grads=None):
+    """Reference for adam_step: the per-tensor loop it replaced."""
+    params = state.params
+    if grads is None:
+        grads = [p.grad for p in params]
+    if len(grads) != len(params):
+        raise ShapeMismatch("gradient list does not match the parameters")
+    state.step_count += 1
+    t = state.step_count
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            g = np.zeros_like(p.value)
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != p.value.shape:
+            raise ShapeMismatch(
+                f"gradient shape {g.shape} != parameter shape {p.value.shape}")
+        state.m[i] = BETA1 * state.m[i] + (1.0 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1.0 - BETA2) * g * g
+        m_hat = state.m[i] / c1
+        v_hat = state.v[i] / c2
+        p.value = p.value - state.learning_rate * m_hat / (np.sqrt(v_hat)
+                                                           + EPS)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = Tensor(np.array([1.0, -2.0]))
@@ -755,6 +791,104 @@ class TestAdam:
         with pytest.raises(ShapeMismatch, match="gradient list"):
             adam_step(state, grads=[np.zeros(3), np.zeros(3)])
         assert state.step_count == 0
+
+    def test_failed_step_changes_no_state(self):
+        """A bad gradient on the second tensor raises before the first
+        tensor, the moments or the step count move."""
+        a, b = Tensor(np.zeros(2)), Tensor(np.ones((2, 3)))
+        state = AdamState([a, b], learning_rate=0.1)
+        adam_step(state, grads=[np.array([1.0, -2.0]), None])
+        before = (a.value.copy(), b.value.copy(), state.m.copy(),
+                  state.v.copy(), state.step_count)
+        for grads in ([np.ones(2), np.ones((3, 2))], [None, np.ones(6)],
+                      [np.ones(2)]):
+            with pytest.raises(ShapeMismatch):
+                adam_step(state, grads=grads)
+            after = (a.value, b.value, state.m, state.v, state.step_count)
+            for x, y in zip(before, after):
+                assert np.array_equal(x, y)
+
+    def test_values_stay_one_array_per_tensor(self):
+        """Each value is its own array of the tensor's shape, and an
+        in-place write to one (as ArmaLayer.post_update makes) reaches the
+        next step as it does in the per-tensor loop."""
+        runs = []
+        for make, step in [(AdamState, adam_step),
+                           (per_tensor_adam_state, per_tensor_adam_step)]:
+            a, b = Tensor(np.zeros(())), Tensor(np.zeros((2, 2)))
+            state = make([a, b], learning_rate=0.1)
+            step(state, grads=[np.array(1.0), np.ones((2, 2))])
+            assert a.value.shape == () and b.value.shape == (2, 2)
+            b.value.reshape(-1)[0] = 5.0
+            step(state, grads=[None, np.full((2, 2), 0.5)])
+            runs.append((a.value, b.value))
+        assert runs[1][1][0, 0] != runs[1][1][0, 1]
+        for x, y in zip(*runs):
+            assert np.array_equal(x, y)
+
+
+def two_pass_cross_entropy(logits, labels):
+    """Reference for cross_entropy: the row max and exponentials taken
+    once for the loss and again for the gradient."""
+    n = len(labels)
+    m = np.max(logits, axis=-1, keepdims=True)
+    lse = np.squeeze(m, axis=-1) + np.log(np.sum(np.exp(logits - m), axis=-1))
+    loss = float(np.mean(lse - logits[np.arange(n), labels]))
+    m = np.max(logits, axis=-1, keepdims=True)
+    e = np.exp(logits - m)
+    grad = e / np.sum(e, axis=-1, keepdims=True)
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+def sum_unbroadcast(g, shape):
+    """Reference for autograd._unbroadcast: ``g.sum`` on every shape."""
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape))
+                 if s == 1 and gs != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_training_steps_match_the_reference_tail(family, n_layers,
+                                                 monkeypatch):
+    """Training steps (forward, loss, backward, ADAM, post-update) give
+    bitwise the losses and parameters of the two-pass loss, ``g.sum``
+    bias adjoints and the per-tensor ADAM loop."""
+    ctx = ctx_for()
+    rng = np.random.default_rng(31)
+    batches = [(rng.normal(size=(5, ctx.n, 1)), rng.integers(2, size=5))
+               for _ in range(3)]
+    runs = []
+    for reference in (False, True):
+        if reference:
+            monkeypatch.setattr(ag, "_unbroadcast", sum_unbroadcast)
+        loss_fn, make, step = (
+            (two_pass_cross_entropy, per_tensor_adam_state,
+             per_tensor_adam_step) if reference
+            else (cross_entropy, AdamState, adam_step))
+        model = _init_case_model(family, False, n_layers, "attention", ctx)
+        init_params(model, np.random.default_rng(32), shift=ctx)
+        params = [t for _, t in model.parameters()]
+        state = make(params, learning_rate=0.01)
+        losses = []
+        for X, y in batches:
+            logits, tape = model.forward(ctx, X)
+            loss, grad = loss_fn(logits.value, y)
+            model.zero_grad()
+            tape.backward(output_grad=grad)
+            step(state)
+            model.post_update(ctx)
+            losses.append(loss)
+        runs.append((losses, [t.value for t in params]))
+    assert runs[0][0] == runs[1][0]
+    for got, want in zip(runs[0][1], runs[1][1]):
+        assert np.array_equal(got, want)
 
 
 class TestQuadraticLossIdentityModel:
