@@ -152,6 +152,8 @@ def diffusion_centrality(S, K):
     """delta = sum_{k=0..K} S^k 1, by K repeated shift applications."""
     if S.n_rows != S.n_cols:
         raise ValueError("diffusion centrality needs a square shift")
+    if K < 0:
+        raise ValueError(f"diffusion centrality needs K >= 0, not {K}")
     v = np.ones(S.n_rows)
     acc = v.copy()
     for _ in range(int(K)):

@@ -68,15 +68,30 @@ def _cmd_eval(args):
     return 0
 
 
+def _coeffs(d, name, default=None):
+    """Field ``name`` of a --filter object as finite floats, at most 1-D."""
+    if name not in d and default is None:
+        raise GraphFiltError(f"--filter field {name!r} is missing")
+    value = d.pop(name, default)
+    try:
+        c = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        c = None
+    if c is None or c.ndim > 1 or not np.isfinite(c).all():
+        raise GraphFiltError(f"--filter field {name!r} must be a list of "
+                             f"finite numbers, not {value!r}")
+    return c
+
+
 def _parse_filter(spec):
     d = json.loads(spec)
+    if not isinstance(d, dict):
+        raise GraphFiltError(f"--filter must be a JSON object, not {spec}")
     kind = d.pop("kind", None)
     if kind == "polynomial":
-        return ("polynomial", np.asarray(d.pop("coeffs"), dtype=np.float64), d)
+        return ("polynomial", _coeffs(d, "coeffs"), d)
     if kind == "arma":
-        f = ArmaRational(np.asarray(d.pop("a", []), dtype=np.float64),
-                         np.asarray(d.pop("b"), dtype=np.float64))
-        return ("arma", f, d)
+        return ("arma", ArmaRational(_coeffs(d, "a", []), _coeffs(d, "b")), d)
     raise GraphFiltError(f"unknown filter kind {kind!r}")
 
 

@@ -369,14 +369,24 @@ def spmm_const(tape, S, x):
     return _result(tape, spmm(S, xv), (x,), back)
 
 
+def _check_fit(pattern, vals, x, ndim, node):
+    """DimensionMismatch unless vals is (nnz, ...) with ``ndim`` axes and
+    x holds n_cols nodes on its axis ``node``, counted from the end."""
+    if (vals.ndim != ndim or vals.shape[0] != pattern.nnz
+            or x.ndim < -node or x.shape[node] != pattern.n_cols):
+        raise DimensionMismatch(
+            f"values {vals.shape} and operand {x.shape} do not fit "
+            f"{pattern.nnz} entries on {pattern.n_cols} columns")
+
+
 def spmm_values(tape, vals, x, pattern):
     """Sparse product where the stored values are themselves an operand.
 
-    vals: (nnz,) shared across the batch, or (..., nnz) per sample.
-    x:    (..., n, f), whose batch axes per-sample values must share.
+    vals: (nnz,), shared across the batch; x: (..., n, f).
     """
     vv, xv = _val(vals), _val(x)
-    op = _Product(pattern, vv, per_sample=vv.ndim > 1)
+    _check_fit(pattern, vv, xv, 1, -2)
+    op = _Product(pattern, vv)
 
     def back(g):
         _acc(vals, lambda: _unbroadcast(op.values_adjoint(g, xv), vv.shape))
@@ -393,6 +403,7 @@ def spmm_pairwise(tape, vals, z, pattern):
     values, with z broadcast to them.
     """
     vv, zv = _val(vals), _val(z)
+    _check_fit(pattern, vv, zv, 3, -3)
     slots = vv.shape[1] * vv.shape[2]     # explicit, as -1 fails at size 0
     op = _Product(pattern, vv.reshape(len(vv), slots))
     flat = np.broadcast_to(zv, zv.shape[:-2] + vv.shape[1:]).reshape(

@@ -2,18 +2,18 @@
 
 One immutable CSR layout, ``Pattern``, carries shift operators and every
 sparse parameter matrix in the library; a ``SparseMatrix`` is values on
-a pattern. Every sparse product (``spmv``, ``spmm`` and the
-value-operand tape primitives) goes through one kernel, ``_Product``,
-which takes one of two paths:
+a pattern. Every sparse product with values shared across the batch
+(``spmv``, ``spmm`` and the value-operand tape primitives) goes through
+one kernel, ``_Product``, which takes one of two paths:
 
-* dense: for small or dense patterns whose values are shared across the
-  batch, the dense matrix is built once and the product is a BLAS
-  ``D @ X``; ``_dense_fits`` reads only the pattern's shape and nnz;
-* CSR: for everything else, on the operand (..., n, T) laid out node-last,
-  (T, ..., n), for shared values and entry-major, (T, n, ...), for
-  per-sample ones, which spmm_values takes and no layer makes (attention
-  runs its hops on ``_csr_sums`` itself); per-sample forward plus both
-  adjoints, N=50, B=100: 0.5-0.8/8.5-12 ms at T=1/16 (2 cores).
+* dense: for small or dense patterns, the dense matrix is built once
+  and the product is a BLAS ``D @ X``; ``_dense_fits`` reads only the
+  pattern's shape and nnz;
+* CSR: for everything else, on the operand (..., n, T) laid out
+  node-last, (T, ..., n).
+
+Attention's per-sample hops run entry-major on ``_csr_sums`` and
+``_entry_sums``, inside ``nn.autograd.attention_hops``.
 
 Results are deterministic for a fixed shape and BLAS thread count, and a
 batched ``spmv`` is bitwise equal to a loop of single-vector calls.
@@ -73,10 +73,9 @@ def _feature_major(X):
     return np.ascontiguousarray(flat.transpose(2, 1, 0))
 
 
-def _laid_out(X, axis):
-    """(..., n, T) as a contiguous array, T first and n at ``axis``:
-    node-last (T, ..., n) for -1, entry-major (T, n, ...) for 1."""
-    return np.ascontiguousarray(np.moveaxis(X, (-1, -2), (0, axis)))
+def _laid_out(X):
+    """(..., n, T) as a contiguous node-last (T, ..., n) array."""
+    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
 
 
 def _dense_product(D, X):
@@ -92,8 +91,8 @@ def _dense_product(D, X):
 
 
 def _csr_sums(p, values, Xl, axis):
-    """CSR kernel on ``p`` for Xl = ``_laid_out(X, axis)``: gather along
-    ``axis``, times the values in place, summed over row segments."""
+    """CSR kernel on ``p`` for Xl (T first, nodes at ``axis``): gather
+    along ``axis``, times the values in place, summed over row segments."""
     out = np.take(Xl, p.col_idx, axis=axis)
     out *= values
     return _segment_sums(out, p.row_ptr, axis)
@@ -106,13 +105,11 @@ def _entry_sums(p, Gl, Xl):
     return gv.sum(axis=0)
 
 
-def _csr_product(p, values, X, axis):
-    """CSR path on the pattern ``p`` for X (..., m, T) in the layout
-    ``_laid_out(X, axis)``. In both layouts the result is the (..., n, T)
-    view of a (T, ..., n) array: the bits of a later matmul depend on its
-    operand's layout."""
-    out = _csr_sums(p, values, _laid_out(X, axis), axis)
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(out, axis, -1)), 0, -1)
+def _csr_product(p, values, X):
+    """CSR path on the pattern ``p`` for values (nnz, T?) and X (..., m,
+    T): the (..., n, T) view of a (T, ..., n) array."""
+    v = np.expand_dims(values.T, tuple(range(values.ndim - 1, X.ndim - 1)))
+    return np.moveaxis(_csr_sums(p, v, _laid_out(X), -1), 0, -1)
 
 
 class _Product:
@@ -122,72 +119,44 @@ class _Product:
     feature axis, so a vector is passed as ``x[..., None]`` and pairwise
     values as f*g slots. ``values`` is (nnz,), shared by every batch
     element and feature slot, or (nnz, T), one scalar per entry and
-    feature slot. With ``per_sample`` it is (..., nnz), one scalar per
-    entry and batch element, the batch axes matching the operand's.
-
-    Shared values take the dense path when ``_dense_fits`` says so, and
-    all else node-last CSR; per-sample values (spmm_values's, no layer's)
-    take entry-major CSR (a (B, n, n) stack is slower at T=1, faster at 16).
+    feature slot. The dense path serves them when ``_dense_fits`` says
+    so, and node-last CSR all else.
     """
 
-    __slots__ = ("pattern", "values", "per_sample", "dense")
+    __slots__ = ("pattern", "values", "dense")
 
-    def __init__(self, pattern, values, per_sample=False):
+    def __init__(self, pattern, values):
         self.pattern = pattern
         self.values = values
-        self.per_sample = per_sample
         self.dense = None
-        if not per_sample and _dense_fits(
-                pattern.n_rows, pattern.n_cols, pattern.nnz):
+        if _dense_fits(pattern.n_rows, pattern.n_cols, pattern.nnz):
             vals = np.moveaxis(values, 0, -1)
             self.dense = np.zeros(vals.shape[:-1]
                                   + (pattern.n_rows, pattern.n_cols))
             self.dense[..., pattern.entry_rows(), pattern.col_idx] = vals
 
-    def _kernel_values(self, X, n):
-        """(values, axis) for the CSR path on X (..., n, T): shared (nnz, T?)
-        as (T?, 1..., nnz) on the node-last axis -1, per-sample (..., nnz),
-        once checked against X, as (1, nnz, ...) on the entry-major axis 1."""
-        v, nnz = self.values, self.pattern.nnz
-        if not self.per_sample:
-            ones = (1,) * (X.ndim - v.ndim)
-            return v.T.reshape(v.shape[1:] + ones + (nnz,)), -1
-        if (v.shape[:-1], v.shape[-1], X.shape[-2]) != (X.shape[:-2], nnz, n):
-            raise DimensionMismatch(f"per-sample values {v.shape} on {nnz} "
-                                    f"entries do not fit operand {X.shape}")
-        return np.moveaxis(v, -1, 0)[None], 1
-
     def apply(self, X):
         """S X for X of shape (..., n_cols, T)."""
         if self.dense is not None:
             return _dense_product(self.dense, X)
-        v, axis = self._kernel_values(X, self.pattern.n_cols)
-        return _csr_product(self.pattern, v, X, axis)
+        return _csr_product(self.pattern, self.values, X)
 
     def apply_transposed(self, G):
         """S^T G for G of shape (..., n_rows, T)."""
         if self.dense is not None:
             return _dense_product(self.dense.swapaxes(-1, -2), G)
         T, perm = self.pattern.transpose_permutation()
-        v, axis = self._kernel_values(G, self.pattern.n_rows)
-        return _csr_product(T, np.take(v, perm, axis=axis), G, axis)
+        return _csr_product(T, self.values[perm], G)
 
     def values_adjoint(self, G, X):
-        """Gradient of sum(G * apply(X)) with respect to the values.
-
-        Sums the feature axis unless the values carry it, and the batch
-        axes of shared values; per-sample values keep them, as the (...,
-        nnz) view of an entry-major array. Callers reduce to their shape.
-        """
-        if self.per_sample:
-            return np.moveaxis(_entry_sums(self.pattern, _laid_out(G, 1),
-                                           _laid_out(X, 1)), 0, -1)
+        """Gradient of sum(G * apply(X)) by the values: summed over the
+        batch axes, and the feature axis unless the values carry it."""
         rows, cols = self.pattern.entry_rows(), self.pattern.col_idx
         if self.dense is None:
             # G has the output's full shape, so X's gather broadcasts into
             # it; the fancy gathers' F order sets the order of the sums
-            gv = _laid_out(G, -1)[..., rows]
-            gv *= _laid_out(X, -1)[..., cols]
+            gv = _laid_out(G)[..., rows]
+            gv *= _laid_out(X)[..., cols]
             summed = tuple(range(self.values.ndim - 1, gv.ndim - 1))
             return np.moveaxis(gv.sum(axis=summed), -1, 0)
         if self.dense.ndim == 2:

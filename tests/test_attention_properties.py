@@ -1,6 +1,6 @@
 """Hypothesis properties of the fused attention record: attention_hops
 equals the two-record chain it replaced (the shift's values, then one
-per-sample spmm_values per hop) to 1e-12 in its output and in every
+dense per-sample product per hop) to 1e-12 in its output and in every
 gradient, on random supp(I+S) patterns and on hub-row ones (where the row
 maximum leaves the row slots for reduceat), for any batch shape, feature
 count, hop count, weighting, operand z and tying of the mixer."""

@@ -153,13 +153,6 @@ class TestSparsePrimitives:
         x = Tensor(rng.normal(size=(5, 2)))
         check_primitive(lambda t: ag.spmm_values(t, vals, x, pat), [vals, x])
 
-    def test_spmm_values_batched(self):
-        rng = np.random.default_rng(9)
-        pat = ring_pattern(4)
-        vals = Tensor(rng.normal(size=(3, pat.nnz)))
-        x = Tensor(rng.normal(size=(3, 4, 2)))
-        check_primitive(lambda t: ag.spmm_values(t, vals, x, pat), [vals, x])
-
     def test_spmm_pairwise(self):
         rng = np.random.default_rng(10)
         pat = ring_pattern(4)
@@ -318,7 +311,7 @@ def attention_shift(tape, x, b, e, pattern, weights=None):
     """Row-stochastic attention values on ``pattern`` scored from x, in
     one record: support_softmax(edge_score(x @ b, e), weights) without
     forming x @ b, at the fixed LEAKY_SLOPE_DEFAULT; the (..., nnz) view
-    of its entry-major result, the layout per-sample spmm_values reads.
+    of its entry-major result.
 
     x: (..., n, f_in); b: (f_in, f_out); e: (2 f_out,). The scores read
     x @ W with the (f_in, 2) score matrix W = b E^T, E = e as (2, f_out).
@@ -349,15 +342,59 @@ def attention_shift(tape, x, b, e, pattern, weights=None):
     return ag._result(tape, np.moveaxis(vals, 0, -1), (x, b, e), back)
 
 
+def dense_values_product(tape, vals, z, pattern):
+    """Per-sample values (..., nnz) on ``pattern`` times z (..., m, T), in
+    one record on the dense stack D (..., n, m) filled at the pattern's
+    (rows, cols): D @ z, with the z adjoint D^T g and the values adjoint
+    (g z^T)[..., rows, cols]. The reference for attention's hops."""
+    vv, zv = ag._val(vals), ag._val(z)
+    rows, cols = pattern.entry_rows(), pattern.col_idx
+    D = np.zeros(vv.shape[:-1] + pattern.shape)
+    D[..., rows, cols] = vv
+
+    def back(g):
+        ag._acc(vals, lambda: (g @ zv.swapaxes(-1, -2))[..., rows, cols])
+        ag._acc(z, lambda: D.swapaxes(-1, -2) @ g)
+
+    return ag._result(tape, D @ zv, (vals, z), back)
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 3)])
+def test_dense_values_product_matches_scipy(batch):
+    """The forward and both adjoints, sample by sample, against scipy CSR
+    products, on a pattern with an empty row."""
+    sp = pytest.importorskip("scipy.sparse")
+    rng = np.random.default_rng(60 + len(batch))
+    mask = rng.random((6, 6)) < 0.5
+    mask[2] = False
+    pat = SparseMatrix.from_dense(mask.astype(float)).pattern
+    vals = Tensor(rng.normal(size=batch + (pat.nnz,)))
+    z = Tensor(rng.normal(size=batch + (6, 4)))
+    g = rng.normal(size=batch + (6, 4))
+    tape = Tape()
+    out = dense_values_product(tape, vals, z, pat)
+    tape.backward(out, g)
+    for i in np.ndindex(batch):
+        A = sp.csr_matrix((vals.value[i], pat.col_idx, pat.row_ptr),
+                          shape=pat.shape)
+        want_v = [np.sum(g[i] * (sp.csr_matrix(
+            (np.eye(1, pat.nnz, k)[0], pat.col_idx, pat.row_ptr),
+            shape=pat.shape) @ z.value[i])) for k in range(pat.nnz)]
+        for got, want in ((out.value[i], A @ z.value[i]),
+                          (z.grad[i], A.T @ g[i]), (vals.grad[i], want_v)):
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
 def two_record_hops(tape, x, b, e, pattern, z, hops, weights=None,
                     shift=attention_shift):
     """ag.attention_hops as the layers ran it before the fused record: the
-    shift's values, then one per-sample spmm_values per hop, the hops
-    joined on the feature axis (an empty Constant for none)."""
+    shift's values, then one per-sample product per hop (on the dense
+    stack, ``dense_values_product``), the hops joined on the feature axis
+    (an empty Constant for none)."""
     vals = shift(tape, x, b, e, pattern, weights=weights)
     Zs = [z]
     for _ in range(hops):
-        Zs.append(ag.spmm_values(tape, vals, Zs[-1], pattern))
+        Zs.append(dense_values_product(tape, vals, Zs[-1], pattern))
     if not hops:
         return ag.Constant(np.zeros(ag._val(z).shape[:-1] + (0,)))
     return ag.concat(tape, Zs[1:], -1)

@@ -397,6 +397,9 @@ RAISE_SITES = {
         lambda tmp: diffusion_centrality(
             SparseMatrix.from_dense(np.ones((2, 3))), 2),
         ValueError, "diffusion centrality needs a square shift"),
+    "diffusion_centrality_negative_k": (
+        lambda tmp: diffusion_centrality(build_shift(k3(), "none"), -1),
+        ValueError, "diffusion centrality needs K >= 0, not -1"),
     "select_nodes_unknown_strategy": (
         lambda tmp: select_nodes(build_shift(k3(), "none"), "random", 1),
         ValueError, "unknown strategy 'random'"),

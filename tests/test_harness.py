@@ -1223,6 +1223,37 @@ class TestCli:
         assert captured.err.startswith("error: line 2: node index 10000000000")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("spec,message", [
+        ("[1,2]", "--filter must be a JSON object, not [1,2]"),
+        ('"poly"', '--filter must be a JSON object, not "poly"'),
+        ('{"kind":"polynomial"}', "--filter field 'coeffs' is missing"),
+        ('{"kind":"arma","a":[0.5]}', "--filter field 'b' is missing"),
+        ('{"kind":"polynomial","coeffs":[[1,2],[3,4]]}',
+         "--filter field 'coeffs' must be a list of finite numbers, not "
+         "[[1, 2], [3, 4]]"),
+        ('{"kind":"arma","b":[1],"a":[0.5,null]}',
+         "--filter field 'a' must be a list of finite numbers, not "
+         "[0.5, None]")], ids=["list", "string", "no_coeffs", "no_b",
+                               "nested_coeffs", "null_in_a"])
+    def test_spectrum_refuses_a_malformed_filter(self, tmp_path, capsys,
+                                                  spec, message):
+        g = tmp_path / "g.edgelist"
+        g.write_text("0 1\n1 2\n")
+        assert cli_main(["spectrum", "--graph", str(g), "--filter",
+                         spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_centrality_refuses_negative_k(self, capsys, tmp_path):
+        g = tmp_path / "g.edgelist"
+        g.write_text("0 1\n1 2\n")
+        assert cli_main(["centrality", "--graph", str(g), "--k", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: diffusion centrality needs K >= 0, "
+                                "not -1\n")
+        assert captured.out == ""
+
     def test_centrality_lists_nodes(self, capsys, tmp_path):
         g = tmp_path / "g.edgelist"
         g.write_text("0 1\n0 2\n0 3\n")

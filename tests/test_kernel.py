@@ -1,12 +1,9 @@
 """The size-dispatched sparse product kernel: both paths against dense
 numpy and scipy oracles, shared values against the entry-major CSR
-kernel the node-last one replaced and per-sample values against the
-node-last kernel the entry-major one replaced (down to an attention
-training step), the dispatch rule, the transpose-free backward of the
-constant shift product, and two-layer gradients of every family on a
-graph taking each path, with and across ReLU kinks."""
+kernel the node-last one replaced, the dispatch rule, the transpose-free
+backward of the constant shift product, and two-layer gradients of every
+family on a graph taking each path, with and across ReLU kinks."""
 import gc
-import math
 
 import numpy as np
 import pytest
@@ -20,7 +17,6 @@ from graphfilt.nn import (ArmaLayer, BlockVaryingLayer, EdgeVaryingGatLayer,
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import (SparseMatrix, _dense_fits, _dense_product,
                               _Product, _segment_sums, spmm, spmv)
-from test_autograd import two_record_hops
 
 BATCHES = [(), (3,), (2, 3)]
 
@@ -36,10 +32,10 @@ def random_pattern(rng, n_rows, n_cols, density=0.4):
     return S.pattern, S
 
 
-def dense_stack(p, values, entry_axis=0):
-    """Dense matrices, entry by entry, for values whose ``entry_axis`` runs
+def dense_stack(p, values):
+    """Dense matrices, entry by entry, for values whose first axis runs
     over the stored entries; the other axes lead the (n, m) result."""
-    v = np.moveaxis(values, entry_axis, -1)
+    v = np.moveaxis(values, 0, -1)
     D = np.zeros(v.shape[:-1] + (p.n_rows, p.n_cols))
     for e, (i, j) in enumerate(zip(p.entry_rows(), p.col_idx)):
         D[..., i, j] = v[..., e]
@@ -146,16 +142,6 @@ class TestPaths:
         close(read_back(_dense_product(S.to_dense(), X1), want.shape), want)
         close(read_back(csr_only(_Product(p, vals)).apply(X1), want.shape),
               want)
-
-    @pytest.mark.parametrize("batch", BATCHES[1:])
-    def test_per_sample_values_match_dense_oracle(self, batch):
-        rng = np.random.default_rng(5)
-        p, _ = random_pattern(rng, 6, 8)
-        vals = rng.normal(size=batch + (p.nnz,))
-        X = rng.normal(size=batch + (8, 3))
-        op = _Product(p, vals, per_sample=True)
-        assert op.dense is None
-        close(op.apply(X), dense_stack(p, vals, entry_axis=-1) @ X)
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("g_z", [1, 3])
@@ -327,9 +313,8 @@ def dense_values_adjoint(p, G, X, feature_axes):
 
 class TestValuesAdjoint:
     """Every values adjoint (shared scalar values on a vector and a
-    matrix operand, pairwise values with a full and a broadcast operand,
-    per-sample values) on both paths, against dense numpy and scipy to
-    1e-12."""
+    matrix operand, pairwise values with a full and a broadcast operand)
+    on both paths, against dense numpy and scipy to 1e-12."""
 
     @pytest.mark.parametrize("force_csr", [False, True])
     @pytest.mark.parametrize("batch", BATCHES)
@@ -355,193 +340,6 @@ class TestValuesAdjoint:
                      scipy_values_adjoint(sp, p, G, X, axes)):
             close(got, want.sum(axis=summed))
 
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("F", [1, 4])
-    def test_per_sample(self, batch, F):
-        sp = pytest.importorskip("scipy.sparse")
-        rng = np.random.default_rng(37 + F + len(batch))
-        p, _ = random_pattern(rng, 7, 9)
-        vals = rng.normal(size=batch + (p.nnz,))
-        X = rng.normal(size=batch + (9, F))
-        G = rng.normal(size=batch + (7, F))
-        got = _Product(p, vals, per_sample=True).values_adjoint(G, X)
-        for want in (dense_values_adjoint(p, G, X, 1),
-                     scipy_values_adjoint(sp, p, G, X, 1)):
-            close(got, np.moveaxis(want.sum(axis=-1), 0, -1))
-
-
-class TestFeatureMajorPerSample:
-    """Per-sample values: the product, its transpose and the values
-    adjoint against dense numpy and scipy, on patterns whose first and
-    last rows are empty."""
-
-    @staticmethod
-    def _case(batch, F):
-        rng = np.random.default_rng(41 + F + len(batch))
-        p, _ = random_pattern(rng, 7, 9)
-        vals = rng.normal(size=batch + (p.nnz,))
-        X = rng.normal(size=batch + (9, F))
-        G = rng.normal(size=batch + (7, F))
-        return p, vals, X, G, _Product(p, vals, per_sample=True)
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("F", [1, 4, 16])
-    def test_matches_dense_oracle(self, batch, F):
-        p, vals, X, G, op = self._case(batch, F)
-        assert op.dense is None
-        D = dense_stack(p, vals, entry_axis=-1)
-        close(op.apply(X), D @ X)
-        close(op.apply_transposed(G), D.swapaxes(-1, -2) @ G)
-        want_v = np.stack([(G[..., i, :] * X[..., j, :]).sum(axis=-1)
-                           for i, j in zip(p.entry_rows(), p.col_idx)], -1)
-        close(op.values_adjoint(G, X), want_v)
-
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("F", [1, 4, 16])
-    def test_matches_scipy(self, batch, F):
-        sp = pytest.importorskip("scipy.sparse")
-        p, vals, X, G, op = self._case(batch, F)
-        got, got_t = op.apply(X), op.apply_transposed(G)
-        for b in np.ndindex(batch):
-            A = sp.csr_matrix((vals[b], p.col_idx, p.row_ptr), shape=p.shape)
-            close(got[b], A @ X[b])
-            close(got_t[b], A.T @ G[b])
-
-
-# -- the node-last per-sample kernel the entry-major one replaced, kept as
-# -- the bitwise reference for per-sample values
-
-def node_last(X):
-    return np.ascontiguousarray(np.moveaxis(X, -1, 0))
-
-
-def node_last_per_sample(p, values, X):
-    """Row i sums values[..., e] * X[..., col_idx[e], :] over its entries
-    e, on X laid out as (T, ..., m)."""
-    contrib = np.take(node_last(X), p.col_idx, axis=-1) * values
-    return np.moveaxis(entry_major_segment_sums(contrib, p.row_ptr, -1), 0,
-                       -1)
-
-
-def node_last_per_sample_transposed(p, values, G):
-    T, perm = p.transpose_permutation()
-    return node_last_per_sample(T, values[..., perm], G)
-
-
-def node_last_per_sample_values_adjoint(p, G, X):
-    gv = node_last(G)[..., p.entry_rows()]
-    gv *= node_last(X)[..., p.col_idx]
-    return gv.sum(axis=0)
-
-
-REFERENCE = {
-    "apply": lambda op, X: node_last_per_sample(op.pattern, op.values, X),
-    "apply_transposed": lambda op, G: node_last_per_sample_transposed(
-        op.pattern, op.values, G),
-    "values_adjoint": lambda op, G, X: node_last_per_sample_values_adjoint(
-        op.pattern, G, X),
-}
-
-
-def per_sample_values(rng, nnz, batch, layout):
-    """(..., nnz) values as attention builds them, the (..., nnz) view of
-    an entry-major (nnz, ...) array, or C-ordered."""
-    vals = np.moveaxis(rng.normal(size=(nnz,) + batch), 0, -1)
-    return vals if layout == "entry_major_view" else np.ascontiguousarray(
-        vals)
-
-
-class TestEntryMajorPerSample:
-    """Per-sample values: the product, its transpose and the values
-    adjoint on the entry-major layout are bitwise the node-last kernel's,
-    on rows longer than numpy's 8-element pairwise-summation block and
-    on patterns whose first and last rows are empty. One exception: with
-    a single sample and at least 8 features the node-last values adjoint
-    summed the features pairwise (its gather was F-ordered, the feature
-    axis contiguous), and the entry-major one sums them in order."""
-
-    @pytest.mark.parametrize("layout", ["entry_major_view", "c_ordered"])
-    @pytest.mark.parametrize("F", [1, 4, 16])
-    @pytest.mark.parametrize("batch", BATCHES)
-    @pytest.mark.parametrize("pattern", sorted(PATTERNS))
-    def test_bitwise(self, pattern, batch, F, layout):
-        rng = np.random.default_rng(43 + F + len(batch))
-        p, _ = random_pattern(rng, *PATTERNS[pattern])
-        vals = per_sample_values(rng, p.nnz, batch, layout)
-        X = rng.normal(size=batch + (p.n_cols, F))
-        G = rng.normal(size=batch + (p.n_rows, F))
-        op = _Product(p, vals, per_sample=True)
-        for name, args in (("apply", (X,)), ("apply_transposed", (G,)),
-                           ("values_adjoint", (G, X))):
-            got, want = getattr(op, name)(*args), REFERENCE[name](op, *args)
-            if name == "values_adjoint" and math.prod(batch) == 1 and F >= 8:
-                close(got, want, tol=1e-15)
-            else:
-                assert got.shape == want.shape and np.array_equal(got, want)
-
-    def test_values_adjoint_is_entry_major(self):
-        """The (B, nnz) values adjoint is the view of a contiguous (nnz, B)
-        array, the layout the attention shift's backward reads."""
-        rng = np.random.default_rng(47)
-        p, _ = random_pattern(rng, *PATTERNS["long_rows"])
-        vals = per_sample_values(rng, p.nnz, (5,), "entry_major_view")
-        G = rng.normal(size=(5, p.n_rows, 4))
-        X = rng.normal(size=(5, p.n_cols, 4))
-        got = _Product(p, vals, per_sample=True).values_adjoint(G, X)
-        assert got.shape == (5, p.nnz)
-        assert np.moveaxis(got, -1, 0).flags.c_contiguous
-
-
-def reference_per_sample(monkeypatch):
-    """Route every per-sample product through the node-last kernel; the
-    returned list collects the names of the calls so routed."""
-    routed_calls = []
-    for name, ref in REFERENCE.items():
-        def routed(op, *args, _kernel=getattr(_Product, name), _ref=ref,
-                   _name=name):
-            if not op.per_sample:
-                return _kernel(op, *args)
-            routed_calls.append(_name)
-            return _ref(op, *args)
-        monkeypatch.setattr(_Product, name, routed)
-    return routed_calls
-
-
-def attention_step(family, n_layers):
-    """Logits and parameter gradients of one training step of an
-    attention family, f_in = 1 and then 4, on a 20-node graph whose rows
-    pass eight entries, its heads run as the two-record chain."""
-    ctx = dense_context(20)
-    dims = [1, 4, 3][:n_layers + 1]
-    model = Model([FAMILIES[family](f, g, ctx, None)
-                   for f, g in zip(dims, dims[1:])], ctx.n, 2,
-                  readout_mode="mean_pool")
-    rng = np.random.default_rng(53 + n_layers)
-    init_params(model, rng, shift=ctx)
-    logits, tape = model.forward(ctx, rng.normal(size=(6, ctx.n, 1)))
-    _, grad = cross_entropy(logits.value, rng.integers(2, size=6))
-    tape.backward(output_grad=grad)
-    return logits.value, {name: t.grad for name, t in model.parameters()}
-
-
-@pytest.mark.parametrize("n_layers", [1, 2])
-@pytest.mark.parametrize("family", ["gat", "gcat", "ev_gat", "hybrid_gcat"])
-def test_attention_step_bitwise_the_node_last_kernel(family, n_layers,
-                                                     monkeypatch):
-    """The per-sample products of the two-record attention chain (the
-    shift's values, then spmm_values per hop), entry-major against
-    node-last, down to a training step."""
-    assert max(np.diff(dense_context(20).pattern.row_ptr)) > 8
-    monkeypatch.setattr(ag, "attention_hops", two_record_hops)
-    logits, grads = attention_step(family, n_layers)
-    routed = reference_per_sample(monkeypatch)
-    want_logits, want_grads = attention_step(family, n_layers)
-    assert {"apply", "values_adjoint"} <= set(routed)
-    assert np.array_equal(logits, want_logits)
-    assert grads.keys() == want_grads.keys()
-    for name, g in grads.items():
-        assert g is not None and np.array_equal(g, want_grads[name]), name
-
 
 class TestDispatch:
     def test_rule(self):
@@ -557,11 +355,6 @@ class TestDispatch:
         X = np.random.default_rng(0).normal(size=(2, n, 3))
         assert np.array_equal(spmm(S, X)[:, :-1], X[:, 1:])
         assert S._operator().dense is None
-
-    def test_per_sample_values_stay_on_csr(self):
-        p, _ = random_pattern(np.random.default_rng(1), 6, 6)
-        assert _Product(p, np.ones((2, p.nnz)), per_sample=True).dense is None
-        assert _Product(p, np.ones(p.nnz)).dense is not None
 
     def test_new_values_new_dense_copy(self):
         rng = np.random.default_rng(2)

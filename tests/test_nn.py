@@ -25,7 +25,8 @@ from graphfilt.nn.layers import GnnLayer
 from graphfilt.nn.optim import BETA1, BETA2, EPS
 from graphfilt.sparse import (Permutation, SparseMatrix, _Product,
                               permute_shift, permute_signal)
-from test_autograd import attention_shift, reference_tail, two_record_hops
+from test_autograd import (attention_shift, dense_values_product,
+                           reference_tail, two_record_hops)
 from test_kernel import FAMILIES, dense_context, ring_context
 
 
@@ -1080,13 +1081,13 @@ def per_hop_ev_gat(layer, tape, ctx, X):
     heads = list(layer.heads)
     if layer.phi0_mode == "attention":
         vals0 = shift_values(heads.pop(0), tape, ctx, X, layer.weighted)
-        Z = ag.spmm_values(tape, vals0, X, ctx.pattern)
+        Z = dense_values_product(tape, vals0, X, ctx.pattern)
     else:
         Z = X
     acc = ag.matmul(tape, Z, layer.mixing[0])
     for head, A in zip(heads, layer.mixing[1:]):
         vals = shift_values(head, tape, ctx, X, layer.weighted)
-        Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
+        Z = dense_values_product(tape, vals, Z, ctx.pattern)
         acc = ag.add(tape, acc, ag.matmul(tape, Z, A))
     return acc
 
@@ -1207,7 +1208,7 @@ def per_hop_forward(layer, tape, ctx, X):
         acc = ag.matmul(tape, X, mats.pop(0)) if layer.include_k0 else None
         Z = X
         for A in mats:
-            Z = ag.spmm_values(tape, vals, Z, ctx.pattern)
+            Z = dense_values_product(tape, vals, Z, ctx.pattern)
             term = ag.matmul(tape, Z, A)
             acc = term if acc is None else ag.add(tape, acc, term)
     elif isinstance(layer, EdgeVaryingGatLayer):
@@ -1612,7 +1613,7 @@ def test_fused_attention_shift_matches_three_record_chain(
 @pytest.mark.parametrize("family,kw", ATTENTION_CASES)
 def test_one_attention_record_per_head(family, kw, monkeypatch):
     """gat and gcat call attention_hops once, ev_gat and hybrid_gcat once
-    per head, and no per-sample spmm_values runs."""
+    per head, and no spmm_values runs."""
     ctx = ctx_for()
     layer = FAMILIES[family](1, 2, ctx, None, **kw)
     calls = {name: _counting(monkeypatch, ag, name)

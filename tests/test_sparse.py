@@ -1,4 +1,6 @@
 """CSR kernels, permutations, and power iteration."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -255,10 +257,35 @@ def _rectangular():
     return SparseMatrix.from_dense(np.ones((2, 3)))
 
 
-def _per_sample(vals_shape, x_shape):
-    """spmm_values with per-sample values on the 4-entry identity."""
-    return ag.spmm_values(ag.Tape(), np.ones(vals_shape), np.ones(x_shape),
-                          SparseMatrix.identity(4).pattern)
+def _unfit(primitive, vals_shape, x_shape, n):
+    """A value-operand primitive on the n-node identity pattern."""
+    return getattr(ag, primitive)(ag.Tape(), np.ones(vals_shape),
+                                  np.ones(x_shape),
+                                  SparseMatrix.identity(n).pattern)
+
+
+def _unfit_sites():
+    """Values or operands that do not fit the pattern, on the dense path
+    (4 nodes) and on the CSR path (20): name -> RAISE_SITES row."""
+    sites = {}
+    for path, n in (("dense", 4), ("csr", 20)):
+        assert sparse._dense_fits(n, n, n) == (path == "dense")
+        for name, primitive, vals, x in (
+                ("values_extra_nodes", "spmm_values", (n,), (2, n + 5, 3)),
+                ("values_missing_nodes", "spmm_values", (n,), (2, n - 1, 3)),
+                ("values_extra_entry", "spmm_values", (n + 1,), (2, n, 3)),
+                ("values_per_sample", "spmm_values", (2, n), (2, n, 3)),
+                ("pairwise_extra_nodes", "spmm_pairwise", (n, 2, 3),
+                 (2, n + 5, 2, 3)),
+                ("pairwise_missing_nodes", "spmm_pairwise", (n, 2, 3),
+                 (2, n - 1, 2, 1)),
+                ("pairwise_extra_entry", "spmm_pairwise", (n + 1, 2, 3),
+                 (2, n, 2, 3))):
+            sites[f"{name}_{path}"] = (
+                partial(_unfit, primitive, vals, x, n), DimensionMismatch,
+                f"values {vals} and operand {x} do not fit {n} entries on "
+                f"{n} columns")
+    return sites
 
 
 # the input checks no other test reaches: (call, error type, message)
@@ -291,20 +318,10 @@ RAISE_SITES = {
     "power_iteration_not_square": (
         lambda: power_iteration_lambda_max(_rectangular()), DimensionMismatch,
         "power iteration needs a square matrix"),
-    "per_sample_batch_axes": (
-        lambda: _per_sample((3, 4), (4, 1)), DimensionMismatch,
-        "per-sample values (3, 4) on 4 entries do not fit operand (4, 1)"),
-    "per_sample_entry_count": (
-        lambda: _per_sample((2, 5), (2, 4, 1)), DimensionMismatch,
-        "per-sample values (2, 5) on 4 entries do not fit operand "
-        "(2, 4, 1)"),
-    "per_sample_node_count": (
-        lambda: _per_sample((2, 4), (2, 3, 1)), DimensionMismatch,
-        "per-sample values (2, 4) on 4 entries do not fit operand "
-        "(2, 3, 1)"),
     "support_mask_not_square": (
         lambda: support_mask(_rectangular()), DimensionMismatch,
         "support mask needs a square matrix"),
+    **_unfit_sites(),
 }
 
 
