@@ -17,6 +17,7 @@ from .errors import DimensionMismatch
 from .sparse import Pattern, SparseMatrix, _segment_sums, support_mask
 
 LEAKY_SLOPE_DEFAULT = 0.2
+BOUND = 64.0  # scores within +-BOUND skip the soft maximum's row maximum
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,20 @@ def _projection_weight_adjoint(D, x):
 
 
 def _row_exp(z, pattern):
-    """(p, s): exp(z - row max) per entry of the entry-major z (never
-    written), s (n, ...) its row sums; every row must hold an entry."""
-    slots = pattern.row_slots()
-    row_max = (z[slots].max(axis=0) if slots is not None else
-               np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
-    p = row_max[pattern.entry_rows()]
-    np.exp(np.subtract(z, p, out=p), out=p)
+    """(p, s): exp(z - c) per entry of the entry-major z (never written),
+    s (n, ...) its row sums; every row must hold an entry. c = 0 when all
+    of z lies in [-BOUND, BOUND]: p then lies within e^+-64, a row sum
+    stays finite below about e^645 entries, and the backward's H = G / s
+    grows by at most e^64. Otherwise (NaN and +-inf too) c is the row
+    maximum. The soft maximum P / s does not depend on c."""
+    if z.size and -BOUND <= z.min() and z.max() <= BOUND:
+        p = np.exp(z)
+    else:
+        slots = pattern.row_slots()
+        row_max = (z[slots].max(axis=0) if slots is not None else
+                   np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
+        p = row_max[pattern.entry_rows()]
+        np.exp(np.subtract(z, p, out=p), out=p)
     return p, _segment_sums(p, pattern.row_ptr, 0)
 
 
@@ -140,7 +148,7 @@ def _softmax_on_support(pre, support):
 
 
 def neighborhood_softmax(scores, support):
-    """Per-row soft maximum with max subtraction for stability."""
+    """Per-row soft maximum, shifted by the row maximum past BOUND."""
     support.require_diagonal()
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (support.nnz,):

@@ -84,7 +84,10 @@ def _coeffs(d, name, default=None):
 
 
 def _parse_filter(spec):
-    d = json.loads(spec)
+    try:
+        d = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise GraphFiltError(f"--filter is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise GraphFiltError(f"--filter must be a JSON object, not {spec}")
     kind = d.pop("kind", None)

@@ -404,6 +404,9 @@ def spmm_pairwise(tape, vals, z, pattern):
     """
     vv, zv = _val(vals), _val(z)
     _check_fit(pattern, vv, zv, 3, -3)
+    if any(a not in (1, b) for a, b in zip(zv.shape[-2:], vv.shape[1:])):
+        raise DimensionMismatch(f"operand {zv.shape} does not broadcast to "
+                                f"the (f, g) of values {vv.shape}")
     slots = vv.shape[1] * vv.shape[2]     # explicit, as -1 fails at size 0
     op = _Product(pattern, vv.reshape(len(vv), slots))
     flat = np.broadcast_to(zv, zv.shape[:-2] + vv.shape[1:]).reshape(
@@ -445,8 +448,8 @@ def edge_score(tape, h, e, pattern, slope):
 
 
 def support_softmax(tape, scores, pattern, weights=None):
-    """Row-segment soft maximum with max subtraction; optional constant
-    per-entry weights multiply the scores first."""
+    """Row-segment soft maximum (attention._row_exp's bound rule); optional
+    constant per-entry weights multiply the scores first."""
     sv = _val(scores)
     z = sv * weights if weights is not None else sv
     vals = _row_softmax(np.moveaxis(z, -1, 0), pattern)
@@ -465,10 +468,11 @@ def attention_hops(tape, x, b, e, pattern, z, hops, weights=None):
     for z (..., n, T) on x's batch and node axes, in one record; hops = 0
     gives an empty Constant. A is the row soft maximum of edge_score(x @ b,
     e) at LEAKY_SLOPE_DEFAULT (times the constant weights first), scored
-    from x W, W = b E^T: A = P / s, P = exp(score - row max), s its row
-    sums. The hops run entry-major, (T, n, ...), as CSR products by P over
-    s; the backward takes H_k = (G_k + P^T H_{k+1}) / s and the score
-    adjoint P (H Y^T - r), Y the hop inputs and r the sum of H_k y_k."""
+    from x W, W = b E^T: A = P / s, P = exp(score - c), s its row sums,
+    c = 0 or the row maximum by attention._row_exp's bound rule. The
+    hops run entry-major, (T, n, ...), as CSR products by P over s; the
+    backward takes H_k = (G_k + P^T H_{k+1}) / s and the score adjoint
+    P (H Y^T - r), Y the hop inputs and r the sum of H_k y_k."""
     xv, bv, ev, zv = _val(x), _val(b), _val(e), _val(z)
     if xv.shape[:-1] != zv.shape[:-1]:
         raise DimensionMismatch(f"x {xv.shape} and z {zv.shape} differ")
@@ -489,11 +493,13 @@ def attention_hops(tape, x, b, e, pattern, z, hops, weights=None):
         gl = np.moveaxis(g.reshape(g.shape[:-1] + (hops, T)), (-2, -1, -3),
                          (0, 1, 2))
         pt, perm = pattern.transpose_permutation()
+        if hops > 1 or isinstance(z, Tensor):   # P in P^T's entry order
+            p_t = np.take(p, perm, axis=0)
         h, later = np.empty(gl.shape), 0.0
         for k in reversed(range(hops)):
             np.divide(gl[k] + later, s, out=h[k])
             if k or isinstance(z, Tensor):   # P^T H_k
-                later = _csr_sums(pt, np.take(p, perm, axis=0), h[k], 1)
+                later = _csr_sums(pt, p_t, h[k], 1)
         _acc(z, lambda: np.moveaxis(later, (0, 1), (-1, -2)))
         dsc = _entry_sums(pattern, h[0], ys[0])   # hop by hop
         for k in range(1, hops):

@@ -4,10 +4,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from graphfilt.attention import (LEAKY_SLOPE_DEFAULT, _edge_scores,
+from graphfilt.attention import (BOUND, LEAKY_SLOPE_DEFAULT, _edge_scores,
                                  _edge_scores_adjoint, _leaky_factor,
-                                 _projection_weight_adjoint, _row_softmax,
-                                 _row_softmax_adjoint, _score_matrix)
+                                 _projection_weight_adjoint, _row_exp,
+                                 _row_softmax, _row_softmax_adjoint,
+                                 _score_matrix)
 from graphfilt.errors import MissingTape
 from graphfilt.graphs import Graph, build_shift, sbm_generate
 from graphfilt.harness.config import ExperimentConfig
@@ -404,9 +405,9 @@ def two_record_hops(tape, x, b, e, pattern, z, hops, weights=None,
 
 def reference_attention_shift(tape, x, b, e, pattern, weights=None):
     """attention_shift as it was before its entry-major layout: (..., nnz)
-    arrays from entry-axis gathers, the row maximum by maximum.reduceat,
-    and the LeakyReLU as a product with a slope factor kept for the
-    backward."""
+    arrays from entry-axis gathers, the row maximum by maximum.reduceat
+    (only when some score lies outside [-BOUND, BOUND]), and the LeakyReLU
+    as a product with a slope factor kept for the backward."""
     xv, bv, ev = ag._val(x), ag._val(b), ag._val(e)
     E = ev.reshape(2, -1)
     W = _score_matrix(bv, ev)
@@ -416,8 +417,11 @@ def reference_attention_shift(tape, x, b, e, pattern, weights=None):
     factor = _leaky_factor(pre > 0, LEAKY_SLOPE_DEFAULT)
     scores = pre * factor
     z = scores * weights if weights is not None else scores
-    row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
-    shifted = np.exp(z - row_max[..., rows])
+    if z.size and -BOUND <= z.min() and z.max() <= BOUND:
+        shifted = np.exp(z)
+    else:
+        row_max = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=-1)
+        shifted = np.exp(z - row_max[..., rows])
     vals = shifted / _segment_sums(shifted, pattern.row_ptr)[..., rows]
 
     def back(g):
@@ -500,6 +504,48 @@ def test_attention_families_give_bitwise_the_batch_major_logits(
         tape.backward(output_grad=np.ones(logits.shape))
         runs.append([logits.value.tobytes()] + [
             t.grad.tobytes() for _, t in model.parameters()])
+    assert runs[0] == runs[1]
+
+
+def row_max_exp(z, pattern):
+    """attention._row_exp before the bound rule: exp(z - row max) on every
+    input, the maximum from the row slots, or by reduceat on a hub row."""
+    slots = pattern.row_slots()
+    row_max = (z[slots].max(axis=0) if slots is not None else
+               np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
+    p = row_max[pattern.entry_rows()]
+    np.exp(np.subtract(z, p, out=p), out=p)
+    return p, _segment_sums(p, pattern.row_ptr, 0)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("graph", sorted(ATTENTION_SHIFTS))
+def test_scores_past_the_bound_take_bitwise_the_row_max_path(graph,
+                                                             weighted):
+    """Inputs scaled until some score leaves [-BOUND, BOUND]: the soft
+    maximum's exponentials and row sums are bitwise the row-max form's,
+    and attention_shift's values and gradients its batch-major form's."""
+    S = ATTENTION_SHIFTS[graph]()
+    pat = support_mask(S)
+    weights = pat.aligned_values(S, diag_fill_zero=1.0) if weighted else None
+    rng = np.random.default_rng(73)
+    x0 = 40.0 * rng.normal(size=(3, S.n_rows, 2))
+    b0, e0 = rng.normal(size=(2, 4)), rng.normal(size=8)
+    z, _ = _edge_scores(x0 @ _score_matrix(b0, e0), pat, LEAKY_SLOPE_DEFAULT)
+    if weighted:
+        z *= weights[:, None]
+    assert np.abs(z).max() > BOUND
+    got, want = _row_exp(z, pat), row_max_exp(z, pat)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    g = rng.normal(size=(3, pat.nnz))
+    runs = []
+    for shift in (attention_shift, reference_attention_shift):
+        x, b, e = Tensor(x0.copy()), Tensor(b0.copy()), Tensor(e0.copy())
+        tape = Tape()
+        out = shift(tape, x, b, e, pat, weights=weights)
+        tape.backward(out, g)
+        runs.append([out.value.tobytes()]
+                    + [t.grad.tobytes() for t in (x, b, e)])
     assert runs[0] == runs[1]
 
 

@@ -1233,8 +1233,11 @@ class TestCli:
          "[[1, 2], [3, 4]]"),
         ('{"kind":"arma","b":[1],"a":[0.5,null]}',
          "--filter field 'a' must be a list of finite numbers, not "
-         "[0.5, None]")], ids=["list", "string", "no_coeffs", "no_b",
-                               "nested_coeffs", "null_in_a"])
+         "[0.5, None]"),
+        ("{kind: 1}", "--filter is not valid JSON: Expecting property name "
+         "enclosed in double quotes: line 1 column 2 (char 1)")],
+        ids=["list", "string", "no_coeffs", "no_b", "nested_coeffs",
+             "null_in_a", "not_json"])
     def test_spectrum_refuses_a_malformed_filter(self, tmp_path, capsys,
                                                   spec, message):
         g = tmp_path / "g.edgelist"

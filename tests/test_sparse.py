@@ -285,6 +285,11 @@ def _unfit_sites():
                 partial(_unfit, primitive, vals, x, n), DimensionMismatch,
                 f"values {vals} and operand {x} do not fit {n} entries on "
                 f"{n} columns")
+        # z's trailing (3, 1) cannot broadcast to the values' (2, 3)
+        sites[f"pairwise_unbroadcastable_{path}"] = (
+            partial(_unfit, "spmm_pairwise", (n, 2, 3), (2, n, 3, 1), n),
+            DimensionMismatch, f"operand (2, {n}, 3, 1) does not broadcast "
+            f"to the (f, g) of values ({n}, 2, 3)")
     return sites
 
 
