@@ -97,18 +97,18 @@ def _projection_weight_adjoint(D, x):
 
 def _row_exp(z, pattern):
     """(p, s): exp(z - c) per entry of the entry-major z (never written),
-    s (n, ...) its row sums; every row must hold an entry. c = 0 when all
-    of z lies in [-BOUND, BOUND]: p then lies within e^+-64, a row sum
-    stays finite below about e^645 entries, and the backward's H = G / s
-    grows by at most e^64. Otherwise (NaN and +-inf too) c is the row
-    maximum. The soft maximum P / s does not depend on c."""
+    s (n, ...) its row sums; ValueError unless the pattern holds the full
+    diagonal, so no row is empty. c = 0 when all of z lies in [-BOUND,
+    BOUND]: p then lies within e^+-64, a row sum stays finite below about
+    e^645 entries, and the backward's H = G / s grows by at most e^64.
+    Otherwise (NaN and +-inf too) c is the row maximum, by reduceat. The
+    soft maximum P / s does not depend on c."""
+    pattern.require_diagonal()
     if z.size and -BOUND <= z.min() and z.max() <= BOUND:
         p = np.exp(z)
     else:
-        slots = pattern.row_slots()
-        row_max = (z[slots].max(axis=0) if slots is not None else
-                   np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
-        p = row_max[pattern.entry_rows()]
+        p = np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0)[
+            pattern.entry_rows()]
         np.exp(np.subtract(z, p, out=p), out=p)
     return p, _segment_sums(p, pattern.row_ptr, 0)
 
@@ -143,19 +143,22 @@ def edge_scores(head, X, support):
     return _edge_scores(proj, support, head.leaky_slope)[0]
 
 
-def _softmax_on_support(pre, support):
-    return AttentionShift(support.matrix(_row_softmax(pre, support)), support)
+def _scores_on(support, scores):
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (support.nnz,):
+        raise DimensionMismatch("one score per supported pair required")
+    return scores
+
+
+def _softmax_on_support(z, support):
+    if not np.all(np.isfinite(z)):
+        raise ValueError("scores must be finite")
+    return AttentionShift(support.matrix(_row_softmax(z, support)), support)
 
 
 def neighborhood_softmax(scores, support):
     """Per-row soft maximum, shifted by the row maximum past BOUND."""
-    support.require_diagonal()
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (support.nnz,):
-        raise DimensionMismatch("one score per supported pair required")
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
-    return _softmax_on_support(scores, support)
+    return _softmax_on_support(_scores_on(support, scores), support)
 
 
 def weighted_neighborhood_softmax(scores, S):
@@ -165,11 +168,8 @@ def weighted_neighborhood_softmax(scores, S):
     diagonal weight is read as 1 so the self term never drops out.
     """
     mask = support_mask(S)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (mask.nnz,):
-        raise DimensionMismatch("one score per supported pair required")
     weights = mask.aligned_values(S, diag_fill_zero=1.0)
-    return _softmax_on_support(weights * scores, mask)
+    return _softmax_on_support(weights * _scores_on(mask, scores), mask)
 
 
 def gcat_shift(head, X, support):

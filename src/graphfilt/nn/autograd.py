@@ -447,17 +447,13 @@ def edge_score(tape, h, e, pattern, slope):
     return _result(tape, np.moveaxis(scores, 0, -1), (h, e), back)
 
 
-def support_softmax(tape, scores, pattern, weights=None):
-    """Row-segment soft maximum (attention._row_exp's bound rule); optional
-    constant per-entry weights multiply the scores first."""
-    sv = _val(scores)
-    z = sv * weights if weights is not None else sv
-    vals = _row_softmax(np.moveaxis(z, -1, 0), pattern)
+def support_softmax(tape, scores, pattern):
+    """Row-segment soft maximum (attention._row_exp's bound rule)."""
+    vals = _row_softmax(np.moveaxis(_val(scores), -1, 0), pattern)
 
     def adjoint(g):
         dz = _row_softmax_adjoint(np.moveaxis(g, -1, 0), vals, pattern)
-        dz = np.moveaxis(dz, 0, -1)
-        return dz * weights if weights is not None else dz
+        return np.moveaxis(dz, 0, -1)
 
     return _result(tape, np.moveaxis(vals, 0, -1), (scores,),
                    lambda g: _acc(scores, lambda: adjoint(g)))

@@ -182,13 +182,12 @@ class Pattern:
 
     Shift operators, parameter matrices on supp(I+S) and the sparse tape
     primitives' operands share this type. It is validated once, when
-    built; entry rows, the transpose, the row slots and the diagonal
-    positions are cached on first use, so the index arrays must not be
-    mutated.
+    built; entry rows, the transpose and the diagonal positions are
+    cached on first use, so the index arrays must not be mutated.
     """
 
     __slots__ = ("n_rows", "n_cols", "row_ptr", "col_idx", "_rows", "_t",
-                 "_diag", "_slots")
+                 "_diag")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx):
         self._set(n_rows, n_cols, row_ptr, col_idx)
@@ -207,7 +206,7 @@ class Pattern:
         self.n_cols = int(n_cols)
         self.row_ptr = _as_index_array(row_ptr)
         self.col_idx = _as_index_array(col_idx)
-        self._rows = self._t = self._diag = self._slots = None
+        self._rows = self._t = self._diag = None
 
     def _validate(self):
         if self.n_rows < 0 or self.n_cols < 0:
@@ -257,21 +256,6 @@ class Pattern:
                                  self.entry_rows()[perm])
             self._t = (T, perm)
         return self._t
-
-    def row_slots(self):
-        """(L, n_rows) entry positions, L the longest row's length: slot k
-        of row i is its k-th entry, or its last where the row is shorter,
-        so z[slots].max(axis=0) is each row's maximum of an entry-major
-        z. None past two slots per entry (a hub row), where
-        np.maximum.reduceat is as fast; ValueError if a row is empty."""
-        if self._slots is None:
-            lens = np.diff(self.row_ptr)
-            if not lens.all():
-                raise ValueError(f"row {int(np.argmin(lens))} is empty")
-            L = int(lens.max(initial=0))
-            self._slots = False if L * self.n_rows > 2 * self.nnz else _frozen(
-                self.row_ptr[:-1] + np.minimum(np.arange(L)[:, None], lens - 1))
-        return None if self._slots is False else self._slots
 
     def diag_positions(self):
         """CSR positions of the (i, i) entries, in row order."""

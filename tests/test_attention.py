@@ -288,6 +288,11 @@ RAISE_SITES = {
         lambda: weighted_neighborhood_softmax(np.ones(3),
                                               small_graph_shift(True)),
         DimensionMismatch, "one score per supported pair required"),
+    "weighted_softmax_nan_score": (
+        lambda: weighted_neighborhood_softmax(
+            [np.nan, 0, 0, 0, 0, 0, 0],
+            build_shift(Graph(3, ((0, 1, 1.0), (1, 2, 1.0))), "none")),
+        ValueError, "scores must be finite"),
 }
 
 

@@ -236,13 +236,11 @@ class TestAttentionPrimitives:
         s = Tensor(rng.normal(size=(pat.nnz,)))
         check_primitive(lambda t: ag.support_softmax(t, s, pat), [s])
 
-    def test_support_softmax_weighted_batched(self):
+    def test_support_softmax_batched(self):
         rng = np.random.default_rng(17)
         pat = ring_pattern(4)
         s = Tensor(rng.normal(size=(2, pat.nnz)))
-        w = rng.normal(size=pat.nnz)
-        check_primitive(
-            lambda t: ag.support_softmax(t, s, pat, weights=w), [s])
+        check_primitive(lambda t: ag.support_softmax(t, s, pat), [s])
 
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("batch", [(), (2,)])
@@ -509,11 +507,13 @@ def test_attention_families_give_bitwise_the_batch_major_logits(
 
 def row_max_exp(z, pattern):
     """attention._row_exp before the bound rule: exp(z - row max) on every
-    input, the maximum from the row slots, or by reduceat on a hub row."""
-    slots = pattern.row_slots()
-    row_max = (z[slots].max(axis=0) if slots is not None else
-               np.maximum.reduceat(z, pattern.row_ptr[:-1], axis=0))
-    p = row_max[pattern.entry_rows()]
+    input. The maximum is not reduceat's: it is taken over an (L, n) table
+    of entry positions, L the longest row, whose slot k of row i is the
+    row's k-th entry, or its last where the row is shorter."""
+    lens = np.diff(pattern.row_ptr)
+    slots = pattern.row_ptr[:-1] + np.minimum(
+        np.arange(lens.max(initial=0))[:, None], lens - 1)
+    p = z[slots].max(axis=0)[pattern.entry_rows()]
     np.exp(np.subtract(z, p, out=p), out=p)
     return p, _segment_sums(p, pattern.row_ptr, 0)
 

@@ -3,8 +3,9 @@ type: on any pattern, batch shape and feature count, both paths equal the
 dense product, the operator's adjoints satisfy <G, S X> = <S^T G, X>, and
 a batched spmv is bitwise spmm of x[..., None];
 any valid CSR layout is accepted, each single corruption of one is
-rejected, the cached transpose matches scipy, and a submatrix is the
-dense block it names."""
+rejected, the cached transpose matches scipy, a submatrix is the
+dense block it names, the soft maximum's reduceat row maximum is
+bitwise a slot table's, and the soft maximum refuses an empty row."""
 import numpy as np
 import pytest
 
@@ -12,8 +13,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from graphfilt.attention import (BOUND, LEAKY_SLOPE_DEFAULT,  # noqa: E402
+                                 _edge_scores, _row_exp, _score_matrix)
+from graphfilt.nn import Tape  # noqa: E402
+from graphfilt.nn import autograd as ag  # noqa: E402
 from graphfilt.sparse import (Pattern, SparseMatrix,  # noqa: E402
                               _dense_product, _Product, spmm, spmv)
+from test_autograd import row_max_exp  # noqa: E402
 
 cases = st.fixed_dictionaries({
     "n_rows": st.integers(1, 12),
@@ -198,66 +204,54 @@ slot_cases = st.fixed_dictionaries({
 
 
 def slot_pattern(case):
+    """A square pattern holding its full diagonal, as supp(I+S) does, with
+    the drawn row lengths; rows of the diagonal alone pad it to at least
+    its longest row."""
     rng = np.random.default_rng(case["seed"])
-    lengths = np.array(case["lengths"])
-    n_cols = int(lengths.max()) + 3
-    cols = [np.sort(rng.choice(n_cols, k, replace=False)) for k in lengths]
+    lengths = list(case["lengths"])
+    n = max(len(lengths), max(lengths))
+    lengths += [1] * (n - len(lengths))
+    cols = [np.sort(np.append(rng.choice(np.delete(np.arange(n), i), k - 1,
+                                         replace=False), i))
+            for i, k in enumerate(lengths)]
     row_ptr = np.concatenate([[0], np.cumsum(lengths)])
-    return Pattern(len(lengths), n_cols, row_ptr, np.concatenate(cols)), rng
+    return Pattern(n, n, row_ptr, np.concatenate(cols)), rng
 
 
 @settings(max_examples=80, deadline=None)
 @given(slot_cases)
 def test_row_slot_max_is_bitwise_the_reduceat_max(case):
+    """Past the bound, the soft maximum's exponentials and row sums, taken
+    from the reduceat row maximum, are bitwise those of the slot-table
+    maximum (test_autograd.row_max_exp)."""
     pat, rng = slot_pattern(case)
-    slots, longest = pat.row_slots(), max(case["lengths"])
-    if longest * pat.n_rows > 2 * pat.nnz:     # a hub row: reduceat's job
-        assert slots is None
-        return
-    assert slots.shape == (longest, pat.n_rows)
-    assert not slots.flags.writeable and pat.row_slots() is slots
     z = rng.normal(size=(pat.nnz,) + case["batch"])
     # ties, signed zeros and infinities among the entries
     special = rng.random(z.shape) < 0.5
     z[special] = rng.choice([-0.0, 0.0, 1.5, -np.inf, np.inf],
                             size=int(special.sum()))
-    want = np.maximum.reduceat(z, pat.row_ptr[:-1], axis=0)
-    got = z[slots].max(axis=0)
-    if np.prod(case["batch"]) > 1:
-        assert got.tobytes() == want.tobytes()
-    else:
-        # with one sample, numpy's reduce loop may keep the other zero of
-        # a -0.0/+0.0 tie; the soft maximum subtracts it, and is bitwise
-        assert np.array_equal(got, want)
-    rows = pat.entry_rows()
+    z.flat[rng.integers(z.size)] = 2.0 * BOUND    # so the row maximum runs
     with np.errstate(invalid="ignore"):          # inf - inf
-        assert (np.exp(z - got[rows]).tobytes()
-                == np.exp(z - want[rows]).tobytes())
+        got, want = _row_exp(z, pat), row_max_exp(z, pat)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @settings(max_examples=40, deadline=None)
 @given(slot_cases, st.data())
-def test_row_slots_refuse_an_empty_row(case, data):
-    pat, _ = slot_pattern(case)
+def test_soft_maximum_refuses_an_empty_row(case, data):
+    """Row i emptied, the pattern lacks (i, i): support_softmax and
+    attention_hops raise ValueError, not a NaN row or an IndexError, with
+    every score within the bound and with scores past it. The scores are
+    positively homogeneous in x, so scaling x places them."""
+    pat, rng = slot_pattern(case)
     i = data.draw(st.integers(0, pat.n_rows - 1))
-    keep = pat.entry_rows() != i
-    with pytest.raises(ValueError, match=f"row {i} is empty"):
-        pat.select(keep).row_slots()
-
-
-def test_row_slots_give_way_to_reduceat_past_two_slots_per_entry():
-    def rows_of(lengths):
-        row_ptr = np.concatenate([[0], np.cumsum(lengths)])
-        return Pattern(len(lengths), 4, row_ptr,
-                       np.concatenate([np.arange(k) for k in lengths]))
-
-    assert rows_of([4, 2, 1, 1]).row_slots().shape == (4, 4)  # 16 for 8
-    assert rows_of([4, 1, 1, 1]).row_slots() is None          # 16 for 7
-    # a star: the hub row holds every node, each leaf row two entries
-    n = 12
-    rows = np.concatenate([np.zeros(n, dtype=np.int64), np.arange(1, n),
-                           np.arange(1, n)])
-    cols = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=np.int64),
-                           np.arange(1, n)])
-    star = SparseMatrix.from_coo(n, n, rows, cols, np.ones(len(rows))).pattern
-    assert star.row_slots() is None
+    pat = pat.select(pat.entry_rows() != i)
+    x = rng.normal(size=(pat.n_rows, 2))
+    b, e = rng.normal(size=(2, 2)), rng.normal(size=4)
+    z, _ = _edge_scores(x @ _score_matrix(b, e), pat, LEAKY_SLOPE_DEFAULT)
+    top = np.abs(z).max(initial=0.0) or 1.0
+    for c in (BOUND / (2.0 * top), 2.0 * BOUND / top):
+        with pytest.raises(ValueError, match="full diagonal"):
+            ag.support_softmax(Tape(), c * z, pat)
+        with pytest.raises(ValueError, match="full diagonal"):
+            ag.attention_hops(Tape(), c * x, b, e, pat, x, 1)

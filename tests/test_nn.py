@@ -1567,10 +1567,13 @@ def test_arma_jacobi_bound_reads_inf_on_a_diagonal_entry():
 
 def three_record_shift(tape, x, b, e, pattern, weights=None):
     """The attention shift as it was before the fused primitives: H = x b,
-    the edge scores of H and the soft maximum, one record each."""
+    the edge scores of H (times the constant weights) and the soft
+    maximum, one record each."""
     H = ag.matmul(tape, x, b)
     scores = ag.edge_score(tape, H, e, pattern, LEAKY_SLOPE_DEFAULT)
-    return ag.support_softmax(tape, scores, pattern, weights=weights)
+    if weights is not None:
+        scores = ag.mul(tape, scores, weights)
+    return ag.support_softmax(tape, scores, pattern)
 
 
 ATTENTION_CASES = (
