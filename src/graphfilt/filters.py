@@ -316,15 +316,14 @@ def apply_arma_exact(f, S, X):
     X = np.asarray(X, dtype=np.float64)
     Sd = S.to_dense()
     n = Sd.shape[0]
+    powers = [Sd]  # S, S^2, ..., read by both P(S) and Q(S)
+    while len(powers) < max(len(f.a), len(f.b) - 1):
+        powers.append(powers[-1] @ Sd)
     P = np.eye(n)
-    power = np.eye(n)
-    for ap in f.a:
-        power = power @ Sd
+    for ap, power in zip(f.a, powers):
         P = P + ap * power
     Q = f.b[0] * np.eye(n)
-    power = np.eye(n)
-    for bq in f.b[1:]:
-        power = power @ Sd
+    for bq, power in zip(f.b[1:], powers):
         Q = Q + bq * power
     rhs = Q @ X
     try:

@@ -69,7 +69,7 @@ def _cmd_eval(args):
 
 
 def _coeffs(d, name, default=None):
-    """Field ``name`` of a --filter object as finite floats, at most 1-D."""
+    """Field ``name`` of a --filter object as a 1-D array of finite floats."""
     if name not in d and default is None:
         raise GraphFiltError(f"--filter field {name!r} is missing")
     value = d.pop(name, default)
@@ -77,7 +77,7 @@ def _coeffs(d, name, default=None):
         c = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         c = None
-    if c is None or c.ndim > 1 or not np.isfinite(c).all():
+    if c is None or c.ndim != 1 or not np.isfinite(c).all():
         raise GraphFiltError(f"--filter field {name!r} must be a list of "
                              f"finite numbers, not {value!r}")
     return c

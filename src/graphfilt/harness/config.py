@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import (MISSING, asdict, dataclass, field, fields,
-                         is_dataclass)
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from ..errors import ConfigError
 from ..graphs import SELECTIONS
@@ -199,6 +198,3 @@ class ExperimentConfig:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(raw)
-
-    def to_dict(self):
-        return asdict(self)

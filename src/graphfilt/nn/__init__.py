@@ -1,6 +1,6 @@
 """Differentiable layers, gradient engine, optimizer, and validation."""
 from .autograd import Tape, Tensor
-from .functional import cross_entropy, log_sum_exp, smooth_l1, softmax_rows
+from .functional import cross_entropy, smooth_l1
 from .gradcheck import GradCheckReport, finite_difference_check
 from .init import init_params
 from .layers import (ArmaLayer, AttentionParams, BlockVaryingLayer,
@@ -16,6 +16,5 @@ __all__ = [
     "GradCheckReport", "HybridGcatLayer", "HybridLayer", "Model",
     "PolynomialLayer", "ShiftContext", "Tape", "Tensor", "adam_step",
     "cross_entropy", "finite_difference_check", "init_params",
-    "load_model", "log_sum_exp", "save_model", "shift_operator_hash",
-    "smooth_l1", "softmax_rows",
+    "load_model", "save_model", "shift_operator_hash", "smooth_l1",
 ]

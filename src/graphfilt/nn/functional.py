@@ -1,4 +1,4 @@
-"""Loss functions and the stable reductions they rest on.
+"""Loss functions.
 
 Losses live off the tape: each returns (value, gradient w.r.t. its first
 argument) so the training loop can seed the backward pass.
@@ -8,25 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import LabelOutOfRange
-
-
-def _shifted_exp(x, axis):
-    """m = max, e = exp(x - m) and s = sum(e) along axis, kept in m, s."""
-    x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return m, e, np.sum(e, axis=axis, keepdims=True)
-
-
-def log_sum_exp(x, axis=-1):
-    """Stable log(sum(exp(x))) via max subtraction."""
-    m, _, s = _shifted_exp(x, axis)
-    return np.squeeze(m, axis=axis) + np.log(np.squeeze(s, axis=axis))
-
-
-def softmax_rows(x, axis=-1):
-    _, e, s = _shifted_exp(x, axis)
-    return e / s
 
 
 def cross_entropy(logits, labels):
@@ -41,7 +22,9 @@ def cross_entropy(logits, labels):
     n, c = L.shape
     if y.min(initial=0) < 0 or y.max(initial=-1) >= c:
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
-    m, e, s = _shifted_exp(L, -1)
+    m = np.max(L, axis=-1, keepdims=True)
+    e = np.exp(L - m)
+    s = np.sum(e, axis=-1, keepdims=True)
     rows = np.arange(n)
     loss = float(np.mean(m[:, 0] + np.log(s[:, 0]) - L[rows, y]))
     grad = e / s

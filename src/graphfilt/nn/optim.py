@@ -19,20 +19,17 @@ class AdamState:
         self.v = np.zeros_like(self.m)
 
 
-def adam_step(state, grads=None):
-    """One bias-corrected update of the state's parameters; grads default
-    to each tensor's slot.
+def adam_step(state):
+    """One bias-corrected update of the state's parameters from each
+    tensor's ``grad``.
 
     A missing gradient (untouched parameter) counts as zero. Every
     gradient is checked before any state changes.
     """
     params = state.params
-    if grads is None:
-        grads = [p.grad for p in params]
-    if len(grads) != len(params):
-        raise ShapeMismatch("gradient list does not match the parameters")
     flat = []
-    for p, g in zip(params, grads):
+    for p in params:
+        g = p.grad
         g = np.asarray(np.zeros_like(p.value) if g is None else g, np.float64)
         if g.shape != p.value.shape:
             raise ShapeMismatch(

@@ -392,11 +392,6 @@ class SparseMatrix:
         return cls.from_coo(dense.shape[0], dense.shape[1],
                             rows, cols, dense[rows, cols])
 
-    @classmethod
-    def identity(cls, n):
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.entry_rows(), self.col_idx] = self.values
@@ -465,10 +460,6 @@ class Permutation:
         inv = np.empty_like(self.map)
         inv[self.map] = np.arange(self.n)
         return Permutation(inv)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(np.arange(n))
 
     @classmethod
     def random(cls, n, rng):

@@ -86,7 +86,7 @@ def test_fused_record_matches_the_two_record_chain(case):
 
 
 def test_zero_hops_record_nothing():
-    pat = support_mask(SparseMatrix.identity(3))
+    pat = support_mask(SparseMatrix.from_dense(np.eye(3)))
     tape = Tape()
     out = ag.attention_hops(tape, Tensor(np.ones((2, 3, 1))),
                             Tensor(np.ones((1, 2))), Tensor(np.ones(4)), pat,
@@ -96,7 +96,7 @@ def test_zero_hops_record_nothing():
 
 
 def test_operand_batch_must_match_the_scores():
-    pat = support_mask(SparseMatrix.identity(3))
+    pat = support_mask(SparseMatrix.from_dense(np.eye(3)))
     with pytest.raises(DimensionMismatch, match="differ"):
         ag.attention_hops(Tape(), np.ones((2, 3, 1)), np.ones((1, 2)),
                           np.ones(4), pat, np.ones((3, 1)), 1)

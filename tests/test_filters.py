@@ -402,7 +402,7 @@ class TestArmaExact:
         assert np.max(np.abs(P @ U - X)) < 1e-10
 
     def test_size_cap(self):
-        S = SparseMatrix.identity(501)
+        S = SparseMatrix.from_dense(np.eye(501))
         with pytest.raises(TooLarge):
             apply_arma_exact(ArmaRational([], [1.0]), S, np.zeros((501, 1)))
 
@@ -561,7 +561,8 @@ RAISE_SITES = {
         lambda: BlockVaryingFilter([0, 0], np.ones((2, 2))), ValueError,
         "every block must contain a node"),
     "hybrid_factor_count": (
-        lambda: HybridFilter([0], (SparseMatrix.identity(3),), [1.0, 0.5]),
+        lambda: HybridFilter([0], (SparseMatrix.from_dense(np.eye(3)),),
+                             [1.0, 0.5]),
         DimensionMismatch,
         "need K+1 masked factors to match the K+1 global coefficients"),
     "arma_jacobi_unpaired_poles": (

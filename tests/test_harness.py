@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -79,9 +80,9 @@ class TestConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = sbm_config()
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps(cfg.to_dict()))
+        p.write_text(json.dumps(asdict(cfg)))
         again = ExperimentConfig.from_json(p)
-        assert again.to_dict() == cfg.to_dict()
+        assert asdict(again) == asdict(cfg)
 
     def test_bad_json(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -333,7 +334,7 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict(raw)
         training = dict(self._TRAINING_DEFAULTS, **raw.get("training", {}))
         training["learning_rate"] = float(training["learning_rate"])
-        assert cfg.to_dict() == {
+        assert asdict(cfg) == {
             "task": raw["task"], "seed": raw.get("seed", 0),
             "architecture": dict(self._ARCHITECTURE_DEFAULTS,
                                  **raw.get("architecture", {})),
@@ -342,7 +343,7 @@ class TestConfig:
                 {"task": raw["task"]}).dataset, **raw.get("dataset", {})),
             "timing": False}
         assert type(cfg.training.learning_rate) is float
-        assert list(cfg.to_dict()["architecture"]) == list(
+        assert list(asdict(cfg)["architecture"]) == list(
             self._ARCHITECTURE_DEFAULTS)
 
 
@@ -1188,7 +1189,7 @@ class TestCli:
 
     def test_generate_train_eval_cycle(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(sbm_config().to_dict()))
+        cfg_path.write_text(json.dumps(asdict(sbm_config())))
         out = tmp_path / "run"
         assert cli_main(["train", "-c", str(cfg_path), "-o", str(out)]) == 0
         assert (out / "metrics.csv").exists()
@@ -1235,9 +1236,13 @@ class TestCli:
          "--filter field 'a' must be a list of finite numbers, not "
          "[0.5, None]"),
         ("{kind: 1}", "--filter is not valid JSON: Expecting property name "
-         "enclosed in double quotes: line 1 column 2 (char 1)")],
+         "enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"kind":"polynomial","coeffs":1.5}',
+         "--filter field 'coeffs' must be a list of finite numbers, not 1.5"),
+        ('{"kind":"arma","a":0.5,"b":[1]}',
+         "--filter field 'a' must be a list of finite numbers, not 0.5")],
         ids=["list", "string", "no_coeffs", "no_b", "nested_coeffs",
-             "null_in_a", "not_json"])
+             "null_in_a", "not_json", "scalar_coeffs", "scalar_a"])
     def test_spectrum_refuses_a_malformed_filter(self, tmp_path, capsys,
                                                   spec, message):
         g = tmp_path / "g.edgelist"
@@ -1274,7 +1279,7 @@ class TestCli:
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(sbm_config().to_dict()))
+        cfg_path.write_text(json.dumps(asdict(sbm_config())))
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
         assert cli_main(["generate", "-c", str(cfg_path), "-o", str(out1),

@@ -60,7 +60,7 @@ class TestSparseMatrix:
 
 class TestSpmv:
     def test_identity(self):
-        S = SparseMatrix.identity(5)
+        S = SparseMatrix.from_dense(np.eye(5))
         x = np.arange(5.0)
         assert np.array_equal(spmv(S, x), x)
 
@@ -121,7 +121,7 @@ class TestSpmm:
 class TestPermutation:
     def test_identity_leaves_shift(self):
         S = k3_adjacency()
-        P = Permutation.identity(3)
+        P = Permutation(np.arange(3))
         assert np.array_equal(permute_shift(S, P).to_dense(), S.to_dense())
 
     def test_inverse_round_trip_bit_exact(self):
@@ -152,8 +152,8 @@ class TestPermutation:
 
 class TestPowerIteration:
     def test_identity_is_one(self):
-        assert power_iteration_lambda_max(SparseMatrix.identity(4)) == \
-            pytest.approx(1.0, abs=1e-9)
+        S = SparseMatrix.from_dense(np.eye(4))
+        assert power_iteration_lambda_max(S) == pytest.approx(1.0, abs=1e-9)
 
     def test_k3_is_two(self, monkeypatch):
         monkeypatch.setattr(sparse, "POWER_TOL", 1e-12)
@@ -191,7 +191,7 @@ class TestSupportMask:
         S = k3_adjacency()
         mask = support_mask(S)
         assert mask.contains(S)
-        assert mask.contains(SparseMatrix.identity(3))
+        assert mask.contains(SparseMatrix.from_dense(np.eye(3)))
         off = SparseMatrix.from_dense(np.eye(4))
         assert not mask.contains(off)
 
@@ -261,7 +261,7 @@ def _unfit(primitive, vals_shape, x_shape, n):
     """A value-operand primitive on the n-node identity pattern."""
     return getattr(ag, primitive)(ag.Tape(), np.ones(vals_shape),
                                   np.ones(x_shape),
-                                  SparseMatrix.identity(n).pattern)
+                                  SparseMatrix.from_dense(np.eye(n)).pattern)
 
 
 def _unfit_sites():
@@ -308,17 +308,17 @@ RAISE_SITES = {
         lambda: SparseMatrix(2, 2, [0, 1, 2], [0, 1], [1.0]), ValueError,
         "col_idx and values must have equal length"),
     "spmm_vector_operand": (
-        lambda: spmm(SparseMatrix.identity(2), np.ones(2)), DimensionMismatch,
-        "spmm: matrix has 2 columns, X has shape (2,)"),
+        lambda: spmm(SparseMatrix.from_dense(np.eye(2)), np.ones(2)),
+        DimensionMismatch, "spmm: matrix has 2 columns, X has shape (2,)"),
     "spmm_node_count": (
-        lambda: spmm(SparseMatrix.identity(2), np.ones((3, 1))),
+        lambda: spmm(SparseMatrix.from_dense(np.eye(2)), np.ones((3, 1))),
         DimensionMismatch, "spmm: matrix has 2 columns, X has shape (3, 1)"),
     "permute_signal_size": (
-        lambda: permute_signal(np.ones(3), Permutation.identity(2)),
+        lambda: permute_signal(np.ones(3), Permutation(np.arange(2))),
         DimensionMismatch, "permute_signal: size mismatch"),
     "permute_shift_size": (
-        lambda: permute_shift(SparseMatrix.identity(3),
-                              Permutation.identity(2)),
+        lambda: permute_shift(SparseMatrix.from_dense(np.eye(3)),
+                              Permutation(np.arange(2))),
         DimensionMismatch, "permute_shift: size mismatch"),
     "power_iteration_not_square": (
         lambda: power_iteration_lambda_max(_rectangular()), DimensionMismatch,

@@ -12,7 +12,7 @@ from graphfilt.nn import (AdamState, Tensor, adam_step,  # noqa: E402
                           cross_entropy)
 from graphfilt.nn import autograd as ag  # noqa: E402
 from test_nn import (per_tensor_adam_state, per_tensor_adam_step,  # noqa: E402
-                     sum_unbroadcast, two_pass_cross_entropy)
+                     step_with, sum_unbroadcast, two_pass_cross_entropy)
 
 dims = st.integers(1, 5)
 param_shapes = st.one_of(st.just(()), st.just((1,)), st.tuples(dims),
@@ -27,11 +27,10 @@ def _spread(rng, shape):
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(param_shapes, min_size=1, max_size=6), st.integers(1, 30),
-       st.floats(1e-5, 1.0), st.booleans(), seeds)
+       st.floats(1e-5, 1.0), seeds)
 def test_flat_adam_matches_the_per_tensor_loop(shapes, steps, learning_rate,
-                                               from_slots, seed):
-    """Values and moments after 1-30 steps, some gradients None, passed
-    as a list or left in the tensors' slots."""
+                                               seed):
+    """Values and moments after 1-30 steps, some gradients None."""
     rng = np.random.default_rng(seed)
     start = [rng.normal(size=s) for s in shapes]
     flat = [Tensor(v.copy()) for v in start]
@@ -43,12 +42,7 @@ def test_flat_adam_matches_the_per_tensor_loop(shapes, steps, learning_rate,
                  for s in shapes]
         for params, state, step in [(flat, flat_state, adam_step),
                                     (loop, loop_state, per_tensor_adam_step)]:
-            if from_slots:
-                for p, g in zip(params, grads):
-                    p.grad = g
-                step(state)
-            else:
-                step(state, grads=grads)
+            step_with(step, state, grads)
     for p, q in zip(flat, loop):
         assert p.value.shape == np.shape(q.value)
         assert np.array_equal(p.value, q.value)
