@@ -97,4 +97,4 @@ class ConfigError(GraphFiltError):
 
 
 class NonFiniteValue(GraphFiltError):
-    """Raised when training meets a non-finite loss or gradient."""
+    """Raised on a non-finite loss, gradient or filter coefficient."""

@@ -3,7 +3,9 @@
 Every filter here maps node signals to node signals through sparse
 products with the shift operator (or with learned matrices sharing its
 support). The rational family is realized two ways: an exact dense solve
-for analysis, and the pole-wise truncated Jacobi recursion that scales.
+for analysis, and the truncated Jacobi recursion that scales, whose
+partial-fraction branches run in parallel: every pole shares one product
+with the off-diagonal part of the shift per step.
 """
 from __future__ import annotations
 
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, RepeatedPoles, SingularDiagonal,
-                     SingularSystem, SupportViolation, TooLarge)
+from .errors import (DimensionMismatch, NonFiniteValue, RepeatedPoles,
+                     SingularDiagonal, SingularSystem, SupportViolation,
+                     TooLarge)
 from .linalg import poly_roots
 from .sparse import Pattern, spmm, spmv
 
@@ -158,6 +161,12 @@ class ArmaJacobiFilter:
         alphas = np.atleast_1d(np.asarray(self.alphas, dtype=np.float64))
         if betas.shape != gammas.shape:
             raise DimensionMismatch("betas and gammas must pair up")
+        for name, values in (("betas", betas), ("gammas", gammas),
+                             ("alphas", alphas)):
+            if not np.all(np.isfinite(values)):
+                raise NonFiniteValue(f"{name} must be finite")
+        if not isinstance(self.jacobi_order, (int, np.integer)):
+            raise ValueError("jacobi_order must be an integer")
         if self.jacobi_order < 0:
             raise ValueError("jacobi_order must be non-negative")
         object.__setattr__(self, "betas", betas)
@@ -250,24 +259,25 @@ def apply_hybrid(f, S, X):
 
 
 def check_pole_guard(S, gamma):
-    d = S.diagonal()
-    bad = np.nonzero(np.abs(d - gamma) <= EPS_SING)[0]
+    """The diagonal d of the square shift S, once no pole in ``gamma`` (a
+    scalar or a vector of poles) lies within EPS_SING of an entry of d.
+    SingularDiagonal names the first such node of the first such pole."""
+    if S.n_rows != S.n_cols:
+        raise DimensionMismatch("the Jacobi recursion needs a square shift")
+    d = S.split_diagonal()[0]
+    bad = np.flatnonzero(np.abs(d - np.reshape(gamma, (-1, 1))) <= EPS_SING)
     if len(bad):
-        raise SingularDiagonal(int(bad[0]))
+        raise SingularDiagonal(int(bad[0] % len(d)))
     return d
 
 
 def jacobi_shift(S, gamma, d=None):
-    """R(gamma) = -(D - gamma I)^{-1} (S - D), D = diag(S); the pattern is
-    the stored off-diagonal pattern of S. A caller that has run
-    check_pole_guard passes the diagonal it returned as d."""
-    if S.n_rows != S.n_cols:
-        raise DimensionMismatch("jacobi_shift needs a square shift")
+    """R(gamma) = -(D - gamma I)^{-1} S_off, S = D + S_off, on the stored
+    off-diagonal pattern of S. A caller that has run check_pole_guard
+    passes the diagonal it returned as d."""
     d = check_pole_guard(S, gamma) if d is None else d
-    rows = S.entry_rows()
-    off = rows != S.col_idx
-    vals = -S.values[off] / (d[rows[off]] - gamma)
-    return S.pattern.select(off).matrix(vals)
+    S_off = S.split_diagonal()[1]
+    return S_off.with_values(-S_off.values / (d[S_off.entry_rows()] - gamma))
 
 
 def apply_single_pole_jacobi(S, beta, gamma, k_jacobi, x):
@@ -298,13 +308,27 @@ def jacobi_spectral_radius(S, gamma):
 
 
 def apply_arma_jacobi(f, S, X):
-    """Pole branches through the Jacobi recursion plus the direct
-    polynomial term."""
+    """The direct polynomial term plus one truncated Jacobi solve of
+    (S - gamma_p I) U_p = beta_p X per pole, summed in pole order.
+
+    With S = D + S_off, each branch runs jacobi_order steps of
+    U_p <- (D - gamma_p I)^{-1} (beta_p X - S_off U_p) from U_p = X. The
+    branches are one (P, ..., n, F) stack, so a step is one S_off product
+    for every pole: the parallel form of the partial fractions.
+    """
     X = np.asarray(X, dtype=np.float64)
     out = apply_polynomial(PolynomialFilter(f.alphas), S, X)
-    for beta, gamma in zip(f.betas, f.gammas):
-        out = out + apply_single_pole_jacobi(S, beta, gamma,
-                                             f.jacobi_order, X)
+    d = check_pole_guard(S, f.gammas)
+    S_off = S.split_diagonal()[1]
+    Xn = X[:, None] if X.ndim == 1 else X            # (..., n, F)
+    per_pole = (f.n_poles,) + (1,) * Xn.ndim
+    gap = d[:, None] - f.gammas.reshape(per_pole)
+    bx = f.betas.reshape(per_pole) * Xn
+    U = Xn  # every branch starts at X, so the first product serves all
+    for _ in range(f.jacobi_order):
+        U = (bx - spmm(S_off, U)) / gap
+    for u in np.broadcast_to(U, bx.shape):
+        out = out + u.reshape(X.shape)
     return out
 
 
@@ -408,7 +432,7 @@ def arma_to_edge_varying(f, S):
     """
     n = S.n_rows
     K = f.jacobi_order
-    d = S.diagonal()
+    d = S.split_diagonal()[0]
     pole_terms = []
     for beta, gamma in zip(f.betas, f.gammas):
         R = jacobi_shift(S, gamma)

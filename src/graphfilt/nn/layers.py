@@ -37,9 +37,7 @@ class ShiftContext:
         self.S = S
         self.n = S.n_rows
         self.pattern = support_mask(S)
-        self.diag = S.diagonal()
-        off = S.entry_rows() != S.col_idx
-        self.S_off = S.pattern.select(off).matrix(S.values[off])
+        self.diag, self.S_off = S.split_diagonal()
         self.weighted_vals = self.pattern.aligned_values(S, diag_fill_zero=1.0)
 
     def masked_rows_pattern(self, important):

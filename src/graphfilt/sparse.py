@@ -334,11 +334,12 @@ class SparseMatrix:
     """Real CSR matrix: one value per stored entry of a ``Pattern``.
 
     ``values`` must not be mutated in place: products cache a dense copy
-    of the matrix on first use, and it would go stale. ``with_values``
-    and ``scale`` return a new matrix on the same pattern instead.
+    of the matrix on first use, and ``split_diagonal`` its diagonal and
+    off-diagonal part, and both would go stale. ``with_values`` and
+    ``scale`` return a new matrix on the same pattern instead.
     """
 
-    __slots__ = ("pattern", "values", "_op")
+    __slots__ = ("pattern", "values", "_op", "_split")
 
     def __init__(self, n_rows, n_cols, row_ptr, col_idx, values):
         self._set(Pattern(n_rows, n_cols, row_ptr, col_idx), values)
@@ -346,7 +347,7 @@ class SparseMatrix:
     def _set(self, pattern, values):
         self.pattern = pattern
         self.values = np.asarray(values, dtype=np.float64)
-        self._op = None
+        self._op = self._split = None
         if len(self.values) != pattern.nnz:
             raise ValueError("col_idx and values must have equal length")
 
@@ -402,6 +403,16 @@ class SparseMatrix:
         diag = self.pattern.diag_positions()
         d[self.col_idx[diag]] = self.values[diag]
         return d
+
+    def split_diagonal(self):
+        """(d, S_off) with S = diag(d) + S_off: the diagonal, read-only,
+        and the stored off-diagonal entries on their own pattern; built
+        on first use and kept."""
+        if self._split is None:
+            off = self.entry_rows() != self.col_idx
+            self._split = (_frozen(self.diagonal()),
+                           self.pattern.select(off).matrix(self.values[off]))
+        return self._split
 
     def transpose(self):
         """S^T, on the pattern's cached transpose."""

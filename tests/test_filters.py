@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import graphfilt
-from graphfilt.errors import (DimensionMismatch, RepeatedPoles,
-                              SingularDiagonal, SingularSystem,
-                              SupportViolation, TooLarge)
+from graphfilt.errors import (DimensionMismatch, NonFiniteValue,
+                              RepeatedPoles, SingularDiagonal,
+                              SingularSystem, SupportViolation, TooLarge)
 from graphfilt.filters import (ArmaJacobiFilter, ArmaRational,
                                BlockVaryingFilter, EdgeVaryingFilter,
                                HybridFilter, PolynomialFilter,
@@ -22,6 +22,7 @@ from graphfilt.filters import (ArmaJacobiFilter, ArmaRational,
                                jacobi_spectral_radius, param_count,
                                partial_fraction_decompose)
 from graphfilt.graphs import Graph, build_shift
+from graphfilt.nn.layers import ShiftContext
 from graphfilt.sparse import (Permutation, SparseMatrix, permute_shift,
                               permute_signal, support_mask)
 
@@ -43,6 +44,26 @@ def random_graph_shift(rng, n, p=0.5, normalized=True):
 
 def random_supported_matrix(rng, mask, scale=1.0):
     return mask.matrix(rng.normal(size=mask.nnz) * scale)
+
+
+def per_pole_arma_jacobi(f, S, X):
+    """apply_arma_jacobi as it ran before the poles shared one S_off
+    product per step: the direct term, then each pole's own recursion
+    u <- beta (D - gamma I)^{-1} x + R(gamma) u on its own R(gamma),
+    added in pole order."""
+    X = np.asarray(X, dtype=np.float64)
+    out = apply_polynomial(PolynomialFilter(f.alphas), S, X)
+    for beta, gamma in zip(f.betas, f.gammas):
+        out = out + apply_single_pole_jacobi(S, beta, gamma,
+                                             f.jacobi_order, X)
+    return out
+
+
+def diagonal_shift():
+    """A 4-node path whose shift stores the diagonal 1, 2, 3, 2."""
+    dense = np.diag([1.0, 2.0, 3.0, 2.0])
+    dense[[0, 1, 2], [1, 2, 3]] = dense[[1, 2, 3], [0, 1, 2]] = 0.5
+    return SparseMatrix.from_dense(dense)
 
 
 class TestApplyPolynomial:
@@ -280,6 +301,35 @@ class TestApplyHybrid:
                      rf"^factor 2 entry \(3,{gap}\) off the graph support$")
 
 
+class TestSplitDiagonal:
+    def test_second_call_returns_the_same_objects(self):
+        S = diagonal_shift()
+        d, S_off = S.split_diagonal()
+        again = S.split_diagonal()
+        assert again[0] is d and again[1] is S_off
+
+    def test_diagonal_is_read_only(self):
+        d = diagonal_shift().split_diagonal()[0]
+        with pytest.raises(ValueError):
+            d[0] = 0.0
+
+    @pytest.mark.parametrize("make", [
+        diagonal_shift, k3_shift,
+        lambda: build_shift(Graph(3, ((0, 1), (1, 2))), "none")],
+        ids=["diagonal", "k3", "path"])
+    def test_shift_context_is_the_select_construction_bitwise(self, make):
+        S = make()
+        ctx = ShiftContext(S)
+        off = S.entry_rows() != S.col_idx
+        old = S.pattern.select(off).matrix(S.values[off])
+        assert ctx.diag.tobytes() == S.diagonal().tobytes()
+        for got, want in ((ctx.S_off.row_ptr, old.row_ptr),
+                          (ctx.S_off.col_idx, old.col_idx),
+                          (ctx.S_off.values, old.values)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert ctx.S_off.shape == old.shape
+
+
 class TestJacobiShift:
     def test_zero_diagonal_halves(self):
         S = k3_shift()
@@ -343,6 +393,22 @@ class TestSinglePoleJacobi:
 
 
 class TestArmaJacobi:
+    @pytest.mark.parametrize("gammas", [[0.5, 2.0, 3.0], [3.0, 1.0],
+                                        [2.0 + 1e-10, -1.0], [1.0]])
+    def test_multi_pole_singular_diagonal_names_the_reference_node(
+            self, gammas):
+        # the diagonal is 1, 2, 3, 2: node 1 before node 3 for gamma 2,
+        # and the first bad pole decides even when a later one hits an
+        # earlier node
+        S = diagonal_shift()
+        f = ArmaJacobiFilter(np.ones(len(gammas)), gammas, [1.0], 2)
+        X = np.ones((4, 2))
+        with pytest.raises(SingularDiagonal) as want:
+            per_pole_arma_jacobi(f, S, X)
+        with pytest.raises(SingularDiagonal) as got:
+            apply_arma_jacobi(f, S, X)
+        assert got.value.node == want.value.node
+
     def test_no_poles_is_direct_polynomial(self):
         rng = np.random.default_rng(13)
         S = random_graph_shift(rng, 6)
@@ -571,6 +637,23 @@ RAISE_SITES = {
     "arma_jacobi_negative_order": (
         lambda: ArmaJacobiFilter([1.0], [0.5], [1.0], -1), ValueError,
         "jacobi_order must be non-negative"),
+    "arma_jacobi_fractional_order": (
+        lambda: ArmaJacobiFilter([1.0], [0.5], [1.0], 2.7), ValueError,
+        "jacobi_order must be an integer"),
+    "arma_jacobi_nan_beta": (
+        lambda: ArmaJacobiFilter([1.0, np.nan], [0.5, 2.0], [1.0], 1),
+        NonFiniteValue, "betas must be finite"),
+    "arma_jacobi_nan_gamma": (
+        lambda: ArmaJacobiFilter([1.0], [np.nan], [1.0], 1),
+        NonFiniteValue, "gammas must be finite"),
+    "arma_jacobi_infinite_alpha": (
+        lambda: ArmaJacobiFilter([1.0], [0.5], [1.0, -np.inf], 1),
+        NonFiniteValue, "alphas must be finite"),
+    "apply_arma_jacobi_not_square": (
+        lambda: apply_arma_jacobi(ArmaJacobiFilter([1.0], [0.5], [1.0], 1),
+                                  SparseMatrix.from_dense(np.ones((2, 3))),
+                                  np.ones((3, 2))),
+        DimensionMismatch, "the Jacobi recursion needs a square shift"),
     "arma_rational_empty_numerator": (
         lambda: ArmaRational([0.5], []), ValueError,
         "numerator needs at least one coefficient"),
@@ -586,7 +669,7 @@ RAISE_SITES = {
         DimensionMismatch, "signal length does not match the filter"),
     "jacobi_shift_not_square": (
         lambda: jacobi_shift(SparseMatrix.from_dense(np.ones((2, 3))), 0.5),
-        DimensionMismatch, "jacobi_shift needs a square shift"),
+        DimensionMismatch, "the Jacobi recursion needs a square shift"),
     # P(S) = I - S is exactly singular: the LU solve fails
     "arma_exact_singular_solve": (
         lambda: apply_arma_exact(ArmaRational([-1.0], [1.0]), _swap2(),
