@@ -98,3 +98,7 @@ class ConfigError(GraphFiltError):
 
 class NonFiniteValue(GraphFiltError):
     """Raised on a non-finite loss, gradient or filter coefficient."""
+
+
+class NonRealValue(GraphFiltError):
+    """Raised on a complex value where the library needs a real one."""

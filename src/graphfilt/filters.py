@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonFiniteValue, RepeatedPoles,
-                     SingularDiagonal, SingularSystem, SupportViolation,
-                     TooLarge)
+from .errors import (DimensionMismatch, NonFiniteValue, NonRealValue,
+                     RepeatedPoles, SingularDiagonal, SingularSystem,
+                     SupportViolation, TooLarge)
 from .linalg import poly_roots
 from .sparse import Pattern, spmm, spmv
 
@@ -156,6 +156,9 @@ class ArmaJacobiFilter:
     jacobi_order: int
 
     def __post_init__(self):
+        for name in ("betas", "gammas", "alphas"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise NonRealValue(f"{name} must be real")
         betas = np.atleast_1d(np.asarray(self.betas, dtype=np.float64))
         gammas = np.atleast_1d(np.asarray(self.gammas, dtype=np.float64))
         alphas = np.atleast_1d(np.asarray(self.alphas, dtype=np.float64))
@@ -308,7 +311,8 @@ def jacobi_spectral_radius(S, gamma):
 
 
 def apply_arma_jacobi(f, S, X):
-    """The direct polynomial term plus one truncated Jacobi solve of
+    """The direct polynomial term (none when alphas is empty, as for a
+    strictly proper rational) plus one truncated Jacobi solve of
     (S - gamma_p I) U_p = beta_p X per pole, summed in pole order.
 
     With S = D + S_off, each branch runs jacobi_order steps of
@@ -317,7 +321,8 @@ def apply_arma_jacobi(f, S, X):
     for every pole: the parallel form of the partial fractions.
     """
     X = np.asarray(X, dtype=np.float64)
-    out = apply_polynomial(PolynomialFilter(f.alphas), S, X)
+    out = (apply_polynomial(PolynomialFilter(f.alphas), S, X)
+           if len(f.alphas) else np.zeros(X.shape))
     d = check_pole_guard(S, f.gammas)
     S_off = S.split_diagonal()[1]
     Xn = X[:, None] if X.ndim == 1 else X            # (..., n, F)

@@ -114,8 +114,9 @@ def evaluate(model, dataset, split, cfg):
         rows = slice(start, start + _EVAL_CHUNK)
         xb, yb = X[rows], y[rows]
         mb = mask[rows] if mask is not None else None
-        logits, _ = _forward_batch(model, ctx, xb)
-        lv = logits.value
+        # bind the logits alone, so this chunk's tape is freed before the
+        # next chunk's forward runs
+        lv = _forward_batch(model, ctx, xb)[0].value
         losses.append((_batch_loss(cfg, lv, yb, mb)[0], len(xb)))
         if dataset.is_classification:
             hits += float(np.sum(np.argmax(lv, axis=-1) == yb))

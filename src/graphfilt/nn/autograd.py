@@ -80,13 +80,20 @@ class Tape:
         self._records.append(fn)
 
     def backward(self, output=None, output_grad=1.0):
+        """Replay the records in reverse, consuming the tape: each record
+        is popped before it runs, so the forward values only its backward
+        reads and its output's adjoint are freed once it has run. A second
+        backward raises MissingTape."""
         out = output if output is not None else self.output
         if out is None:
             raise MissingTape("tape has no recorded output")
+        records, self._records = self._records, None
+        if records is None:
+            raise MissingTape("tape has already been replayed")
         out.grad = np.broadcast_to(
             np.asarray(output_grad, dtype=np.float64), out.value.shape).copy()
-        for fn in reversed(self._records):
-            fn()
+        while records:
+            records.pop()()
 
 
 def _val(x):

@@ -1,4 +1,6 @@
 """Gradient engine primitives against numeric differentiation."""
+import importlib
+import weakref
 from functools import partial
 
 import numpy as np
@@ -11,11 +13,13 @@ from graphfilt.attention import (BOUND, LEAKY_SLOPE_DEFAULT, _edge_scores,
                                  _score_matrix)
 from graphfilt.errors import MissingTape
 from graphfilt.graphs import Graph, build_shift, sbm_generate
-from graphfilt.harness.config import ExperimentConfig
+from graphfilt.harness.config import FAMILIES, ExperimentConfig
 from graphfilt.harness.train import build_model
 from graphfilt.nn import ShiftContext, Tape, Tensor, init_params
 from graphfilt.nn import autograd as ag
 from graphfilt.sparse import SparseMatrix, _segment_sums, support_mask
+
+layers_module = importlib.import_module("graphfilt.nn.layers")
 
 
 def leaky_relu(x, slope):
@@ -712,11 +716,12 @@ class TestFusedTail:
         bias = Tensor(b) if biased else None
         tape = Tape()
         out = tail(tape, a, kind, bias=bias)
+        records = len(tape._records)    # the backward consumes the tape
         grads = []
         if isinstance(out, Tensor):
             tape.backward(out, rng.normal(size=x.shape))
             grads = [t.grad for t in (a, bias) if isinstance(t, Tensor)]
-        return ag._val(out), grads, len(tape._records)
+        return ag._val(out), grads, records
 
     @pytest.mark.parametrize("operand", ["tensor", "array"])
     @pytest.mark.parametrize("biased", [False, True])
@@ -809,3 +814,67 @@ class TestTape:
     def test_backward_without_output_raises(self):
         with pytest.raises(MissingTape):
             Tape().backward()
+
+    def test_a_tape_replays_once(self):
+        # y = (w x)^2 at w = 2, x = 3: dy/dw = 2 w x^2 = 36; replaying the
+        # records again used to add a second 36 into w.grad
+        tape = Tape()
+        w, x = Tensor(np.array([2.0])), Tensor(np.array([3.0]))
+        wx = ag.mul(tape, w, x)
+        y = ag.mul(tape, wx, wx)
+        tape.backward(y)
+        assert w.grad.tolist() == [36.0] and x.grad.tolist() == [24.0]
+        with pytest.raises(MissingTape, match="already been replayed"):
+            tape.backward(y)
+        assert w.grad.tolist() == [36.0]
+
+    def test_each_record_is_freed_as_it_replays(self):
+        tape = Tape()
+        freed = []
+        tape.record(lambda: freed.append(alive() is None))  # replayed last
+        w = Tensor(np.array([2.0]))
+        ww = ag.mul(tape, w, w)
+        alive = weakref.ref(ww.value)
+        y = ag.mul(tape, ww, ww)
+        del ww
+        assert alive() is not None
+        tape.backward(y)
+        # gone before the earliest record ran, not only once backward
+        # returned
+        assert freed == [True] and alive() is None
+        assert w.grad.tolist() == [32.0]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_parameter_gradients_are_bitwise_a_replay_that_keeps_records(
+            self, family, monkeypatch):
+        ctx = ShiftContext(_sbm_shift())
+        cfg = ExperimentConfig.from_dict({
+            "task": "sbm_source_localization", "architecture": {
+                "family": family, "order": 2, "features": 4, "layers": 2,
+                "n_poles": 2, "jacobi_order": 2}})
+        X = np.random.default_rng(73).normal(size=(6, ctx.n, 1))
+        g = np.random.default_rng(74).normal(size=(6, 5))
+        runs = []
+        for tape_class in (Tape, KeepingTape):
+            monkeypatch.setattr(layers_module, "Tape", tape_class)
+            model = build_model(cfg, ctx, 5)
+            init_params(model, np.random.default_rng(72), shift=ctx)
+            logits, tape = model.forward(ctx, X)
+            assert type(tape) is tape_class
+            tape.backward(output_grad=g)
+            runs.append([logits.value.tobytes()] + [
+                t.grad.tobytes() for _, t in model.parameters()])
+        assert runs[0] == runs[1]
+
+
+class KeepingTape(Tape):
+    """The replay before records were released: every record stays on the
+    tape, and with it every forward value and adjoint, until the tape
+    itself is dropped."""
+
+    def backward(self, output=None, output_grad=1.0):
+        out = output if output is not None else self.output
+        out.grad = np.broadcast_to(
+            np.asarray(output_grad, dtype=np.float64), out.value.shape).copy()
+        for fn in reversed(self._records):
+            fn()

@@ -1,7 +1,8 @@
 """Hypothesis property of the parallel Jacobi ARMA filter: apply_arma_jacobi,
 every pole on one S_off product per step, equals the per-pole recursion it
 replaced (each pole on its own R(gamma)) to 1e-12 relative, for 0-3 poles,
-Jacobi orders 0-4, vector, matrix and batched signals, on shifts served by
+0-3 direct-term coefficients (none: a strictly proper rational), Jacobi
+orders 0-4, vector, matrix and batched signals, on shifts served by
 the dense product path, on a path graph that stays on CSR, and on shifts
 that store a nonzero diagonal."""
 import numpy as np
@@ -21,6 +22,7 @@ PATH_NODES = 40  # 40 x 40 slots > 16 x 78 stored entries: the CSR path
 cases = st.fixed_dictionaries({
     "shift": st.sampled_from(["dense", "csr_path", "diagonal"]),
     "poles": st.integers(0, 3),
+    "direct": st.integers(0, 3),     # 0: empty alphas, no direct term
     "order": st.integers(0, 4),
     "signal": st.sampled_from([(), (3,), (2, 3)]),
     "seed": st.integers(0, 2**32 - 1),
@@ -59,7 +61,7 @@ def test_parallel_jacobi_matches_the_per_pole_reference(case):
     P = case["poles"]
     gammas = rng.choice([-1.0, 1.0], size=P) * rng.uniform(1.5, 4.0, size=P)
     f = ArmaJacobiFilter(rng.normal(size=P), gammas,
-                         rng.normal(size=int(rng.integers(1, 4))),
+                         rng.normal(size=case["direct"]),
                          case["order"])
     n = S.n_rows
     signal = case["signal"]

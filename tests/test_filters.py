@@ -9,7 +9,7 @@ import pytest
 
 import graphfilt
 from graphfilt.errors import (DimensionMismatch, NonFiniteValue,
-                              RepeatedPoles, SingularDiagonal,
+                              NonRealValue, RepeatedPoles, SingularDiagonal,
                               SingularSystem, SupportViolation, TooLarge)
 from graphfilt.filters import (ArmaJacobiFilter, ArmaRational,
                                BlockVaryingFilter, EdgeVaryingFilter,
@@ -48,11 +48,13 @@ def random_supported_matrix(rng, mask, scale=1.0):
 
 def per_pole_arma_jacobi(f, S, X):
     """apply_arma_jacobi as it ran before the poles shared one S_off
-    product per step: the direct term, then each pole's own recursion
+    product per step: the direct term (none for empty alphas), then each
+    pole's own recursion
     u <- beta (D - gamma I)^{-1} x + R(gamma) u on its own R(gamma),
     added in pole order."""
     X = np.asarray(X, dtype=np.float64)
-    out = apply_polynomial(PolynomialFilter(f.alphas), S, X)
+    out = (apply_polynomial(PolynomialFilter(f.alphas), S, X)
+           if len(f.alphas) else np.zeros(X.shape))
     for beta, gamma in zip(f.betas, f.gammas):
         out = out + apply_single_pole_jacobi(S, beta, gamma,
                                              f.jacobi_order, X)
@@ -525,6 +527,41 @@ class TestPartialFractions:
             partial_fraction_decompose(ArmaRational([2.0, 1.0], [1.0]))
 
 
+class TestStrictlyProperRational:
+    """deg Q < deg P: partial fractions give no direct term, so alphas is
+    empty, and the Jacobi filter is the pole branches alone."""
+
+    @staticmethod
+    def _filter(order):
+        # (1 + 0.5 l) / (1 - l^2 / 9): poles at +-3, both real
+        alphas, poles, residues = partial_fraction_decompose(
+            ArmaRational([0.0, -1.0 / 9.0], [1.0, 0.5]))
+        assert len(alphas) == 0
+        assert np.allclose(np.sort(poles.real), [-3.0, 3.0])
+        assert not poles.imag.any() and not residues.imag.any()
+        return ArmaJacobiFilter(residues.real, poles.real, alphas, order)
+
+    @pytest.mark.parametrize("signal", [(6,), (6, 2)])
+    def test_order_80_jacobi_matches_the_exact_solve(self, signal):
+        rng = np.random.default_rng(19)
+        S = random_graph_shift(rng, 6)       # rho(R(+-3)) = 1/3
+        X = rng.normal(size=signal)
+        want = apply_arma_exact(ArmaRational([0.0, -1.0 / 9.0], [1.0, 0.5]),
+                                S, X)
+        got = apply_arma_jacobi(self._filter(80), S, X)
+        assert got.shape == X.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_edge_varying_form_matches_the_jacobi_filter(self):
+        rng = np.random.default_rng(20)
+        S = random_graph_shift(rng, 6)
+        f = self._filter(3)
+        X = rng.normal(size=(6, 2))
+        terms = arma_to_edge_varying(f, S)
+        assert np.max(np.abs(terms.apply(X) - apply_arma_jacobi(f, S, X))) \
+            < 1e-12
+
+
 class TestArmaToEdgeVarying:
     def test_single_pole_order_zero_is_identity(self):
         S = k3_shift(0.5)
@@ -649,6 +686,16 @@ RAISE_SITES = {
     "arma_jacobi_infinite_alpha": (
         lambda: ArmaJacobiFilter([1.0], [0.5], [1.0, -np.inf], 1),
         NonFiniteValue, "alphas must be finite"),
+    "arma_jacobi_complex_betas": (
+        lambda: ArmaJacobiFilter(np.array([1 + 2j, 1 - 2j]),
+                                 np.array([3 + 1j, 3 - 1j]), [0.5], 2),
+        NonRealValue, "betas must be real"),
+    "arma_jacobi_complex_gamma_list": (
+        lambda: ArmaJacobiFilter([1.0, 1.0], [3 + 1j, 3 - 1j], [0.5], 2),
+        NonRealValue, "gammas must be real"),
+    "arma_jacobi_complex_alphas": (
+        lambda: ArmaJacobiFilter([1.0], [3.0], np.array([0.5 + 0j]), 2),
+        NonRealValue, "alphas must be real"),
     "apply_arma_jacobi_not_square": (
         lambda: apply_arma_jacobi(ArmaJacobiFilter([1.0], [0.5], [1.0], 1),
                                   SparseMatrix.from_dense(np.ones((2, 3))),

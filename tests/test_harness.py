@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -47,6 +48,24 @@ def sbm_config(**overrides):
         else:
             base[key] = val
     return ExperimentConfig.from_dict(base)
+
+
+def evaluate_keeping_tapes(model, dataset, split, cfg):
+    """``evaluate`` on a classification split as it was before chunk
+    tapes were released: each chunk's tape stays bound until the next
+    chunk's forward has run."""
+    X, y, _ = dataset.split_arrays(split)
+    ctx = dataset.context()
+    losses, hits = [], 0.0
+    for start in range(0, len(X), train_module._EVAL_CHUNK):
+        rows = slice(start, start + train_module._EVAL_CHUNK)
+        logits, _ = train_module._forward_batch(model, ctx, X[rows])
+        lv = logits.value
+        losses.append((train_module._batch_loss(cfg, lv, y[rows], None)[0],
+                       len(lv)))
+        hits += float(np.sum(np.argmax(lv, axis=-1) == y[rows]))
+    total = sum(n for _, n in losses)
+    return sum(l * n for l, n in losses) / total, 1.0 - hits / total
 
 
 class TestConfig:
@@ -1058,6 +1077,28 @@ class TestTrainLoop:
 
         loss, err = evaluate(Oracle(), ds, "test", cfg)
         assert err == 0.0
+
+    def test_evaluate_holds_one_chunk_tape(self, monkeypatch):
+        chunk = train_module._EVAL_CHUNK
+        cfg = sbm_config(dataset={"n_train": 16, "n_val": 2 * chunk + 1,
+                                  "n_test": 16})
+        ds = build_dataset(cfg, np.random.default_rng(8))
+        ctx = ds.context()
+        model = build_model(cfg, ctx, ds.n_outputs)
+        init_params(model, np.random.default_rng(9), shift=ctx)
+        expected = evaluate_keeping_tapes(model, ds, "val", cfg)
+        tapes, forward = [], train_module._forward_batch
+
+        def watched(*args):
+            # every earlier chunk's tape is gone before this forward runs
+            assert all(tape() is None for tape in tapes)
+            logits, tape = forward(*args)
+            tapes.append(weakref.ref(tape))
+            return logits, tape
+
+        monkeypatch.setattr(train_module, "_forward_batch", watched)
+        assert evaluate(model, ds, "val", cfg) == expected
+        assert len(tapes) == 3
 
     def test_constant_predictor_near_chance(self):
         cfg = sbm_config(dataset={"n_train": 32, "n_val": 16, "n_test": 400,
