@@ -189,6 +189,9 @@ class ArmaRational:
     b: np.ndarray
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            if np.iscomplexobj(getattr(self, name)):
+                raise NonRealValue(f"{name} must be real")
         a = np.asarray(self.a, dtype=np.float64).reshape(-1)
         b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
         if len(b) < 1:
@@ -203,6 +206,15 @@ class ArmaRational:
 
 def _shift_apply(S, X):
     return spmv(S, X) if X.ndim == 1 else spmm(S, X)
+
+
+def _check_nodes(S, X):
+    """DimensionMismatch unless X holds one entry per column of S on its
+    node axis: the only axis of a vector, else the second to last."""
+    nodes = X.shape[-2:][0] if X.ndim else 0
+    if nodes != S.n_cols:
+        raise DimensionMismatch(
+            f"signal has {nodes} nodes, the shift {S.n_cols}")
 
 
 def apply_polynomial(f, S, X):
@@ -293,6 +305,7 @@ def apply_single_pole_jacobi(S, beta, gamma, k_jacobi, x):
     """
     x = np.asarray(x, dtype=np.float64)
     d = check_pole_guard(S, gamma)
+    _check_nodes(S, x)
     if int(k_jacobi) == 0:
         return x.copy()
     R = jacobi_shift(S, gamma, d)
@@ -343,6 +356,7 @@ def apply_arma_exact(f, S, X):
     if S.n_rows > ARMA_EXACT_MAX_N:
         raise TooLarge(f"exact ARMA is capped at {ARMA_EXACT_MAX_N} nodes")
     X = np.asarray(X, dtype=np.float64)
+    _check_nodes(S, X)
     Sd = S.to_dense()
     n = Sd.shape[0]
     powers = [Sd]  # S, S^2, ..., read by both P(S) and Q(S)

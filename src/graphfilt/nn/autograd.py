@@ -33,14 +33,17 @@ NONLINEARITIES = ("identity", "relu", "leaky_relu")
 
 
 class Tensor:
-    """Value with a gradient slot of the same shape."""
+    """Value with a gradient slot of the same shape. ``spare`` marks a
+    primitive's output whose own backward never reads its value, so
+    ``activation`` may take its array over."""
 
-    __slots__ = ("value", "grad", "name")
+    __slots__ = ("value", "grad", "name", "spare")
 
     def __init__(self, value, name=""):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.name = name
+        self.spare = False
 
     @property
     def shape(self):
@@ -121,6 +124,7 @@ def _result(tape, value, operands, back):
     else:
         return Constant(value)
     out = Tensor(value)
+    out.spare = True
 
     def replay():
         if out.grad is not None:
@@ -188,9 +192,18 @@ def scale(tape, a, factor):
                    lambda g: _acc(a, lambda: g * factor))
 
 
+def _read_back(out):
+    """Clear ``spare`` on the output of a primitive whose backward reads
+    it."""
+    if isinstance(out, Tensor):
+        out.spare = False
+    return out
+
+
 def reciprocal(tape, a):
     inv = 1.0 / _val(a)
-    return _result(tape, inv, (a,), lambda g: _acc(a, lambda: -g * inv * inv))
+    return _read_back(_result(tape, inv, (a,),
+                              lambda g: _acc(a, lambda: -g * inv * inv)))
 
 
 def matmul(tape, a, b):
@@ -278,13 +291,17 @@ def scatter_rows(tape, a, idx, n_rows):
 
 
 def activation(tape, a, kind, bias=None):
-    """The layer tail sigma(a + bias) as one record, written into one new
-    array; "identity" without a bias returns ``a`` itself and records
-    nothing. Leaky ReLU uses the fixed LEAKY_SLOPE_DEFAULT.
+    """The layer tail sigma(a + bias) as one record; "identity" without a
+    bias returns ``a`` itself and records nothing. Leaky ReLU uses the
+    fixed LEAKY_SLOPE_DEFAULT.
 
-    The backward reads the nonlinearity's mask from the output, which
-    keeps the sign of its input for relu and for a leaky slope >= 0, so no
-    factor array stays on the tape.
+    ``a`` must have no other reader. When it is a ``spare`` Tensor that
+    owns its array (not a view) of the bias-broadcast shape, the tail is
+    written into that array and ``a.value`` is released, so a later read
+    of it fails; otherwise into one new array. The backward reads the
+    nonlinearity's mask from the output, which keeps the sign of its
+    input for relu and for a leaky slope >= 0, so no factor array stays
+    on the tape.
     """
     if kind not in NONLINEARITIES:
         raise ValueError(f"unknown nonlinearity {kind!r}")
@@ -292,7 +309,14 @@ def activation(tape, a, kind, bias=None):
         return a
     av = _val(a)
     bv = None if bias is None else _val(bias)
-    out = av.copy() if bv is None else av + bv
+    shape = av.shape
+    if (isinstance(a, Tensor) and a.spare and av.base is None and (
+            bv is None or np.broadcast_shapes(shape, bv.shape) == shape)):
+        out, a.value = av, None
+        if bv is not None:
+            out += bv
+    else:
+        out = av.copy() if bv is None else av + bv
     if kind == "relu":
         np.maximum(out, 0.0, out=out)
     elif kind == "leaky_relu":
@@ -303,10 +327,10 @@ def activation(tape, a, kind, bias=None):
             g = g * (out > 0)
         elif kind == "leaky_relu":
             g = g * _leaky_factor(out > 0, LEAKY_SLOPE_DEFAULT)
-        _acc(a, lambda: _unbroadcast(g, av.shape))
+        _acc(a, lambda: _unbroadcast(g, shape))
         _acc(bias, lambda: _unbroadcast(g, bv.shape))
 
-    return _result(tape, out, (a, bias), back)
+    return _read_back(_result(tape, out, (a, bias), back))
 
 
 def node_matmul(tape, y, w):

@@ -802,6 +802,153 @@ class TestActivation:
             ag.activation(Tape(), Tensor(np.zeros(2)), "tanh")
 
 
+def copying_activation(tape, a, kind, bias=None):
+    """The layer tail before it took over its operand's array: sigma(a +
+    bias) always written into one new array. The bitwise reference for
+    ``activation``."""
+    if kind == "identity" and bias is None:
+        return a
+    av = ag._val(a)
+    bv = None if bias is None else ag._val(bias)
+    out = av.copy() if bv is None else av + bv
+    if kind == "relu":
+        np.maximum(out, 0.0, out=out)
+    elif kind == "leaky_relu":
+        out *= _leaky_factor(out > 0, LEAKY_SLOPE_DEFAULT)
+
+    def back(g):
+        if kind == "relu":
+            g = g * (out > 0)
+        elif kind == "leaky_relu":
+            g = g * _leaky_factor(out > 0, LEAKY_SLOPE_DEFAULT)
+        ag._acc(a, lambda: ag._unbroadcast(g, av.shape))
+        ag._acc(bias, lambda: ag._unbroadcast(g, bv.shape))
+
+    return ag._result(tape, out, (a, bias), back)
+
+
+def _held_operand_cases():
+    """name -> (build(tape, p), bias shape): an operand ``activation``
+    must not write into, built from a fresh Tensor p (2, 5, 3), and a bias
+    on its last axis unless a shape is given."""
+    pat = ring_pattern(5)
+    att = np.random.default_rng(62)
+    b, e = att.normal(size=(3, 2)), att.normal(size=4)
+    x = np.random.default_rng(63).normal(size=(2, 5, 3))
+    return {
+        "parameter": (lambda t, p: p, None),
+        "input tensor": (lambda t, p: Tensor(x), None),
+        "array": (lambda t, p: x.copy(), None),
+        "constant": (lambda t, p: ag.add(t, x, x), None),
+        "reshape": (lambda t, p: ag.reshape(t, p, (10, 3)), None),
+        "expand_last": (lambda t, p: ag.expand_last(t, p), None),
+        "take_index": (lambda t, p: ag.take_index(t, p, 1), None),
+        "attention_hops": (lambda t, p: ag.attention_hops(
+            t, p, Tensor(b), Tensor(e), pat, p, 2), None),
+        "reciprocal": (lambda t, p: ag.reciprocal(t, ag.add(t, p, 4.0)),
+                       None),
+        "activation": (lambda t, p: ag.activation(
+            t, ag.add(t, p, p), "leaky_relu"), None),
+        "bias broadcast beyond it": (
+            lambda t, p: ag.sum_axis(t, p, 0), (3, 5, 3)),
+    }
+
+
+HELD_OPERANDS = _held_operand_cases()
+
+
+def _sbm_family_config(family):
+    return ExperimentConfig.from_dict({
+        "task": "sbm_source_localization", "architecture": {
+            "family": family, "order": 2, "features": 4, "layers": 2,
+            "n_poles": 2, "jacobi_order": 2}})
+
+
+class TestTakeOver:
+    """activation writes into its operand's array only when no one else
+    can read it, and its numbers are the copying tail's bit for bit."""
+
+    @staticmethod
+    def _tail_run(tail, producer, kind, biased):
+        rng = np.random.default_rng(61)
+        x, y = rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
+        b = rng.normal(size=4)
+        y[0, 0] = -x[0, 0] - b          # pre-activation exactly +0.0
+        y[0, 1] = -x[0, 1]
+        leaves = [Tensor(x), Tensor(y)]
+        if biased:
+            leaves.append(Tensor(b))
+        tape = Tape()
+        if producer == "add":
+            a = ag.add(tape, leaves[0], leaves[1])
+        else:
+            a = ag.matmul(tape, ag.mul(tape, leaves[0], leaves[1]),
+                          Tensor(np.eye(4)))
+        out = tail(tape, a, kind, bias=leaves[2] if biased else None)
+        value = out.value.copy()
+        tape.backward(out, rng.normal(size=x.shape))
+        return [value.tobytes()] + [t.grad.tobytes() for t in leaves], a
+
+    @pytest.mark.parametrize("producer", ["add", "matmul"])
+    @pytest.mark.parametrize("kind,biased", [
+        ("relu", False), ("relu", True), ("leaky_relu", False),
+        ("leaky_relu", True), ("identity", True)])
+    def test_intermediate_is_bitwise_the_copying_tail(self, producer, kind,
+                                                      biased):
+        got, a = self._tail_run(ag.activation, producer, kind, biased)
+        want, ref_a = self._tail_run(copying_activation, producer, kind,
+                                     biased)
+        assert got == want
+        assert a.value is None and ref_a.value is not None
+
+    @pytest.mark.parametrize("name", sorted(HELD_OPERANDS))
+    @pytest.mark.parametrize("kind", ["relu", "identity"])
+    def test_a_held_operand_keeps_its_values(self, name, kind):
+        build, bias_shape = HELD_OPERANDS[name]
+        runs = []
+        for tail in (ag.activation, copying_activation):
+            rng = np.random.default_rng(64)
+            p, tape = Tensor(rng.normal(size=(2, 5, 3))), Tape()
+            a = build(tape, p)
+            before = ag._val(a).copy()
+            bias = Tensor(rng.normal(size=bias_shape or before.shape[-1:]))
+            out = tail(tape, a, kind, bias=bias)
+            assert ag._val(a).tobytes() == before.tobytes()
+            tape.backward(out, rng.normal(size=out.shape))
+            runs.append([out.value.tobytes()] + [
+                t.grad.tobytes() for t in (p, bias, a)
+                if isinstance(t, Tensor) and t.grad is not None])
+        assert runs[0] == runs[1]
+
+    def test_a_released_operand_fails_loudly(self):
+        tape = Tape()
+        a = ag.add(tape, Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        ag.activation(tape, a, "relu", bias=Tensor(np.zeros(3)))
+        assert a.value is None
+        with pytest.raises(AttributeError):
+            a.shape
+        with pytest.raises(TypeError):
+            ag.mul(Tape(), a, 2.0)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_parameter_gradients_are_bitwise_the_copying_tail(
+            self, family, monkeypatch):
+        ctx = ShiftContext(_sbm_shift())
+        cfg = _sbm_family_config(family)
+        X = np.random.default_rng(75).normal(size=(6, ctx.n, 1))
+        g = np.random.default_rng(76).normal(size=(6, 5))
+        runs = []
+        for tail in (ag.activation, copying_activation):
+            monkeypatch.setattr(ag, "activation", tail)
+            model = build_model(cfg, ctx, 5)
+            init_params(model, np.random.default_rng(77), shift=ctx)
+            logits, tape = model.forward(ctx, X)
+            tape.backward(output_grad=g)
+            runs.append([logits.value.tobytes()] + [
+                t.grad.tobytes() for _, t in model.parameters()])
+        assert runs[0] == runs[1]
+
+
 class TestTape:
     def test_grad_accumulates_over_reuse(self):
         tape = Tape()
@@ -848,10 +995,7 @@ class TestTape:
     def test_parameter_gradients_are_bitwise_a_replay_that_keeps_records(
             self, family, monkeypatch):
         ctx = ShiftContext(_sbm_shift())
-        cfg = ExperimentConfig.from_dict({
-            "task": "sbm_source_localization", "architecture": {
-                "family": family, "order": 2, "features": 4, "layers": 2,
-                "n_poles": 2, "jacobi_order": 2}})
+        cfg = _sbm_family_config(family)
         X = np.random.default_rng(73).normal(size=(6, ctx.n, 1))
         g = np.random.default_rng(74).normal(size=(6, 5))
         runs = []

@@ -701,6 +701,12 @@ RAISE_SITES = {
                                   SparseMatrix.from_dense(np.ones((2, 3))),
                                   np.ones((3, 2))),
         DimensionMismatch, "the Jacobi recursion needs a square shift"),
+    "arma_rational_complex_a": (
+        lambda: ArmaRational(np.array([0.5 + 1j]), [1.0]), NonRealValue,
+        "a must be real"),
+    "arma_rational_complex_b_list": (
+        lambda: ArmaRational([0.5], [1.0, 2 - 1j]), NonRealValue,
+        "b must be real"),
     "arma_rational_empty_numerator": (
         lambda: ArmaRational([0.5], []), ValueError,
         "numerator needs at least one coefficient"),
@@ -714,6 +720,21 @@ RAISE_SITES = {
             BlockVaryingFilter([0, 1, 0], np.ones((2, 2))), _path3(),
             np.ones((4, 2))),
         DimensionMismatch, "signal length does not match the filter"),
+    "apply_arma_exact_signal_length": (
+        lambda: apply_arma_exact(ArmaRational([0.5], [1.0]), _path3(),
+                                 np.ones((4, 2))),
+        DimensionMismatch, "signal has 4 nodes, the shift 3"),
+    "apply_arma_exact_batched_signal_length": (
+        lambda: apply_arma_exact(ArmaRational([0.5], [1.0]), _path3(),
+                                 np.ones((3, 2, 3))),
+        DimensionMismatch, "signal has 2 nodes, the shift 3"),
+    "apply_single_pole_jacobi_signal_length": (
+        lambda: apply_single_pole_jacobi(_path3(), 1.0, 3.0, 2, np.ones(2)),
+        DimensionMismatch, "signal has 2 nodes, the shift 3"),
+    "apply_single_pole_jacobi_order0_signal_length": (
+        lambda: apply_single_pole_jacobi(_path3(), 1.0, 3.0, 0,
+                                         np.ones((5, 1))),
+        DimensionMismatch, "signal has 5 nodes, the shift 3"),
     "jacobi_shift_not_square": (
         lambda: jacobi_shift(SparseMatrix.from_dense(np.ones((2, 3))), 0.5),
         DimensionMismatch, "the Jacobi recursion needs a square shift"),

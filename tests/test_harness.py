@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import tracemalloc
 import weakref
 from dataclasses import asdict
 
@@ -26,6 +27,8 @@ from graphfilt.harness.train import MetricsRecord, build_model, seed_streams
 from graphfilt.sparse import SparseMatrix, power_iteration_lambda_max, spmv
 from graphfilt.nn import (ShiftContext, finite_difference_check,
                           init_params, load_model, save_model)
+from graphfilt.nn import autograd as ag
+from test_autograd import copying_activation
 
 # the package exports the train function under the submodule's name
 train_module = importlib.import_module("graphfilt.harness.train")
@@ -1099,6 +1102,32 @@ class TestTrainLoop:
         monkeypatch.setattr(train_module, "_forward_batch", watched)
         assert evaluate(model, ds, "val", cfg) == expected
         assert len(tapes) == 3
+
+    def test_evaluate_chunk_holds_one_tail_array(self, monkeypatch):
+        # order 0: no hop is live at the tail, so the peak is reached
+        # there, with the layer's product and, copying, its activation
+        chunk, F = train_module._EVAL_CHUNK, 16
+        cfg = sbm_config(architecture={"order": 0, "features": F},
+                         dataset={"n_train": 16, "n_val": chunk,
+                                  "n_test": 16})
+        ds = build_dataset(cfg, np.random.default_rng(10))
+        ctx = ds.context()
+        model = build_model(cfg, ctx, ds.n_outputs)
+        init_params(model, np.random.default_rng(11), shift=ctx)
+        evaluate(model, ds, "val", cfg)      # builds the cached context
+        runs = []
+        for tail in (ag.activation, copying_activation):
+            monkeypatch.setattr(ag, "activation", tail)
+            tracemalloc.start()
+            try:
+                result = evaluate(model, ds, "val", cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            runs.append((peak, result))
+        (peak, result), (copying_peak, copying_result) = runs
+        assert result == copying_result
+        assert copying_peak - peak >= chunk * ctx.n * F * 8
 
     def test_constant_predictor_near_chance(self):
         cfg = sbm_config(dataset={"n_train": 32, "n_val": 16, "n_test": 400,
